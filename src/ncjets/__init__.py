@@ -1,7 +1,7 @@
 """Exact jet modules and differential-operator filtrations over
 finite-dimensional associative algebras, with representability checks."""
 
-from .algebra import Algebra, AlgebraElement, AlgebraValidationError, mult_operators, validate_algebra
+from .algebra import Algebra, AlgebraElement, AlgebraValidationError
 from .catalog import CatalogEntry, builtin, names as catalog_names
 from .diffop import (
     DefinitionDomainError,
@@ -49,10 +49,6 @@ from .modules import (
     HomSpace,
     hom_A,
     hom_AA,
-    hom_space,
-    tensor_A_P,
-    tensor_A_P_A,
-    validate_bimodule,
 )
 
 __version__ = "0.1.0"

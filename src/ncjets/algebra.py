@@ -244,13 +244,3 @@ class AlgebraElement:
             if c != 0
         ]
         return " + ".join(terms) if terms else "0"
-
-
-def mult_operators(algebra: Algebra, a: AlgebraElement) -> tuple[Matrix, Matrix]:
-    """(L_a, R_a): matrices of x -> a x and x -> x a."""
-    return algebra.left_mult_matrix(a.coords), algebra.right_mult_matrix(a.coords)
-
-
-def validate_algebra(field, basis_names, unit, mul, name: str = "") -> Algebra:
-    """Construct and fully validate an algebra from raw structure constants."""
-    return Algebra(field, basis_names, unit, mul, name=name)

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import Matrix, Subspace, closure_under, joint_kernel
+from .linalg import Matrix, Subspace, closure_under, joint_kernel, kernel
 from .modules import BimoduleRep, HomSpace, require_central
 
 MAX_ORDER = 4
@@ -82,6 +82,28 @@ def _span_family(ops: Sequence[Matrix], seed: Subspace) -> Subspace:
     return Subspace.from_spanning(seed.field, seed.ambient_dim, np.vstack(blocks))
 
 
+def _zero_order(acts: Sequence[Matrix], devs: Sequence[Matrix]) -> Subspace:
+    """span{b w : dev w = 0 for every dev}, b running over acts."""
+    return _span_family(acts, joint_kernel(list(devs)))
+
+
+def _zero_orders(hs: HomSpace) -> tuple[Subspace, Subspace]:
+    """The left and the right zero-order spans."""
+    return _zero_order(hs.left, hs.deltas), _zero_order(hs.right, hs.delta_bars)
+
+
+def _sum_step(acts: Sequence[Matrix], devs: Sequence[Matrix], prev: Subspace) -> Subspace:
+    """span{b w : dev w in prev for every dev} + prev, the sum-form stage after prev."""
+    return _span_family(acts, _preimage_joint(devs, prev)) + prev
+
+
+def _sum_form(acts: Sequence[Matrix], devs: Sequence[Matrix], r: int) -> tuple[Subspace, ...]:
+    stages = [_zero_order(acts, devs)]
+    for _ in range(r):
+        stages.append(_sum_step(acts, devs, stages[-1]))
+    return tuple(stages)
+
+
 # ---------------------------------------------------------------------------
 # commutative definitions
 
@@ -92,7 +114,8 @@ def diff_commutative(
     """Classical filtration over a commutative algebra.
 
     iterated:  stage[k] = joint kernel of all (k+1)-fold products of the
-               basis deviations delta_a.
+               basis deviations delta_a, computed as the kernel of their
+               common row space.
     inductive: stage[0] = joint kernel of the delta_a; stage[k] pulls
                stage[k-1] back through every delta_a.
     """
@@ -106,15 +129,20 @@ def diff_commutative(
         raise DefinitionDomainError(f"unknown commutative mode {mode!r}")
     hs = HomSpace(P, Q)
     deltas = hs.deltas
-    stages = [joint_kernel(list(deltas))]
     if mode == "inductive":
+        stages = [joint_kernel(list(deltas))]
         for _ in range(r):
             stages.append(_preimage_joint(deltas, stages[-1]))
     else:
-        words = list(deltas)
+        # the (k+1)-words w . delta_i have row space R_k . delta_i, so
+        # R_{k+1} = span{R_k delta_i} and stage[k] = ker R_k
+        field = hs.field
+        words = Subspace.from_spanning(field, hs.dim, np.vstack([d.a for d in deltas]))
+        stages = [kernel(words.basis)]
+        transposed = [d.T for d in deltas]
         for _ in range(r):
-            words = [d @ w for d in deltas for w in words]
-            stages.append(joint_kernel(words))
+            words = _span_family(transposed, words)
+            stages.append(kernel(words.basis))
     return Filtration(hs, f"comm-{mode}", tuple(stages))
 
 
@@ -139,19 +167,14 @@ def diff_left(
         raise DefinitionDomainError(f"unknown left mode {mode!r}")
     hs = HomSpace(P, Q)
     deltas = hs.deltas
-    z0 = joint_kernel(list(deltas))
-    if mode == "center":
-        left_pair = list(hs.left) + list(hs.bullet_left)
-        stages = [closure_under(left_pair, z0)]
-        for _ in range(r):
-            lift = _preimage_joint(deltas, stages[-1])
-            stages.append(closure_under(left_pair, lift))
-    else:
-        stages = [_span_family(hs.left, z0)]
-        for _ in range(r):
-            w = _preimage_joint(deltas, stages[-1])
-            stages.append(_span_family(hs.left, w) + stages[-1])
-    return Filtration(hs, f"left-{mode}", tuple(stages))
+    if mode == "sum":
+        return Filtration(hs, "left-sum", _sum_form(hs.left, deltas, r))
+    left_pair = list(hs.left) + list(hs.bullet_left)
+    stages = [closure_under(left_pair, joint_kernel(list(deltas)))]
+    for _ in range(r):
+        lift = _preimage_joint(deltas, stages[-1])
+        stages.append(closure_under(left_pair, lift))
+    return Filtration(hs, "left-center", tuple(stages))
 
 
 def diff_right(
@@ -161,12 +184,7 @@ def diff_right(
     require_central(P, Q)
     _check_order(r, max_order)
     hs = HomSpace(P, Q)
-    dbars = hs.delta_bars
-    stages = [_span_family(hs.right, joint_kernel(list(dbars)))]
-    for _ in range(r):
-        w = _preimage_joint(dbars, stages[-1])
-        stages.append(_span_family(hs.right, w) + stages[-1])
-    return Filtration(hs, "right", tuple(stages))
+    return Filtration(hs, "right", _sum_form(hs.right, hs.delta_bars, r))
 
 
 def diff_two_sided(
@@ -181,14 +199,11 @@ def diff_two_sided(
     require_central(P, Q)
     _check_order(r, max_order)
     hs = HomSpace(P, Q)
-    left0 = _span_family(hs.left, joint_kernel(list(hs.deltas)))
-    right0 = _span_family(hs.right, joint_kernel(list(hs.delta_bars)))
+    left0, right0 = _zero_orders(hs)
     stages = [left0 + right0]
     for _ in range(r):
-        u = _preimage_joint(hs.deltas, stages[-1])
-        v = _preimage_joint(hs.delta_bars, stages[-1])
-        left_form = _span_family(hs.left, u) + stages[-1]
-        right_form = _span_family(hs.right, v) + stages[-1]
+        left_form = _sum_step(hs.left, hs.deltas, stages[-1])
+        right_form = _sum_step(hs.right, hs.delta_bars, stages[-1])
         stages.append(left_form & right_form)
     return Filtration(hs, "two-sided", tuple(stages))
 
@@ -198,8 +213,7 @@ def two_sided_zero_order_membership(P: BimoduleRep, Q: BimoduleRep, phi: Matrix)
     require_central(P, Q)
     hs = HomSpace(P, Q)
     v = hs.vec(phi)
-    left0 = _span_family(hs.left, joint_kernel(list(hs.deltas)))
-    right0 = _span_family(hs.right, joint_kernel(list(hs.delta_bars)))
+    left0, right0 = _zero_orders(hs)
     in_left = left0.contains(v)
     in_right = right0.contains(v)
     return {

@@ -18,8 +18,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .diffop import DefinitionDomainError, diff_bar1, diff_commutative, stage_by_tag
-from .linalg import Matrix, Subspace, closure_under, hstack, joint_kernel, solve
+from .diffop import DefinitionDomainError, diff_bar1, stage_by_tag
+from .linalg import DimensionMismatch, Matrix, Subspace, closure_under, hstack, kernel
 from .modules import (
     BimoduleRep,
     HomSpace,
@@ -31,7 +31,6 @@ from .modules import (
 
 VERDICT_ISO = "isomorphism"
 VERDICT_INJ = "injective-not-surjective"
-VERDICT_NOT_INJ = "not-injective"
 VERDICT_NOT_CONTAINED = "image-not-contained"
 
 
@@ -81,6 +80,52 @@ def _invariant(ops: Sequence[Matrix], sub: Subspace) -> bool:
     return sub.contains_all(moved)
 
 
+def _assemble_jet(
+    P: BimoduleRep,
+    order: int,
+    t: TensorOneSided | TensorTwoSided,
+    gens: Sequence[np.ndarray],
+    outer: Sequence[Matrix],
+    inner: Sequence[Matrix],
+    right: Optional[tuple[Sequence[Matrix], Sequence[Matrix]]] = None,
+) -> JetModule:
+    """Close the seed relations under the outer actions and pass to the quotient.
+
+    outer/inner are the left action families on the ambient t; right is
+    the (outer, inner) pair of right families for the two-sided jet.  The
+    outer actions always descend; an inner family is attached only when
+    the relations are invariant under it.
+    """
+    outer_all = list(outer) + (list(right[0]) if right else [])
+    mu = closure_under(outer_all, Subspace.from_spanning(t.field, t.dim, gens))
+    assert _invariant(outer_all, mu), "jet relations must be closed under the outer actions"
+    quot = mu.quotient()
+
+    def induced(ops):
+        return tuple(quot.induced(op) for op in ops)
+
+    def bullet(ops):
+        return induced(ops) if _invariant(ops, mu) else None
+
+    jet = JetModule(
+        base=P,
+        order=order,
+        two_sided=right is not None,
+        ambient_dim=t.dim,
+        mu=mu,
+        projection=quot.projection,
+        section=quot.section,
+        dim=quot.dim,
+        left_ops=induced(outer),
+        bullet_ops=bullet(inner),
+        right_ops=induced(right[0]) if right else None,
+        bullet_right_ops=bullet(right[1]) if right else None,
+        jet_map=quot.projection @ t.embedding,
+    )
+    _check_generation(jet)
+    return jet
+
+
 def jet_module(P: BimoduleRep, k: int) -> JetModule:
     """Order-k jet of P: (A tensor P) / mu^(k+1).
 
@@ -94,39 +139,10 @@ def jet_module(P: BimoduleRep, k: int) -> JetModule:
     if k < 0:
         raise OrderViolationError("jet order must be >= 0")
     t = TensorOneSided(P)
-    field = t.field
-    emb = t.embedding
-    level = [emb.col(u) for u in range(P.dim)]
+    level = [t.embedding.col(u) for u in range(P.dim)]
     for _ in range(k + 1):
         level = [d.apply(v) for d in t.deltas for v in level]
-    seed = Subspace.from_spanning(field, t.dim, level)
-    mu = closure_under(list(t.outer), seed)
-    assert _invariant(t.outer, mu), "jet relations must be closed under the outer action"
-    quot = mu.quotient()
-    q, s = quot.projection, quot.section
-    # invariance of mu makes every outer operator descend; q op s realizes it
-    left_ops = [quot.induced(op) for op in t.outer]
-    bullet_ops = None
-    if _invariant(t.inner, mu):
-        bullet_ops = tuple(quot.induced(op) for op in t.inner)
-    jmap = q @ emb
-    jet = JetModule(
-        base=P,
-        order=k,
-        two_sided=False,
-        ambient_dim=t.dim,
-        mu=mu,
-        projection=q,
-        section=s,
-        dim=quot.dim,
-        left_ops=tuple(left_ops),
-        bullet_ops=bullet_ops,
-        right_ops=None,
-        bullet_right_ops=None,
-        jet_map=jmap,
-    )
-    _check_generation(jet)
-    return jet
+    return _assemble_jet(P, k, t, level, t.outer, t.inner)
 
 
 def two_sided_jet1(P: BimoduleRep) -> JetModule:
@@ -137,48 +153,15 @@ def two_sided_jet1(P: BimoduleRep) -> JetModule:
     """
     require_central(P)
     t = TensorTwoSided(P)
-    field = t.field
-    emb = t.embedding
-    n = t.algebra.dim
-    gens = []
-    for b in range(n):
-        for c in range(n):
-            for u in range(P.dim):
-                gens.append(t.delta_bars[c].apply(t.deltas[b].apply(emb.col(u))))
-    outer = list(t.outer_left) + list(t.outer_right)
-    mu = closure_under(outer, Subspace.from_spanning(field, t.dim, gens))
-    assert _invariant(outer, mu)
-    quot = mu.quotient()
-    q, s = quot.projection, quot.section
-    left_ops = tuple(quot.induced(op) for op in t.outer_left)
-    right_ops = tuple(quot.induced(op) for op in t.outer_right)
-    bullet_ops = (
-        tuple(quot.induced(op) for op in t.inner_left)
-        if _invariant(t.inner_left, mu)
-        else None
+    gens = [
+        db.apply(d.apply(t.embedding.col(u)))
+        for d in t.deltas
+        for db in t.delta_bars
+        for u in range(P.dim)
+    ]
+    return _assemble_jet(
+        P, 1, t, gens, t.outer_left, t.inner_left, (t.outer_right, t.inner_right)
     )
-    bullet_right_ops = (
-        tuple(quot.induced(op) for op in t.inner_right)
-        if _invariant(t.inner_right, mu)
-        else None
-    )
-    jet = JetModule(
-        base=P,
-        order=1,
-        two_sided=True,
-        ambient_dim=t.dim,
-        mu=mu,
-        projection=q,
-        section=s,
-        dim=quot.dim,
-        left_ops=left_ops,
-        bullet_ops=bullet_ops,
-        right_ops=right_ops,
-        bullet_right_ops=bullet_right_ops,
-        jet_map=q @ emb,
-    )
-    _check_generation(jet)
-    return jet
 
 
 def _check_generation(jet: JetModule):
@@ -196,64 +179,25 @@ def _check_generation(jet: JetModule):
 # hom sides and the comparison map
 
 
-def _hom_conditions(
-    jet_ops: Sequence[Matrix], target_ops: Sequence[Matrix], jet_dim: int, tdim: int, field
-) -> list[Matrix]:
-    it = Matrix.identity(field, tdim)
-    ij = Matrix.identity(field, jet_dim)
-    return [jo.T.kron(it) - ij.kron(to) for jo, to in zip(jet_ops, target_ops)]
+def _collapse_conditions(jet: JetModule, Q: BimoduleRep) -> Matrix:
+    """Rows that vanish on vec(phi) exactly when phi extends to the jet.
 
-
-def _rho_matrix(jet: JetModule, Q: BimoduleRep) -> Matrix:
-    # f (tdim x d) goes to f . jet_map, in column-major hom coordinates
-    iq = Matrix.identity(Q.algebra.field, Q.dim)
-    return jet.jet_map.T.kron(iq)
-
-
-def _collapse_conditions_one_sided(jet: JetModule, Q: BimoduleRep) -> list[Matrix]:
-    """Vanishing conditions on phi for f(a tensor p) = a phi(p) to kill mu.
-
-    The tensor ambient is free as a left module on the P-leg, so maps on
-    the quotient correspond exactly to phi in Hom_K(P, Q) satisfying
-    these rows, and f . J = phi; the generation invariant (checked at
-    construction) makes that correspondence injective.
+    The tensor ambient is free on its P-leg, so a module map f out of the
+    jet is fixed by phi = f . J through f(a tensor p [tensor c]) = a phi(p) [c],
+    and such an f exists exactly when it kills mu, i.e. when these rows
+    vanish; the generation invariant (checked at construction) makes
+    f -> phi injective.  Row (w, q) is the q-th entry of
+    sum_{i,u,j} w[i,u,j] L_i R_j phi(p_u) for a basis vector w of mu; the
+    one-sided ambient is the case of a single right factor R = I_Q.
     """
     P = jet.base
-    n = P.algebra.dim
     field = P.algebra.field
-    conds = []
-    for w in jet.mu.basis_vectors():
-        blocks = []
-        for u in range(P.dim):
-            m = Matrix.zeros(field, Q.dim, Q.dim)
-            for i in range(n):
-                c = w[i * P.dim + u]
-                if c != 0:
-                    m = m + Q.left[i].scale(c)
-            blocks.append(m)
-        conds.append(hstack(blocks))
-    return conds
-
-
-def _collapse_conditions_two_sided(jet: JetModule, Q: BimoduleRep) -> list[Matrix]:
-    """Same as above for f(a tensor p tensor c) = a phi(p) c."""
-    P = jet.base
-    n = P.algebra.dim
-    field = P.algebra.field
-    sandwich = [[Q.right[j] @ Q.left[i] for j in range(n)] for i in range(n)]
-    conds = []
-    for w in jet.mu.basis_vectors():
-        blocks = []
-        for u in range(P.dim):
-            m = Matrix.zeros(field, Q.dim, Q.dim)
-            for i in range(n):
-                for j in range(n):
-                    c = w[(i * P.dim + u) * n + j]
-                    if c != 0:
-                        m = m + sandwich[i][j].scale(c)
-            blocks.append(m)
-        conds.append(hstack(blocks))
-    return conds
+    rights = Q.right if jet.two_sided else (Matrix.identity(field, Q.dim),)
+    w = jet.mu.basis.a.reshape(jet.mu.dim, P.algebra.dim, P.dim, len(rights))
+    sandwich = np.stack([np.stack([(R @ L).a for R in rights]) for L in Q.left])
+    rows = np.tensordot(w, sandwich, axes=([1, 3], [0, 1]))  # (w, u, q, q')
+    rows = rows.transpose(0, 2, 1, 3).reshape(jet.mu.dim * Q.dim, P.dim * Q.dim)
+    return Matrix._raw(field, field.reduce_array(rows))
 
 
 @dataclass(frozen=True)
@@ -275,35 +219,33 @@ class RepresentabilityReport:
         return self.verdict == VERDICT_ISO
 
 
-def _compare_image_with_stage(
-    tag: str, order: int, jet: JetModule, hom_side_dim: int, image: Subspace, stage: Subspace
+def _representability(
+    tag: str, jet: JetModule, Q: BimoduleRep, stage: Subspace
 ) -> RepresentabilityReport:
+    """Compare the maps out of the jet, pushed forward along f -> f . J, with a stage.
+
+    Under the free parametrization of _collapse_conditions the push-forward
+    is the identity on phi, so the image is the hom side itself and the
+    comparison map is injective by construction.
+    """
+    image = kernel(_collapse_conditions(jet, Q))
     witness = None
     kind = None
-    if image.dim < hom_side_dim:
-        verdict = VERDICT_NOT_INJ
-        kind = "hom-side map killed by composition with the jet map"
-    elif image == stage:
+    if image == stage:
         verdict = VERDICT_ISO
     elif image <= stage:
         verdict = VERDICT_INJ
-        for b in stage.basis_vectors():
-            if not image.contains(b):
-                witness = b
-                kind = "operator in the filtration stage missing from the image"
-                break
+        witness = next(b for b in stage.basis_vectors() if not image.contains(b))
+        kind = "operator in the filtration stage missing from the image"
     else:
         verdict = VERDICT_NOT_CONTAINED
-        for b in image.basis_vectors():
-            if not stage.contains(b):
-                witness = b
-                kind = "image element outside the filtration stage"
-                break
+        witness = next(b for b in image.basis_vectors() if not stage.contains(b))
+        kind = "image element outside the filtration stage"
     return RepresentabilityReport(
         tag=tag,
-        order=order,
+        order=jet.order,
         jet_dim=jet.dim,
-        hom_side_dim=hom_side_dim,
+        hom_side_dim=image.dim,
         diff_side_dim=stage.dim,
         image_dim=image.dim,
         verdict=verdict,
@@ -320,31 +262,19 @@ def representability_check(
     """Compare left-linear maps out of the order-k jet with a filtration stage.
 
     Hom_A(J^k(P), Q) is computed through the free-module parametrization
-    of _collapse_conditions_one_sided, under which pushing forward along
-    f -> f . J^k is the identity on phi; the image of rho is therefore
-    the solution subspace itself, compared against the stage-k subspace
-    of the tagged filtration, with a witness for any failure.
+    of _collapse_conditions and compared against the stage-k subspace of
+    the tagged filtration, with a witness for any failure.
     """
     require_central(P, Q)
     jet = jet_module(P, k)
-    conds = _collapse_conditions_one_sided(jet, Q)
-    image = joint_kernel(conds) if conds else Subspace.full(
-        P.algebra.field, P.dim * Q.dim
-    )
-    stage = stage_by_tag(P, Q, k, def_tag)
-    return _compare_image_with_stage(def_tag, k, jet, image.dim, image, stage)
+    return _representability(def_tag, jet, Q, stage_by_tag(P, Q, k, def_tag))
 
 
 def representability_bar1(P: BimoduleRep, Q: BimoduleRep) -> RepresentabilityReport:
     """Bimodule maps out of the two-sided first jet versus the bar1 class."""
     require_central(P, Q)
     jet = two_sided_jet1(P)
-    conds = _collapse_conditions_two_sided(jet, Q)
-    image = joint_kernel(conds) if conds else Subspace.full(
-        P.algebra.field, P.dim * Q.dim
-    )
-    stage = diff_bar1(P, Q)
-    return _compare_image_with_stage("bar1", 1, jet, image.dim, image, stage)
+    return _representability("bar1", jet, Q, diff_bar1(P, Q))
 
 
 # ---------------------------------------------------------------------------
@@ -370,39 +300,25 @@ def factorize(
 ) -> Factorization:
     """The unique left-linear f on J^k(P) with f . J^k = delta.
 
-    Only defined over commutative algebras, and only for operators of
-    order k (membership is verified first).  Uniqueness is re-derived:
-    the homogeneous system must have a trivial solution space.
+    Only defined over commutative algebras.  A tensor P is free on its
+    P-leg, so F(a tensor p) = a delta(p) is the one left-linear lift of
+    delta to the ambient; delta has order k exactly when F kills mu^(k+1),
+    and f is then F read on the quotient through the section.
     """
     require_central(P, Q)
     if not P.algebra.is_commutative:
         raise DefinitionDomainError("factorization requires a commutative algebra")
-    hs = HomSpace(P, Q)
-    stage = diff_commutative(P, Q, k).stages[k]
-    if not stage.contains(hs.vec(delta)):
-        raise OrderViolationError(f"map is not an order-{k} differential operator")
+    if delta.shape != (Q.dim, P.dim):
+        raise DimensionMismatch(f"operator must be {Q.dim}x{P.dim}, got {delta.shape}")
     if jet is None:
         jet = jet_module(P, k)
     field = P.algebra.field
-    conds = _hom_conditions(jet.left_ops, Q.left, jet.dim, Q.dim, field)
-    rho = _rho_matrix(jet, Q)
-    hom_side = joint_kernel(conds)
-    # solve rho(f) = delta inside the left-linear solution space
-    target = hs.vec(delta)
-    restricted = Matrix._raw(
-        field, field.reduce_array(np.dot(rho.a, hom_side.basis.a.T))
-    )
-    coeff = solve(restricted, target)
-    if coeff is None:
-        raise OrderViolationError(
-            "no left-linear factorization exists; the jet does not represent this operator"
-        )
-    fvec = field.reduce_array(np.dot(coeff, hom_side.basis.a))
-    fmat = Matrix._raw(
-        field, np.asarray(fvec, dtype=object).reshape((Q.dim, jet.dim), order="F").copy()
-    )
-    unique = joint_kernel([restricted]).is_zero()
-    return Factorization(jet=jet, factor=fmat, unique=unique)
+    lift = hstack([L @ delta for L in Q.left])
+    if field.reduce_array(np.dot(lift.a, jet.mu.basis.a.T)).any():
+        raise OrderViolationError(f"map is not an order-{k} differential operator")
+    # _check_generation proved that J(P) generates the jet as a left module,
+    # so a left-linear f is fixed by f . J and the factorization is unique.
+    return Factorization(jet=jet, factor=lift @ jet.section, unique=True)
 
 
 # ---------------------------------------------------------------------------

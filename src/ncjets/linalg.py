@@ -543,7 +543,7 @@ class Subspace:
         if self.is_zero():
             return not rows.any()
         pivots = list(_pivot_cols(self.basis.a))
-        resid = rows - np.dot(rows[:, pivots], self.basis.a)
+        resid = self.field.reduce_array(rows - np.dot(rows[:, pivots], self.basis.a))
         return not resid.any()
 
     def is_subset(self, other: "Subspace") -> bool:

@@ -135,11 +135,6 @@ class BimoduleRep:
         return f"BimoduleRep({self.name!r}, dim={self.dim}, over {self.algebra.name!r})"
 
 
-def validate_bimodule(algebra, left, right, name="", check_central=True) -> BimoduleRep:
-    """Construct and fully validate a bimodule from raw action matrices."""
-    return BimoduleRep(algebra, left, right, name=name, check_central=check_central)
-
-
 def require_central(*modules: BimoduleRep):
     for m in modules:
         if not m.central:
@@ -241,10 +236,6 @@ def _combo(mats: Sequence[Matrix], coeffs) -> Matrix:
     return out
 
 
-def hom_space(source: BimoduleRep, target: BimoduleRep) -> HomSpace:
-    return HomSpace(source, target)
-
-
 def hom_A(source: BimoduleRep, target: BimoduleRep) -> Subspace:
     """Left-linear maps {phi : phi(a p) = a phi(p)}, the joint delta kernel."""
     return joint_kernel(HomSpace(source, target).deltas)
@@ -320,14 +311,6 @@ class TensorTwoSided:
 
     def delta_bar(self, coords) -> Matrix:
         return _combo(self.delta_bars, coords)
-
-
-def tensor_A_P(module: BimoduleRep) -> TensorOneSided:
-    return TensorOneSided(module)
-
-
-def tensor_A_P_A(module: BimoduleRep) -> TensorTwoSided:
-    return TensorTwoSided(module)
 
 
 def hom_left_linear(

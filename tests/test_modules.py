@@ -10,12 +10,12 @@ from ncjets.modules import (
     BimoduleValidationError,
     CentralityRequired,
     HomSpace,
+    TensorOneSided,
+    TensorTwoSided,
     hom_A,
     hom_AA,
     hom_left_linear,
     require_central,
-    tensor_A_P,
-    tensor_A_P_A,
 )
 
 from oracle_systems import hom_A_dim, hom_AA_dim
@@ -164,14 +164,14 @@ def test_hom_AA_m2_is_scalars():
 def test_tensor_one_sided_dims_and_unit_delta():
     for name in ("dual_numbers", "m2"):
         e = entry(name)
-        t = tensor_A_P(e.module("free2"))
+        t = TensorOneSided(e.module("free2"))
         assert t.dim == e.algebra.dim * 2 * e.algebra.dim
         assert t.delta(e.algebra.unit).is_zero()
 
 
 def test_dual_numbers_double_delta_generator():
     e = entry("dual_numbers")
-    t = tensor_A_P(e.module("self"))
+    t = TensorOneSided(e.module("self"))
     one_tensor_one = unit_vector(QQ, 4, 0)  # flat (i, u) = i * 2 + u
     d_eps = t.deltas[1]
     out = d_eps.apply(d_eps.apply(one_tensor_one))
@@ -181,7 +181,7 @@ def test_dual_numbers_double_delta_generator():
 def test_tensor_two_sided_dims_and_commutation():
     for name in names():
         e = entry(name)
-        t = tensor_A_P_A(e.module("self"))
+        t = TensorTwoSided(e.module("self"))
         n = e.algebra.dim
         assert t.dim == n * n * n
         assert t.delta_bar(e.algebra.unit).is_zero()
@@ -192,7 +192,7 @@ def test_tensor_two_sided_dims_and_commutation():
 
 def test_tensor_embed_is_one_tensor_p():
     e = entry("dual_numbers")
-    t = tensor_A_P(e.module("self"))
+    t = TensorOneSided(e.module("self"))
     emb = t.embedding
     assert list(emb.col(0)) == [1, 0, 0, 0]
     assert list(emb.col(1)) == [0, 1, 0, 0]
@@ -203,7 +203,7 @@ def test_order_zero_tensor_compatibility():
     for name in names():
         e = entry(name)
         P = Q = e.module("self")
-        t = tensor_A_P(P)
+        t = TensorOneSided(P)
         hs = HomSpace(P, Q)
         flin = hom_left_linear(t.outer, Q.left, QQ)
         emb = t.embedding

@@ -5,8 +5,14 @@ characteristic; these tests pin the interesting cases directly.
 """
 
 from ncjets.algebra import Algebra
+from ncjets.catalog import builtin
 from ncjets.diffop import diff_commutative
-from ncjets.jets import jet_module, representability_bar1, representability_check
+from ncjets.jets import (
+    jet_module,
+    representability_bar1,
+    representability_check,
+    two_sided_jet1,
+)
 from ncjets.linalg import GF
 from ncjets.modules import BimoduleRep
 
@@ -32,3 +38,25 @@ def test_characteristic_two_degenerates():
     assert diff_commutative(P, P, 2).dims == [2, 4, 4]
     assert jet_module(P, 1).dim == 4
     assert representability_check(P, P, 1, "comm-inductive").verdict == "isomorphism"
+
+
+def truncated_polynomial_over(field, degree):
+    table = [
+        [[1 if k == i + j else 0 for k in range(degree)] for j in range(degree)]
+        for i in range(degree)
+    ]
+    names = ["1"] + [f"x^{k}" for k in range(1, degree)]
+    a = Algebra(field, names, [1] + [0] * (degree - 1), table, name=f"trunc{degree}")
+    return BimoduleRep.regular(a)
+
+
+def test_trunc4_jets_over_large_prime_match_rational():
+    # membership tests on the jet relations must reduce mod p, or the
+    # invariance checks inside the jet builders fail spuriously
+    P = truncated_polynomial_over(GF(2**31 - 1), 4)
+    R = builtin("trunc4").module("self")
+    assert jet_module(P, 2).dim == jet_module(R, 2).dim == 10
+    assert two_sided_jet1(P).dim == two_sided_jet1(R).dim == 28
+    report, rational = representability_bar1(P, P), representability_bar1(R, R)
+    assert report.verdict == rational.verdict == "isomorphism"
+    assert report.hom_side_dim == rational.hom_side_dim == 7
