@@ -16,6 +16,7 @@ from .diffop import (
 )
 from .jets import (
     Factorization,
+    InvariantViolation,
     JetModule,
     NotLeftLinearError,
     OrderViolationError,

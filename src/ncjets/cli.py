@@ -33,6 +33,7 @@ from .documents import (
     subspace_to_doc,
 )
 from .jets import (
+    InvariantViolation,
     OrderViolationError,
     jet_module,
     representability_bar1,
@@ -54,6 +55,7 @@ _VALIDATION_ERRORS = (
     CentralityRequired,
     DefinitionDomainError,
     OrderViolationError,
+    InvariantViolation,
 )
 
 

@@ -22,6 +22,11 @@ class DocumentError(ValueError):
     """A document is malformed or inconsistent with its schema."""
 
 
+def _is_count(x) -> bool:
+    # JSON true/false load as bools, which are ints to isinstance
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
@@ -61,7 +66,7 @@ def algebra_from_doc(doc) -> Algebra:
         raise DocumentError(str(exc)) from exc
     dim = doc["dim"]
     basis = doc["basis"]
-    if not isinstance(dim, int) or dim < 1 or len(basis) != dim:
+    if not _is_count(dim) or dim < 1 or len(basis) != dim:
         raise DocumentError("dim must be a positive int matching the basis length")
     parse = field.parse
     try:
@@ -113,7 +118,7 @@ def module_from_doc(doc, algebra: Algebra | None = None, base_dir: Path | None =
     if algebra is None:
         raise DocumentError("module document needs an algebra (inline or via -a)")
     m = doc["dim"]
-    if not isinstance(m, int) or m < 1:
+    if not _is_count(m) or m < 1:
         raise DocumentError("module dim must be a positive int")
     parse = algebra.field.parse
 

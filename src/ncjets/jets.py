@@ -23,9 +23,9 @@ from .linalg import DimensionMismatch, Matrix, Subspace, closure_under, hstack, 
 from .modules import (
     BimoduleRep,
     HomSpace,
+    LegAction,
     TensorOneSided,
     TensorTwoSided,
-    hom_left_linear,
     require_central,
 )
 
@@ -40,6 +40,10 @@ class OrderViolationError(ValueError):
 
 class NotLeftLinearError(ValueError):
     """The map fails left linearity on the tensor ambient."""
+
+
+class InvariantViolation(ValueError):
+    """A structural invariant of the jet construction failed (an internal fault)."""
 
 
 @dataclass(frozen=True)
@@ -70,35 +74,33 @@ class JetModule:
         return self.bullet_ops is not None
 
 
-def _invariant(ops: Sequence[Matrix], sub: Subspace) -> bool:
+def _invariant(ops: Sequence, sub: Subspace) -> bool:
+    """Is sub invariant under every op (Matrix or LegAction)?  Stops at the first that moves it."""
     if sub.is_zero() or sub.is_full():
         return True
-    field = ops[0].field
-    moved = np.vstack(
-        [field.reduce_array(np.dot(sub.basis.a, op.a.T)) for op in ops]
-    )
-    return sub.contains_all(moved)
+    return all(sub.contains_all(op.rows_apply(sub.basis.a)) for op in ops)
 
 
 def _assemble_jet(
     P: BimoduleRep,
     order: int,
     t: TensorOneSided | TensorTwoSided,
-    gens: Sequence[np.ndarray],
-    outer: Sequence[Matrix],
-    inner: Sequence[Matrix],
-    right: Optional[tuple[Sequence[Matrix], Sequence[Matrix]]] = None,
+    gens: np.ndarray,
+    outer: Sequence[LegAction],
+    inner: Sequence[LegAction],
+    right: Optional[tuple[Sequence[LegAction], Sequence[LegAction]]] = None,
 ) -> JetModule:
     """Close the seed relations under the outer actions and pass to the quotient.
 
-    outer/inner are the left action families on the ambient t; right is
-    the (outer, inner) pair of right families for the two-sided jet.  The
-    outer actions always descend; an inner family is attached only when
-    the relations are invariant under it.
+    gens is a stack of seed rows; outer/inner are the left action
+    families on the ambient t; right is the (outer, inner) pair of right
+    families for the two-sided jet.  The outer actions always descend; an
+    inner family is attached only when the relations are invariant under it.
     """
     outer_all = list(outer) + (list(right[0]) if right else [])
     mu = closure_under(outer_all, Subspace.from_spanning(t.field, t.dim, gens))
-    assert _invariant(outer_all, mu), "jet relations must be closed under the outer actions"
+    if not _invariant(outer_all, mu):
+        raise InvariantViolation("jet relations must be closed under the outer actions")
     quot = mu.quotient()
 
     def induced(ops):
@@ -139,10 +141,10 @@ def jet_module(P: BimoduleRep, k: int) -> JetModule:
     if k < 0:
         raise OrderViolationError("jet order must be >= 0")
     t = TensorOneSided(P)
-    level = [t.embedding.col(u) for u in range(P.dim)]
+    level = t.embedding.a.T  # row u is 1 tensor p_u
     for _ in range(k + 1):
-        level = [d.apply(v) for d in t.deltas for v in level]
-    return _assemble_jet(P, k, t, level, t.outer, t.inner)
+        level = np.vstack([d.rows_apply(level) for d in t.delta_actions])
+    return _assemble_jet(P, k, t, level, t.outer_actions, t.inner_actions)
 
 
 def two_sided_jet1(P: BimoduleRep) -> JetModule:
@@ -153,14 +155,17 @@ def two_sided_jet1(P: BimoduleRep) -> JetModule:
     """
     require_central(P)
     t = TensorTwoSided(P)
-    gens = [
-        db.apply(d.apply(t.embedding.col(u)))
-        for d in t.deltas
-        for db in t.delta_bars
-        for u in range(P.dim)
-    ]
+    units = t.embedding.a.T  # row u is 1 tensor p_u tensor 1
+    moved = np.vstack([d.rows_apply(units) for d in t.delta_actions])
+    gens = np.vstack([db.rows_apply(moved) for db in t.delta_bar_actions])
     return _assemble_jet(
-        P, 1, t, gens, t.outer_left, t.inner_left, (t.outer_right, t.inner_right)
+        P,
+        1,
+        t,
+        gens,
+        t.outer_left_actions,
+        t.inner_left_actions,
+        (t.outer_right_actions, t.inner_right_actions),
     )
 
 
@@ -172,7 +177,8 @@ def _check_generation(jet: JetModule):
     )
     ops = list(jet.left_ops) + (list(jet.right_ops) if jet.right_ops else [])
     generated = closure_under(ops, image)
-    assert generated.is_full(), "jet map image must generate the quotient"
+    if not generated.is_full():
+        raise InvariantViolation("jet map image must generate the quotient")
 
 
 # ---------------------------------------------------------------------------
@@ -387,43 +393,41 @@ def residual_witness_search(
     of left-linear maps on the tensor ambient; None when all vanish.
 
     Enumeration is lexicographic (tuple, then p, then the RREF hom
-    basis), so the reported witness is deterministic.
+    basis), so the reported witness is deterministic.  The hom basis is
+    the RREF of the free lifts (TensorOneSided.left_linear_maps); each
+    tuple's deviation words are applied to all maps and all p at once.
     """
     require_central(P, Q)
     t = TensorOneSided(P)
     n = P.algebra.dim
     field = P.algebra.field
-    flin = hom_left_linear(list(t.outer), list(Q.left), field)
+    flin = t.left_linear_maps(Q)
     hs = HomSpace(P, Q)
     emb = t.embedding
-    fmats = []
-    for v in flin.basis_vectors():
-        fmat = Matrix._raw(
-            field, np.asarray(v, dtype=object).reshape((Q.dim, t.dim), order="F").copy()
-        )
-        fmats.append((fmat, hs.vec(fmat @ emb)))
-    punits = [
-        np.array(
-            [field.one if i == u else field.zero for i in range(P.dim)], dtype=object
-        )
-        for u in range(P.dim)
+    fmats = [
+        Matrix._raw(field, v.reshape((Q.dim, t.dim), order="F").copy())
+        for v in flin.basis.a
     ]
+    fstack = np.stack([f.a for f in fmats])  # [f, q, x]
+    phis = np.stack([hs.vec(f @ emb) for f in fmats])  # row f is vec(f . J)
+    units = emb.a.T  # row u is 1 tensor p_u
     for b_indices in itertools.product(range(n), repeat=k + 1):
-        # delta-word applications depend only on (f, tuple) and (p, tuple)
-        moved_phis = []
-        for fmat, phi_vec in fmats:
-            v = phi_vec
-            for b in reversed(b_indices):
-                v = hs.deltas[b].apply(v)
-            moved_phis.append(hs.unvec(v))
-        for p_index, p in enumerate(punits):
-            w = emb.col(p_index)
-            for b in reversed(b_indices):
-                w = t.deltas[b].apply(w)
-            for (fmat, _), moved in zip(fmats, moved_phis):
-                res = field.reduce_array(moved.apply(p) - fmat.apply(w))
-                if any(x != 0 for x in res):
+        moved_phis, moved_units = phis, units
+        for b in reversed(b_indices):
+            moved_phis = hs.deltas[b].rows_apply(moved_phis)
+            moved_units = t.delta_actions[b].rows_apply(moved_units)
+        # lhs[u, f] = (delta word phi_f)(p_u): vec is column-major, so the
+        # row of phi_f reshapes to [u, q]; rhs[u, f] = f(delta word (1 tensor p_u))
+        lhs = moved_phis.reshape(len(fmats), P.dim, Q.dim).transpose(1, 0, 2)
+        rhs = np.dot(fstack, moved_units.T).transpose(2, 0, 1)
+        res = field.reduce_array(lhs - rhs)
+        for p_index in range(P.dim):
+            for fi, fmat in enumerate(fmats):
+                if res[p_index, fi].any():
                     return ResidualWitness(
-                        b_indices=tuple(b_indices), p_index=p_index, f=fmat, residual=res
+                        b_indices=tuple(b_indices),
+                        p_index=p_index,
+                        f=fmat,
+                        residual=res[p_index, fi].copy(),
                     )
     return None

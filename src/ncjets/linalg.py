@@ -56,6 +56,17 @@ def _is_prime(n: int) -> bool:
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$")
 _MOD_RE = re.compile(r"^(\d+) mod (\d+)$")
 
+# Scalar types that are not exact field elements: a float carries binary
+# rounding (0.1 would become 3602879701896397/36028797018963968) and a bool
+# is a flag, not a number.  Checked by exact type, on every normalized cell.
+_INEXACT_TYPES = frozenset(
+    {bool, float, np.bool_, np.float16, np.float32, np.float64, np.longdouble}
+)
+
+
+def _inexact(x) -> ScalarFormatError:
+    return ScalarFormatError(f"not an exact scalar: {x!r} ({type(x).__name__})")
+
 
 class RationalField:
     """The field Q; scalars are Fractions in lowest terms.
@@ -69,6 +80,8 @@ class RationalField:
     one = 1
 
     def normalize(self, x):
+        if type(x) in _INEXACT_TYPES:
+            raise _inexact(x)
         f = Fraction(x)
         return f.numerator if f.denominator == 1 else f
 
@@ -118,6 +131,8 @@ class PrimeField:
         self.one = 1 % p
 
     def normalize(self, x) -> int:
+        if type(x) in _INEXACT_TYPES:
+            raise _inexact(x)
         if isinstance(x, Fraction):
             if x.denominator == 1:
                 return x.numerator % self.p
@@ -279,6 +294,12 @@ class Matrix:
         if self.cols != len(v):
             raise DimensionMismatch(f"{self.shape} applied to length {len(v)}")
         return self.field.reduce_array(np.dot(self.a, v))
+
+    def rows_apply(self, rows: np.ndarray) -> np.ndarray:
+        """rows @ self.T for a stack of row vectors: the matrix applied to each row."""
+        if rows.shape[1] != self.cols:
+            raise DimensionMismatch(f"{self.shape} applied to rows of length {rows.shape[1]}")
+        return self.field.reduce_array(np.dot(rows, self.a.T))
 
     def __add__(self, other):
         if isinstance(other, Matrix):
@@ -444,9 +465,10 @@ def solve(m: Matrix, b: np.ndarray):
 class QuotientMaps:
     """Surjection q with kernel U and a section s with q @ s = identity.
 
-    The section selects the free coordinates of U's echelon basis, so
-    induced operators on the quotient can be assembled from submatrices
-    instead of two dense products.
+    The section selects the free coordinates of U's echelon basis, so an
+    induced operator needs the operator applied to those unit vectors
+    only, plus one product with q's pivot block, instead of two dense
+    products.
     """
 
     projection: Matrix
@@ -455,26 +477,31 @@ class QuotientMaps:
     pivots: tuple[int, ...]
     free: tuple[int, ...]
 
-    def induced(self, op: Matrix) -> Matrix:
-        """q @ op @ s for an operator that descends to the quotient."""
-        a = op.a
+    def induced(self, op) -> Matrix:
+        """q @ op @ s for an operator that descends to the quotient.
+
+        op is anything with rows_apply (a Matrix or a modules.LegAction);
+        it is applied to the section's columns only.
+        """
+        moved = op.rows_apply(self.section.a.T)  # row t: op applied to section column t
         f, p = list(self.free), list(self.pivots)
-        block = a[np.ix_(f, f)].copy()
+        block = moved[:, f].T.copy()
         if p:
             w = self.projection.a[:, p]
-            block = op.field.reduce_array(block + np.dot(w, a[np.ix_(p, f)]))
+            block = op.field.reduce_array(block + _sparse_dot(w, moved[:, p].T))
         return Matrix._raw(op.field, block)
 
 
 class Subspace:
     """Subspace of K^n held as an RREF basis with no zero rows."""
 
-    __slots__ = ("field", "ambient_dim", "basis")
+    __slots__ = ("field", "ambient_dim", "basis", "_pivots")
 
     def __init__(self, field, ambient_dim: int, basis: Matrix):
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "_pivots", None)
 
     def __setattr__(self, *_):
         raise AttributeError("Subspace is immutable")
@@ -490,7 +517,10 @@ class Subspace:
         if m.cols != ambient_dim:
             raise DimensionMismatch(f"vectors of length {m.cols} in ambient {ambient_dim}")
         res = rref(m)
-        return cls(field, ambient_dim, Matrix._raw(field, res.matrix.a[: res.rank].copy()))
+        basis = Matrix._raw(field, res.matrix.a[: res.rank].copy())
+        sub = cls(field, ambient_dim, basis)
+        object.__setattr__(sub, "_pivots", res.pivots)
+        return sub
 
     @classmethod
     def zero(cls, field, ambient_dim: int) -> "Subspace":
@@ -503,6 +533,17 @@ class Subspace:
     @property
     def dim(self) -> int:
         return self.basis.rows
+
+    @property
+    def pivots(self) -> tuple[int, ...]:
+        """Pivot column of each basis row, increasing."""
+        if self._pivots is None:
+            object.__setattr__(self, "_pivots", tuple(_pivot_cols(self.basis.a)))
+        return self._pivots
+
+    def _free_cols(self) -> list[int]:
+        taken = set(self.pivots)
+        return [c for c in range(self.ambient_dim) if c not in taken]
 
     def is_zero(self) -> bool:
         return self.dim == 0
@@ -523,8 +564,7 @@ class Subspace:
             raise DimensionMismatch(f"vector of length {len(v)} in ambient {self.ambient_dim}")
         v = np.asarray(v, dtype=object).copy()
         B = self.basis.a
-        pivots = _pivot_cols(B)
-        for j, c in enumerate(pivots):
+        for j, c in enumerate(self.pivots):
             f = v[c]
             if f != 0:
                 v = self.field.reduce_array(v - f * B[j])
@@ -533,18 +573,30 @@ class Subspace:
     def contains(self, v: np.ndarray) -> bool:
         return all(x == 0 for x in self.reduce(v))
 
+    def residuals(self, rows: np.ndarray) -> np.ndarray:
+        """Residuals of a stack of row vectors after elimination against the basis.
+
+        Row i is zero iff rows[i] is a member.  In RREF each pivot column
+        holds a single 1, so a residual is zero there and only the free
+        columns are computed: rows[:, free] - rows[:, pivots] @ basis[:, free].
+        """
+        rows = np.asarray(rows, dtype=object)
+        if rows.ndim != 2 or rows.shape[1] != self.ambient_dim:
+            raise DimensionMismatch("row length does not match the ambient")
+        pivots = list(self.pivots)
+        if not pivots:
+            return self.field.reduce_array(rows.copy())
+        free = self._free_cols()
+        out = np.full(rows.shape, self.field.zero, dtype=object)
+        if free:
+            out[:, free] = self.field.reduce_array(
+                rows[:, free] - _sparse_dot(rows[:, pivots], self.basis.a[:, free])
+            )
+        return out
+
     def contains_all(self, rows: np.ndarray) -> bool:
         """Membership for a whole stack of row vectors at once."""
-        rows = np.asarray(rows, dtype=object)
-        if rows.shape[1] != self.ambient_dim:
-            raise DimensionMismatch("row length does not match the ambient")
-        if rows.shape[0] == 0:
-            return True
-        if self.is_zero():
-            return not rows.any()
-        pivots = list(_pivot_cols(self.basis.a))
-        resid = self.field.reduce_array(rows - np.dot(rows[:, pivots], self.basis.a))
-        return not resid.any()
+        return not self.residuals(rows).any()
 
     def is_subset(self, other: "Subspace") -> bool:
         self._check(other)
@@ -594,16 +646,15 @@ class Subspace:
         field = self.field
         n = self.ambient_dim
         B = self.basis.a
-        pivots = _pivot_cols(B)
-        free = [c for c in range(n) if c not in set(pivots)]
+        pivots = self.pivots
+        free = self._free_cols()
         qdim = len(free)
         q = np.full((qdim, n), field.zero, dtype=object)
         s = np.full((n, qdim), field.zero, dtype=object)
-        for t, f in enumerate(free):
-            q[t, f] = field.one
-            for j, c in enumerate(pivots):
-                q[t, c] = -B[j, f]
-            s[f, t] = field.one
+        q[range(qdim), free] = field.one
+        s[free, range(qdim)] = field.one
+        if pivots:
+            q[:, list(pivots)] = field.reduce_array(-B[:, free].T)
         return QuotientMaps(
             Matrix._raw(field, q),
             Matrix._raw(field, s),
@@ -614,6 +665,24 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
+
+
+def _sparse_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for object arrays, summing only the products of nonzero entries.
+
+    Every exact product is a Python-level operation, and relation bases
+    and the images of tensor actions are mostly zero (under 2% nonzero on
+    the two-sided jet of Q[S3]), so the work is one outer product per
+    inner index over the nonzero rows of a and nonzero columns of b.
+    """
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=object)
+    nz_a = a != 0
+    nz_b = b != 0
+    for j in np.flatnonzero(nz_a.any(axis=0) & nz_b.any(axis=1)):
+        rows = np.flatnonzero(nz_a[:, j])
+        cols = np.flatnonzero(nz_b[j])
+        out[np.ix_(rows, cols)] += np.multiply.outer(a[rows, j], b[j, cols])
+    return out
 
 
 def _pivot_cols(rref_rows: np.ndarray) -> list[int]:
@@ -630,27 +699,32 @@ def _pivot_cols(rref_rows: np.ndarray) -> list[int]:
 # operator-driven constructions
 
 
-def closure_under(operators: Sequence[Matrix], seed: Subspace) -> Subspace:
+def closure_under(operators: Sequence, seed: Subspace) -> Subspace:
     """Smallest subspace containing seed and invariant under every operator.
 
-    Image-append iteration; the dimension strictly grows until the fixed
-    point, so it stops after at most ambient_dim passes.
+    Operators are anything with a square shape and rows_apply (a Matrix
+    or a modules.LegAction).  Frontier spinning, as in the MeatAxe
+    (Parker 1984): each pass applies the operators only to the rows the
+    previous pass added, reduces the images against the current basis,
+    and adds the span of the nonzero residuals.  The dimension grows
+    on every pass but the last, so there are at most ambient_dim passes.
     """
     n = seed.ambient_dim
     for op in operators:
         if op.shape != (n, n):
             raise DimensionMismatch(f"operator {op.shape} on ambient {n}")
     current = seed
-    while True:
-        if current.is_full() or current.is_zero():
-            return current
-        blocks = [current.basis.a]
-        for op in operators:
-            blocks.append(op.field.reduce_array(np.dot(current.basis.a, op.a.T)))
-        bigger = Subspace.from_spanning(seed.field, n, np.vstack(blocks))
-        if bigger.dim == current.dim:
-            return bigger
-        current = bigger
+    frontier = seed.basis.a
+    while operators and len(frontier) and not current.is_full():
+        images = np.vstack([op.rows_apply(frontier) for op in operators])
+        resid = current.residuals(images)
+        resid = resid[resid.any(axis=1)]
+        if not len(resid):
+            break
+        new = Subspace.from_spanning(seed.field, n, resid)
+        current = current + new
+        frontier = new.basis.a
+    return current
 
 
 def preimage(operator: Matrix, target: Subspace) -> Subspace:

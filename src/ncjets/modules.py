@@ -10,6 +10,7 @@ matrix actions on phi.
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 from typing import Sequence
 
@@ -251,12 +252,73 @@ def hom_AA(source: BimoduleRep, target: BimoduleRep) -> Subspace:
 # tensor ambients
 
 
+class LegAction:
+    """A sum of single-leg actions on a tensor ambient K^d0 (x) K^d1 (x) ...
+
+    Each term (axis, M) is the operator I (x) .. (x) M (x) .. (x) I with M
+    on leg `axis`; coordinates are row-major over the legs, the layout
+    Matrix.kron produces.  rows_apply contracts M against that leg alone,
+    O(rows * dim * d_axis) per term instead of the O(rows * dim^2) of the
+    dense matrix, which is built only when `dense` is asked for.
+    """
+
+    def __init__(self, field, dims: Sequence[int], terms: Sequence[tuple[int, Matrix]]):
+        self.field = field
+        self.dims = tuple(dims)
+        self.terms = tuple(terms)
+        for axis, m in self.terms:
+            if m.shape != (self.dims[axis], self.dims[axis]):
+                raise DimensionMismatch(f"{m.shape} factor on a leg of dim {self.dims[axis]}")
+        self.dim = math.prod(self.dims)
+        self.shape = (self.dim, self.dim)
+
+    def __sub__(self, other: "LegAction") -> "LegAction":
+        if self.dims != other.dims:
+            raise DimensionMismatch(f"leg dims {self.dims} - {other.dims}")
+        return LegAction(
+            self.field, self.dims, self.terms + tuple((axis, -m) for axis, m in other.terms)
+        )
+
+    def rows_apply(self, rows: np.ndarray) -> np.ndarray:
+        """rows @ self.dense.T for a stack of row vectors."""
+        if rows.shape[1] != self.dim:
+            raise DimensionMismatch(f"{self.shape} applied to rows of length {rows.shape[1]}")
+        legs = rows.reshape((rows.shape[0],) + self.dims)
+        out = None
+        for axis, m in self.terms:
+            moved = np.moveaxis(np.tensordot(legs, m.a, axes=([axis + 1], [1])), -1, axis + 1)
+            out = moved if out is None else out + moved
+        return self.field.reduce_array(out.reshape(rows.shape[0], self.dim))
+
+    @cached_property
+    def dense(self) -> Matrix:
+        """The same operator as a dense matrix, by kron with identities."""
+        out = None
+        for axis, m in self.terms:
+            before = Matrix.identity(self.field, math.prod(self.dims[:axis]))
+            after = Matrix.identity(self.field, math.prod(self.dims[axis + 1 :]))
+            term = before.kron(m).kron(after)
+            out = term if out is None else out + term
+        return out
+
+
+def _leg_family(field, legs, axis: int, mats: Sequence[Matrix]) -> tuple[LegAction, ...]:
+    return tuple(LegAction(field, legs, ((axis, M),)) for M in mats)
+
+
+def _dense_family(name: str) -> cached_property:
+    """Lazy tuple of the dense matrices of the LegAction family held in attribute `name`."""
+    return cached_property(lambda self: tuple(a.dense for a in getattr(self, name)))
+
+
 class TensorOneSided:
     """A tensor P over K, with coordinates flat at (i, u) -> i * dimP + u.
 
     Carries the outer structure b (a tensor p) = (b a) tensor p, the inner
     one b . (a tensor p) = a tensor (b p), and their deviation
-    delta^b = outer(b) - inner(b).
+    delta^b = outer(b) - inner(b), as LegActions (the *_actions
+    families); outer and deltas are the outer and deviation operators as
+    dense matrices, built on first use.
     """
 
     def __init__(self, module: BimoduleRep):
@@ -264,11 +326,15 @@ class TensorOneSided:
         self.algebra = module.algebra
         self.field = module.algebra.field
         self.dim = self.algebra.dim * module.dim
-        ident_p = Matrix.identity(self.field, module.dim)
-        ident_a = Matrix.identity(self.field, self.algebra.dim)
-        self.outer = tuple(m.kron(ident_p) for m in self.algebra.left_ops)
-        self.inner = tuple(ident_a.kron(m) for m in module.left)
-        self.deltas = tuple(o - i for o, i in zip(self.outer, self.inner))
+        legs = (self.algebra.dim, module.dim)
+        self.outer_actions = _leg_family(self.field, legs, 0, self.algebra.left_ops)
+        self.inner_actions = _leg_family(self.field, legs, 1, module.left)
+        self.delta_actions = tuple(
+            o - i for o, i in zip(self.outer_actions, self.inner_actions)
+        )
+
+    outer = _dense_family("outer_actions")
+    deltas = _dense_family("delta_actions")
 
     @cached_property
     def embedding(self) -> Matrix:
@@ -279,9 +345,33 @@ class TensorOneSided:
     def delta(self, coords) -> Matrix:
         return _combo(self.deltas, coords)
 
+    def left_linear_maps(self, target: BimoduleRep) -> Subspace:
+        """Maps f : A tensor P -> target with f(b x) = b f(x) for the outer action.
+
+        A tensor P is free on its P-leg, so f is fixed by phi = f . J
+        through f(e_i tensor p) = L_i phi(p), and every phi occurs: the
+        lifts of the matrix units of Hom(P, target) span the space.  The
+        result lives in hom_left_linear's column-major coordinates
+        (entry (q, (i, u)) at index (i * dimP + u) * dimQ + q) and equals
+        hom_left_linear(self.outer, target.left, field).
+        """
+        if target.algebra is not self.algebra:
+            raise DimensionMismatch("left-linear maps need both modules over one algebra")
+        n, m, d = self.algebra.dim, self.module.dim, target.dim
+        lefts = np.stack([L.a for L in target.left])  # [i, q, q0]
+        lifts = np.full((m, d, n, m, d), self.field.zero, dtype=object)
+        for u in range(m):
+            lifts[u, :, :, u, :] = lefts.transpose(2, 0, 1)  # lift of E_(q0, u)
+        return Subspace.from_spanning(self.field, self.dim * d, lifts.reshape(m * d, -1))
+
 
 class TensorTwoSided:
-    """A tensor P tensor A, coordinates flat at (i, u, j) -> (i*dimP + u)*dimA + j."""
+    """A tensor P tensor A, coordinates flat at (i, u, j) -> (i*dimP + u)*dimA + j.
+
+    The structured families are the *_actions LegActions; deltas and
+    delta_bars are the deviation operators as dense matrices, built on
+    first use.
+    """
 
     def __init__(self, module: BimoduleRep):
         self.module = module
@@ -289,16 +379,20 @@ class TensorTwoSided:
         self.field = module.algebra.field
         n, m = self.algebra.dim, module.dim
         self.dim = n * m * n
-        ia = Matrix.identity(self.field, n)
-        im = Matrix.identity(self.field, m)
-        imn = im.kron(ia)
-        nm_ident = ia.kron(im)
-        self.outer_left = tuple(L.kron(imn) for L in self.algebra.left_ops)
-        self.inner_left = tuple(ia.kron(L.kron(ia)) for L in module.left)
-        self.outer_right = tuple(nm_ident.kron(R) for R in self.algebra.right_ops)
-        self.inner_right = tuple(ia.kron(R.kron(ia)) for R in module.right)
-        self.deltas = tuple(o - i for o, i in zip(self.outer_left, self.inner_left))
-        self.delta_bars = tuple(o - i for o, i in zip(self.outer_right, self.inner_right))
+        legs = (n, m, n)
+        self.outer_left_actions = _leg_family(self.field, legs, 0, self.algebra.left_ops)
+        self.inner_left_actions = _leg_family(self.field, legs, 1, module.left)
+        self.outer_right_actions = _leg_family(self.field, legs, 2, self.algebra.right_ops)
+        self.inner_right_actions = _leg_family(self.field, legs, 1, module.right)
+        self.delta_actions = tuple(
+            o - i for o, i in zip(self.outer_left_actions, self.inner_left_actions)
+        )
+        self.delta_bar_actions = tuple(
+            o - i for o, i in zip(self.outer_right_actions, self.inner_right_actions)
+        )
+
+    deltas = _dense_family("delta_actions")
+    delta_bars = _dense_family("delta_bar_actions")
 
     @cached_property
     def embedding(self) -> Matrix:

@@ -11,6 +11,7 @@ from naive_gauss import (
     naive_kernel_basis,
     naive_mat_vec,
     naive_nullity,
+    naive_rref,
     naive_span_dim,
 )
 
@@ -175,16 +176,33 @@ def _left_pair_ops(mul):
     return ops
 
 
+def _span_basis(rows):
+    """Nonzero rows of the naive RREF: a basis of the span."""
+    red, pivots = naive_rref(rows)
+    return red[: len(pivots)]
+
+
+def _sparse_rows(op):
+    return [[(c, a) for c, a in enumerate(row) if a != 0] for row in op]
+
+
+def _sparse_apply(sparse_op, v):
+    return [sum((a * v[c] for c, a in row), Fraction(0)) for row in sparse_op]
+
+
 def _span_closure(rows, ops):
-    rows = [list(r) for r in rows]
-    dim = naive_span_dim(rows)
+    # each pass keeps only a basis, so the row count stays at most
+    # (1 + len(ops)) * ambient instead of growing geometrically; the
+    # operators are applied through their nonzero entries only
+    sparse = [_sparse_rows(op) for op in ops]
+    rows = _span_basis([list(r) for r in rows]) if rows else []
+    dim = len(rows)
     while True:
-        extra = [naive_mat_vec(op, v) for op in ops for v in rows]
-        bigger = rows + extra
-        d2 = naive_span_dim(bigger)
-        if d2 == dim:
+        extra = [_sparse_apply(op, v) for op in sparse for v in rows]
+        bigger = _span_basis(rows + extra) if rows else []
+        if len(bigger) == dim:
             return rows, dim
-        rows, dim = bigger, d2
+        rows, dim = bigger, len(bigger)
 
 
 def left_center_stage0_dim(mul):
@@ -269,8 +287,6 @@ def _unit_coords(mul):
             rhs.append(Fraction(1) if j == k else Fraction(0))
     # least-structure solve: append rhs as a column, eliminate, read a solution
     aug = [row + [r] for row, r in zip(rows, rhs)]
-    from naive_gauss import naive_rref
-
     red, pivots = naive_rref(aug)
     if pivots and pivots[-1] == n:
         raise ValueError("no unit")
@@ -278,3 +294,62 @@ def _unit_coords(mul):
     for row_idx, c in enumerate(pivots):
         u[c] = red[row_idx][n]
     return u
+
+
+# -- the two-sided first jet --------------------------------------------------
+
+
+def two_sided_jet_dims(mul, rank=1):
+    """(dim mu^1, dim jet) for P = A^rank inside A tensor P tensor A.
+
+    P has coordinates (copy r, basis k) at r * n + k with the diagonal
+    actions; the ambient is flat at (i, u, j) -> (i * m + u) * n + j.
+    mu^1 is spanned by delta_bar^c delta^b (1 tensor p tensor 1), closed
+    under (a tensor p tensor a') -> (b a tensor p tensor a' c).
+    """
+    n = _n(mul)
+    m = rank * n
+    amb = n * m * n
+
+    def flat(i, u, j):
+        return (i * m + u) * n + j
+
+    def zero_op():
+        return [[Fraction(0)] * amb for _ in range(amb)]
+
+    def acting(b, on_left):
+        """Outer and inner actions of e_b on one side, as dense matrices."""
+        outer, inner = zero_op(), zero_op()
+        for i in range(n):
+            for u in range(m):
+                r, k = divmod(u, n)
+                for j in range(n):
+                    col = flat(i, u, j)
+                    for x in range(n):
+                        if on_left:
+                            outer[flat(x, u, j)][col] += mul[b][i][x]  # (e_b a) p a'
+                            inner[flat(i, r * n + x, j)][col] += mul[b][k][x]  # a (e_b p) a'
+                        else:
+                            outer[flat(i, u, x)][col] += mul[j][b][x]  # a p (a' e_b)
+                            inner[flat(i, r * n + x, j)][col] += mul[k][b][x]  # a (p e_b) a'
+        return outer, inner
+
+    def minus(a, b):
+        return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+    left = [acting(b, True) for b in range(n)]
+    right = [acting(b, False) for b in range(n)]
+    deltas = [_sparse_rows(minus(o, i)) for o, i in left]
+    delta_bars = [_sparse_rows(minus(o, i)) for o, i in right]
+    unit = _unit_coords(mul)
+    gens = []
+    for u in range(m):
+        v = [Fraction(0)] * amb
+        for i in range(n):
+            for j in range(n):
+                v[flat(i, u, j)] = unit[i] * unit[j]
+        for d in deltas:
+            moved = _sparse_apply(d, v)
+            gens += [_sparse_apply(db, moved) for db in delta_bars]
+    _, mu_dim = _span_closure(gens, [o for o, _ in left] + [o for o, _ in right])
+    return mu_dim, amb - mu_dim

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import ncjets.jets
 from ncjets.cli import run
 
 
@@ -58,6 +59,17 @@ def test_broken_algebra_is_validation_error(tmp_path, capsys):
 
 def test_usage_error_maps_to_validation_exit(capsys):
     assert run(["diff", "-a", "m2"]) == 1
+
+
+def test_invariant_violation_maps_to_validation_exit(monkeypatch, capsys):
+    # the stub turns the generation check's closure into a no-op, so the
+    # jet-map image (dim 2 of 3) fails to fill the quotient
+    monkeypatch.setattr(ncjets.jets, "closure_under", lambda ops, seed: seed)
+    code, report, _ = run_json(
+        capsys, ["jet", "-a", "dual_numbers", "-p", "self", "--order", "1"]
+    )
+    assert code == 1
+    assert "generate" in report["results"]["error"]
 
 
 def test_center_and_derivations(capsys):

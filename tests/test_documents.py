@@ -85,3 +85,16 @@ def test_canonical_json_is_sorted_and_newline_terminated():
     text = canonical_json({"b": 1, "a": [2, {"d": 3, "c": 4}]})
     assert text.index('"a"') < text.index('"b"')
     assert text.endswith("\n")
+
+
+def test_bool_dims_rejected():
+    # JSON true is an int to isinstance; a one-dimensional document with
+    # "dim": true must still be refused
+    good = algebra_to_doc(builtin("trivial").algebra)
+    assert algebra_from_doc(good).dim == 1
+    with pytest.raises(DocumentError):
+        algebra_from_doc({**good, "dim": True})
+    doc = module_to_doc(builtin("trivial").module("self"))
+    assert module_from_doc(doc).dim == 1
+    with pytest.raises(DocumentError):
+        module_from_doc({**doc, "dim": True})

@@ -3,10 +3,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import ncjets.jets
 from ncjets.catalog import COMMUTATIVE_NAMES, builtin, names
 from ncjets.diffop import DefinitionDomainError, diff_bar1, diff_commutative
 from ncjets.jets import (
     VERDICT_ISO,
+    InvariantViolation,
     NotLeftLinearError,
     OrderViolationError,
     factorization_residual,
@@ -17,10 +19,10 @@ from ncjets.jets import (
     residual_witness_search,
     two_sided_jet1,
 )
-from ncjets.linalg import QQ, Matrix, unit_vector, vector
+from ncjets.linalg import QQ, Matrix, Subspace, unit_vector, vector
 from ncjets.modules import HomSpace, hom_AA
 
-from oracle_systems import jet_dim
+from oracle_systems import jet_dim, two_sided_jet_dims
 
 F = Fraction
 
@@ -81,6 +83,28 @@ def test_noncommutative_first_jets_collapse(name, expected):
     jet = jet_module(P, 1)
     assert jet.dim == expected
     assert jet.dim == jet_dim(raw_mul(P.algebra), 1)
+
+
+def test_skipped_closure_raises_invariant_violation(monkeypatch):
+    # Both seeds are already closed, so the stub changes the relations
+    # nothing; it makes the generation check's own closure a no-op, and the
+    # bare jet-map image (dim 2 of 3 for the dual numbers, 4 of 28 for the
+    # two-sided jet of M2) does not fill the quotient.
+    monkeypatch.setattr(ncjets.jets, "closure_under", lambda ops, seed: seed)
+    with pytest.raises(InvariantViolation, match="generate"):
+        jet_module(self_module("dual_numbers"), 1)
+    with pytest.raises(InvariantViolation, match="generate"):
+        two_sided_jet1(self_module("m2"))
+
+
+def test_non_invariant_relations_raise_invariant_violation(monkeypatch):
+    # a "closure" returning span{1 tensor 1}, which eps tensor - moves
+    def broken(ops, seed):
+        return Subspace.from_spanning(seed.field, seed.ambient_dim, [unit_vector(QQ, 4, 0)])
+
+    monkeypatch.setattr(ncjets.jets, "closure_under", broken)
+    with pytest.raises(InvariantViolation, match="outer actions"):
+        jet_module(self_module("dual_numbers"), 1)
 
 
 def test_jet_rejects_negative_order():
@@ -208,6 +232,17 @@ def test_two_sided_jet_shape(name):
     assert jet.ambient_dim == n * P.dim * n
     assert jet.two_sided
     assert jet.dim == jet.ambient_dim - jet.mu.dim
+
+
+@pytest.mark.parametrize(
+    "name,kind",
+    [(name, "self") for name in names()]
+    + [(name, "free2") for name in names() if builtin(name).algebra.dim <= 2],
+)
+def test_two_sided_jet_matches_oracle(name, kind):
+    jet = two_sided_jet1(builtin(name).module(kind))
+    rank = 1 if kind == "self" else 2
+    assert (jet.mu.dim, jet.dim) == two_sided_jet_dims(raw_mul(jet.base.algebra), rank)
 
 
 @pytest.mark.parametrize("name", ["dual_numbers", "trunc3", "m2", "t2", "quaternions"])

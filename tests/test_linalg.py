@@ -21,6 +21,7 @@ from ncjets.linalg import (
     unit_vector,
     vector,
 )
+from ncjets.modules import LegAction
 
 from naive_gauss import naive_kernel_basis, naive_rref
 
@@ -73,6 +74,26 @@ def test_prime_field_rejects_composites():
 def test_gf_fraction_normalization():
     f7 = GF(7)
     assert f7.normalize(F(1, 2)) == 4  # 2 * 4 = 8 = 1 mod 7
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "GF7"])
+@pytest.mark.parametrize(
+    "bad",
+    [0.1, 1.0, True, False, np.bool_(True), np.float64(2.0), np.float32(0.5)],
+    ids=repr,
+)
+def test_inexact_scalars_are_rejected(field, bad):
+    with pytest.raises(ScalarFormatError):
+        field.normalize(bad)
+    with pytest.raises(ScalarFormatError):
+        Matrix(field, [[0, bad]])
+    with pytest.raises(ScalarFormatError):
+        vector(field, [bad])
+
+
+def test_exact_integer_types_are_accepted():
+    assert Matrix(QQ, [[np.int64(3), F(1, 2)]]) == Matrix(QQ, [[3, F(1, 2)]])
+    assert GF(7).normalize(np.int32(9)) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +256,15 @@ def test_quotient_identities():
     assert kernel(q.projection) == u
 
 
+def test_quotient_projection_is_reduced_over_prime_field():
+    field = GF(7)
+    u = Subspace.from_spanning(field, 3, [vector(field, [1, 2, 3])])
+    q = u.quotient()
+    assert all(0 <= x < 7 for x in q.projection.a.flat)
+    assert q.projection == q.projection @ Matrix.identity(field, 3)
+    assert kernel(q.projection) == u
+
+
 def test_quotient_of_zero_and_full():
     z = Subspace.zero(QQ, 3)
     qz = z.quotient()
@@ -273,6 +303,66 @@ def test_closure_monotone_idempotent():
     cs, cb = closure_under(ops, small), closure_under(ops, big)
     assert cs <= cb
     assert closure_under(ops, cs) == cs
+
+
+def _naive_closure(ops, seed):
+    """Re-spin the whole basis every pass until the span stops growing."""
+    dense = [op.dense if isinstance(op, LegAction) else op for op in ops]
+    current = seed
+    while True:
+        images = [op.apply(v) for op in dense for v in current.basis_vectors()]
+        bigger = Subspace.from_spanning(
+            seed.field, seed.ambient_dim, current.basis_vectors() + images
+        )
+        if bigger.dim == current.dim:
+            return bigger
+        current = bigger
+
+
+@st.composite
+def closure_cases(draw):
+    field = draw(st.sampled_from([QQ, GF(7), GF(101)]))
+    dims = draw(st.sampled_from([(4,), (2, 2), (2, 3), (3, 2), (2, 1, 2)]))
+    n = int(np.prod(dims))
+    entry = st.sampled_from([0, 0, 0, 1, -1, 2])
+
+    def square(d):
+        rows = draw(st.lists(st.lists(entry, min_size=d, max_size=d), min_size=d, max_size=d))
+        return Matrix(field, rows)
+
+    def leg():
+        axis = draw(st.integers(0, len(dims) - 1))
+        return LegAction(field, dims, ((axis, square(dims[axis])),))
+
+    makers = {"matrix": lambda: square(n), "leg": leg, "difference": lambda: leg() - leg()}
+    kinds = draw(st.lists(st.sampled_from(sorted(makers)), min_size=1, max_size=3))
+    ops = [makers[kind]() for kind in kinds]
+    seed_rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=3))
+    return ops, Subspace.from_spanning(field, n, [vector(field, r) for r in seed_rows])
+
+
+@settings(max_examples=80, deadline=None)
+@given(closure_cases())
+def test_frontier_closure_matches_naive_respin(case):
+    ops, seed = case
+    closed = closure_under(ops, seed)
+    assert closed == _naive_closure(ops, seed)
+    assert seed <= closed
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([QQ, GF(7)]),
+    st.lists(st.lists(st.integers(-3, 3), min_size=4, max_size=4), max_size=3),
+    st.lists(st.lists(st.integers(-3, 3), min_size=4, max_size=4), min_size=1, max_size=4),
+)
+def test_residuals_match_single_vector_reduction(field, basis_rows, rows):
+    sub = Subspace.from_spanning(field, 4, [vector(field, r) for r in basis_rows])
+    stack = np.array([vector(field, r) for r in rows], dtype=object)
+    resid = sub.residuals(stack)
+    for got, v in zip(resid, stack):
+        assert list(got) == list(sub.reduce(v))
+    assert sub.contains_all(stack) == all(sub.contains(v) for v in stack)
 
 
 def test_preimage_cases():

@@ -3,13 +3,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from ncjets.algebra import Algebra
 from ncjets.catalog import builtin, names
-from ncjets.linalg import QQ, Matrix, unit_vector, vector
+from ncjets.linalg import GF, QQ, Matrix, unit_vector, vector
 from ncjets.modules import (
     BimoduleRep,
     BimoduleValidationError,
     CentralityRequired,
     HomSpace,
+    LegAction,
     TensorOneSided,
     TensorTwoSided,
     hom_A,
@@ -216,3 +218,71 @@ def test_order_zero_tensor_compatibility():
                 lhs = hs.unvec(hs.deltas[b].apply(hs.vec(phi)))
                 rhs = fmat @ (t.deltas[b] @ emb)
                 assert lhs == rhs
+
+
+# ---------------------------------------------------------------------------
+# structured leg actions against kron-built matrices
+
+
+def _module_over(field, name, kind):
+    """Catalog module rebuilt over another field from the raw structure constants."""
+    a = builtin(name).algebra
+    algebra = Algebra(field, a.basis_names, list(a.unit), raw_mul(a), name=a.name)
+    return BimoduleRep.regular(algebra) if kind == "self" else BimoduleRep.free(algebra, 2)
+
+
+def _check_rows_apply(actions, field, seed):
+    rng = np.random.default_rng(seed)
+    for act in actions:
+        rows = rng.integers(-3, 4, size=(3, act.dim)).astype(object)
+        expected = field.reduce_array(np.dot(rows, act.dense.a.T))
+        assert np.array_equal(act.rows_apply(rows), expected)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=["Q", "GF101"])
+@pytest.mark.parametrize("kind", ["self", "free2"])
+@pytest.mark.parametrize("name", names())
+def test_leg_actions_match_kron_built_families(name, kind, field):
+    P = _module_over(field, name, kind)
+    A = P.algebra
+    ia = Matrix.identity(field, A.dim)
+    ip = Matrix.identity(field, P.dim)
+
+    one = TensorOneSided(P)
+    outer = tuple(L.kron(ip) for L in A.left_ops)
+    inner = tuple(ia.kron(L) for L in P.left)
+    assert one.outer == outer
+    assert tuple(a.dense for a in one.inner_actions) == inner
+    assert one.deltas == tuple(o - i for o, i in zip(outer, inner))
+    _check_rows_apply(one.outer_actions + one.inner_actions + one.delta_actions, field, 1)
+
+    two = TensorTwoSided(P)
+    outer_left = tuple(L.kron(ip).kron(ia) for L in A.left_ops)
+    inner_left = tuple(ia.kron(L).kron(ia) for L in P.left)
+    outer_right = tuple(ia.kron(ip).kron(R) for R in A.right_ops)
+    inner_right = tuple(ia.kron(R).kron(ia) for R in P.right)
+    assert tuple(a.dense for a in two.outer_left_actions) == outer_left
+    assert tuple(a.dense for a in two.inner_left_actions) == inner_left
+    assert tuple(a.dense for a in two.outer_right_actions) == outer_right
+    assert tuple(a.dense for a in two.inner_right_actions) == inner_right
+    assert two.deltas == tuple(o - i for o, i in zip(outer_left, inner_left))
+    assert two.delta_bars == tuple(o - i for o, i in zip(outer_right, inner_right))
+    _check_rows_apply(two.delta_actions + two.delta_bar_actions, field, 2)
+
+
+def test_leg_action_difference_concatenates_terms():
+    a = entry("t2").algebra
+    left = LegAction(QQ, (3, 3), ((0, a.left_ops[1]),))
+    right = LegAction(QQ, (3, 3), ((1, a.left_ops[2]),))
+    diff = left - right
+    assert [axis for axis, _ in diff.terms] == [0, 1]
+    assert diff.terms[1][1] == -a.left_ops[2]
+    assert diff.dense == left.dense - right.dense
+
+
+@pytest.mark.parametrize("kind", ["self", "free2"])
+@pytest.mark.parametrize("name", names())
+def test_free_lift_left_linear_maps_match_joint_kernel(name, kind):
+    P = Q = entry(name).module(kind)
+    t = TensorOneSided(P)
+    assert t.left_linear_maps(Q) == hom_left_linear(t.outer, Q.left, QQ)
