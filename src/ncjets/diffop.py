@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import Matrix, Subspace, closure_under, joint_kernel, kernel
+from .linalg import Matrix, Subspace, closure_under, joint_kernel, kernel, preimage
 from .modules import BimoduleRep, HomSpace, require_central
 
 MAX_ORDER = 4
@@ -66,19 +66,11 @@ class Filtration:
         return all(a <= b for a, b in zip(self.stages, self.stages[1:]))
 
 
-def _preimage_joint(ops: Sequence[Matrix], target: Subspace) -> Subspace:
-    """{v : op v in target for every op}."""
-    if target.is_full():
-        return Subspace.full(target.field, ops[0].cols)
-    q = target.quotient().projection
-    return joint_kernel([q @ op for op in ops])
-
-
 def _span_family(ops: Sequence[Matrix], seed: Subspace) -> Subspace:
     """span{op v : v in seed}; closed already since each family composes to itself."""
     if seed.is_zero():
         return seed
-    blocks = [seed.field.reduce_array(np.dot(seed.basis.a, op.a.T)) for op in ops]
+    blocks = [op.rows_apply(seed.basis.a) for op in ops]
     return Subspace.from_spanning(seed.field, seed.ambient_dim, np.vstack(blocks))
 
 
@@ -94,7 +86,7 @@ def _zero_orders(hs: HomSpace) -> tuple[Subspace, Subspace]:
 
 def _sum_step(acts: Sequence[Matrix], devs: Sequence[Matrix], prev: Subspace) -> Subspace:
     """span{b w : dev w in prev for every dev} + prev, the sum-form stage after prev."""
-    return _span_family(acts, _preimage_joint(devs, prev)) + prev
+    return _span_family(acts, preimage(devs, prev)) + prev
 
 
 def _sum_form(acts: Sequence[Matrix], devs: Sequence[Matrix], r: int) -> tuple[Subspace, ...]:
@@ -132,7 +124,7 @@ def diff_commutative(
     if mode == "inductive":
         stages = [joint_kernel(list(deltas))]
         for _ in range(r):
-            stages.append(_preimage_joint(deltas, stages[-1]))
+            stages.append(preimage(deltas, stages[-1]))
     else:
         # the (k+1)-words w . delta_i have row space R_k . delta_i, so
         # R_{k+1} = span{R_k delta_i} and stage[k] = ker R_k
@@ -172,7 +164,7 @@ def diff_left(
     left_pair = list(hs.left) + list(hs.bullet_left)
     stages = [closure_under(left_pair, joint_kernel(list(deltas)))]
     for _ in range(r):
-        lift = _preimage_joint(deltas, stages[-1])
+        lift = preimage(deltas, stages[-1])
         stages.append(closure_under(left_pair, lift))
     return Filtration(hs, "left-center", tuple(stages))
 
@@ -265,22 +257,13 @@ def stage_by_tag(
     return filtration_by_tag(P, Q, k, tag, max_order=max_order).stages[k]
 
 
-def _relation(u: Subspace, v: Subspace) -> str:
-    fwd, back = u <= v, v <= u
-    if fwd and back:
-        return "equal"
-    if fwd:
-        return "subset"
-    if back:
-        return "superset"
-    return "incomparable"
-
-
-def _containment_witness(big: Subspace, small: Subspace):
-    for b in big.basis_vectors():
-        if not small.contains(b):
-            return b
-    return None
+# keyed by (u <= v, v <= u)
+_RELATIONS = {
+    (True, True): "equal",
+    (True, False): "subset",
+    (False, True): "superset",
+    (False, False): "incomparable",
+}
 
 
 def compare_definitions(P: BimoduleRep, Q: BimoduleRep, r: int, max_order: int = MAX_ORDER) -> dict:
@@ -302,16 +285,11 @@ def compare_definitions(P: BimoduleRep, Q: BimoduleRep, r: int, max_order: int =
             rels = []
             for k in range(r + 1):
                 u, v = filts[t1].stages[k], filts[t2].stages[k]
-                rel = _relation(u, v)
+                u_out, v_out = u.outside(v), v.outside(u)
+                rel = _RELATIONS[u_out is None, v_out is None]
                 rels.append(rel)
                 if rel != "equal":
-                    key = f"{t1} vs {t2} @ {k}"
-                    if rel == "subset":
-                        witnesses[key] = _containment_witness(v, u)
-                    elif rel == "superset":
-                        witnesses[key] = _containment_witness(u, v)
-                    else:
-                        witnesses[key] = _containment_witness(u, v)
+                    witnesses[f"{t1} vs {t2} @ {k}"] = v_out if rel == "subset" else u_out
             relations[f"{t1} vs {t2}"] = rels
     collapse = None
     if commutative:

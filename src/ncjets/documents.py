@@ -66,7 +66,7 @@ def algebra_from_doc(doc) -> Algebra:
         raise DocumentError(str(exc)) from exc
     dim = doc["dim"]
     basis = doc["basis"]
-    if not _is_count(dim) or dim < 1 or len(basis) != dim:
+    if not _is_count(dim) or dim < 1 or not isinstance(basis, list) or len(basis) != dim:
         raise DocumentError("dim must be a positive int matching the basis length")
     parse = field.parse
     try:
@@ -122,22 +122,24 @@ def module_from_doc(doc, algebra: Algebra | None = None, base_dir: Path | None =
         raise DocumentError("module dim must be a positive int")
     parse = algebra.field.parse
 
+    def square(mat) -> bool:
+        return isinstance(mat, list) and len(mat) == m and all(
+            isinstance(r, list) and len(r) == m for r in mat
+        )
+
     def mats(key):
         raw = doc[key]
-        if len(raw) != algebra.dim:
-            raise DocumentError(f"{key} needs {algebra.dim} matrices")
-        out = []
-        for mat in raw:
-            if len(mat) != m or any(len(r) != m for r in mat):
-                raise DocumentError(f"{key} matrices must be {m}x{m}")
-            out.append(Matrix(algebra.field, [[parse(s) for s in r] for r in mat]))
-        return out
+        if not isinstance(raw, list) or len(raw) != algebra.dim:
+            raise DocumentError(f"{key} needs a list of {algebra.dim} matrices")
+        if not all(square(mat) for mat in raw):
+            raise DocumentError(f"{key} matrices must be {m}x{m}")
+        try:
+            return [Matrix(algebra.field, [[parse(s) for s in r] for r in mat]) for mat in raw]
+        except ValueError as exc:
+            raise DocumentError(f"bad scalar in module document: {exc}") from exc
 
-    try:
-        left = mats("left_action")
-        right = mats("right_action")
-    except ValueError as exc:
-        raise DocumentError(f"bad scalar in module document: {exc}") from exc
+    left = mats("left_action")
+    right = mats("right_action")
     return BimoduleRep(algebra, left, right, name=doc.get("name", "module"))
 
 

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .diffop import DefinitionDomainError, diff_bar1, stage_by_tag
+from .diffop import MAX_ORDER, DefinitionDomainError, diff_bar1, stage_by_tag
 from .linalg import DimensionMismatch, Matrix, Subspace, closure_under, hstack, kernel
 from .modules import (
     BimoduleRep,
@@ -72,6 +72,12 @@ class JetModule:
     @property
     def bullet_well_defined(self) -> bool:
         return self.bullet_ops is not None
+
+
+def _check_order(k: int):
+    # the seed stack has n^(k+1) dim P rows and the witness search n^(k+1) tuples
+    if not 0 <= k <= MAX_ORDER:
+        raise OrderViolationError(f"order must be between 0 and {MAX_ORDER}, got {k}")
 
 
 def _invariant(ops: Sequence, sub: Subspace) -> bool:
@@ -138,8 +144,7 @@ def jet_module(P: BimoduleRep, k: int) -> JetModule:
     relations are invariant under it (always, when A is commutative).
     """
     require_central(P)
-    if k < 0:
-        raise OrderViolationError("jet order must be >= 0")
+    _check_order(k)
     t = TensorOneSided(P)
     level = t.embedding.a.T  # row u is 1 tensor p_u
     for _ in range(k + 1):
@@ -235,18 +240,13 @@ def _representability(
     comparison map is injective by construction.
     """
     image = kernel(_collapse_conditions(jet, Q))
-    witness = None
-    kind = None
-    if image == stage:
-        verdict = VERDICT_ISO
-    elif image <= stage:
-        verdict = VERDICT_INJ
-        witness = next(b for b in stage.basis_vectors() if not image.contains(b))
-        kind = "operator in the filtration stage missing from the image"
+    witness = image.outside(stage)
+    if witness is not None:
+        verdict, kind = VERDICT_NOT_CONTAINED, "image element outside the filtration stage"
+    elif (witness := stage.outside(image)) is not None:
+        verdict, kind = VERDICT_INJ, "operator in the filtration stage missing from the image"
     else:
-        verdict = VERDICT_NOT_CONTAINED
-        witness = next(b for b in image.basis_vectors() if not stage.contains(b))
-        kind = "image element outside the filtration stage"
+        verdict, kind = VERDICT_ISO, None
     return RepresentabilityReport(
         tag=tag,
         order=jet.order,
@@ -398,6 +398,7 @@ def residual_witness_search(
     tuple's deviation words are applied to all maps and all p at once.
     """
     require_central(P, Q)
+    _check_order(k)
     t = TensorOneSided(P)
     n = P.algebra.dim
     field = P.algebra.field

@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -101,7 +101,7 @@ class RationalField:
         return a
 
     def parse(self, s: str) -> Fraction:
-        if not _RATIONAL_RE.match(s):
+        if not isinstance(s, str) or not _RATIONAL_RE.match(s):
             raise ScalarFormatError(f"not a rational scalar: {s!r}")
         return Fraction(s)
 
@@ -152,6 +152,8 @@ class PrimeField:
         return a
 
     def parse(self, s: str) -> int:
+        if not isinstance(s, str):
+            raise ScalarFormatError(f"not a prime-field scalar: {s!r}")
         m = _MOD_RE.match(s)
         if m:
             if int(m.group(2)) != self.p:
@@ -426,35 +428,31 @@ def rref(m: Matrix) -> RrefResult:
 
 def kernel(m: Matrix) -> "Subspace":
     """Right kernel {v : m v = 0} as a subspace of the column space."""
-    field = m.field
     res = rref(m)
-    piv = set(res.pivots)
-    free = [c for c in range(m.cols) if c not in piv]
-    rows = []
-    R = res.matrix.a
-    for f in free:
-        v = np.full(m.cols, field.zero, dtype=object)
-        v[f] = field.one
-        for j, c in enumerate(res.pivots):
-            v[c] = -R[j, f]
-        rows.append(v)
-    if not rows:
-        return Subspace.zero(field, m.cols)
-    return Subspace.from_spanning(field, m.cols, rows)
+    free = _free_cols(m.cols, res.pivots)
+    if not free:
+        return Subspace.zero(m.field, m.cols)
+    rows = _complement_rows(m.field, res.matrix.a[: res.rank], res.pivots, free)
+    return Subspace.from_spanning(m.field, m.cols, rows)
 
 
-def solve(m: Matrix, b: np.ndarray):
-    """One solution x of m x = b, or None if inconsistent."""
-    field = m.field
-    aug = np.hstack([m.a, np.asarray(b, dtype=object).reshape(-1, 1)])
-    aug = aug.copy()
-    pivots = _rref_inplace(field, aug)
-    if pivots and pivots[-1] == m.cols:
-        return None
-    x = np.full(m.cols, field.zero, dtype=object)
-    for j, c in enumerate(pivots):
-        x[c] = aug[j, -1]
-    return x
+def _free_cols(n: int, pivots: Sequence[int]) -> list[int]:
+    taken = set(pivots)
+    return [c for c in range(n) if c not in taken]
+
+
+def _complement_rows(field, basis: np.ndarray, pivots: Sequence[int], free: list[int]) -> np.ndarray:
+    """Row t is e_f - sum_j basis[j, f] e_{pivots[j]} for f = free[t].
+
+    For an RREF basis these rows are a basis of its right kernel, and as a
+    matrix they are the projection onto the free coordinates whose kernel
+    is the row space: kernel and quotient are the same construction.
+    """
+    q = np.full((len(free), basis.shape[1]), field.zero, dtype=object)
+    q[range(len(free)), free] = field.one
+    if len(pivots):
+        q[:, list(pivots)] = field.reduce_array(-basis[:, free].T)
+    return q
 
 
 # ---------------------------------------------------------------------------
@@ -493,15 +491,19 @@ class QuotientMaps:
 
 
 class Subspace:
-    """Subspace of K^n held as an RREF basis with no zero rows."""
+    """Subspace of K^n held as an RREF basis with no zero rows.
 
-    __slots__ = ("field", "ambient_dim", "basis", "_pivots")
+    pivots holds the pivot column of each basis row, increasing; the
+    constructors below are the only callers and pass the pivots they know.
+    """
 
-    def __init__(self, field, ambient_dim: int, basis: Matrix):
+    __slots__ = ("field", "ambient_dim", "basis", "pivots")
+
+    def __init__(self, field, ambient_dim: int, basis: Matrix, pivots: tuple[int, ...]):
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "_pivots", None)
+        object.__setattr__(self, "pivots", pivots)
 
     def __setattr__(self, *_):
         raise AttributeError("Subspace is immutable")
@@ -518,32 +520,20 @@ class Subspace:
             raise DimensionMismatch(f"vectors of length {m.cols} in ambient {ambient_dim}")
         res = rref(m)
         basis = Matrix._raw(field, res.matrix.a[: res.rank].copy())
-        sub = cls(field, ambient_dim, basis)
-        object.__setattr__(sub, "_pivots", res.pivots)
-        return sub
+        return cls(field, ambient_dim, basis, res.pivots)
 
     @classmethod
     def zero(cls, field, ambient_dim: int) -> "Subspace":
-        return cls(field, ambient_dim, Matrix.zeros(field, 0, ambient_dim))
+        return cls(field, ambient_dim, Matrix.zeros(field, 0, ambient_dim), ())
 
     @classmethod
     def full(cls, field, ambient_dim: int) -> "Subspace":
-        return cls(field, ambient_dim, Matrix.identity(field, ambient_dim))
+        basis = Matrix.identity(field, ambient_dim)
+        return cls(field, ambient_dim, basis, tuple(range(ambient_dim)))
 
     @property
     def dim(self) -> int:
         return self.basis.rows
-
-    @property
-    def pivots(self) -> tuple[int, ...]:
-        """Pivot column of each basis row, increasing."""
-        if self._pivots is None:
-            object.__setattr__(self, "_pivots", tuple(_pivot_cols(self.basis.a)))
-        return self._pivots
-
-    def _free_cols(self) -> list[int]:
-        taken = set(self.pivots)
-        return [c for c in range(self.ambient_dim) if c not in taken]
 
     def is_zero(self) -> bool:
         return self.dim == 0
@@ -558,20 +548,8 @@ class Subspace:
         if self.field != other.field or self.ambient_dim != other.ambient_dim:
             raise DimensionMismatch("subspaces live in different ambients")
 
-    def reduce(self, v: np.ndarray) -> np.ndarray:
-        """Residual of v after elimination against the basis; 0 iff v is a member."""
-        if len(v) != self.ambient_dim:
-            raise DimensionMismatch(f"vector of length {len(v)} in ambient {self.ambient_dim}")
-        v = np.asarray(v, dtype=object).copy()
-        B = self.basis.a
-        for j, c in enumerate(self.pivots):
-            f = v[c]
-            if f != 0:
-                v = self.field.reduce_array(v - f * B[j])
-        return v
-
     def contains(self, v: np.ndarray) -> bool:
-        return all(x == 0 for x in self.reduce(v))
+        return self.contains_all(np.asarray(v, dtype=object).reshape(1, -1))
 
     def residuals(self, rows: np.ndarray) -> np.ndarray:
         """Residuals of a stack of row vectors after elimination against the basis.
@@ -586,7 +564,7 @@ class Subspace:
         pivots = list(self.pivots)
         if not pivots:
             return self.field.reduce_array(rows.copy())
-        free = self._free_cols()
+        free = _free_cols(self.ambient_dim, pivots)
         out = np.full(rows.shape, self.field.zero, dtype=object)
         if free:
             out[:, free] = self.field.reduce_array(
@@ -600,9 +578,13 @@ class Subspace:
 
     def is_subset(self, other: "Subspace") -> bool:
         self._check(other)
-        if self.dim > other.dim:
-            return False
-        return all(other.contains(b) for b in self.basis.a)
+        return self.dim <= other.dim and other.contains_all(self.basis.a)
+
+    def outside(self, other: "Subspace") -> Optional[np.ndarray]:
+        """First basis row of self that is not in other; None when self <= other."""
+        self._check(other)
+        hits = np.flatnonzero((other.residuals(self.basis.a) != 0).any(axis=1))
+        return self.basis.a[hits[0]].copy() if len(hits) else None
 
     def __le__(self, other):
         return self.is_subset(other)
@@ -644,22 +626,16 @@ class Subspace:
         projection subtracts each vector's component along the basis rows.
         """
         field = self.field
-        n = self.ambient_dim
-        B = self.basis.a
         pivots = self.pivots
-        free = self._free_cols()
+        free = _free_cols(self.ambient_dim, pivots)
         qdim = len(free)
-        q = np.full((qdim, n), field.zero, dtype=object)
-        s = np.full((n, qdim), field.zero, dtype=object)
-        q[range(qdim), free] = field.one
+        s = np.full((self.ambient_dim, qdim), field.zero, dtype=object)
         s[free, range(qdim)] = field.one
-        if pivots:
-            q[:, list(pivots)] = field.reduce_array(-B[:, free].T)
         return QuotientMaps(
-            Matrix._raw(field, q),
+            Matrix._raw(field, _complement_rows(field, self.basis.a, pivots, free)),
             Matrix._raw(field, s),
             qdim,
-            tuple(pivots),
+            pivots,
             tuple(free),
         )
 
@@ -683,16 +659,6 @@ def _sparse_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         cols = np.flatnonzero(nz_b[j])
         out[np.ix_(rows, cols)] += np.multiply.outer(a[rows, j], b[j, cols])
     return out
-
-
-def _pivot_cols(rref_rows: np.ndarray) -> list[int]:
-    pivots = []
-    for i in range(rref_rows.shape[0]):
-        for c in range(rref_rows.shape[1]):
-            if rref_rows[i, c] != 0:
-                pivots.append(c)
-                break
-    return pivots
 
 
 # ---------------------------------------------------------------------------
@@ -727,16 +693,19 @@ def closure_under(operators: Sequence, seed: Subspace) -> Subspace:
     return current
 
 
-def preimage(operator: Matrix, target: Subspace) -> Subspace:
-    """{v : operator v in target}, a subspace of the operator's source."""
-    if operator.rows != target.ambient_dim:
-        raise DimensionMismatch(
-            f"operator maps into dim {operator.rows}, target ambient {target.ambient_dim}"
-        )
+def preimage(operators: Sequence[Matrix], target: Subspace) -> Subspace:
+    """{v : op v in target for every op}, a subspace of the operators' common source."""
+    if not operators:
+        raise ValueError("preimage needs at least one operator")
+    for op in operators:
+        if op.rows != target.ambient_dim:
+            raise DimensionMismatch(
+                f"operator maps into dim {op.rows}, target ambient {target.ambient_dim}"
+            )
     if target.is_full():
-        return Subspace.full(operator.field, operator.cols)
+        return Subspace.full(target.field, operators[0].cols)
     q = target.quotient().projection
-    return kernel(q @ operator)
+    return joint_kernel([q @ op for op in operators])
 
 
 def joint_kernel(operators: Sequence[Matrix]) -> Subspace:

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 from naive_gauss import (
     naive_kernel_basis,
+    naive_mat_mul,
     naive_mat_vec,
     naive_nullity,
     naive_rref,
@@ -231,6 +232,63 @@ def right_stage0_dim(mul):
         right_ops.append(mat)
     vecs = [naive_mat_vec(op, v) for op in right_ops for v in w0]
     return naive_span_dim(vecs)
+
+
+def _on_values(side_op):
+    """phi -> side_op applied to every value phi(e_p), as a dense matrix on Hom(A, A)."""
+    n = len(side_op)
+    amb = n * n
+    mat = [[Fraction(0)] * amb for _ in range(amb)]
+    for p in range(n):
+        for k in range(n):
+            for r in range(n):
+                mat[p * n + k][p * n + r] += side_op[k][r]
+    return mat
+
+
+def bar1_dim(mul):
+    """dim of the bar1 class on Hom(A, A), P = Q = A.
+
+    Stage zero is left0 + right0, the spans of b w over the joint delta
+    kernel and of w b over the joint delta_bar kernel.  Each side's first
+    stage is span{b w : dev_a w in stage zero for every a} + stage zero,
+    with (dev, b w) = (delta, a phi) on the left and (delta_bar, phi b) on
+    the right; bar1 is the intersection of the two first stages with the
+    joint kernel of every delta_bar_c delta_b.
+    """
+    n = _n(mul)
+    amb = n * n
+    identity = [[Fraction(int(i == j)) for j in range(amb)] for i in range(amb)]
+    sides = [
+        ([_hom_delta_rows(mul, a) for a in range(n)],
+         [_on_values(_left_op(mul, b)) for b in range(n)]),
+        ([_hom_delta_bar_rows(mul, a) for a in range(n)],
+         [_on_values(_right_op(mul, b)) for b in range(n)]),
+    ]
+
+    def moved(acts, vecs):
+        return [naive_mat_vec(op, v) for op in acts for v in vecs]
+
+    stage0 = []
+    for devs, acts in sides:
+        stage0 += moved(acts, naive_kernel_basis([row for d in devs for row in d]))
+    stage0 = _span_basis(stage0)
+    ann0 = _annihilator(stage0, amb)
+    conditions = []
+    for devs, acts in sides:
+        # dev w in stage zero  <=>  c . dev w = 0 for every annihilator row c
+        pulled = [
+            [sum(c[k] * d[k][x] for k in range(amb)) for x in range(amb)]
+            for d in devs
+            for c in ann0
+        ]
+        lift = naive_kernel_basis(pulled) if pulled else identity
+        first = _span_basis(moved(acts, lift) + stage0)
+        conditions += _annihilator(first, amb) if first else identity
+    for dbar in sides[1][0]:
+        for d in sides[0][0]:
+            conditions += naive_mat_mul(dbar, d)
+    return naive_nullity(conditions)
 
 
 # -- jet dimensions over the regular bimodule -------------------------------

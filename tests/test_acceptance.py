@@ -14,6 +14,7 @@ import json
 from ncjets.catalog import COMMUTATIVE_NAMES, builtin, names
 from ncjets.cli import run
 from ncjets.diffop import (
+    diff_bar1,
     diff_commutative,
     diff_left,
     diff_right,
@@ -32,6 +33,7 @@ from ncjets.linalg import QQ, Matrix, kernel, rref, vector
 from ncjets.modules import HomSpace
 
 from oracle_systems import (
+    bar1_dim,
     comm_diff_stage_dims,
     derivations_dim,
     jet_dim,
@@ -144,6 +146,7 @@ def test_criterion_7_two_sided_representability():
         report = representability_bar1(P, Q)
         assert report.verdict == VERDICT_ISO, (name, report.verdict)
         assert report.hom_side_dim == report.diff_side_dim
+        assert diff_bar1(P, Q).dim == bar1_dim(raw_mul(P.algebra)), name
     print("ACCEPTANCE 7 PASS: the two-sided first jet represents the restricted "
           "first-order class on every catalog algebra")
 

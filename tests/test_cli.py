@@ -57,6 +57,55 @@ def test_broken_algebra_is_validation_error(tmp_path, capsys):
     assert run(["validate", "-a", str(path)]) == 1
 
 
+def _m2_docs():
+    from ncjets.catalog import builtin
+    from ncjets.documents import algebra_to_doc, module_to_doc
+    from ncjets.modules import BimoduleRep
+
+    algebra = builtin("m2").algebra
+    return algebra_to_doc(algebra), module_to_doc(BimoduleRep.regular(algebra))
+
+
+def test_module_with_a_number_scalar_is_validation_error(tmp_path, capsys):
+    _, module = _m2_docs()
+    module["left_action"][0][0][0] = 1
+    path = tmp_path / "module.json"
+    path.write_text(json.dumps(module))
+    assert run(["validate", "-a", "m2", "-m", str(path)]) == 1
+    assert out_of(capsys)[1].startswith("error:")
+
+
+def test_module_with_a_non_list_action_is_validation_error(tmp_path, capsys):
+    _, module = _m2_docs()
+    module["left_action"] = 5
+    path = tmp_path / "module.json"
+    path.write_text(json.dumps(module))
+    assert run(["validate", "-a", "m2", "-m", str(path)]) == 1
+    assert out_of(capsys)[1].startswith("error:")
+
+
+def test_algebra_with_a_non_list_basis_is_validation_error(tmp_path, capsys):
+    algebra, _ = _m2_docs()
+    algebra["basis"] = 5
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(algebra))
+    assert run(["validate", "-a", str(path)]) == 1
+    assert out_of(capsys)[1].startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["witness-cc3", "-a", "m2", "-p", "self", "--order", "-1"],
+        ["witness-cc3", "-a", "m2", "-p", "self", "--order", "5"],
+        ["jet", "-a", "m2", "-p", "self", "--order", "5"],
+    ],
+)
+def test_orders_outside_the_cap_are_validation_errors(argv, capsys):
+    assert run(argv) == 1
+    assert "order must be between 0 and 4" in out_of(capsys)[1]
+
+
 def test_usage_error_maps_to_validation_exit(capsys):
     assert run(["diff", "-a", "m2"]) == 1
 

@@ -1,5 +1,6 @@
 import pytest
 
+from ncjets.algebra import Algebra
 from ncjets.catalog import COMMUTATIVE_NAMES, builtin, names
 from ncjets.diffop import (
     DefinitionDomainError,
@@ -9,11 +10,12 @@ from ncjets.diffop import (
     diff_left,
     diff_right,
     diff_two_sided,
+    filtration_by_tag,
     stage_by_tag,
     two_sided_zero_order_membership,
 )
 from ncjets.linalg import QQ, Matrix
-from ncjets.modules import HomSpace, hom_A, hom_AA
+from ncjets.modules import BimoduleRep, HomSpace, hom_A, hom_AA
 
 from oracle_systems import (
     comm_diff_stage_dims,
@@ -279,3 +281,47 @@ def test_compare_relations_are_consistent_with_dims():
                 assert d1 <= d2
             elif rel == "superset":
                 assert d1 >= d2
+
+
+# ---------------------------------------------------------------------------
+# metamorphic: a left module over A^op is a right module over A
+
+
+def _opposite(A):
+    mul_op = [[list(A.mul[j, i]) for j in range(A.dim)] for i in range(A.dim)]
+    return Algebra(A.field, A.basis_names, list(A.unit), mul_op, name=f"{A.name}^op")
+
+
+def _t2_column():
+    """K^2 with t2 acting by matrices on the left and through e11 -> 1 on the right.
+
+    On the regular bimodules left-sum and right agree, so this is the
+    catalog-sized case where swapping them is visible (dims 3 vs 4).
+    """
+    A = builtin("t2").algebra
+    left = [Matrix(QQ, [[1, 0], [0, 0]]), Matrix(QQ, [[0, 1], [0, 0]]), Matrix(QQ, [[0, 0], [0, 1]])]
+    right = [Matrix.identity(QQ, 2).scale(c) for c in (1, 0, 0)]
+    return BimoduleRep(A, left, right, name="column")
+
+
+def _opposite_cases():
+    cases = [(name, "self", "self") for name in names()]
+    cases += [(name, "free2", "free2") for name in names() if builtin(name).algebra.dim <= 2]
+    return cases + [("t2", "column", "column"), ("t2", "column", "self"), ("t2", "self", "column")]
+
+
+def _module(name, kind):
+    return _t2_column() if kind == "column" else builtin(name).module(kind)
+
+
+@pytest.mark.parametrize("name,p,q", _opposite_cases())
+def test_opposite_algebra_swaps_left_sum_and_right(name, p, q):
+    P, Q = _module(name, p), _module(name, q)
+    # over A^op the left and right actions swap sides
+    A_op = _opposite(P.algebra)
+    P_op, Q_op = (BimoduleRep(A_op, M.right, M.left) for M in (P, Q))
+    for tag_op, tag in [("left-sum", "right"), ("right", "left-sum"), ("two-sided", "two-sided")]:
+        over_op = filtration_by_tag(P_op, Q_op, 2, tag_op).stages
+        over_a = filtration_by_tag(P, Q, 2, tag).stages
+        for k in range(3):
+            assert over_op[k] == over_a[k], (tag_op, tag, k)

@@ -5,7 +5,7 @@ import pytest
 
 import ncjets.jets
 from ncjets.catalog import COMMUTATIVE_NAMES, builtin, names
-from ncjets.diffop import DefinitionDomainError, diff_bar1, diff_commutative
+from ncjets.diffop import MAX_ORDER, DefinitionDomainError, diff_bar1, diff_commutative
 from ncjets.jets import (
     VERDICT_ISO,
     InvariantViolation,
@@ -110,6 +110,19 @@ def test_non_invariant_relations_raise_invariant_violation(monkeypatch):
 def test_jet_rejects_negative_order():
     with pytest.raises(OrderViolationError):
         jet_module(self_module("trivial"), -1)
+
+
+@pytest.mark.parametrize("k", [-1, MAX_ORDER + 1])
+def test_orders_outside_the_cap_are_refused_before_any_ambient(monkeypatch, k):
+    def no_ambient(*args):
+        raise AssertionError("tensor ambient built for an order outside the cap")
+
+    monkeypatch.setattr(ncjets.jets, "TensorOneSided", no_ambient)
+    P = self_module("m2")
+    with pytest.raises(OrderViolationError):
+        jet_module(P, k)
+    with pytest.raises(OrderViolationError):
+        residual_witness_search(P, P, k)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from ncjets.linalg import (
     kernel,
     preimage,
     rref,
-    solve,
     unit_vector,
     vector,
 )
@@ -136,13 +135,6 @@ def test_kernel_rank_nullity():
     ker = kernel(mat([[1, 1]]))
     assert ker.dim == 1
     assert ker.contains(vector(QQ, [1, -1]))
-
-
-def test_solve():
-    m = mat([[1, 2], [3, 4]])
-    x = solve(m, vector(QQ, [5, 6]))
-    assert list(m.apply(x)) == [F(5), F(6)]
-    assert solve(mat([[1, 1], [1, 1]]), vector(QQ, [0, 1])) is None
 
 
 @settings(max_examples=60, deadline=None)
@@ -360,24 +352,82 @@ def test_residuals_match_single_vector_reduction(field, basis_rows, rows):
     sub = Subspace.from_spanning(field, 4, [vector(field, r) for r in basis_rows])
     stack = np.array([vector(field, r) for r in rows], dtype=object)
     resid = sub.residuals(stack)
-    for got, v in zip(resid, stack):
-        assert list(got) == list(sub.reduce(v))
-    assert sub.contains_all(stack) == all(sub.contains(v) for v in stack)
+    refs = []
+    for v in stack:
+        # reference: eliminate one vector against the basis, pivot by pivot
+        ref = v.copy()
+        for j, c in enumerate(sub.pivots):
+            if ref[c] != 0:
+                ref = field.reduce_array(ref - ref[c] * sub.basis.a[j])
+        refs.append(ref)
+    for got, ref, v in zip(resid, refs, stack):
+        assert list(got) == list(ref)
+        assert sub.contains(v) == (not any(x != 0 for x in ref))
+    assert sub.contains_all(stack) == all(not any(x != 0 for x in ref) for ref in refs)
 
 
 def test_preimage_cases():
     full = Subspace.full(QQ, 2)
-    assert preimage(Matrix.identity(QQ, 2), full).is_full()
+    assert preimage([Matrix.identity(QQ, 2)], full).is_full()
     zero = Subspace.zero(QQ, 2)
-    assert preimage(Matrix.identity(QQ, 2), zero).is_zero()
+    assert preimage([Matrix.identity(QQ, 2)], zero).is_zero()
     proj = mat([[1, 0], [0, 0]])
     target = Subspace.from_spanning(QQ, 2, [unit_vector(QQ, 2, 0)])
-    assert preimage(proj, target).is_full()
+    assert preimage([proj], target).is_full()
+
+
+def test_preimage_of_a_family_is_the_intersection():
+    swap = mat([[0, 1], [1, 0]])
+    target = Subspace.from_spanning(QQ, 2, [unit_vector(QQ, 2, 0)])
+    assert preimage([Matrix.identity(QQ, 2)], target) == target
+    assert preimage([swap], target) == Subspace.from_spanning(QQ, 2, [unit_vector(QQ, 2, 1)])
+    assert preimage([Matrix.identity(QQ, 2), swap], target).is_zero()
 
 
 def test_preimage_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        preimage(Matrix.identity(QQ, 2), Subspace.zero(QQ, 3))
+        preimage([Matrix.identity(QQ, 2)], Subspace.zero(QQ, 3))
+    with pytest.raises(DimensionMismatch):
+        preimage([Matrix.identity(QQ, 3), Matrix.identity(QQ, 2)], Subspace.zero(QQ, 3))
+    with pytest.raises(ValueError):
+        preimage([], Subspace.zero(QQ, 3))
+
+
+def test_outside_is_the_first_basis_row_that_sticks_out():
+    line = Subspace.from_spanning(QQ, 3, [vector(QQ, [1, 1, 0])])
+    plane = Subspace.from_spanning(QQ, 3, [vector(QQ, [1, 1, 0]), vector(QQ, [0, 0, 1])])
+    other = Subspace.from_spanning(QQ, 3, [vector(QQ, [1, 0, 0]), vector(QQ, [0, 0, 1])])
+    assert line.outside(plane) is None
+    assert list(plane.outside(line)) == [0, 0, 1]
+    assert list(plane.outside(other)) == list(plane.basis.a[0])
+    assert Subspace.zero(QQ, 3).outside(line) is None
+    with pytest.raises(DimensionMismatch):
+        line.outside(Subspace.zero(QQ, 2))
+
+
+def test_constructors_record_pivots():
+    assert Subspace.zero(QQ, 3).pivots == ()
+    assert Subspace.full(QQ, 3).pivots == (0, 1, 2)
+    sub = Subspace.from_spanning(QQ, 4, [vector(QQ, [0, 2, 1, 0]), vector(QQ, [0, 0, 0, 3])])
+    assert sub.pivots == (1, 3)
+
+
+def test_contains_rejects_wrong_length():
+    with pytest.raises(DimensionMismatch):
+        Subspace.full(QQ, 3).contains(vector(QQ, [1, 0]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([QQ, GF(7)]),
+    st.lists(st.lists(st.integers(-3, 3), min_size=4, max_size=4), min_size=1, max_size=4),
+)
+def test_kernel_rows_are_the_quotient_projection(field, rows):
+    m = Matrix(field, rows)
+    ker = kernel(m)
+    projection = Subspace.from_spanning(field, 4, m.a).quotient().projection
+    assert ker == Subspace.from_spanning(field, 4, projection.a)
+    assert not field.reduce_array(np.dot(m.a, ker.basis.a.T)).any()
 
 
 def test_joint_kernel():
