@@ -29,8 +29,8 @@ class AlgebraValidationError(ValueError):
 class Algebra:
     """Unital associative algebra with a fixed basis.
 
-    mul is an (n, n, n) object array: mul[i, j] is the coordinate vector
-    of e_i e_j.  Instances are immutable once validated.
+    mul is an (n, n, n) array of the field's kernel dtype: mul[i, j] is
+    the coordinate vector of e_i e_j.  Instances are immutable once validated.
     """
 
     def __init__(self, field, basis_names: Sequence[str], unit, mul, name: str = ""):
@@ -56,6 +56,7 @@ class Algebra:
         if len(list(unit)) != n:
             raise AlgebraValidationError("shape", None, "unit vector has wrong length")
         self.unit = vector(field, unit)
+        mul_arr = field.asarray(mul_arr)
         mul_arr.flags.writeable = False
         self.mul = mul_arr
         self._validate()
@@ -132,26 +133,29 @@ class Algebra:
 
     def multiply(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Coordinates of the product of two coordinate vectors."""
-        out = np.full(self.dim, self.field.zero, dtype=object)
+        field = self.field
+        a, b, reduce = field.asarray(a), field.asarray(b), field.reduce_array
+        out = np.zeros(self.dim, dtype=field.dtype)
         for i in range(self.dim):
             if a[i] == 0:
                 continue
             for j in range(self.dim):
                 if b[j] == 0:
                     continue
-                out = out + a[i] * b[j] * self.mul[i, j]
-        return self.field.reduce_array(out)
+                # one reduction per term keeps fixed-width coordinates in range
+                out = reduce(out + reduce(a[i] * b[j]) * self.mul[i, j])
+        return out
 
     def left_mult_matrix(self, a: np.ndarray) -> Matrix:
         cols = [self.multiply(a, self._basis_vec(j)) for j in range(self.dim)]
-        return Matrix._raw(self.field, np.array(cols, dtype=object).T)
+        return Matrix._raw(self.field, np.stack(cols).T)
 
     def right_mult_matrix(self, a: np.ndarray) -> Matrix:
         cols = [self.multiply(self._basis_vec(i), a) for i in range(self.dim)]
-        return Matrix._raw(self.field, np.array(cols, dtype=object).T)
+        return Matrix._raw(self.field, np.stack(cols).T)
 
     def _basis_vec(self, i: int) -> np.ndarray:
-        v = np.full(self.dim, self.field.zero, dtype=object)
+        v = np.zeros(self.dim, dtype=self.field.dtype)
         v[i] = self.field.one
         return v
 

@@ -206,9 +206,9 @@ def _collapse_conditions(jet: JetModule, Q: BimoduleRep) -> Matrix:
     rights = Q.right if jet.two_sided else (Matrix.identity(field, Q.dim),)
     w = jet.mu.basis.a.reshape(jet.mu.dim, P.algebra.dim, P.dim, len(rights))
     sandwich = np.stack([np.stack([(R @ L).a for R in rights]) for L in Q.left])
-    rows = np.tensordot(w, sandwich, axes=([1, 3], [0, 1]))  # (w, u, q, q')
+    rows = field.tensordot(w, sandwich, ([1, 3], [0, 1]))  # (w, u, q, q')
     rows = rows.transpose(0, 2, 1, 3).reshape(jet.mu.dim * Q.dim, P.dim * Q.dim)
-    return Matrix._raw(field, field.reduce_array(rows))
+    return Matrix._raw(field, rows)
 
 
 @dataclass(frozen=True)
@@ -320,7 +320,7 @@ def factorize(
         jet = jet_module(P, k)
     field = P.algebra.field
     lift = hstack([L @ delta for L in Q.left])
-    if field.reduce_array(np.dot(lift.a, jet.mu.basis.a.T)).any():
+    if field.dot(lift.a, jet.mu.basis.a.T).any():
         raise OrderViolationError(f"map is not an order-{k} differential operator")
     # _check_generation proved that J(P) generates the jet as a left module,
     # so a left-linear f is fixed by f . J and the factorization is unique.
@@ -365,7 +365,7 @@ def factorization_residual(
     hs = HomSpace(P, Q)
     field = t.field
     v = hs.vec(f @ t.embedding)
-    p = np.asarray(p, dtype=object)
+    p = field.asarray(p)
     w = t.embedding.apply(p)
     for b in reversed(list(b_tuple)):
         if isinstance(b, int):
@@ -420,7 +420,7 @@ def residual_witness_search(
         # lhs[u, f] = (delta word phi_f)(p_u): vec is column-major, so the
         # row of phi_f reshapes to [u, q]; rhs[u, f] = f(delta word (1 tensor p_u))
         lhs = moved_phis.reshape(len(fmats), P.dim, Q.dim).transpose(1, 0, 2)
-        rhs = np.dot(fstack, moved_units.T).transpose(2, 0, 1)
+        rhs = field.tensordot(fstack, moved_units, ([2], [1])).transpose(2, 0, 1)
         res = field.reduce_array(lhs - rhs)
         for p_index in range(P.dim):
             for fi, fmat in enumerate(fmats):

@@ -1,14 +1,26 @@
 """Exact dense linear algebra over Q and prime fields.
 
-Scalars are `fractions.Fraction` for the rationals and plain ints in
-``[0, p)`` for a prime field.  Matrices are dense numpy arrays of dtype
-``object``, so every operation is exact.  Subspaces are stored with a
-reduced row-echelon basis and no zero rows, which makes set equality of
-subspaces the same as matrix equality of their bases.
+Scalars are `fractions.Fraction` for the rationals and ints in ``[0, p)``
+for a prime field.  Each field carries the array kernel every module
+goes through (``dtype``, ``asarray``, ``dot``, ``tensordot``, ``echelon``,
+``reduce_array``), so no code outside this module needs to know which
+field it works over:
+
+- over Q, arrays have dtype ``object`` and hold exact Python scalars;
+- over F_p, arrays have dtype ``int64`` with every entry in ``[0, p)``;
+  products split the right operand into 16-bit halves so that no partial
+  sum can leave int64 (the word-size technique of Dumas, Giorgi and
+  Pernet, FFLAS-FFPACK, 2008), and elimination is by vectorized rank-1
+  updates.
+
+Subspaces are stored with a reduced row-echelon basis and no zero rows,
+which makes set equality of subspaces the same as matrix equality of
+their bases.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -78,6 +90,7 @@ class RationalField:
     kind = "rationals"
     zero = 0
     one = 1
+    dtype = object
 
     def normalize(self, x):
         if type(x) in _INEXACT_TYPES:
@@ -88,8 +101,24 @@ class RationalField:
     def inv(self, x: Fraction) -> Fraction:
         return 1 / Fraction(x)
 
+    # -- array kernel: object arrays of exact scalars --------------------
+
+    def asarray(self, a) -> np.ndarray:
+        return np.asarray(a, dtype=object)
+
     def reduce_array(self, a: np.ndarray) -> np.ndarray:
         return a
+
+    def dot(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return np.dot(a, b)
+
+    def tensordot(self, a: np.ndarray, b: np.ndarray, axes) -> np.ndarray:
+        return np.tensordot(a, b, axes=axes)
+
+    def echelon(self, a: np.ndarray) -> tuple[np.ndarray, list[int]]:
+        """RREF of a (same shape, zero rows last) and its pivot columns."""
+        a = np.array(a, dtype=object)
+        return a, _rref_inplace(self, a)
 
     def demote_array(self, a: np.ndarray) -> np.ndarray:
         # Turn integral Fractions back into ints; keeps later arithmetic fast.
@@ -118,10 +147,25 @@ class RationalField:
         return "QQ"
 
 
+# A product's right operand is split as b = hi * 2**16 + lo with
+# |hi| < 2**15 and 0 <= lo < 2**16; with |a| < 2**31 every term of a @ lo
+# is below 2**47, so a sum over an inner dimension of at most 2**16 terms
+# stays below 2**63.  Longer inner dimensions are summed in chunks.
+_SPLIT_BITS = 16
+_SPLIT_MASK = (1 << _SPLIT_BITS) - 1
+MAX_INNER = 1 << 16
+
+
 class PrimeField:
-    """The field F_p for a prime p < 2**31; scalars are ints in [0, p)."""
+    """The field F_p for a prime p < 2**31; scalars are ints in [0, p).
+
+    Arrays are int64 with entries in [0, p).  The kernel's products also
+    accept negated entries (|x| < p), which is all the library produces
+    between reductions, and keep every partial sum below 2**63.
+    """
 
     kind = "prime-field"
+    dtype = np.int64
 
     def __init__(self, p: int):
         if not isinstance(p, int) or p >= 2**31 or not _is_prime(p):
@@ -145,8 +189,119 @@ class PrimeField:
             raise ZeroDivisionError(f"0 has no inverse in F_{self.p}")
         return pow(x, self.p - 2, self.p)
 
-    def reduce_array(self, a: np.ndarray) -> np.ndarray:
-        return a % self.p
+    # -- array kernel: int64 arrays reduced to [0, p) --------------------
+
+    def asarray(self, a) -> np.ndarray:
+        """a's entries reduced to [0, p) as int64; a itself when it already is that.
+
+        Object arrays (scalars from outside: ints of any size, Fractions)
+        go through normalize entry by entry, which refuses inexact scalars.
+        """
+        a = np.asarray(a)
+        if a.dtype == np.int64:
+            if not a.size or (a.min() >= 0 and a.max() < self.p):
+                return a
+            return a % self.p
+        if a.dtype == object:
+            return np.array([self.normalize(x) for x in a.ravel()], dtype=np.int64).reshape(a.shape)
+        if a.dtype.kind in "iu":
+            # narrow ints overflow on % p, and uint64 does not fit int64
+            return (a.astype(object) % self.p).astype(np.int64)
+        if not a.size:
+            return np.zeros(a.shape, dtype=np.int64)
+        raise ScalarFormatError(f"not an array of exact integers: dtype {a.dtype}")
+
+    reduce_array = asarray
+
+    def dot(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """a @ b mod p for 1-D or 2-D operands, reduced to [0, p).
+
+        int64 operands must hold entries of absolute value below p
+        (residues or their negatives, as every array here does); other
+        dtypes are reduced first.
+        """
+        if a.dtype != np.int64:
+            a = self.asarray(a)
+        if b.dtype != np.int64:
+            b = self.asarray(b)
+        k = a.shape[-1]
+        if k <= MAX_INNER:
+            return self._dot_chunk(a, b)
+        out = self._dot_chunk(a[..., :MAX_INNER], b[:MAX_INNER])
+        for s in range(MAX_INNER, k, MAX_INNER):
+            out += self._dot_chunk(a[..., s : s + MAX_INNER], b[s : s + MAX_INNER])
+            out %= self.p
+        return out
+
+    def _dot_chunk(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        # inner dim <= MAX_INNER keeps both partial products below 2**63;
+        # after reduction hi * 2**16 + lo is below 2**48
+        p = self.p
+        hi = np.dot(a, b >> _SPLIT_BITS)
+        hi %= p
+        hi <<= _SPLIT_BITS
+        lo = np.dot(a, b & _SPLIT_MASK)
+        lo %= p
+        hi += lo
+        hi %= p
+        return hi
+
+    def tensordot(self, a: np.ndarray, b: np.ndarray, axes) -> np.ndarray:
+        """np.tensordot(a, b, axes) mod p; axes is a pair of axis lists."""
+        ax_a = [x % a.ndim for x in axes[0]]
+        ax_b = [x % b.ndim for x in axes[1]]
+        if [a.shape[x] for x in ax_a] != [b.shape[x] for x in ax_b]:
+            raise DimensionMismatch(f"tensordot of {a.shape} and {b.shape} over {axes}")
+        free_a = [x for x in range(a.ndim) if x not in ax_a]
+        free_b = [x for x in range(b.ndim) if x not in ax_b]
+        out_a = [a.shape[x] for x in free_a]
+        out_b = [b.shape[x] for x in free_b]
+        k = math.prod(a.shape[x] for x in ax_a)
+        lhs = a.transpose(free_a + ax_a).reshape(math.prod(out_a), k)
+        rhs = b.transpose(ax_b + free_b).reshape(k, math.prod(out_b))
+        return self.dot(lhs, rhs).reshape(out_a + out_b)
+
+    def echelon(self, a: np.ndarray) -> tuple[np.ndarray, list[int]]:
+        """RREF of a (same shape, zero rows last) and its pivot columns.
+
+        Zero rows are dropped first, and each step jumps straight to the
+        next column that is nonzero below the current row.  A pivot is a
+        rank-1 update of the rows nonzero in its column, on the columns
+        from the pivot on (the pivot row is zero before it); entries stay
+        in [0, p), so each update's products are below 2**62.
+        """
+        p = self.p
+        a = self.asarray(a)
+        out = np.zeros(a.shape, dtype=np.int64)
+        work = a[a.any(axis=1)]
+        rows, cols = work.shape
+        pivots: list[int] = []
+        r = c = 0
+        while r < rows and c < cols:
+            live = work[r:, c:].any(axis=0).nonzero()[0]
+            if not live.size:
+                break
+            c += int(live[0])
+            below = work[r:, c].nonzero()[0][0]
+            if below:
+                work[[r, r + below]] = work[[r + below, r]]
+            head = work[r, c:]
+            x = int(head[0])
+            if x != 1:
+                head *= pow(x, p - 2, p)
+                head %= p
+            hits = work[:, c].nonzero()[0]
+            hits = hits[hits != r]
+            if hits.size:
+                block = work[hits, c:]
+                block -= np.multiply.outer(block[:, 0], head)
+                block %= p
+                work[hits, c:] = block
+            pivots.append(c)
+            r += 1
+            c += 1
+        out[:r] = work[:r]
+        return out, pivots
 
     def demote_array(self, a: np.ndarray) -> np.ndarray:
         return a
@@ -200,7 +355,8 @@ def field_to_spec(field) -> object:
 # matrices
 
 
-def _as_object_array(field, rows) -> np.ndarray:
+def _normalized_array(field, rows) -> np.ndarray:
+    """Every entry through field.normalize (which refuses inexact scalars), as a kernel array."""
     if isinstance(rows, np.ndarray):
         a = rows.astype(object, copy=True)
     else:
@@ -216,7 +372,7 @@ def _as_object_array(field, rows) -> np.ndarray:
     flat = a.ravel()
     for k in range(flat.size):
         flat[k] = norm(flat[k])
-    return a
+    return a.astype(field.dtype, copy=False)
 
 
 class Matrix:
@@ -225,7 +381,7 @@ class Matrix:
     __slots__ = ("field", "a")
 
     def __init__(self, field, rows):
-        a = _as_object_array(field, rows)
+        a = _normalized_array(field, rows)
         a.flags.writeable = False
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "a", a)
@@ -235,9 +391,10 @@ class Matrix:
 
     @classmethod
     def _raw(cls, field, a: np.ndarray) -> "Matrix":
-        # Trusted constructor: entries already normalized field scalars.
+        # Trusted constructor: entries are field scalars (over F_p any ints,
+        # reduced here); takes ownership of a and freezes it.
         m = object.__new__(cls)
-        a = np.asarray(a, dtype=object)
+        a = field.asarray(a)
         if a.flags.writeable:
             field.demote_array(a)
             a.flags.writeable = False
@@ -247,14 +404,13 @@ class Matrix:
 
     @classmethod
     def identity(cls, field, n: int) -> "Matrix":
-        a = np.full((n, n), field.zero, dtype=object)
-        for i in range(n):
-            a[i, i] = field.one
+        a = np.zeros((n, n), dtype=field.dtype)
+        a[range(n), range(n)] = field.one
         return cls._raw(field, a)
 
     @classmethod
     def zeros(cls, field, rows: int, cols: int) -> "Matrix":
-        return cls._raw(field, np.full((rows, cols), field.zero, dtype=object))
+        return cls._raw(field, np.zeros((rows, cols), dtype=field.dtype))
 
     @property
     def rows(self) -> int:
@@ -270,10 +426,10 @@ class Matrix:
 
     def entries(self) -> list:
         """Row-major flat list of scalars."""
-        return list(self.a.ravel())
+        return self.a.ravel().tolist()
 
     def to_lists(self) -> list[list]:
-        return [list(r) for r in self.a]
+        return self.a.tolist()
 
     def to_strings(self) -> list[list[str]]:
         f = self.field.format
@@ -288,27 +444,27 @@ class Matrix:
             self._check(other)
             if self.cols != other.rows:
                 raise DimensionMismatch(f"{self.shape} @ {other.shape}")
-            return Matrix._raw(self.field, self.field.reduce_array(np.dot(self.a, other.a)))
+            return Matrix._raw(self.field, self.field.dot(self.a, other.a))
         return NotImplemented
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """Matrix times a 1-D coordinate vector."""
         if self.cols != len(v):
             raise DimensionMismatch(f"{self.shape} applied to length {len(v)}")
-        return self.field.reduce_array(np.dot(self.a, v))
+        return self.field.dot(self.a, self.field.asarray(v))
 
     def rows_apply(self, rows: np.ndarray) -> np.ndarray:
         """rows @ self.T for a stack of row vectors: the matrix applied to each row."""
         if rows.shape[1] != self.cols:
             raise DimensionMismatch(f"{self.shape} applied to rows of length {rows.shape[1]}")
-        return self.field.reduce_array(np.dot(rows, self.a.T))
+        return self.field.dot(self.field.asarray(rows), self.a.T)
 
     def __add__(self, other):
         if isinstance(other, Matrix):
             self._check(other)
             if self.shape != other.shape:
                 raise DimensionMismatch(f"{self.shape} + {other.shape}")
-            return Matrix._raw(self.field, self.field.reduce_array(self.a + other.a))
+            return Matrix._raw(self.field, self.a + other.a)
         return NotImplemented
 
     def __sub__(self, other):
@@ -316,15 +472,15 @@ class Matrix:
             self._check(other)
             if self.shape != other.shape:
                 raise DimensionMismatch(f"{self.shape} - {other.shape}")
-            return Matrix._raw(self.field, self.field.reduce_array(self.a - other.a))
+            return Matrix._raw(self.field, self.a - other.a)
         return NotImplemented
 
     def __neg__(self):
-        return Matrix._raw(self.field, self.field.reduce_array(-self.a))
+        return Matrix._raw(self.field, -self.a)
 
     def scale(self, c) -> "Matrix":
         c = self.field.normalize(c)
-        return Matrix._raw(self.field, self.field.reduce_array(self.a * c))
+        return Matrix._raw(self.field, self.a * c)
 
     @property
     def T(self) -> "Matrix":
@@ -332,7 +488,7 @@ class Matrix:
 
     def kron(self, other: "Matrix") -> "Matrix":
         self._check(other)
-        return Matrix._raw(self.field, self.field.reduce_array(np.kron(self.a, other.a)))
+        return Matrix._raw(self.field, np.kron(self.a, other.a))
 
     def row(self, i: int) -> np.ndarray:
         return self.a[i].copy()
@@ -341,7 +497,7 @@ class Matrix:
         return self.a[:, j].copy()
 
     def is_zero(self) -> bool:
-        return all(x == 0 for x in self.a.ravel())
+        return not self.a.any()
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -369,12 +525,11 @@ def hstack(mats: Sequence[Matrix]) -> Matrix:
 
 
 def vector(field, items: Iterable) -> np.ndarray:
-    v = np.array([field.normalize(x) for x in items], dtype=object)
-    return v
+    return field.asarray([field.normalize(x) for x in items])
 
 
 def unit_vector(field, n: int, i: int) -> np.ndarray:
-    v = np.full(n, field.zero, dtype=object)
+    v = np.zeros(n, dtype=field.dtype)
     v[i] = field.one
     return v
 
@@ -420,9 +575,7 @@ def _rref_inplace(field, a: np.ndarray) -> list[int]:
 
 def rref(m: Matrix) -> RrefResult:
     """Unique reduced row-echelon form of m, with pivot columns and rank."""
-    a = m.a.copy()
-    a.flags.writeable = True
-    pivots = _rref_inplace(m.field, a)
+    a, pivots = m.field.echelon(m.a)
     return RrefResult(Matrix._raw(m.field, a), tuple(pivots), len(pivots))
 
 
@@ -448,7 +601,7 @@ def _complement_rows(field, basis: np.ndarray, pivots: Sequence[int], free: list
     matrix they are the projection onto the free coordinates whose kernel
     is the row space: kernel and quotient are the same construction.
     """
-    q = np.full((len(free), basis.shape[1]), field.zero, dtype=object)
+    q = np.zeros((len(free), basis.shape[1]), dtype=field.dtype)
     q[range(len(free)), free] = field.one
     if len(pivots):
         q[:, list(pivots)] = field.reduce_array(-basis[:, free].T)
@@ -486,7 +639,7 @@ class QuotientMaps:
         block = moved[:, f].T.copy()
         if p:
             w = self.projection.a[:, p]
-            block = op.field.reduce_array(block + _sparse_dot(w, moved[:, p].T))
+            block = op.field.reduce_array(block + _sparse_dot(op.field, w, moved[:, p].T))
         return Matrix._raw(op.field, block)
 
 
@@ -510,12 +663,15 @@ class Subspace:
 
     @classmethod
     def from_spanning(cls, field, ambient_dim: int, rows) -> "Subspace":
-        rows = list(rows)
-        if not rows:
+        if not isinstance(rows, np.ndarray):
+            rows = list(rows)
+        if not len(rows):
             return cls.zero(field, ambient_dim)
-        m = Matrix(field, rows) if not isinstance(rows[0], np.ndarray) else Matrix._raw(
-            field, np.array([np.asarray(r, dtype=object) for r in rows], dtype=object)
-        )
+        if isinstance(rows[0], np.ndarray):
+            a = field.asarray(rows)
+            m = Matrix._raw(field, a.copy() if a is rows else a)
+        else:
+            m = Matrix(field, rows)
         if m.cols != ambient_dim:
             raise DimensionMismatch(f"vectors of length {m.cols} in ambient {ambient_dim}")
         res = rref(m)
@@ -549,7 +705,7 @@ class Subspace:
             raise DimensionMismatch("subspaces live in different ambients")
 
     def contains(self, v: np.ndarray) -> bool:
-        return self.contains_all(np.asarray(v, dtype=object).reshape(1, -1))
+        return self.contains_all(self.field.asarray(v).reshape(1, -1))
 
     def residuals(self, rows: np.ndarray) -> np.ndarray:
         """Residuals of a stack of row vectors after elimination against the basis.
@@ -558,18 +714,18 @@ class Subspace:
         holds a single 1, so a residual is zero there and only the free
         columns are computed: rows[:, free] - rows[:, pivots] @ basis[:, free].
         """
-        rows = np.asarray(rows, dtype=object)
+        rows = self.field.asarray(rows)
         if rows.ndim != 2 or rows.shape[1] != self.ambient_dim:
             raise DimensionMismatch("row length does not match the ambient")
         pivots = list(self.pivots)
         if not pivots:
             return self.field.reduce_array(rows.copy())
         free = _free_cols(self.ambient_dim, pivots)
-        out = np.full(rows.shape, self.field.zero, dtype=object)
+        resid = rows[:, free]
         if free:
-            out[:, free] = self.field.reduce_array(
-                rows[:, free] - _sparse_dot(rows[:, pivots], self.basis.a[:, free])
-            )
+            resid -= _sparse_dot(self.field, rows[:, pivots], self.basis.a[:, free])
+        out = np.zeros(rows.shape, dtype=self.field.dtype)
+        out[:, free] = self.field.reduce_array(resid)
         return out
 
     def contains_all(self, rows: np.ndarray) -> bool:
@@ -610,14 +766,12 @@ class Subspace:
         self._check(other)
         if self.is_zero() or other.is_zero():
             return Subspace.zero(self.field, self.ambient_dim)
-        k = self.dim
-        stacked = Matrix._raw(self.field, np.hstack([self.basis.a.T, -other.basis.a.T]))
-        coeffs = kernel(stacked)
-        vecs = [
-            self.field.reduce_array(np.dot(w[:k], self.basis.a))
-            for w in coeffs.basis.a
-        ]
-        return Subspace.from_spanning(self.field, self.ambient_dim, vecs)
+        field = self.field
+        # u = sum w_i self_i equals sum w'_j other_j exactly when (w, w') kills this stack
+        negated = field.reduce_array(-other.basis.a.T)
+        coeffs = kernel(Matrix._raw(field, np.hstack([self.basis.a.T, negated])))
+        vecs = field.dot(coeffs.basis.a[:, : self.dim], self.basis.a)
+        return Subspace.from_spanning(field, self.ambient_dim, vecs)
 
     def quotient(self) -> QuotientMaps:
         """Projection onto the ambient modulo this subspace, plus a section.
@@ -629,7 +783,7 @@ class Subspace:
         pivots = self.pivots
         free = _free_cols(self.ambient_dim, pivots)
         qdim = len(free)
-        s = np.full((self.ambient_dim, qdim), field.zero, dtype=object)
+        s = np.zeros((self.ambient_dim, qdim), dtype=field.dtype)
         s[free, range(qdim)] = field.one
         return QuotientMaps(
             Matrix._raw(field, _complement_rows(field, self.basis.a, pivots, free)),
@@ -643,14 +797,17 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
 
 
-def _sparse_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for object arrays, summing only the products of nonzero entries.
+def _sparse_dot(field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b, over Q summing only the products of nonzero entries.
 
-    Every exact product is a Python-level operation, and relation bases
-    and the images of tensor actions are mostly zero (under 2% nonzero on
-    the two-sided jet of Q[S3]), so the work is one outer product per
-    inner index over the nonzero rows of a and nonzero columns of b.
+    Every exact product over Q is a Python-level operation, and relation
+    bases and the images of tensor actions are mostly zero (under 2%
+    nonzero on the two-sided jet of Q[S3]), so the work is one outer
+    product per inner index over the nonzero rows of a and nonzero
+    columns of b.  Fixed-width arrays take the kernel's dense product.
     """
+    if field.dtype is not object:
+        return field.dot(a, b)
     out = np.zeros((a.shape[0], b.shape[1]), dtype=object)
     nz_a = a != 0
     nz_b = b != 0
@@ -720,10 +877,6 @@ def joint_kernel(operators: Sequence[Matrix]) -> Subspace:
             raise DimensionMismatch("operators disagree on source dimension")
         if current.is_zero():
             return current
-        restricted = Matrix._raw(field, field.reduce_array(np.dot(op.a, current.basis.a.T)))
-        coeffs = kernel(restricted)
-        vecs = [
-            field.reduce_array(np.dot(w, current.basis.a)) for w in coeffs.basis.a
-        ]
-        current = Subspace.from_spanning(field, n, vecs)
+        coeffs = kernel(Matrix._raw(field, field.dot(op.a, current.basis.a.T)))
+        current = Subspace.from_spanning(field, n, field.dot(coeffs.basis.a, current.basis.a))
     return current

@@ -175,9 +175,7 @@ class HomSpace:
         return phi.a.ravel(order="F").copy()
 
     def unvec(self, v: np.ndarray) -> Matrix:
-        a = np.asarray(v, dtype=object).reshape(
-            (self.target.dim, self.source.dim), order="F"
-        )
+        a = self.field.asarray(v).reshape((self.target.dim, self.source.dim), order="F")
         return Matrix._raw(self.field, a.copy())
 
     def _ip(self) -> Matrix:
@@ -283,12 +281,13 @@ class LegAction:
         """rows @ self.dense.T for a stack of row vectors."""
         if rows.shape[1] != self.dim:
             raise DimensionMismatch(f"{self.shape} applied to rows of length {rows.shape[1]}")
-        legs = rows.reshape((rows.shape[0],) + self.dims)
+        field = self.field
+        legs = field.asarray(rows).reshape((rows.shape[0],) + self.dims)
         out = None
         for axis, m in self.terms:
-            moved = np.moveaxis(np.tensordot(legs, m.a, axes=([axis + 1], [1])), -1, axis + 1)
+            moved = np.moveaxis(field.tensordot(legs, m.a, ([axis + 1], [1])), -1, axis + 1)
             out = moved if out is None else out + moved
-        return self.field.reduce_array(out.reshape(rows.shape[0], self.dim))
+        return field.reduce_array(out.reshape(rows.shape[0], self.dim))
 
     @cached_property
     def dense(self) -> Matrix:
@@ -359,7 +358,7 @@ class TensorOneSided:
             raise DimensionMismatch("left-linear maps need both modules over one algebra")
         n, m, d = self.algebra.dim, self.module.dim, target.dim
         lefts = np.stack([L.a for L in target.left])  # [i, q, q0]
-        lifts = np.full((m, d, n, m, d), self.field.zero, dtype=object)
+        lifts = np.zeros((m, d, n, m, d), dtype=self.field.dtype)
         for u in range(m):
             lifts[u, :, :, u, :] = lefts.transpose(2, 0, 1)  # lift of E_(q0, u)
         return Subspace.from_spanning(self.field, self.dim * d, lifts.reshape(m * d, -1))

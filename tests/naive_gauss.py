@@ -88,3 +88,53 @@ def naive_in_span(vectors, target):
     """Is target in the span of vectors?  Rank comparison, no library calls."""
     base = [list(v) for v in vectors]
     return naive_span_dim(base) == naive_span_dim(base + [list(target)])
+
+
+def naive_rref_mod(rows, p):
+    """Reduced row echelon form over F_p of a list-of-lists integer matrix.
+
+    Same textbook elimination as naive_rref, on plain ints reduced mod p,
+    with inverses by Fermat's little theorem.  Returns (rref, pivots).
+    """
+    m = [[x % p for x in row] for row in rows]
+    if not m:
+        return [], []
+    nrows, ncols = len(m), len(m[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        piv = None
+        for i in range(r, nrows):
+            if m[i][c] != 0:
+                piv = i
+                break
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = pow(m[r][c], p - 2, p)
+        m[r] = [x * inv % p for x in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+def naive_kernel_basis_mod(rows, p):
+    """Basis of {v : M v = 0 mod p}, one vector per free column of the RREF."""
+    ncols = len(rows[0])
+    red, pivots = naive_rref_mod(rows, p)
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [0] * ncols
+        v[f] = 1
+        for j, c in enumerate(pivots):
+            v[c] = -red[j][f] % p
+        basis.append(v)
+    return basis

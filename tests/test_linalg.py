@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ncjets import linalg
 from ncjets.linalg import (
     GF,
     QQ,
@@ -215,6 +216,46 @@ def test_subspace_canonical_equality():
     a = Subspace.from_spanning(QQ, 2, [vector(QQ, [2, 2]), vector(QQ, [1, 1])])
     b = Subspace.from_spanning(QQ, 2, [vector(QQ, [-3, -3])])
     assert a == b
+
+
+def test_intersection_eliminates_reduced_entries_over_prime_field(monkeypatch):
+    # the stack [U^T | -V^T] must reach rref with entries in [0, p), not -1
+    field = GF(7)
+    u = Subspace.from_spanning(field, 2, [vector(field, [1, 0])])
+    v = Subspace.full(field, 2)
+    seen = []
+
+    def recording_rref(m):
+        res = rref(m)
+        seen.append((m, res))
+        return res
+
+    monkeypatch.setattr(linalg, "rref", recording_rref)
+    w = u & v
+    monkeypatch.undo()
+    assert w == u
+    assert seen
+    for m, res in seen:
+        for arr in (m.a, res.matrix.a):
+            assert all(0 <= x < 7 for x in arr.flat)
+    stack = seen[0][1].matrix
+    assert stack == Matrix(field, [[1, 6, 0], [0, 0, 1]])
+
+
+def test_prime_field_arrays_are_reduced_int64():
+    field = GF(7)
+    m = Matrix._raw(field, np.array([[-1, 9], [14, 3]], dtype=object))
+    assert m.a.dtype == np.int64 and m.a.tolist() == [[6, 2], [0, 3]]
+    assert (m @ m).a.dtype == np.int64
+    assert Matrix(field, [[-1, 8]]).a.tolist() == [[6, 1]]
+    assert vector(field, [-2, 3]).tolist() == [5, 3]
+    assert Matrix(QQ, [[1, F(1, 2)]]).a.dtype == object
+    with pytest.raises(ScalarFormatError):
+        field.asarray(np.array([0.5]))
+    # scalars from outside reach the kernel as object arrays: Fractions invert, floats are refused
+    assert field.asarray(np.array([F(1, 2), 2**70, -1], dtype=object)).tolist() == [4, 2**70 % 7, 6]
+    with pytest.raises(ScalarFormatError):
+        field.asarray(np.array([1, 0.5], dtype=object))
 
 
 @settings(max_examples=40, deadline=None)
