@@ -7,6 +7,7 @@ expectation failed, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -467,10 +468,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser() once per process; parse_args leaves the parser unchanged."""
+    return build_parser()
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return OK if exc.code in (0, None) else FAIL_VALIDATION
     try:

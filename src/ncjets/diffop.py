@@ -66,7 +66,7 @@ class Filtration:
         return all(a <= b for a, b in zip(self.stages, self.stages[1:]))
 
 
-def _span_family(ops: Sequence[Matrix], seed: Subspace) -> Subspace:
+def _span_family(ops: Sequence, seed: Subspace) -> Subspace:
     """span{op v : v in seed}; closed already since each family composes to itself."""
     if seed.is_zero():
         return seed
@@ -74,9 +74,9 @@ def _span_family(ops: Sequence[Matrix], seed: Subspace) -> Subspace:
     return Subspace.from_spanning(seed.field, seed.ambient_dim, np.vstack(blocks))
 
 
-def _zero_order(acts: Sequence[Matrix], devs: Sequence[Matrix]) -> Subspace:
+def _zero_order(acts: Sequence, devs: Sequence) -> Subspace:
     """span{b w : dev w = 0 for every dev}, b running over acts."""
-    return _span_family(acts, joint_kernel(list(devs)))
+    return _span_family(acts, joint_kernel(devs))
 
 
 def _zero_orders(hs: HomSpace) -> tuple[Subspace, Subspace]:
@@ -84,12 +84,12 @@ def _zero_orders(hs: HomSpace) -> tuple[Subspace, Subspace]:
     return _zero_order(hs.left, hs.deltas), _zero_order(hs.right, hs.delta_bars)
 
 
-def _sum_step(acts: Sequence[Matrix], devs: Sequence[Matrix], prev: Subspace) -> Subspace:
+def _sum_step(acts: Sequence, devs: Sequence, prev: Subspace) -> Subspace:
     """span{b w : dev w in prev for every dev} + prev, the sum-form stage after prev."""
     return _span_family(acts, preimage(devs, prev)) + prev
 
 
-def _sum_form(acts: Sequence[Matrix], devs: Sequence[Matrix], r: int) -> tuple[Subspace, ...]:
+def _sum_form(acts: Sequence, devs: Sequence, r: int) -> tuple[Subspace, ...]:
     stages = [_zero_order(acts, devs)]
     for _ in range(r):
         stages.append(_sum_step(acts, devs, stages[-1]))
@@ -122,16 +122,16 @@ def diff_commutative(
     hs = HomSpace(P, Q)
     deltas = hs.deltas
     if mode == "inductive":
-        stages = [joint_kernel(list(deltas))]
+        stages = [joint_kernel(deltas)]
         for _ in range(r):
             stages.append(preimage(deltas, stages[-1]))
     else:
         # the (k+1)-words w . delta_i have row space R_k . delta_i, so
-        # R_{k+1} = span{R_k delta_i} and stage[k] = ker R_k
-        field = hs.field
-        words = Subspace.from_spanning(field, hs.dim, np.vstack([d.a for d in deltas]))
-        stages = [kernel(words.basis)]
+        # R_{k+1} = span{R_k delta_i} and stage[k] = ker R_k; R_0 is the
+        # span of the rows of every delta_i, the image of the full space
         transposed = [d.T for d in deltas]
+        words = _span_family(transposed, hs.full_subspace())
+        stages = [kernel(words.basis)]
         for _ in range(r):
             words = _span_family(transposed, words)
             stages.append(kernel(words.basis))
@@ -162,7 +162,7 @@ def diff_left(
     if mode == "sum":
         return Filtration(hs, "left-sum", _sum_form(hs.left, deltas, r))
     left_pair = list(hs.left) + list(hs.bullet_left)
-    stages = [closure_under(left_pair, joint_kernel(list(deltas)))]
+    stages = [closure_under(left_pair, joint_kernel(deltas))]
     for _ in range(r):
         lift = preimage(deltas, stages[-1])
         stages.append(closure_under(left_pair, lift))
@@ -216,12 +216,15 @@ def two_sided_zero_order_membership(P: BimoduleRep, Q: BimoduleRep, phi: Matrix)
 
 
 def diff_bar1(P: BimoduleRep, Q: BimoduleRep) -> Subspace:
-    """Two-sided first-order operators killed by every delta_bar_c . delta_b."""
+    """Two-sided first-order operators killed by every delta_bar_c . delta_b.
+
+    Those are the phi whose every delta_b phi lies in the joint delta_bar
+    kernel, a preimage, so no composed operator is formed.
+    """
     require_central(P, Q)
     hs = HomSpace(P, Q)
     t1 = diff_two_sided(P, Q, 1).stages[1]
-    mixed = [db @ d for db in hs.delta_bars for d in hs.deltas]
-    return t1 & joint_kernel(mixed)
+    return t1 & preimage(hs.deltas, joint_kernel(hs.delta_bars))
 
 
 # ---------------------------------------------------------------------------

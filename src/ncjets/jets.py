@@ -334,8 +334,9 @@ def factorize(
 def _check_left_linear(t: TensorOneSided, Q: BimoduleRep, f: Matrix):
     if f.shape != (Q.dim, t.dim):
         raise NotLeftLinearError(f"f must be {Q.dim} x {t.dim}, got {f.shape}")
-    for i, (lo, lq) in enumerate(zip(t.outer, Q.left)):
-        if f @ lo != lq @ f:
+    for i, (lo, lq) in enumerate(zip(t.outer_actions, Q.left)):
+        # row q of f . outer(b) is the transposed action applied to row q of f
+        if Matrix._raw(t.field, lo.T.rows_apply(f.a)) != lq @ f:
             raise NotLeftLinearError(f"f is not left-linear against basis element {i}")
 
 
@@ -364,18 +365,18 @@ def factorization_residual(
     _check_left_linear(t, Q, f)
     hs = HomSpace(P, Q)
     field = t.field
-    v = hs.vec(f @ t.embedding)
+    v = hs.vec(f @ t.embedding).reshape(1, -1)
     p = field.asarray(p)
-    w = t.embedding.apply(p)
+    w = t.embedding.apply(p).reshape(1, -1)
     for b in reversed(list(b_tuple)):
         if isinstance(b, int):
-            dv, dw = hs.deltas[b], t.deltas[b]
+            dv, dw = hs.deltas[b], t.delta_actions[b]
         else:
             dv, dw = hs.delta(b), t.delta(b)
-        v = dv.apply(v)
-        w = dw.apply(w)
-    lhs = hs.unvec(v).apply(p)
-    return field.reduce_array(lhs - f.apply(w))
+        v = dv.rows_apply(v)
+        w = dw.rows_apply(w)
+    lhs = hs.unvec(v[0]).apply(p)
+    return field.reduce_array(lhs - f.apply(w[0]))
 
 
 @dataclass(frozen=True)

@@ -514,11 +514,6 @@ class Matrix:
         return f"Matrix({self.field!r}, {self.to_lists()!r})"
 
 
-def vstack(mats: Sequence[Matrix]) -> Matrix:
-    field = mats[0].field
-    return Matrix._raw(field, np.vstack([m.a for m in mats]))
-
-
 def hstack(mats: Sequence[Matrix]) -> Matrix:
     field = mats[0].field
     return Matrix._raw(field, np.hstack([m.a for m in mats]))
@@ -850,33 +845,46 @@ def closure_under(operators: Sequence, seed: Subspace) -> Subspace:
     return current
 
 
-def preimage(operators: Sequence[Matrix], target: Subspace) -> Subspace:
+def preimage(operators: Sequence, target: Subspace) -> Subspace:
     """{v : op v in target for every op}, a subspace of the operators' common source."""
-    if not operators:
-        raise ValueError("preimage needs at least one operator")
     for op in operators:
-        if op.rows != target.ambient_dim:
+        if op.shape[0] != target.ambient_dim:
             raise DimensionMismatch(
-                f"operator maps into dim {op.rows}, target ambient {target.ambient_dim}"
+                f"operator maps into dim {op.shape[0]}, target ambient {target.ambient_dim}"
             )
-    if target.is_full():
-        return Subspace.full(target.field, operators[0].cols)
-    q = target.quotient().projection
-    return joint_kernel([q @ op for op in operators])
+    return _restrict(operators, target)
 
 
-def joint_kernel(operators: Sequence[Matrix]) -> Subspace:
+def joint_kernel(operators: Sequence) -> Subspace:
     """Intersection of the kernels of every operator (common source dim)."""
+    return _restrict(operators, None)
+
+
+def _restrict(operators: Sequence, target: Optional[Subspace]) -> Subspace:
+    """{v : op v in target for every op}, one operator at a time; None is the zero target.
+
+    Operators are anything with field, shape and rows_apply (a Matrix or a
+    modules.LegAction).  Each step applies op to the current basis rows and
+    reduces the images against target: the residual on target's free
+    columns is the image under its quotient projection, so no projection
+    is formed.  The combinations of basis rows whose residuals cancel stay.
+    """
     if not operators:
-        raise ValueError("joint_kernel needs at least one operator")
-    n = operators[0].cols
-    field = operators[0].field
+        raise ValueError("preimage and joint_kernel need at least one operator")
+    field, n = operators[0].field, operators[0].shape[1]
     current = Subspace.full(field, n)
+    if target is not None and target.is_full():
+        return current
     for op in operators:
-        if op.cols != n:
+        if op.shape[1] != n:
             raise DimensionMismatch("operators disagree on source dimension")
         if current.is_zero():
             return current
-        coeffs = kernel(Matrix._raw(field, field.dot(op.a, current.basis.a.T)))
-        current = Subspace.from_spanning(field, n, field.dot(coeffs.basis.a, current.basis.a))
+        resid = op.rows_apply(current.basis.a)  # row i: op applied to basis row i
+        if target is not None:
+            resid = target.residuals(resid)
+        resid = resid[:, resid.any(axis=0)]
+        if resid.size:
+            coeffs = kernel(Matrix._raw(field, resid.T))
+            current = Subspace.from_spanning(field, n, field.dot(coeffs.basis.a, current.basis.a))
     return current

@@ -3,9 +3,10 @@
 A bimodule is a pair of action-matrix families, one per algebra basis
 element.  Hom_K(P, Q) carries four module structures; its elements are
 (dim Q) x (dim P) matrices flattened column-major (entry (q, p) sits at
-index p * dimQ + q), and that flattening is part of the public contract:
-applying the kron-built action matrices to vec(phi) agrees with the
-matrix actions on phi.
+index p * dimQ + q), and that flattening is part of the public contract.
+It is the row-major layout of the tensor P* (x) Q, so every action on
+Hom and on the tensor ambients is a LegAction: one factor on one leg,
+applied to vec(phi) without forming the Kronecker product.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ class BimoduleRep:
         self.left = tuple(left)
         self.right = tuple(right)
         self._validate()
-        self.central = self._check_central()
+        self.central = self._centrality_witness() is None
         if check_central and not self.central:
             raise BimoduleValidationError(
                 "centrality",
@@ -110,9 +111,6 @@ class BimoduleRep:
         if self.right_action(A.unit) != ident:
             raise BimoduleValidationError("unit", "right", "unit must act as identity")
 
-    def _check_central(self) -> bool:
-        return self._centrality_witness() is None
-
     def _centrality_witness(self):
         for z in self.algebra.center.basis_vectors():
             if self.left_action(z) != self.right_action(z):
@@ -144,16 +142,81 @@ def require_central(*modules: BimoduleRep):
             )
 
 
+# ---------------------------------------------------------------------------
+# structured operators
+
+
+class LegAction:
+    """A sum of single-leg actions on a tensor ambient K^d0 (x) K^d1 (x) ...
+
+    Each term (axis, M) is the operator I (x) .. (x) M (x) .. (x) I with M
+    on leg `axis`; coordinates are row-major over the legs, the layout
+    Matrix.kron produces.  rows_apply contracts M against that leg alone,
+    O(rows * dim * d_axis) per term instead of the O(rows * dim^2) of the
+    dense matrix, which is built only when `dense` is asked for.
+    """
+
+    def __init__(self, field, dims: Sequence[int], terms: Sequence[tuple[int, Matrix]]):
+        self.field = field
+        self.dims = tuple(dims)
+        self.terms = tuple(terms)
+        for axis, m in self.terms:
+            if m.shape != (self.dims[axis], self.dims[axis]):
+                raise DimensionMismatch(f"{m.shape} factor on a leg of dim {self.dims[axis]}")
+        self.dim = math.prod(self.dims)
+        self.shape = (self.dim, self.dim)
+
+    def __sub__(self, other: "LegAction") -> "LegAction":
+        if self.dims != other.dims:
+            raise DimensionMismatch(f"leg dims {self.dims} - {other.dims}")
+        return LegAction(
+            self.field, self.dims, self.terms + tuple((axis, -m) for axis, m in other.terms)
+        )
+
+    @property
+    def T(self) -> "LegAction":
+        """The transpose, which transposes each factor on its own leg."""
+        return LegAction(self.field, self.dims, tuple((axis, m.T) for axis, m in self.terms))
+
+    def rows_apply(self, rows: np.ndarray) -> np.ndarray:
+        """rows @ self.dense.T for a stack of row vectors."""
+        if rows.shape[1] != self.dim:
+            raise DimensionMismatch(f"{self.shape} applied to rows of length {rows.shape[1]}")
+        field = self.field
+        legs = field.asarray(rows).reshape((rows.shape[0],) + self.dims)
+        out = None
+        for axis, m in self.terms:
+            moved = np.moveaxis(field.tensordot(legs, m.a, ([axis + 1], [1])), -1, axis + 1)
+            out = moved if out is None else out + moved
+        return field.reduce_array(out.reshape(rows.shape[0], self.dim))
+
+    @cached_property
+    def dense(self) -> Matrix:
+        """The same operator as a dense matrix, by kron with identities."""
+        out = None
+        for axis, m in self.terms:
+            before = Matrix.identity(self.field, math.prod(self.dims[:axis]))
+            after = Matrix.identity(self.field, math.prod(self.dims[axis + 1 :]))
+            term = before.kron(m).kron(after)
+            out = term if out is None else out + term
+        return out
+
+
+def _leg_family(field, legs, axis: int, mats: Sequence[Matrix]) -> tuple[LegAction, ...]:
+    return tuple(LegAction(field, legs, ((axis, M),)) for M in mats)
+
+
 class HomSpace:
     """Hom_K(P, Q) with its four module structures and deviation operators.
 
     Elements are (dim Q) x (dim P) matrices; vec/unvec translate to the
-    flat column-major coordinates all subspaces below live in.  Per
-    algebra basis element a the structures are
-       left:          (a phi)(p)  = a phi(p)
-       bullet_left:   (phi . a)(p) = phi(a p)
-       right:         (phi a)(p)  = phi(p) a
-       bullet_right:  (a . phi)(p) = phi(p a)
+    flat column-major coordinates all subspaces below live in, which are
+    the legs (dim P, dim Q) of P* (x) Q.  Per algebra basis element a the
+    structures are LegActions
+       left:          (a phi)(p)  = a phi(p)     L_a on the Q leg
+       bullet_left:   (phi . a)(p) = phi(a p)    L_a^T on the P leg
+       right:         (phi a)(p)  = phi(p) a     R_a on the Q leg
+       bullet_right:  (a . phi)(p) = phi(p a)    R_a^T on the P leg
     and the deviations are delta_a = left - bullet_left,
     delta_bar_a = right - bullet_right.
     """
@@ -166,6 +229,7 @@ class HomSpace:
         self.algebra = source.algebra
         self.field = source.algebra.field
         self.dim = source.dim * target.dim
+        self.legs = (source.dim, target.dim)
 
     def vec(self, phi: Matrix) -> np.ndarray:
         if phi.shape != (self.target.dim, self.source.dim):
@@ -178,42 +242,40 @@ class HomSpace:
         a = self.field.asarray(v).reshape((self.target.dim, self.source.dim), order="F")
         return Matrix._raw(self.field, a.copy())
 
-    def _ip(self) -> Matrix:
-        return Matrix.identity(self.field, self.source.dim)
-
-    def _iq(self) -> Matrix:
-        return Matrix.identity(self.field, self.target.dim)
+    @cached_property
+    def left(self) -> tuple[LegAction, ...]:
+        return _leg_family(self.field, self.legs, 1, self.target.left)
 
     @cached_property
-    def left(self) -> tuple[Matrix, ...]:
-        return tuple(self._ip().kron(m) for m in self.target.left)
+    def bullet_left(self) -> tuple[LegAction, ...]:
+        return _leg_family(self.field, self.legs, 0, [m.T for m in self.source.left])
 
     @cached_property
-    def bullet_left(self) -> tuple[Matrix, ...]:
-        return tuple(m.T.kron(self._iq()) for m in self.source.left)
+    def right(self) -> tuple[LegAction, ...]:
+        return _leg_family(self.field, self.legs, 1, self.target.right)
 
     @cached_property
-    def right(self) -> tuple[Matrix, ...]:
-        return tuple(self._ip().kron(m) for m in self.target.right)
+    def bullet_right(self) -> tuple[LegAction, ...]:
+        return _leg_family(self.field, self.legs, 0, [m.T for m in self.source.right])
 
     @cached_property
-    def bullet_right(self) -> tuple[Matrix, ...]:
-        return tuple(m.T.kron(self._iq()) for m in self.source.right)
-
-    @cached_property
-    def deltas(self) -> tuple[Matrix, ...]:
+    def deltas(self) -> tuple[LegAction, ...]:
         return tuple(l - b for l, b in zip(self.left, self.bullet_left))
 
     @cached_property
-    def delta_bars(self) -> tuple[Matrix, ...]:
+    def delta_bars(self) -> tuple[LegAction, ...]:
         return tuple(r - b for r, b in zip(self.right, self.bullet_right))
 
-    def delta(self, coords) -> Matrix:
+    def delta(self, coords) -> LegAction:
         """delta_a for a general algebra element (linear in a)."""
-        return _combo(self.deltas, coords)
+        return self._deviation(self.target.left_action(coords), self.source.left_action(coords))
 
-    def delta_bar(self, coords) -> Matrix:
-        return _combo(self.delta_bars, coords)
+    def delta_bar(self, coords) -> LegAction:
+        return self._deviation(self.target.right_action(coords), self.source.right_action(coords))
+
+    def _deviation(self, on_values: Matrix, on_arguments: Matrix) -> LegAction:
+        """phi -> on_values phi - phi on_arguments: the Q leg minus the transposed P leg."""
+        return LegAction(self.field, self.legs, ((1, on_values), (0, -on_arguments.T)))
 
     def identity_element(self) -> Matrix:
         if self.source.dim != self.target.dim:
@@ -250,74 +312,13 @@ def hom_AA(source: BimoduleRep, target: BimoduleRep) -> Subspace:
 # tensor ambients
 
 
-class LegAction:
-    """A sum of single-leg actions on a tensor ambient K^d0 (x) K^d1 (x) ...
-
-    Each term (axis, M) is the operator I (x) .. (x) M (x) .. (x) I with M
-    on leg `axis`; coordinates are row-major over the legs, the layout
-    Matrix.kron produces.  rows_apply contracts M against that leg alone,
-    O(rows * dim * d_axis) per term instead of the O(rows * dim^2) of the
-    dense matrix, which is built only when `dense` is asked for.
-    """
-
-    def __init__(self, field, dims: Sequence[int], terms: Sequence[tuple[int, Matrix]]):
-        self.field = field
-        self.dims = tuple(dims)
-        self.terms = tuple(terms)
-        for axis, m in self.terms:
-            if m.shape != (self.dims[axis], self.dims[axis]):
-                raise DimensionMismatch(f"{m.shape} factor on a leg of dim {self.dims[axis]}")
-        self.dim = math.prod(self.dims)
-        self.shape = (self.dim, self.dim)
-
-    def __sub__(self, other: "LegAction") -> "LegAction":
-        if self.dims != other.dims:
-            raise DimensionMismatch(f"leg dims {self.dims} - {other.dims}")
-        return LegAction(
-            self.field, self.dims, self.terms + tuple((axis, -m) for axis, m in other.terms)
-        )
-
-    def rows_apply(self, rows: np.ndarray) -> np.ndarray:
-        """rows @ self.dense.T for a stack of row vectors."""
-        if rows.shape[1] != self.dim:
-            raise DimensionMismatch(f"{self.shape} applied to rows of length {rows.shape[1]}")
-        field = self.field
-        legs = field.asarray(rows).reshape((rows.shape[0],) + self.dims)
-        out = None
-        for axis, m in self.terms:
-            moved = np.moveaxis(field.tensordot(legs, m.a, ([axis + 1], [1])), -1, axis + 1)
-            out = moved if out is None else out + moved
-        return field.reduce_array(out.reshape(rows.shape[0], self.dim))
-
-    @cached_property
-    def dense(self) -> Matrix:
-        """The same operator as a dense matrix, by kron with identities."""
-        out = None
-        for axis, m in self.terms:
-            before = Matrix.identity(self.field, math.prod(self.dims[:axis]))
-            after = Matrix.identity(self.field, math.prod(self.dims[axis + 1 :]))
-            term = before.kron(m).kron(after)
-            out = term if out is None else out + term
-        return out
-
-
-def _leg_family(field, legs, axis: int, mats: Sequence[Matrix]) -> tuple[LegAction, ...]:
-    return tuple(LegAction(field, legs, ((axis, M),)) for M in mats)
-
-
-def _dense_family(name: str) -> cached_property:
-    """Lazy tuple of the dense matrices of the LegAction family held in attribute `name`."""
-    return cached_property(lambda self: tuple(a.dense for a in getattr(self, name)))
-
-
 class TensorOneSided:
     """A tensor P over K, with coordinates flat at (i, u) -> i * dimP + u.
 
     Carries the outer structure b (a tensor p) = (b a) tensor p, the inner
     one b . (a tensor p) = a tensor (b p), and their deviation
-    delta^b = outer(b) - inner(b), as LegActions (the *_actions
-    families); outer and deltas are the outer and deviation operators as
-    dense matrices, built on first use.
+    delta^b = outer(b) - inner(b), as LegAction families on the legs
+    (dim A, dim P).
     """
 
     def __init__(self, module: BimoduleRep):
@@ -325,15 +326,12 @@ class TensorOneSided:
         self.algebra = module.algebra
         self.field = module.algebra.field
         self.dim = self.algebra.dim * module.dim
-        legs = (self.algebra.dim, module.dim)
-        self.outer_actions = _leg_family(self.field, legs, 0, self.algebra.left_ops)
-        self.inner_actions = _leg_family(self.field, legs, 1, module.left)
+        self.legs = (self.algebra.dim, module.dim)
+        self.outer_actions = _leg_family(self.field, self.legs, 0, self.algebra.left_ops)
+        self.inner_actions = _leg_family(self.field, self.legs, 1, module.left)
         self.delta_actions = tuple(
             o - i for o, i in zip(self.outer_actions, self.inner_actions)
         )
-
-    outer = _dense_family("outer_actions")
-    deltas = _dense_family("delta_actions")
 
     @cached_property
     def embedding(self) -> Matrix:
@@ -341,8 +339,10 @@ class TensorOneSided:
         unit_col = Matrix._raw(self.field, self.algebra.unit.reshape(-1, 1))
         return unit_col.kron(Matrix.identity(self.field, self.module.dim))
 
-    def delta(self, coords) -> Matrix:
-        return _combo(self.deltas, coords)
+    def delta(self, coords) -> LegAction:
+        """delta^b for a general algebra element (linear in b)."""
+        outer, inner = _combo(self.algebra.left_ops, coords), self.module.left_action(coords)
+        return LegAction(self.field, self.legs, ((0, outer), (1, -inner)))
 
     def left_linear_maps(self, target: BimoduleRep) -> Subspace:
         """Maps f : A tensor P -> target with f(b x) = b f(x) for the outer action.
@@ -350,9 +350,9 @@ class TensorOneSided:
         A tensor P is free on its P-leg, so f is fixed by phi = f . J
         through f(e_i tensor p) = L_i phi(p), and every phi occurs: the
         lifts of the matrix units of Hom(P, target) span the space.  The
-        result lives in hom_left_linear's column-major coordinates
-        (entry (q, (i, u)) at index (i * dimP + u) * dimQ + q) and equals
-        hom_left_linear(self.outer, target.left, field).
+        result lives in the column-major Hom coordinates of maps
+        A tensor P -> target (entry (q, (i, u)) at index
+        (i * dimP + u) * dimQ + q).
         """
         if target.algebra is not self.algebra:
             raise DimensionMismatch("left-linear maps need both modules over one algebra")
@@ -367,9 +367,8 @@ class TensorOneSided:
 class TensorTwoSided:
     """A tensor P tensor A, coordinates flat at (i, u, j) -> (i*dimP + u)*dimA + j.
 
-    The structured families are the *_actions LegActions; deltas and
-    delta_bars are the deviation operators as dense matrices, built on
-    first use.
+    The outer and inner actions on each side, and the deviations delta^b
+    and delta_bar^b, are LegAction families on the legs (dim A, dim P, dim A).
     """
 
     def __init__(self, module: BimoduleRep):
@@ -378,7 +377,7 @@ class TensorTwoSided:
         self.field = module.algebra.field
         n, m = self.algebra.dim, module.dim
         self.dim = n * m * n
-        legs = (n, m, n)
+        self.legs = legs = (n, m, n)
         self.outer_left_actions = _leg_family(self.field, legs, 0, self.algebra.left_ops)
         self.inner_left_actions = _leg_family(self.field, legs, 1, module.left)
         self.outer_right_actions = _leg_family(self.field, legs, 2, self.algebra.right_ops)
@@ -390,35 +389,16 @@ class TensorTwoSided:
             o - i for o, i in zip(self.outer_right_actions, self.inner_right_actions)
         )
 
-    deltas = _dense_family("delta_actions")
-    delta_bars = _dense_family("delta_bar_actions")
-
     @cached_property
     def embedding(self) -> Matrix:
         """p -> 1 tensor p tensor 1."""
         unit_col = Matrix._raw(self.field, self.algebra.unit.reshape(-1, 1))
         return unit_col.kron(Matrix.identity(self.field, self.module.dim).kron(unit_col))
 
-    def delta(self, coords) -> Matrix:
-        return _combo(self.deltas, coords)
+    def delta(self, coords) -> LegAction:
+        outer, inner = _combo(self.algebra.left_ops, coords), self.module.left_action(coords)
+        return LegAction(self.field, self.legs, ((0, outer), (1, -inner)))
 
-    def delta_bar(self, coords) -> Matrix:
-        return _combo(self.delta_bars, coords)
-
-
-def hom_left_linear(
-    left_source: Sequence[Matrix], left_target: Sequence[Matrix], field
-) -> Subspace:
-    """Maps f with f(b v) = b f(v) between spaces with given left actions.
-
-    Works on any pair of action families of matching length; the result
-    lives in the column-major Hom coordinates (source dim x target dim).
-    """
-    sdim = left_source[0].rows
-    tdim = left_target[0].rows
-    it = Matrix.identity(field, tdim)
-    isrc = Matrix.identity(field, sdim)
-    conds = [
-        ls.T.kron(it) - isrc.kron(lt) for ls, lt in zip(left_source, left_target)
-    ]
-    return joint_kernel(conds)
+    def delta_bar(self, coords) -> LegAction:
+        outer, inner = _combo(self.algebra.right_ops, coords), self.module.right_action(coords)
+        return LegAction(self.field, self.legs, ((2, outer), (1, -inner)))

@@ -411,3 +411,49 @@ def two_sided_jet_dims(mul, rank=1):
             gens += [_sparse_apply(db, moved) for db in delta_bars]
     _, mu_dim = _span_closure(gens, [o for o, _ in left] + [o for o, _ in right])
     return mu_dim, amb - mu_dim
+
+
+# -- left-linear maps, from Kronecker-product conditions ---------------------
+
+
+def _identity(n):
+    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+def _transpose(a):
+    return [list(col) for col in zip(*a)]
+
+
+def _kron(a, b):
+    """Kronecker product: entry (i * rows_b + k, j * cols_b + l) is a[i][j] b[k][l]."""
+    return [[x * y for x in ra for y in rb] for ra in a for rb in b]
+
+
+def free_left_ops(mul, rank=1):
+    """x -> e_i x on A^rank with the diagonal action, I_rank (x) L_i."""
+    return [_kron(_identity(rank), _left_op(mul, i)) for i in range(_n(mul))]
+
+
+def tensor_outer_ops(mul, rank=1):
+    """(b a) tensor p on A tensor A^rank, flat at i * dim P + u: L_b (x) I_P."""
+    ident = _identity(rank * _n(mul))
+    return [_kron(_left_op(mul, b), ident) for b in range(_n(mul))]
+
+
+def hom_left_linear_conditions(left_source, left_target):
+    """Rows of f s_b - t_b f = 0 on vec(f), for every pair (s_b, t_b) of actions.
+
+    vec is column-major (entry (y, x) of f at x * dim target + y), so
+    vec(f s) = (s^T (x) I) vec(f) and vec(t f) = (I (x) t) vec(f).
+    """
+    rows = []
+    for s, t in zip(left_source, left_target):
+        on_arguments = _kron(_transpose(s), _identity(len(t)))
+        on_values = _kron(_identity(len(s)), t)
+        rows += [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(on_arguments, on_values)]
+    return rows
+
+
+def hom_left_linear(left_source, left_target):
+    """Basis of the maps f with f(b v) = b f(v), in column-major vec coordinates."""
+    return naive_kernel_basis(hom_left_linear_conditions(left_source, left_target))

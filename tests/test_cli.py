@@ -275,3 +275,28 @@ def test_output_file_matches_stdout(tmp_path, capsys):
     assert run(argv) == 0
     out, _ = out_of(capsys)
     assert path.read_text() == out
+
+
+def test_parser_is_built_once_and_keeps_no_state_between_runs(monkeypatch, capsys):
+    import ncjets.cli as cli
+
+    builds = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or real())
+    cli._parser.cache_clear()
+    represent = ["represent", "-a", "m2", "-p", "self", "-q", "self", "--order", "1"]
+    code, first, first_bytes = run_json(capsys, represent + ["--def", "left-sum"])
+    assert code == 0
+    # rejected argvs: a bad choice, a missing option, an unknown flag after --expect
+    assert run(represent + ["--def", "no-such-tag"]) == 1
+    assert run(["diff", "-a", "m2"]) == 1
+    assert run(represent + ["--def", "left-sum", "--expect", "iso", "--bogus"]) == 1
+    out_of(capsys)
+    # --expect from the rejected argv must not leak: the verdict alone decides the code
+    code, report, again = run_json(capsys, represent + ["--def", "left-sum"])
+    assert code == 0 and again == first_bytes
+    assert report["results"] == first["results"]
+    assert first["results"]["verdict"] == "injective-not-surjective"
+    assert run(represent + ["--def", "left-sum", "--expect", "iso"]) == 2
+    assert len(builds) == 1
+    cli._parser.cache_clear()

@@ -3,6 +3,7 @@ import pytest
 from ncjets.algebra import Algebra
 from ncjets.catalog import COMMUTATIVE_NAMES, builtin, names
 from ncjets.diffop import (
+    TAGS,
     DefinitionDomainError,
     compare_definitions,
     diff_bar1,
@@ -325,3 +326,21 @@ def test_opposite_algebra_swaps_left_sum_and_right(name, p, q):
         over_a = filtration_by_tag(P, Q, 2, tag).stages
         for k in range(3):
             assert over_op[k] == over_a[k], (tag_op, tag, k)
+
+
+# ---------------------------------------------------------------------------
+# direct sums
+
+
+@pytest.mark.parametrize("name", names())
+def test_direct_sum_multiplies_every_stage_dim_by_four(name):
+    # Hom(P + P, Q + Q) is four copies of Hom(P, Q), and every action is diagonal on them
+    e = builtin(name)
+    small, big = (e.module("self"),) * 2, (e.module("free2"),) * 2
+    commutative = e.algebra.is_commutative
+    for tag in TAGS[:-1]:
+        if tag.startswith("comm-") and not commutative:
+            continue
+        dims = filtration_by_tag(*small, 2, tag).dims
+        assert filtration_by_tag(*big, 2, tag).dims == [4 * d for d in dims], tag
+    assert diff_bar1(*big).dim == 4 * diff_bar1(*small).dim

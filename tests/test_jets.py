@@ -333,3 +333,12 @@ def test_residual_rejects_non_left_linear_maps():
     bad = Matrix._raw(QQ, a)
     with pytest.raises(NotLeftLinearError):
         factorization_residual(P, Q, bad, [0, 0], unit_vector(QQ, 4, 0))
+
+
+@pytest.mark.parametrize("name", names())
+def test_direct_sum_doubles_first_jet_dims(name):
+    # the jet of P + P is the direct sum of two jets of P, one- and two-sided
+    e = builtin(name)
+    small, big = e.module("self"), e.module("free2")
+    assert jet_module(big, 1).dim == 2 * jet_module(small, 1).dim
+    assert two_sided_jet1(big).dim == 2 * two_sided_jet1(small).dim

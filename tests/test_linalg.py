@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ncjets import linalg
@@ -405,6 +405,45 @@ def test_residuals_match_single_vector_reduction(field, basis_rows, rows):
         assert list(got) == list(ref)
         assert sub.contains(v) == (not any(x != 0 for x in ref))
     assert sub.contains_all(stack) == all(not any(x != 0 for x in ref) for ref in refs)
+
+
+@st.composite
+def leg_families(draw):
+    """A family of LegActions on one ambient, and a target subspace strictly inside it."""
+    field = draw(st.sampled_from([QQ, GF(7), GF(101)]))
+    dims = draw(st.sampled_from([(4,), (2, 2), (2, 3), (3, 2), (2, 1, 2), (3, 3)]))
+    n = int(np.prod(dims))
+    entry = st.sampled_from([0, 0, 0, 1, -1, 2])
+
+    def leg():
+        axis = draw(st.integers(0, len(dims) - 1))
+        d = dims[axis]
+        rows = draw(st.lists(st.lists(entry, min_size=d, max_size=d), min_size=d, max_size=d))
+        return LegAction(field, dims, ((axis, Matrix(field, rows)),))
+
+    makers = [leg, lambda: leg() - leg()]
+    ops = [draw(st.sampled_from(makers))() for _ in range(draw(st.integers(1, 3)))]
+    target_rows = draw(
+        st.lists(st.lists(entry, min_size=n, max_size=n), min_size=1, max_size=n - 1)
+    )
+    target = Subspace.from_spanning(field, n, [vector(field, r) for r in target_rows])
+    assume(not target.is_zero())
+    return ops, target
+
+
+@settings(max_examples=80, deadline=None)
+@given(leg_families())
+def test_leg_action_kernels_and_preimages_match_dense(case):
+    ops, target = case
+    dense = [op.dense for op in ops]
+    assert joint_kernel(ops) == joint_kernel(dense)
+    pre = preimage(ops, target)
+    assert pre == preimage(dense, target)
+    # the projection formula the residual reduction replaces
+    q = target.quotient().projection
+    assert pre == joint_kernel([q @ d for d in dense])
+    for d in dense:
+        assert target.contains_all(d.rows_apply(pre.basis.a))
 
 
 def test_preimage_cases():

@@ -16,11 +16,18 @@ from ncjets.modules import (
     TensorTwoSided,
     hom_A,
     hom_AA,
-    hom_left_linear,
     require_central,
 )
 
-from oracle_systems import hom_A_dim, hom_AA_dim
+from naive_gauss import naive_nullity
+from oracle_systems import (
+    free_left_ops,
+    hom_A_dim,
+    hom_AA_dim,
+    hom_left_linear,
+    hom_left_linear_conditions,
+    tensor_outer_ops,
+)
 
 F = Fraction
 
@@ -75,8 +82,8 @@ def test_delta_of_unit_vanishes():
     for name in ("dual_numbers", "m2"):
         e = entry(name)
         hs = HomSpace(e.module("self"), e.module("self"))
-        assert hs.delta(e.algebra.unit).is_zero()
-        assert hs.delta_bar(e.algebra.unit).is_zero()
+        assert hs.delta(e.algebra.unit).dense.is_zero()
+        assert hs.delta_bar(e.algebra.unit).dense.is_zero()
 
 
 def test_linear_map_killed_by_delta_over_commutative_algebra():
@@ -86,7 +93,7 @@ def test_linear_map_killed_by_delta_over_commutative_algebra():
     phi = a.left_ops[1]  # multiplication by eps is A-linear
     v = hs.vec(phi)
     for d in hs.deltas:
-        assert all(x == 0 for x in d.apply(v))
+        assert all(x == 0 for x in d.dense.apply(v))
 
 
 def test_m2_transpose_delta_value():
@@ -95,7 +102,7 @@ def test_m2_transpose_delta_value():
     # transpose swaps e12 and e21 in coordinates
     transpose = Matrix(QQ, [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
     d = hs.delta(vector(QQ, [0, 1, 0, 0]))  # a = e12
-    moved = hs.unvec(d.apply(hs.vec(transpose)))
+    moved = hs.unvec(d.dense.apply(hs.vec(transpose)))
     out = moved.apply(unit_vector(QQ, 4, 2))  # evaluate at e21
     assert out.tolist() == [-1, 0, 0, 0]  # -e11
 
@@ -106,21 +113,23 @@ def test_delta_delta_bar_commute_on_all_catalog_hom_spaces():
         hs = HomSpace(e.module("self"), e.module("self"))
         for da in hs.deltas:
             for db in hs.delta_bars:
-                assert da @ db == db @ da
+                assert da.dense @ db.dense == db.dense @ da.dense
 
 
 def test_four_structures_are_module_actions():
     e = entry("t2")
     a = e.algebra
     hs = HomSpace(e.module("self"), e.module("self"))
+    left = [op.dense for op in hs.left]
+    bullet_left = [op.dense for op in hs.bullet_left]
     for i in range(a.dim):
         for j in range(a.dim):
             prod = a.mul[i, j]
-            left_ij = hs.left[i] @ hs.left[j]
-            assert left_ij == _combo(hs.left, prod)
+            left_ij = left[i] @ left[j]
+            assert left_ij == _combo(left, prod)
             # bullet-left is contravariant: (phi . a) . b = phi . (a b)
-            bl = hs.bullet_left[j] @ hs.bullet_left[i]
-            assert bl == _combo(hs.bullet_left, prod)
+            bl = bullet_left[j] @ bullet_left[i]
+            assert bl == _combo(bullet_left, prod)
 
 
 def _combo(mats, coeffs):
@@ -168,14 +177,14 @@ def test_tensor_one_sided_dims_and_unit_delta():
         e = entry(name)
         t = TensorOneSided(e.module("free2"))
         assert t.dim == e.algebra.dim * 2 * e.algebra.dim
-        assert t.delta(e.algebra.unit).is_zero()
+        assert t.delta(e.algebra.unit).dense.is_zero()
 
 
 def test_dual_numbers_double_delta_generator():
     e = entry("dual_numbers")
     t = TensorOneSided(e.module("self"))
     one_tensor_one = unit_vector(QQ, 4, 0)  # flat (i, u) = i * 2 + u
-    d_eps = t.deltas[1]
+    d_eps = t.delta_actions[1].dense
     out = d_eps.apply(d_eps.apply(one_tensor_one))
     assert out.tolist() == [0, 0, 0, -2]  # -2 (eps tensor eps)
 
@@ -186,10 +195,10 @@ def test_tensor_two_sided_dims_and_commutation():
         t = TensorTwoSided(e.module("self"))
         n = e.algebra.dim
         assert t.dim == n * n * n
-        assert t.delta_bar(e.algebra.unit).is_zero()
-        for d in t.deltas:
-            for db in t.delta_bars:
-                assert d @ db == db @ d
+        assert t.delta_bar(e.algebra.unit).dense.is_zero()
+        for d in t.delta_actions:
+            for db in t.delta_bar_actions:
+                assert d.dense @ db.dense == db.dense @ d.dense
 
 
 def test_tensor_embed_is_one_tensor_p():
@@ -207,16 +216,18 @@ def test_order_zero_tensor_compatibility():
         P = Q = e.module("self")
         t = TensorOneSided(P)
         hs = HomSpace(P, Q)
-        flin = hom_left_linear(t.outer, Q.left, QQ)
+        mul = raw_mul(e.algebra)
+        flin = hom_left_linear(tensor_outer_ops(mul), free_left_ops(mul))
+        assert flin
         emb = t.embedding
-        for fv in flin.basis_vectors():
+        for fv in flin:
             fmat = Matrix._raw(
                 QQ, np.asarray(fv, dtype=object).reshape((Q.dim, t.dim), order="F").copy()
             )
             phi = fmat @ emb
             for b in range(e.algebra.dim):
-                lhs = hs.unvec(hs.deltas[b].apply(hs.vec(phi)))
-                rhs = fmat @ (t.deltas[b] @ emb)
+                lhs = hs.unvec(hs.deltas[b].dense.apply(hs.vec(phi)))
+                rhs = fmat @ (t.delta_actions[b].dense @ emb)
                 assert lhs == rhs
 
 
@@ -224,11 +235,11 @@ def test_order_zero_tensor_compatibility():
 # structured leg actions against kron-built matrices
 
 
-def _module_over(field, name, kind):
-    """Catalog module rebuilt over another field from the raw structure constants."""
+def _modules_over(field, name):
+    """Catalog self and free2 modules rebuilt over another field, on one algebra."""
     a = builtin(name).algebra
     algebra = Algebra(field, a.basis_names, list(a.unit), raw_mul(a), name=a.name)
-    return BimoduleRep.regular(algebra) if kind == "self" else BimoduleRep.free(algebra, 2)
+    return {"self": BimoduleRep.regular(algebra), "free2": BimoduleRep.free(algebra, 2)}
 
 
 def _check_rows_apply(actions, field, seed):
@@ -243,7 +254,7 @@ def _check_rows_apply(actions, field, seed):
 @pytest.mark.parametrize("kind", ["self", "free2"])
 @pytest.mark.parametrize("name", names())
 def test_leg_actions_match_kron_built_families(name, kind, field):
-    P = _module_over(field, name, kind)
+    P = _modules_over(field, name)[kind]
     A = P.algebra
     ia = Matrix.identity(field, A.dim)
     ip = Matrix.identity(field, P.dim)
@@ -251,9 +262,9 @@ def test_leg_actions_match_kron_built_families(name, kind, field):
     one = TensorOneSided(P)
     outer = tuple(L.kron(ip) for L in A.left_ops)
     inner = tuple(ia.kron(L) for L in P.left)
-    assert one.outer == outer
+    assert tuple(a.dense for a in one.outer_actions) == outer
     assert tuple(a.dense for a in one.inner_actions) == inner
-    assert one.deltas == tuple(o - i for o, i in zip(outer, inner))
+    assert tuple(a.dense for a in one.delta_actions) == tuple(o - i for o, i in zip(outer, inner))
     _check_rows_apply(one.outer_actions + one.inner_actions + one.delta_actions, field, 1)
 
     two = TensorTwoSided(P)
@@ -265,9 +276,57 @@ def test_leg_actions_match_kron_built_families(name, kind, field):
     assert tuple(a.dense for a in two.inner_left_actions) == inner_left
     assert tuple(a.dense for a in two.outer_right_actions) == outer_right
     assert tuple(a.dense for a in two.inner_right_actions) == inner_right
-    assert two.deltas == tuple(o - i for o, i in zip(outer_left, inner_left))
-    assert two.delta_bars == tuple(o - i for o, i in zip(outer_right, inner_right))
+    assert tuple(a.dense for a in two.delta_actions) == tuple(
+        o - i for o, i in zip(outer_left, inner_left)
+    )
+    assert tuple(a.dense for a in two.delta_bar_actions) == tuple(
+        o - i for o, i in zip(outer_right, inner_right)
+    )
     _check_rows_apply(two.delta_actions + two.delta_bar_actions, field, 2)
+
+    coords = np.arange(1, A.dim + 1)
+    assert one.delta(coords).dense == _combo([a.dense for a in one.delta_actions], coords)
+    assert two.delta(coords).dense == _combo([a.dense for a in two.delta_actions], coords)
+    assert two.delta_bar(coords).dense == _combo(
+        [a.dense for a in two.delta_bar_actions], coords
+    )
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=["Q", "GF101"])
+@pytest.mark.parametrize("kind", ["self", "free2"])
+@pytest.mark.parametrize("name", names())
+def test_hom_leg_actions_match_kron_built_families(name, kind, field):
+    # source and target differ in dim, so a swapped leg cannot pass
+    modules = _modules_over(field, name)
+    P = modules[kind]
+    Q = modules["free2" if kind == "self" else "self"]
+    hs = HomSpace(P, Q)
+    ip = Matrix.identity(field, P.dim)
+    iq = Matrix.identity(field, Q.dim)
+    left = tuple(ip.kron(L) for L in Q.left)
+    bullet_left = tuple(L.T.kron(iq) for L in P.left)
+    right = tuple(ip.kron(R) for R in Q.right)
+    bullet_right = tuple(R.T.kron(iq) for R in P.right)
+    families = {
+        "left": left,
+        "bullet_left": bullet_left,
+        "right": right,
+        "bullet_right": bullet_right,
+        "deltas": tuple(l - b for l, b in zip(left, bullet_left)),
+        "delta_bars": tuple(r - b for r, b in zip(right, bullet_right)),
+    }
+    for attr, expected in families.items():
+        actions = getattr(hs, attr)
+        assert tuple(a.dense for a in actions) == expected, attr
+        assert all(a.T.dense == a.dense.T for a in actions), attr
+        _check_rows_apply(actions, field, 3)
+    coords = np.arange(1, P.algebra.dim + 1)
+    assert hs.delta(coords).dense == _combo(families["deltas"], coords)
+    assert hs.delta_bar(coords).dense == _combo(families["delta_bars"], coords)
+    # phi -> a phi on vec(phi) is the matrix product on phi itself
+    phi = Matrix(field, [[(3 * i + j) % 5 - 2 for j in range(P.dim)] for i in range(Q.dim)])
+    for L, act in zip(Q.left, hs.left):
+        assert hs.unvec(act.rows_apply(hs.vec(phi).reshape(1, -1))[0]) == L @ phi
 
 
 def test_leg_action_difference_concatenates_terms():
@@ -283,6 +342,13 @@ def test_leg_action_difference_concatenates_terms():
 @pytest.mark.parametrize("kind", ["self", "free2"])
 @pytest.mark.parametrize("name", names())
 def test_free_lift_left_linear_maps_match_joint_kernel(name, kind):
+    # the free lifts against the naive kernel of the kron-built conditions
     P = Q = entry(name).module(kind)
-    t = TensorOneSided(P)
-    assert t.left_linear_maps(Q) == hom_left_linear(t.outer, Q.left, QQ)
+    mul = raw_mul(P.algebra)
+    rank = 1 if kind == "self" else 2
+    conditions = hom_left_linear_conditions(tensor_outer_ops(mul, rank), free_left_ops(mul, rank))
+    flin = TensorOneSided(P).left_linear_maps(Q)
+    assert flin.dim == naive_nullity(conditions)
+    sparse = [[(c, x) for c, x in enumerate(cond) if x] for cond in conditions]
+    for row in flin.basis_vectors():
+        assert all(sum(x * row[c] for c, x in cond) == 0 for cond in sparse)
