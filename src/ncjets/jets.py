@@ -13,6 +13,7 @@ class, and representability_bar1 verifies that on any input.
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -350,8 +351,9 @@ def factorization_residual(
     """Difference of the two sides of the order-k factorization identity.
 
     f must be a left-linear map on the full tensor A tensor P (checked).
-    b_tuple lists algebra elements, each either a basis index or a
-    coordinate vector; the identity applies their hom-space deviations
+    b_tuple lists algebra elements, each either a basis index (any
+    integral type but bool, in range(dim A); others raise ValueError) or
+    a coordinate vector; the identity applies their hom-space deviations
     to f . J on one side and their tensor deviations to 1 tensor p on
     the other:
 
@@ -368,8 +370,13 @@ def factorization_residual(
     v = hs.vec(f @ t.embedding).reshape(1, -1)
     p = field.asarray(p)
     w = t.embedding.apply(p).reshape(1, -1)
+    n = len(t.delta_actions)
     for b in reversed(list(b_tuple)):
-        if isinstance(b, int):
+        if isinstance(b, (bool, np.bool_)) or (
+            isinstance(b, numbers.Integral) and not 0 <= b < n
+        ):
+            raise ValueError(f"algebra basis index {b!r} is not in range({n})")
+        if isinstance(b, numbers.Integral):
             dv, dw = hs.deltas[b], t.delta_actions[b]
         else:
             dv, dw = hs.delta(b), t.delta(b)

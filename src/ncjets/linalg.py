@@ -6,7 +6,11 @@ goes through (``dtype``, ``asarray``, ``dot``, ``tensordot``, ``echelon``,
 ``reduce_array``), so no code outside this module needs to know which
 field it works over:
 
-- over Q, arrays have dtype ``object`` and hold exact Python scalars;
+- over Q, arrays have dtype ``object`` and hold exact Python scalars, a
+  plain ``int`` wherever the value is integral and a ``Fraction``
+  otherwise; elimination is fraction-free Gauss-Jordan on integer rows
+  (Bareiss, Math. Comp. 22, 1968), each updated row divided by its
+  content, so no Fraction arithmetic happens inside the pivot loop;
 - over F_p, arrays have dtype ``int64`` with every entry in ``[0, p)``;
   products split the right operand into 16-bit halves so that no partial
   sum can leave int64 (the word-size technique of Dumas, Giorgi and
@@ -80,11 +84,25 @@ def _inexact(x) -> ScalarFormatError:
     return ScalarFormatError(f"not an exact scalar: {x!r} ({type(x).__name__})")
 
 
+def _exact_quotient(x: int, d: int):
+    q, rem = divmod(x, d)
+    return Fraction(x, d) if rem else q
+
+
+# Elementwise over object arrays.  Ints (and numpy ints) have numerator
+# and denominator too, and int() turns a numpy int into a Python int.
+_numerator = np.frompyfunc(lambda x: int(x.numerator), 1, 1)
+_denominator = np.frompyfunc(lambda x: x.denominator, 1, 1)
+_divide = np.frompyfunc(_exact_quotient, 2, 1)
+
+
 class RationalField:
     """The field Q; scalars are Fractions in lowest terms.
 
     Integral values are held as plain ints (Fraction and int mix exactly
     and print identically); fractions only appear after division.
+    Elimination scales each row to integers and works on Python ints; an
+    echelon form holds a Fraction only where its value is not integral.
     """
 
     kind = "rationals"
@@ -97,9 +115,6 @@ class RationalField:
             raise _inexact(x)
         f = Fraction(x)
         return f.numerator if f.denominator == 1 else f
-
-    def inv(self, x: Fraction) -> Fraction:
-        return 1 / Fraction(x)
 
     # -- array kernel: object arrays of exact scalars --------------------
 
@@ -116,9 +131,62 @@ class RationalField:
         return np.tensordot(a, b, axes=axes)
 
     def echelon(self, a: np.ndarray) -> tuple[np.ndarray, list[int]]:
-        """RREF of a (same shape, zero rows last) and its pivot columns."""
-        a = np.array(a, dtype=object)
-        return a, _rref_inplace(self, a)
+        """RREF of a (same shape, zero rows last) and its pivot columns.
+
+        Fraction-free: zero rows are dropped and each row is scaled by the
+        lcm of its denominators, which keeps its span; only nonzero cells
+        are touched, since the inputs are mostly zero.  The pivot loop has
+        the shape of PrimeField.echelon, on Python ints: each row nonzero
+        in the pivot column becomes pv*row - row[c]*head, divided by its
+        content.  Last, each pivot row is divided by its pivot: an exact
+        quotient stays an int, the rest become Fractions.  Every integral
+        cell of the result is a plain int, so it needs no demote_array.
+        """
+        a = np.asarray(a, dtype=object)
+        nz = a.astype(bool)
+        keep = nz.any(axis=1)
+        vals = a[keep][nz[keep]]
+        nz = nz[keep]
+        rows, cols = nz.shape
+        which = nz.nonzero()[0]  # row of each entry of vals
+        den = _denominator(vals)
+        lcm = np.ones(rows, dtype=object)
+        np.lcm.at(lcm, which, den)
+        work = np.zeros((rows, cols), dtype=object)
+        work[nz] = _numerator(vals) * (lcm[which] // den)
+        pivots: list[int] = []
+        r = c = 0
+        while r < rows and c < cols:
+            live = nz[r:, c:].any(axis=0).nonzero()[0]
+            if not live.size:
+                break
+            c += int(live[0])
+            below = nz[r:, c].nonzero()[0][0]
+            if below:
+                work[[r, r + below]] = work[[r + below, r]]
+                nz[[r, r + below]] = nz[[r + below, r]]
+            head = work[r]
+            pv = head[c]
+            for i in nz[:, c].nonzero()[0]:
+                if i == r:
+                    continue
+                row = pv * work[i] - work[i, c] * head
+                g = math.gcd(*row)
+                if g > 1:
+                    row //= g
+                work[i] = row
+                nz[i] = row.astype(bool)
+            pivots.append(c)
+            r += 1
+            c += 1
+        for i, c in enumerate(pivots):
+            pv = work[i, c]
+            if pv != 1:
+                cells = nz[i].nonzero()[0]
+                work[i, cells] = _divide(work[i, cells], pv)
+        out = np.zeros(a.shape, dtype=object)
+        out[:r] = work[:r]
+        return out, pivots
 
     def demote_array(self, a: np.ndarray) -> np.ndarray:
         # Turn integral Fractions back into ints; keeps later arithmetic fast.
@@ -393,11 +461,18 @@ class Matrix:
     def _raw(cls, field, a: np.ndarray) -> "Matrix":
         # Trusted constructor: entries are field scalars (over F_p any ints,
         # reduced here); takes ownership of a and freezes it.
-        m = object.__new__(cls)
         a = field.asarray(a)
         if a.flags.writeable:
             field.demote_array(a)
-            a.flags.writeable = False
+        return cls._wrap(field, a)
+
+    @classmethod
+    def _wrap(cls, field, a: np.ndarray) -> "Matrix":
+        # Trusted constructor for an array already in the field's form (an
+        # echelon output): no reduction, no demote; takes ownership of a
+        # and freezes it.
+        a.flags.writeable = False
+        m = object.__new__(cls)
         object.__setattr__(m, "field", field)
         object.__setattr__(m, "a", a)
         return m
@@ -540,38 +615,10 @@ class RrefResult:
     rank: int
 
 
-def _rref_inplace(field, a: np.ndarray) -> list[int]:
-    rows, cols = a.shape
-    reduce = field.reduce_array
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        piv = None
-        for i in range(r, rows):
-            if a[i, c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        if a[r, c] != field.one:
-            a[r] = reduce(a[r] * field.inv(a[r, c]))
-        for i in range(rows):
-            f = a[i, c]
-            if i != r and f != 0:
-                a[i] = reduce(a[i] - f * a[r])
-        pivots.append(c)
-        r += 1
-    return pivots
-
-
 def rref(m: Matrix) -> RrefResult:
     """Unique reduced row-echelon form of m, with pivot columns and rank."""
     a, pivots = m.field.echelon(m.a)
-    return RrefResult(Matrix._raw(m.field, a), tuple(pivots), len(pivots))
+    return RrefResult(Matrix._wrap(m.field, a), tuple(pivots), len(pivots))
 
 
 def kernel(m: Matrix) -> "Subspace":
@@ -663,14 +710,15 @@ class Subspace:
         if not len(rows):
             return cls.zero(field, ambient_dim)
         if isinstance(rows[0], np.ndarray):
+            # only rref reads m, and echelon copies and canonicalizes it
             a = field.asarray(rows)
-            m = Matrix._raw(field, a.copy() if a is rows else a)
+            m = Matrix._wrap(field, a.view() if a is rows else a)
         else:
             m = Matrix(field, rows)
         if m.cols != ambient_dim:
             raise DimensionMismatch(f"vectors of length {m.cols} in ambient {ambient_dim}")
         res = rref(m)
-        basis = Matrix._raw(field, res.matrix.a[: res.rank].copy())
+        basis = Matrix._wrap(field, res.matrix.a[: res.rank].copy())
         return cls(field, ambient_dim, basis, res.pivots)
 
     @classmethod

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -322,6 +323,19 @@ def test_residual_is_multilinear_in_the_b_arguments():
         P, Q, w.f, [unit_vector(QQ, 4, b0) * 2, unit_vector(QQ, 4, b1)], p
     )
     assert list(doubled) == [2 * x for x in by_index]
+
+
+def test_residual_takes_numpy_int_indices_and_refuses_bool_and_out_of_range():
+    P = Q = self_module("m2")
+    w = residual_witness_search(P, Q, 1)
+    b0, b1 = w.b_indices
+    p = unit_vector(QQ, 4, w.p_index)
+    by_index = factorization_residual(P, Q, w.f, [b0, b1], p)
+    by_numpy = factorization_residual(P, Q, w.f, [np.int64(b0), np.intp(b1)], p)
+    assert list(by_numpy) == list(by_index)
+    for bad in (True, False, np.True_, 4, -1, np.int64(4), np.int64(-1)):
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            factorization_residual(P, Q, w.f, [b0, bad], p)
 
 
 def test_residual_rejects_non_left_linear_maps():

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -158,6 +159,101 @@ def test_rref_idempotent_and_matches_naive(rows):
     naive, naive_piv = naive_rref(rows)
     assert res.matrix.to_lists() == naive
     assert list(res.pivots) == naive_piv
+
+
+def _assert_canonical_q(a):
+    # integral cells are plain ints, never Fraction(n, 1) or a numpy int
+    for x in a.ravel():
+        assert type(x) is int or (type(x) is Fraction and x.denominator != 1), repr(x)
+
+
+_Q_ENTRIES = st.one_of(
+    st.just(0),
+    st.integers(min_value=-9, max_value=9),
+    st.fractions(min_value=-20, max_value=20, max_denominator=50),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.sampled_from([2**70, -(2**70), 2**63, -(2**63) - 1]),
+)
+
+
+@st.composite
+def _q_matrices(draw):
+    """Up to 8x10 over Q, with zero rows and dependent rows mixed in."""
+    nrows = draw(st.integers(min_value=1, max_value=8))
+    ncols = draw(st.integers(min_value=1, max_value=10))
+    row = st.lists(_Q_ENTRIES, min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(row, min_size=nrows, max_size=nrows))
+    if nrows > 1 and draw(st.booleans()):
+        rows[draw(st.integers(0, nrows - 1))] = [0] * ncols
+    if nrows > 2 and draw(st.booleans()):
+        c = draw(st.fractions(min_value=-5, max_value=5, max_denominator=7))
+        rows[0] = [x + c * y for x, y in zip(rows[1], rows[2])]
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(_q_matrices())
+def test_fraction_free_rref_matches_naive(rows):
+    res = rref(mat(rows))
+    naive, naive_piv = naive_rref(rows)
+    assert res.matrix.to_lists() == naive
+    assert list(res.pivots) == naive_piv
+    _assert_canonical_q(res.matrix.a)
+    # the same values given as Fraction(n, 1) and numpy ints: same RREF, still canonical
+    a = np.array(mat(rows).a, dtype=object)
+    for k, x in enumerate(a.flat):
+        if type(x) is int:
+            a.flat[k] = np.int64(x) if k % 2 and -(2**63) <= x < 2**63 else Fraction(x)
+    out, piv = QQ.echelon(a)
+    assert out.tolist() == naive and piv == naive_piv
+    _assert_canonical_q(out)
+
+
+def test_fraction_free_rref_negative_and_non_unit_pivots():
+    # pivots -3, 2/3 and 22 on the way, zero rows first and in between
+    rows = [[0, 0, 0, 0, 0], [-3, 6, 1, 0, 1], [0, 0, 0, 0, 0], [2, -4, 0, 5, 0], [0, 0, -2, 7, 0]]
+    res = rref(mat(rows))
+    assert res.pivots == (0, 2, 3)
+    assert res.matrix.to_lists() == naive_rref(rows)[0]
+    assert res.matrix.row(0).tolist()[:4] == [1, -2, 0, 0]
+    assert res.matrix.row(3).tolist() == [0] * 5
+    _assert_canonical_q(res.matrix.a)
+
+
+def test_fraction_free_rref_hilbert_growth():
+    # [H | I] reduces to [I | H^-1]; the inverse Hilbert matrix is integral with
+    # entries far beyond the inputs (1.2e11 at n = 9)
+    n = 9
+    rows = [[F(1, i + j + 1) for j in range(n)] + [int(i == j) for j in range(n)] for i in range(n)]
+    res = rref(mat(rows))
+    naive, naive_piv = naive_rref(rows)
+    assert res.matrix.to_lists() == naive and list(res.pivots) == naive_piv == list(range(n))
+    inv = res.matrix.a[:, n:]
+    assert inv[n - 1, n - 1] == (2 * n - 1) * math.comb(2 * n - 2, n - 1) ** 2
+    assert max(abs(x) for x in inv.ravel()) > 2**36
+    _assert_canonical_q(res.matrix.a)
+    assert all(type(x) is int for x in inv.ravel())
+    h = np.array([r[:n] for r in rows], dtype=object)
+    assert (h.dot(inv) == np.eye(n, dtype=int)).all()
+
+
+def test_from_spanning_and_rref_never_demote_the_echelon(monkeypatch):
+    calls = []
+    real = linalg.RationalField.demote_array
+
+    def counting(self, a):
+        calls.append(a.shape)
+        return real(self, a)
+
+    monkeypatch.setattr(linalg.RationalField, "demote_array", counting)
+    rows = np.array([[F(2, 1), F(1, 2), 0], [4, 1, 0], [0, F(6, 3), 3]], dtype=object)
+    s = Subspace.from_spanning(QQ, 3, rows)
+    res = rref(s.basis)
+    assert calls == []
+    assert s.basis.to_lists() == [[1, 0, F(-3, 8)], [0, 1, F(3, 2)]]
+    _assert_canonical_q(s.basis.a)
+    assert res.matrix == s.basis
+    assert rows[0, 0] == 2 and type(rows[0, 0]) is Fraction and rows.flags.writeable
 
 
 @settings(max_examples=40, deadline=None)
