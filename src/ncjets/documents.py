@@ -12,7 +12,7 @@ import json
 from pathlib import Path
 
 from .algebra import Algebra
-from .linalg import Matrix, field_from_spec, field_to_spec
+from .linalg import Matrix, field_from_spec
 from .modules import BimoduleRep
 
 SCHEMA_VERSION = "0.1.0"
@@ -42,7 +42,7 @@ def digest(obj) -> str:
 def algebra_to_doc(algebra: Algebra) -> dict:
     fmt = algebra.field.format
     return {
-        "field": field_to_spec(algebra.field),
+        "field": algebra.field.spec(),
         "name": algebra.name,
         "dim": algebra.dim,
         "basis": list(algebra.basis_names),

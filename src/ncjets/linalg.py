@@ -2,20 +2,24 @@
 
 Scalars are `fractions.Fraction` for the rationals and ints in ``[0, p)``
 for a prime field.  Each field carries the array kernel every module
-goes through (``dtype``, ``asarray``, ``dot``, ``tensordot``, ``echelon``,
-``reduce_array``), so no code outside this module needs to know which
-field it works over:
+goes through (``dtype``, ``asarray``, ``dot``, ``tensordot``,
+``sparse_dot``, ``leg_dot``, ``echelon``, ``reduce_array``), so no code
+outside this module needs to know which field it works over:
 
 - over Q, arrays have dtype ``object`` and hold exact Python scalars, a
   plain ``int`` wherever the value is integral and a ``Fraction``
   otherwise; elimination is fraction-free Gauss-Jordan on integer rows
   (Bareiss, Math. Comp. 22, 1968), each updated row divided by its
   content, so no Fraction arithmetic happens inside the pivot loop;
+  ``sparse_dot`` (products with relation bases and kernel coefficients)
+  and ``leg_dot`` (one factor of a tensor action on one leg) only touch
+  the nonzero entries of their mostly-zero operands, while ``dot`` stays
+  numpy's dense product for the small dense matrices of validation;
 - over F_p, arrays have dtype ``int64`` with every entry in ``[0, p)``;
   products split the right operand into 16-bit halves so that no partial
   sum can leave int64 (the word-size technique of Dumas, Giorgi and
   Pernet, FFLAS-FFPACK, 2008), and elimination is by vectorized rank-1
-  updates.
+  updates; ``sparse_dot`` and ``leg_dot`` are the dense int64 products.
 
 Subspaces are stored with a reduced row-echelon basis and no zero rows,
 which makes set equality of subspaces the same as matrix equality of
@@ -130,6 +134,52 @@ class RationalField:
     def tensordot(self, a: np.ndarray, b: np.ndarray, axes) -> np.ndarray:
         return np.tensordot(a, b, axes=axes)
 
+    def sparse_dot(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """a @ b for 2-D operands, summing only the products of nonzero entries.
+
+        Every exact product over Q is a Python-level operation, and relation
+        bases and the images of tensor actions are mostly zero (under 2%
+        nonzero on the two-sided jet of Q[S3]), so the work is one outer
+        product per inner index over the nonzero rows of a and nonzero
+        columns of b.
+        """
+        out = np.zeros((a.shape[0], b.shape[1]), dtype=object)
+        nz_a = a != 0
+        nz_b = b != 0
+        for j in np.flatnonzero(nz_a.any(axis=0) & nz_b.any(axis=1)):
+            rows = np.flatnonzero(nz_a[:, j])
+            cols = np.flatnonzero(nz_b[j])
+            out[np.ix_(rows, cols)] += np.multiply.outer(a[rows, j], b[j, cols])
+        return out
+
+    def leg_dot(self, t: np.ndarray, m: np.ndarray, axis: int, out=None) -> np.ndarray:
+        """out plus t with the square factor m applied on axis `axis`.
+
+        Slab i of the result on that axis is sum_j m[i, j] * (slab j of t),
+        taken over the nonzero entries of m only: an entry of +-1 is a slab
+        add or subtract, any other a scaled add, so the cost is nnz(m)
+        times the slab size.  With out=None the result is a new array, each
+        slab's first term assigned rather than added to zero.
+        """
+        fresh = out is None
+        if fresh:
+            out = np.zeros(t.shape, dtype=object)
+        src = np.moveaxis(t, axis, 0)
+        dst = np.moveaxis(out, axis, 0)
+        last = -1
+        for i, j in zip(*m.nonzero()):
+            c, slab, col = m[i, j], dst[i], src[j]
+            if fresh and i != last:
+                slab[...] = col if c == 1 else -col if c == -1 else c * col
+            elif c == 1:
+                slab += col
+            elif c == -1:
+                slab -= col
+            else:
+                slab += c * col
+            last = i
+        return out
+
     def echelon(self, a: np.ndarray) -> tuple[np.ndarray, list[int]]:
         """RREF of a (same shape, zero rows last) and its pivot columns.
 
@@ -204,6 +254,10 @@ class RationalField:
 
     def format(self, x) -> str:
         return str(Fraction(x))
+
+    def spec(self) -> object:
+        """The field's JSON form, read back by field_from_spec."""
+        return "Q"
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -329,6 +383,14 @@ class PrimeField:
         rhs = b.transpose(ax_b + free_b).reshape(k, math.prod(out_b))
         return self.dot(lhs, rhs).reshape(out_a + out_b)
 
+    # products with mostly-zero operands take the dense int64 path
+    sparse_dot = dot
+
+    def leg_dot(self, t: np.ndarray, m: np.ndarray, axis: int, out=None) -> np.ndarray:
+        """out plus t with the square factor m applied on axis `axis`, by tensordot."""
+        moved = np.moveaxis(self.tensordot(t, m, ([axis], [1])), -1, axis)
+        return moved if out is None else out + moved
+
     def echelon(self, a: np.ndarray) -> tuple[np.ndarray, list[int]]:
         """RREF of a (same shape, zero rows last) and its pivot columns.
 
@@ -389,6 +451,9 @@ class PrimeField:
     def format(self, x) -> str:
         return f"{int(x) % self.p} mod {self.p}"
 
+    def spec(self) -> object:
+        return {"Fp": self.p}
+
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
 
@@ -413,10 +478,6 @@ def field_from_spec(spec) -> RationalField | PrimeField:
     if isinstance(spec, dict) and set(spec) == {"Fp"}:
         return PrimeField(spec["Fp"])
     raise ScalarFormatError(f"unknown field spec: {spec!r}")
-
-
-def field_to_spec(field) -> object:
-    return "Q" if field == QQ else {"Fp": field.p}
 
 
 # ---------------------------------------------------------------------------
@@ -469,8 +530,9 @@ class Matrix:
     @classmethod
     def _wrap(cls, field, a: np.ndarray) -> "Matrix":
         # Trusted constructor for an array already in the field's form (an
-        # echelon output): no reduction, no demote; takes ownership of a
-        # and freezes it.
+        # echelon output, a fresh identity or zero array) or read only by
+        # rref, whose echelon canonicalizes it: no reduction, no demote;
+        # takes ownership of a and freezes it.
         a.flags.writeable = False
         m = object.__new__(cls)
         object.__setattr__(m, "field", field)
@@ -481,11 +543,11 @@ class Matrix:
     def identity(cls, field, n: int) -> "Matrix":
         a = np.zeros((n, n), dtype=field.dtype)
         a[range(n), range(n)] = field.one
-        return cls._raw(field, a)
+        return cls._wrap(field, a)
 
     @classmethod
     def zeros(cls, field, rows: int, cols: int) -> "Matrix":
-        return cls._raw(field, np.zeros((rows, cols), dtype=field.dtype))
+        return cls._wrap(field, np.zeros((rows, cols), dtype=field.dtype))
 
     @property
     def rows(self) -> int:
@@ -681,7 +743,7 @@ class QuotientMaps:
         block = moved[:, f].T.copy()
         if p:
             w = self.projection.a[:, p]
-            block = op.field.reduce_array(block + _sparse_dot(op.field, w, moved[:, p].T))
+            block = op.field.reduce_array(block + op.field.sparse_dot(w, moved[:, p].T))
         return Matrix._raw(op.field, block)
 
 
@@ -766,7 +828,7 @@ class Subspace:
         free = _free_cols(self.ambient_dim, pivots)
         resid = rows[:, free]
         if free:
-            resid -= _sparse_dot(self.field, rows[:, pivots], self.basis.a[:, free])
+            resid -= self.field.sparse_dot(rows[:, pivots], self.basis.a[:, free])
         out = np.zeros(rows.shape, dtype=self.field.dtype)
         out[:, free] = self.field.reduce_array(resid)
         return out
@@ -812,8 +874,8 @@ class Subspace:
         field = self.field
         # u = sum w_i self_i equals sum w'_j other_j exactly when (w, w') kills this stack
         negated = field.reduce_array(-other.basis.a.T)
-        coeffs = kernel(Matrix._raw(field, np.hstack([self.basis.a.T, negated])))
-        vecs = field.dot(coeffs.basis.a[:, : self.dim], self.basis.a)
+        coeffs = kernel(Matrix._wrap(field, np.hstack([self.basis.a.T, negated])))
+        vecs = field.sparse_dot(coeffs.basis.a[:, : self.dim], self.basis.a)
         return Subspace.from_spanning(field, self.ambient_dim, vecs)
 
     def quotient(self) -> QuotientMaps:
@@ -838,27 +900,6 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
-
-
-def _sparse_dot(field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b, over Q summing only the products of nonzero entries.
-
-    Every exact product over Q is a Python-level operation, and relation
-    bases and the images of tensor actions are mostly zero (under 2%
-    nonzero on the two-sided jet of Q[S3]), so the work is one outer
-    product per inner index over the nonzero rows of a and nonzero
-    columns of b.  Fixed-width arrays take the kernel's dense product.
-    """
-    if field.dtype is not object:
-        return field.dot(a, b)
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=object)
-    nz_a = a != 0
-    nz_b = b != 0
-    for j in np.flatnonzero(nz_a.any(axis=0) & nz_b.any(axis=1)):
-        rows = np.flatnonzero(nz_a[:, j])
-        cols = np.flatnonzero(nz_b[j])
-        out[np.ix_(rows, cols)] += np.multiply.outer(a[rows, j], b[j, cols])
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -933,6 +974,8 @@ def _restrict(operators: Sequence, target: Optional[Subspace]) -> Subspace:
             resid = target.residuals(resid)
         resid = resid[:, resid.any(axis=0)]
         if resid.size:
-            coeffs = kernel(Matrix._raw(field, resid.T))
-            current = Subspace.from_spanning(field, n, field.dot(coeffs.basis.a, current.basis.a))
+            coeffs = kernel(Matrix._wrap(field, resid.T))
+            current = Subspace.from_spanning(
+                field, n, field.sparse_dot(coeffs.basis.a, current.basis.a)
+            )
     return current

@@ -12,6 +12,7 @@ applied to vec(phi) without forming the Kronecker product.
 from __future__ import annotations
 
 import math
+import numbers
 from functools import cached_property
 from typing import Sequence
 
@@ -151,9 +152,11 @@ class LegAction:
 
     Each term (axis, M) is the operator I (x) .. (x) M (x) .. (x) I with M
     on leg `axis`; coordinates are row-major over the legs, the layout
-    Matrix.kron produces.  rows_apply contracts M against that leg alone,
-    O(rows * dim * d_axis) per term instead of the O(rows * dim^2) of the
-    dense matrix, which is built only when `dense` is asked for.
+    Matrix.kron produces.  rows_apply hands each term to the field's
+    leg_dot, which over Q adds M[i, j] times slab j of the rows to slab i
+    for the nonzero entries of M only: nnz(M) * rows * dim / d_axis per
+    term instead of the O(rows * dim^2) of the dense matrix, which is built
+    only when `dense` is asked for.
     """
 
     def __init__(self, field, dims: Sequence[int], terms: Sequence[tuple[int, Matrix]]):
@@ -161,12 +164,24 @@ class LegAction:
         self.dims = tuple(dims)
         self.terms = tuple(terms)
         for axis, m in self.terms:
+            if (
+                not isinstance(axis, numbers.Integral)
+                or isinstance(axis, bool)
+                or not 0 <= axis < len(self.dims)
+            ):
+                raise DimensionMismatch(f"axis {axis!r} is not a leg of {self.dims}")
+            if m.field != field:
+                raise DimensionMismatch(
+                    f"factor over {m.field!r} on leg {axis} of an action over {field!r}"
+                )
             if m.shape != (self.dims[axis], self.dims[axis]):
                 raise DimensionMismatch(f"{m.shape} factor on a leg of dim {self.dims[axis]}")
         self.dim = math.prod(self.dims)
         self.shape = (self.dim, self.dim)
 
     def __sub__(self, other: "LegAction") -> "LegAction":
+        if self.field != other.field:
+            raise DimensionMismatch(f"{self.field!r} action - {other.field!r} action")
         if self.dims != other.dims:
             raise DimensionMismatch(f"leg dims {self.dims} - {other.dims}")
         return LegAction(
@@ -186,8 +201,7 @@ class LegAction:
         legs = field.asarray(rows).reshape((rows.shape[0],) + self.dims)
         out = None
         for axis, m in self.terms:
-            moved = np.moveaxis(field.tensordot(legs, m.a, ([axis + 1], [1])), -1, axis + 1)
-            out = moved if out is None else out + moved
+            out = field.leg_dot(legs, m.a, axis + 1, out)
         return field.reduce_array(out.reshape(rows.shape[0], self.dim))
 
     @cached_property

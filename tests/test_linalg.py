@@ -256,6 +256,73 @@ def test_from_spanning_and_rref_never_demote_the_echelon(monkeypatch):
     assert rows[0, 0] == 2 and type(rows[0, 0]) is Fraction and rows.flags.writeable
 
 
+_SPARSE_ENTRIES = st.sampled_from([0, 0, 0, 0, 1, -1, 2, F(3, 2), F(-3, 2), 2**70, -(2**70)])
+
+
+@st.composite
+def _product_operands(draw):
+    """a (m x k) and b (k x n) over one field, with all-zero rows and columns mixed in."""
+    field = draw(st.sampled_from([QQ, GF(7), GF(2**31 - 1)]))
+    m, k, n = (draw(st.integers(0, 5)) for _ in range(3))
+
+    def operand(r, c):
+        cells = draw(st.lists(_SPARSE_ENTRIES, min_size=r * c, max_size=r * c))
+        a = np.array(cells, dtype=object).reshape(r, c)
+        if r and c and draw(st.booleans()):
+            a[draw(st.integers(0, r - 1)), :] = 0
+        if r and c and draw(st.booleans()):
+            a[:, draw(st.integers(0, c - 1))] = 0
+        return field.asarray(a)
+
+    return field, operand(m, k), operand(k, n)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_product_operands())
+def test_sparse_dot_matches_dense_dot(case):
+    field, a, b = case
+    got = field.sparse_dot(a, b)
+    want = field.dot(a, b)
+    assert got.shape == want.shape == (a.shape[0], b.shape[1])
+    assert got.tolist() == want.tolist()
+    exact = np.dot(a.astype(object), b.astype(object))
+    assert got.tolist() == (exact if field == QQ else exact % field.p).tolist()
+
+
+def test_identity_zeros_and_full_hold_python_ints_over_q(monkeypatch):
+    calls = []
+    monkeypatch.setattr(linalg.RationalField, "demote_array", lambda self, a: calls.append(a))
+    for a in (Matrix.identity(QQ, 4).a, Matrix.zeros(QQ, 2, 3).a, Subspace.full(QQ, 5).basis.a):
+        assert a.dtype == object and a.size
+        assert all(type(x) is int for x in a.ravel())
+    assert Matrix.zeros(QQ, 0, 3).shape == (0, 3)
+    assert calls == []
+
+
+def test_restriction_and_intersection_never_demote(monkeypatch):
+    calls = []
+    real = linalg.RationalField.demote_array
+
+    def counting(self, a):
+        calls.append(a.shape)
+        return real(self, a)
+
+    t = Matrix(QQ, [[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+    ops = [LegAction(QQ, (3, 3), ((0, t),)) - LegAction(QQ, (3, 3), ((1, t.T),))]
+    target = Subspace.from_spanning(QQ, 9, [[1, 0, 0, 0, 1, 0, 0, 0, F(1, 2)]])
+    u = Subspace.from_spanning(QQ, 3, [[1, F(1, 2), 0], [0, 1, 3]])
+    w = Subspace.from_spanning(QQ, 3, [[2, 1, 0], [0, 0, 1]])
+    monkeypatch.setattr(linalg.RationalField, "demote_array", counting)
+    ker = joint_kernel(ops)
+    pre = preimage(ops, target)
+    both = u & w
+    assert calls == []
+    dense = [op.dense for op in ops]
+    assert ker == joint_kernel(dense) and ker.dim == 3
+    assert pre == preimage(dense, target)
+    assert both.basis.to_lists() == [[1, F(1, 2), 0]]
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.lists(

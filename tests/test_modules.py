@@ -1,11 +1,14 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncjets.algebra import Algebra
 from ncjets.catalog import builtin, names
-from ncjets.linalg import GF, QQ, Matrix, unit_vector, vector
+from ncjets.linalg import GF, QQ, DimensionMismatch, Matrix, unit_vector, vector
 from ncjets.modules import (
     BimoduleRep,
     BimoduleValidationError,
@@ -337,6 +340,80 @@ def test_leg_action_difference_concatenates_terms():
     assert [axis for axis, _ in diff.terms] == [0, 1]
     assert diff.terms[1][1] == -a.left_ops[2]
     assert diff.dense == left.dense - right.dense
+
+
+# exact values the zero-skipping product treats differently: zero (skipped),
+# +-1 (slab add or subtract), and scaled adds by ints, halves and big ints
+_LEG_ENTRIES = st.sampled_from([0, 0, 0, 1, -1, 2, F(3, 2), F(-3, 2), 2**70, -(2**70)])
+
+
+@st.composite
+def _leg_action_cases(draw):
+    """A LegAction (one term, several, or a difference) and a stack of rows."""
+    field = draw(st.sampled_from([QQ, GF(7), GF(2**31 - 1)]))
+    dims = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+    n = math.prod(dims)
+
+    def square(d):
+        if draw(st.booleans()) and draw(st.booleans()):
+            return [[0] * d for _ in range(d)]
+        row = st.lists(_LEG_ENTRIES, min_size=d, max_size=d)
+        return draw(st.lists(row, min_size=d, max_size=d))
+
+    def action():
+        axes = draw(st.lists(st.integers(0, len(dims) - 1), min_size=1, max_size=3))
+        return LegAction(field, dims, tuple((a, Matrix(field, square(dims[a]))) for a in axes))
+
+    act = action()
+    if draw(st.booleans()):
+        act = act - action()
+    rows = draw(st.lists(st.lists(_LEG_ENTRIES, min_size=n, max_size=n), min_size=0, max_size=4))
+    if rows and draw(st.booleans()):
+        rows[draw(st.integers(0, len(rows) - 1))] = [0] * n
+    return field, act, rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(_leg_action_cases())
+def test_leg_action_rows_apply_matches_dense_product(case):
+    field, act, rows = case
+    n = act.dim
+    a = Matrix(field, rows).a if rows else np.zeros((0, n), dtype=field.dtype)
+    got = act.rows_apply(a)
+    want = np.dot(a.astype(object), act.dense.a.T.astype(object))
+    if field != QQ:
+        want = want % field.p
+    assert got.shape == (len(rows), n)
+    assert got.tolist() == want.tolist()
+
+
+def test_leg_action_refuses_bad_axes():
+    m = Matrix(QQ, [[1, 2], [3, 4]])
+    for axis in (-1, -2, 2, 5, True, False, 1.0, "1", None):
+        with pytest.raises(DimensionMismatch, match=f"axis {axis!r} is not a leg"):
+            LegAction(QQ, (2, 2), ((axis, m),))
+    # e0 and e3 of K^2 (x) K^2, M on the second leg
+    rows = np.array([[1, 0, 0, 0], [0, 0, 0, 1]], dtype=object)
+    want = [[1, 3, 0, 0], [0, 0, 2, 4]]
+    assert LegAction(QQ, (2, 2), ((1, m),)).rows_apply(rows).tolist() == want
+    numpy_axis = LegAction(QQ, (2, 2), ((np.int64(1), m),))
+    assert numpy_axis.rows_apply(rows).tolist() == want
+    assert numpy_axis.dense.shape == (4, 4)
+
+
+def test_leg_action_refuses_factors_and_differences_over_another_field():
+    q = Matrix(QQ, [[1, 2], [3, 4]])
+    g = Matrix(GF(7), [[1, 2], [3, 4]])
+    with pytest.raises(DimensionMismatch, match=r"factor over GF\(7\) on leg 0 .* over QQ"):
+        LegAction(QQ, (2, 2), ((1, q), (0, g)))
+    with pytest.raises(DimensionMismatch, match=r"factor over QQ"):
+        LegAction(GF(7), (2, 2), ((0, q),))
+    q_act = LegAction(QQ, (2, 2), ((1, q),))
+    g_act = LegAction(GF(7), (2, 2), ((1, g),))
+    with pytest.raises(DimensionMismatch, match=r"QQ action - GF\(7\) action"):
+        q_act - g_act
+    with pytest.raises(DimensionMismatch, match=r"GF\(7\) action - QQ action"):
+        g_act - q_act
 
 
 @pytest.mark.parametrize("kind", ["self", "free2"])
