@@ -3,8 +3,8 @@
 An algebra over an exact field is a dense n x n table of coordinate
 vectors, ``mul[i][j]`` = coordinates of ``e_i * e_j``.  Validation is
 eager and total: associativity and the two-sided unit axiom are checked
-over all basis triples before an Algebra exists, and every failure
-carries a basis-index witness.
+on all basis triples at once before an Algebra exists, and a failure
+carries the basis indices of the first one in loop order.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import Matrix, Subspace, joint_kernel, vector
+from .linalg import DimensionMismatch, Matrix, Subspace, kernel, unit_vector, vector
 
 
 class AlgebraValidationError(ValueError):
@@ -30,7 +30,10 @@ class Algebra:
     """Unital associative algebra with a fixed basis.
 
     mul is an (n, n, n) array of the field's kernel dtype: mul[i, j] is
-    the coordinate vector of e_i e_j.  Instances are immutable once validated.
+    the coordinate vector of e_i e_j.  left_stack and right_stack are
+    read-only views of it: left_stack[i] is the matrix of x -> e_i x and
+    right_stack[j] that of x -> x e_j.  Instances are immutable once
+    validated.
     """
 
     def __init__(self, field, basis_names: Sequence[str], unit, mul, name: str = ""):
@@ -39,6 +42,8 @@ class Algebra:
         self.name = name or "algebra"
         self.basis_names = tuple(str(x) for x in basis_names)
         self.dim = n
+        if n < 1:
+            raise AlgebraValidationError("shape", None, "an algebra needs a basis element")
         mul_arr = np.empty((n, n, n), dtype=object)
         if len(mul) != n or any(len(row) != n for row in mul):
             raise AlgebraValidationError(
@@ -51,121 +56,84 @@ class Algebra:
                     raise AlgebraValidationError(
                         "shape", (i, j), f"mul[{i}][{j}] has length {len(entry)}, want {n}"
                     )
-                for k in range(n):
-                    mul_arr[i, j, k] = field.normalize(entry[k])
-        if len(list(unit)) != n:
+                mul_arr[i, j] = [field.normalize(x) for x in entry]
+        unit = list(unit)
+        if len(unit) != n:
             raise AlgebraValidationError("shape", None, "unit vector has wrong length")
         self.unit = vector(field, unit)
         mul_arr = field.asarray(mul_arr)
         mul_arr.flags.writeable = False
         self.mul = mul_arr
+        self.left_stack = mul_arr.transpose(0, 2, 1)
+        self.right_stack = mul_arr.transpose(1, 2, 0)
         self._validate()
 
     # -- structure ---------------------------------------------------------
 
-    def left_op(self, i: int) -> Matrix:
-        """Matrix of x -> e_i x on coordinates."""
-        return Matrix._raw(self.field, self.mul[i].T.copy())
-
-    def right_op(self, j: int) -> Matrix:
-        """Matrix of x -> x e_j on coordinates."""
-        return Matrix._raw(self.field, self.mul[:, j].T.copy())
-
     @cached_property
     def left_ops(self) -> tuple[Matrix, ...]:
-        return tuple(self.left_op(i) for i in range(self.dim))
+        return tuple(Matrix._wrap(self.field, m) for m in self.left_stack.copy())
 
     @cached_property
     def right_ops(self) -> tuple[Matrix, ...]:
-        return tuple(self.right_op(j) for j in range(self.dim))
+        return tuple(Matrix._wrap(self.field, m) for m in self.right_stack.copy())
 
     def _validate(self):
-        n = self.dim
-        L, R = self.left_ops, self.right_ops
-        for i in range(n):
-            for k in range(n):
-                lhs = R[k] @ self.left_op(i)
-                rhs = self.left_op(i) @ R[k]
-                if lhs != rhs:
-                    for j in range(n):
-                        if not np.array_equal(lhs.a[:, j], rhs.a[:, j]):
-                            raise AlgebraValidationError(
-                                "associativity",
-                                (i, j, k),
-                                f"(e{i} e{j}) e{k} != e{i} (e{j} e{k})",
-                            )
-        lu = sum(
-            (L[i].scale(self.unit[i]) for i in range(1, n)), L[0].scale(self.unit[0])
-        )
-        ru = sum(
-            (R[j].scale(self.unit[j]) for j in range(1, n)), R[0].scale(self.unit[0])
-        )
-        ident = Matrix.identity(self.field, n)
-        for side, op in (("left", lu), ("right", ru)):
-            if op != ident:
-                for i in range(n):
-                    if not np.array_equal(op.a[:, i], ident.a[:, i]):
-                        raise AlgebraValidationError(
-                            "unit", i, f"unit fails to act as identity ({side}) on e{i}"
-                        )
+        """Associativity on all basis triples at once, then the unit.
+
+        The witness is the first failing (i, j, k) scanning i, then k, then
+        j; for the unit, the first failing column, left before right.
+        """
+        field, mul = self.field, self.mul
+        # [i, j, k] holds the coordinates of (e_i e_j) e_k and of e_i (e_j e_k)
+        products_first = _combine(field, mul, mul)
+        products_last = _combine(field, mul, mul.transpose(1, 0, 2)).transpose(2, 0, 1, 3)
+        bad = (products_first != products_last).any(axis=3).transpose(0, 2, 1)
+        if bad.any():
+            i, k, j = (int(x) for x in np.argwhere(bad)[0])
+            raise AlgebraValidationError(
+                "associativity", (i, j, k), f"(e{i} e{j}) e{k} != e{i} (e{j} e{k})"
+            )
+        ident = Matrix.identity(field, self.dim).a
+        for side, stack in (("left", self.left_stack), ("right", self.right_stack)):
+            bad = np.flatnonzero((_combine(field, self.unit, stack) != ident).any(axis=0))
+            if len(bad):
+                i = int(bad[0])
+                raise AlgebraValidationError(
+                    "unit", i, f"unit fails to act as identity ({side}) on e{i}"
+                )
 
     @cached_property
     def is_commutative(self) -> bool:
-        n = self.dim
-        return all(
-            np.array_equal(self.mul[i, j], self.mul[j, i])
-            for i in range(n)
-            for j in range(i + 1, n)
-        )
+        return bool(np.array_equal(self.mul, self.mul.transpose(1, 0, 2)))
 
     # -- elements ----------------------------------------------------------
 
-    def element(self, coords) -> "AlgebraElement":
-        return AlgebraElement(self, coords)
-
     def basis_element(self, i: int) -> "AlgebraElement":
-        coords = [self.field.zero] * self.dim
-        coords[i] = self.field.one
-        return AlgebraElement(self, coords)
+        return AlgebraElement(self, unit_vector(self.field, self.dim, i))
 
     def one(self) -> "AlgebraElement":
         return AlgebraElement(self, self.unit)
 
-    def multiply(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    def multiply(self, a, b) -> np.ndarray:
         """Coordinates of the product of two coordinate vectors."""
-        field = self.field
-        a, b, reduce = field.asarray(a), field.asarray(b), field.reduce_array
-        out = np.zeros(self.dim, dtype=field.dtype)
-        for i in range(self.dim):
-            if a[i] == 0:
-                continue
-            for j in range(self.dim):
-                if b[j] == 0:
-                    continue
-                # one reduction per term keeps fixed-width coordinates in range
-                out = reduce(out + reduce(a[i] * b[j]) * self.mul[i, j])
-        return out
+        return _combine(self.field, b, _combine(self.field, a, self.mul))
 
-    def left_mult_matrix(self, a: np.ndarray) -> Matrix:
-        cols = [self.multiply(a, self._basis_vec(j)) for j in range(self.dim)]
-        return Matrix._raw(self.field, np.stack(cols).T)
+    def left_mult_matrix(self, a) -> Matrix:
+        return Matrix._raw(self.field, _combine(self.field, a, self.left_stack))
 
-    def right_mult_matrix(self, a: np.ndarray) -> Matrix:
-        cols = [self.multiply(self._basis_vec(i), a) for i in range(self.dim)]
-        return Matrix._raw(self.field, np.stack(cols).T)
-
-    def _basis_vec(self, i: int) -> np.ndarray:
-        v = np.zeros(self.dim, dtype=self.field.dtype)
-        v[i] = self.field.one
-        return v
+    def right_mult_matrix(self, a) -> Matrix:
+        return Matrix._raw(self.field, _combine(self.field, a, self.right_stack))
 
     # -- derived structure --------------------------------------------------
 
     @cached_property
     def center(self) -> Subspace:
         """{z : z e_i = e_i z for all i}, as a subspace of coordinates."""
-        ops = [self.left_ops[i] - self.right_ops[i] for i in range(self.dim)]
-        return joint_kernel(ops)
+        n, field = self.dim, self.field
+        # row (i, k) is coordinate k of e_i z - z e_i
+        rows = field.reduce_array(self.left_stack - self.right_stack).reshape(n * n, n)
+        return kernel(Matrix._wrap(field, rows))
 
     @cached_property
     def derivations(self) -> Subspace:
@@ -174,22 +142,15 @@ class Algebra:
         Subspace of Hom_K(A, A); hom vectors use the column-major
         flattening (index = column * dim + row).
         """
-        n = self.dim
-        field = self.field
-        ident = Matrix.identity(field, n)
-        conditions = []
-        for i in range(n):
-            for j in range(n):
-                prod_row = Matrix._raw(field, self.mul[i, j].reshape(1, n))
-                ei = Matrix._raw(field, self._basis_vec(i).reshape(1, n))
-                ej = Matrix._raw(field, self._basis_vec(j).reshape(1, n))
-                cond = (
-                    prod_row.kron(ident)
-                    - ei.kron(self.right_ops[j])
-                    - ej.kron(self.left_ops[i])
-                )
-                conditions.append(cond)
-        return joint_kernel(conditions)
+        n, field = self.dim, self.field
+        # cond[i, j, k, c, r] is the coefficient of d's entry (r, c) in
+        # coordinate k of d(e_i e_j) - d(e_i) e_j - e_i d(e_j)
+        cond = np.zeros((n,) * 5, dtype=field.dtype)
+        for t in range(n):
+            cond[:, :, t, :, t] += self.mul
+            cond[t, :, :, t, :] -= self.right_stack
+            cond[:, t, :, t, :] -= self.left_stack
+        return kernel(Matrix._wrap(field, field.reduce_array(cond.reshape(n**3, n**2))))
 
     def inner_derivation(self, a: "AlgebraElement") -> Matrix:
         """ad_a : x -> a x - x a."""
@@ -199,13 +160,28 @@ class Algebra:
         return f"Algebra({self.name!r}, dim={self.dim}, field={self.field!r})"
 
 
+def _combine(field, coeffs, stack: np.ndarray) -> np.ndarray:
+    """sum_i coeffs[..., i] stack[i]: combinations of a stacked family.
+
+    coeffs is a coordinate vector, or a stack of them along its last
+    axis, with one entry per member of the family.  An array is taken as
+    kernel scalars; any other iterable is read once through
+    field.normalize, which refuses inexact scalars.
+    """
+    coeffs = field.asarray(coeffs) if isinstance(coeffs, np.ndarray) else vector(field, coeffs)
+    if coeffs.ndim == 0 or coeffs.shape[-1] != len(stack):
+        raise DimensionMismatch(f"{coeffs.shape[-1:]} coefficients for a family of {len(stack)}")
+    return field.tensordot(coeffs, stack, ([coeffs.ndim - 1], [0]))
+
+
 class AlgebraElement:
     """Element of an Algebra, held as a coordinate vector."""
 
     __slots__ = ("algebra", "coords")
 
     def __init__(self, algebra: Algebra, coords):
-        if len(list(coords)) != algebra.dim:
+        coords = list(coords)
+        if len(coords) != algebra.dim:
             raise AlgebraValidationError(
                 "shape", None, f"element needs {algebra.dim} coordinates"
             )

@@ -76,7 +76,12 @@ def _load_module(spec: str, algebra) -> BimoduleRep:
         return BimoduleRep.regular(algebra)
     if spec == "free2":
         return BimoduleRep.free(algebra, 2)
-    return module_from_doc(load_json(Path(spec)), algebra=algebra, base_dir=Path(spec).parent)
+    try:
+        return module_from_doc(load_json(Path(spec)), algebra=algebra, base_dir=Path(spec).parent)
+    except BimoduleValidationError as exc:
+        if exc.axiom == "centrality":  # a coordinate vector, reported as exact scalar strings
+            exc.witness = [algebra.field.format(x) for x in exc.witness]
+        raise
 
 
 def _inputs(algebra, **modules) -> dict:

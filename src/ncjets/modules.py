@@ -18,8 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import Algebra
-from .linalg import DimensionMismatch, Matrix, Subspace, joint_kernel
+from .algebra import Algebra, _combine
+from .linalg import DimensionMismatch, Matrix, Subspace, joint_kernel, vector
 
 
 class BimoduleValidationError(ValueError):
@@ -38,6 +38,8 @@ class CentralityRequired(ValueError):
 class BimoduleRep:
     """Two-sided module given by left/right action matrices per basis element.
 
+    left and right hold the matrices; left_stack and right_stack hold
+    each family once as a read-only (dim A, dim, dim) kernel array.
     Validation checks, with witnesses: left action is a homomorphism,
     right action an anti-homomorphism, the unit acts as identity on both
     sides, the actions commute, and (unless check_central=False) that
@@ -69,54 +71,56 @@ class BimoduleRep:
                     raise BimoduleValidationError("shape", (fam, i), "field mismatch")
         self.left = tuple(left)
         self.right = tuple(right)
+        self.left_stack, self.right_stack = (np.stack([m.a for m in f]) for f in (left, right))
+        self.left_stack.flags.writeable = self.right_stack.flags.writeable = False
         self._validate()
-        self.central = self._centrality_witness() is None
+        witness = self._centrality_witness()
+        self.central = witness is None
         if check_central and not self.central:
             raise BimoduleValidationError(
-                "centrality",
-                self._centrality_witness(),
-                "central algebra elements must act identically on both sides",
+                "centrality", witness, "central algebra elements must act identically on both sides"
             )
 
     def left_action(self, coords) -> Matrix:
         """Action matrix of the algebra element with these coordinates, acting on the left."""
-        return _combo(self.left, coords)
+        return Matrix._raw(self.algebra.field, _combine(self.algebra.field, coords, self.left_stack))
 
     def right_action(self, coords) -> Matrix:
-        return _combo(self.right, coords)
+        return Matrix._raw(self.algebra.field, _combine(self.algebra.field, coords, self.right_stack))
 
     def _validate(self):
-        A = self.algebra
-        n = A.dim
-        for i in range(n):
-            for j in range(n):
-                lhs = self.left[i] @ self.left[j]
-                rhs = _combo(self.left, A.mul[i, j])
-                if lhs != rhs:
-                    raise BimoduleValidationError(
-                        "left-associativity", (i, j), f"L_{i} L_{j} != L_(e{i} e{j})"
-                    )
-                lhs = self.right[i] @ self.right[j]
-                rhs = _combo(self.right, A.mul[j, i])
-                if lhs != rhs:
-                    raise BimoduleValidationError(
-                        "right-associativity", (i, j), f"R_{i} R_{j} != R_(e{j} e{i})"
-                    )
-                if self.left[i] @ self.right[j] != self.right[j] @ self.left[i]:
-                    raise BimoduleValidationError(
-                        "action-commutation", (i, j), f"(e{i} p) e{j} != e{i} (p e{j})"
-                    )
-        ident = Matrix.identity(A.field, self.dim)
-        if self.left_action(A.unit) != ident:
-            raise BimoduleValidationError("unit", "left", "unit must act as identity")
-        if self.right_action(A.unit) != ident:
-            raise BimoduleValidationError("unit", "right", "unit must act as identity")
+        """The axioms at all pairs (e_i, e_j) at once, then the unit.
+
+        The witness is the first failing (i, j) in row-major order; at one
+        (i, j), left-associativity, then right-associativity, then commutation.
+        """
+        A, field = self.algebra, self.algebra.field
+        L, R = self.left_stack, self.right_stack
+        sides = (  # [i, j] of each pair: the two sides of one axiom
+            (_pair_products(field, L, L), _combine(field, A.mul, L)),
+            (_pair_products(field, R, R), _combine(field, A.mul, R).transpose(1, 0, 2, 3)),
+            (_pair_products(field, L, R), _pair_products(field, R, L).transpose(1, 0, 2, 3)),
+        )
+        bad = np.stack([(lhs != rhs).any(axis=(2, 3)) for lhs, rhs in sides], axis=-1)
+        if bad.any():
+            i, j, k = (int(x) for x in np.argwhere(bad)[0])
+            axiom, message = (
+                ("left-associativity", f"L_{i} L_{j} != L_(e{i} e{j})"),
+                ("right-associativity", f"R_{i} R_{j} != R_(e{j} e{i})"),
+                ("action-commutation", f"(e{i} p) e{j} != e{i} (p e{j})"),
+            )[k]
+            raise BimoduleValidationError(axiom, (i, j), message)
+        ident = Matrix.identity(field, self.dim).a
+        for side, stack in (("left", L), ("right", R)):
+            if not np.array_equal(_combine(field, A.unit, stack), ident):
+                raise BimoduleValidationError("unit", side, "unit must act as identity")
 
     def _centrality_witness(self):
-        for z in self.algebra.center.basis_vectors():
-            if self.left_action(z) != self.right_action(z):
-                return z
-        return None
+        """The first center basis vector acting differently on the two sides, or None."""
+        field, z = self.algebra.field, self.algebra.center.basis.a
+        on_left = _combine(field, z, self.left_stack)
+        hits = np.flatnonzero((on_left != _combine(field, z, self.right_stack)).any(axis=(1, 2)))
+        return z[hits[0]].copy() if len(hits) else None
 
     @classmethod
     def regular(cls, algebra: Algebra, name: str = "self") -> "BimoduleRep":
@@ -133,6 +137,11 @@ class BimoduleRep:
 
     def __repr__(self):
         return f"BimoduleRep({self.name!r}, dim={self.dim}, over {self.algebra.name!r})"
+
+
+def _pair_products(field, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """[i, j] = X[i] @ Y[j] for two stacks of square matrices."""
+    return _combine(field, X, Y.transpose(1, 0, 2)).transpose(0, 2, 1, 3)
 
 
 def require_central(*modules: BimoduleRep):
@@ -216,8 +225,18 @@ class LegAction:
         return out
 
 
-def _leg_family(field, legs, axis: int, mats: Sequence[Matrix]) -> tuple[LegAction, ...]:
-    return tuple(LegAction(field, legs, ((axis, M),)) for M in mats)
+def _leg_family(field, legs, axis: int, stack: np.ndarray) -> tuple[LegAction, ...]:
+    """One single-leg LegAction per matrix of a stacked family."""
+    return tuple(LegAction(field, legs, ((axis, Matrix._wrap(field, m)),)) for m in stack.copy())
+
+
+def _deviation(field, legs, coords, plus, minus) -> LegAction:
+    """sum_i c_i (plus_i - minus_i) for two (leg, stacked family) pairs."""
+    coords = vector(field, coords)
+    (plus_axis, plus_stack), (minus_axis, minus_stack) = plus, minus
+    plus_op = Matrix._raw(field, _combine(field, coords, plus_stack))
+    minus_op = Matrix._raw(field, -_combine(field, coords, minus_stack))
+    return LegAction(field, legs, ((plus_axis, plus_op), (minus_axis, minus_op)))
 
 
 class HomSpace:
@@ -244,6 +263,10 @@ class HomSpace:
         self.field = source.algebra.field
         self.dim = source.dim * target.dim
         self.legs = (source.dim, target.dim)
+        # (leg, stacked family) of each structure: the actions on values
+        # sit on the Q leg, the transposed actions on arguments on the P leg
+        self._left_legs = ((1, target.left_stack), (0, source.left_stack.transpose(0, 2, 1)))
+        self._right_legs = ((1, target.right_stack), (0, source.right_stack.transpose(0, 2, 1)))
 
     def vec(self, phi: Matrix) -> np.ndarray:
         if phi.shape != (self.target.dim, self.source.dim):
@@ -258,19 +281,19 @@ class HomSpace:
 
     @cached_property
     def left(self) -> tuple[LegAction, ...]:
-        return _leg_family(self.field, self.legs, 1, self.target.left)
+        return _leg_family(self.field, self.legs, *self._left_legs[0])
 
     @cached_property
     def bullet_left(self) -> tuple[LegAction, ...]:
-        return _leg_family(self.field, self.legs, 0, [m.T for m in self.source.left])
+        return _leg_family(self.field, self.legs, *self._left_legs[1])
 
     @cached_property
     def right(self) -> tuple[LegAction, ...]:
-        return _leg_family(self.field, self.legs, 1, self.target.right)
+        return _leg_family(self.field, self.legs, *self._right_legs[0])
 
     @cached_property
     def bullet_right(self) -> tuple[LegAction, ...]:
-        return _leg_family(self.field, self.legs, 0, [m.T for m in self.source.right])
+        return _leg_family(self.field, self.legs, *self._right_legs[1])
 
     @cached_property
     def deltas(self) -> tuple[LegAction, ...]:
@@ -282,14 +305,10 @@ class HomSpace:
 
     def delta(self, coords) -> LegAction:
         """delta_a for a general algebra element (linear in a)."""
-        return self._deviation(self.target.left_action(coords), self.source.left_action(coords))
+        return _deviation(self.field, self.legs, coords, *self._left_legs)
 
     def delta_bar(self, coords) -> LegAction:
-        return self._deviation(self.target.right_action(coords), self.source.right_action(coords))
-
-    def _deviation(self, on_values: Matrix, on_arguments: Matrix) -> LegAction:
-        """phi -> on_values phi - phi on_arguments: the Q leg minus the transposed P leg."""
-        return LegAction(self.field, self.legs, ((1, on_values), (0, -on_arguments.T)))
+        return _deviation(self.field, self.legs, coords, *self._right_legs)
 
     def identity_element(self) -> Matrix:
         if self.source.dim != self.target.dim:
@@ -301,14 +320,6 @@ class HomSpace:
 
     def __repr__(self):
         return f"HomSpace({self.source.name!r} -> {self.target.name!r}, dim={self.dim})"
-
-
-def _combo(mats: Sequence[Matrix], coeffs) -> Matrix:
-    out = mats[0].scale(coeffs[0])
-    for i in range(1, len(mats)):
-        if coeffs[i] != 0:
-            out = out + mats[i].scale(coeffs[i])
-    return out
 
 
 def hom_A(source: BimoduleRep, target: BimoduleRep) -> Subspace:
@@ -341,8 +352,9 @@ class TensorOneSided:
         self.field = module.algebra.field
         self.dim = self.algebra.dim * module.dim
         self.legs = (self.algebra.dim, module.dim)
-        self.outer_actions = _leg_family(self.field, self.legs, 0, self.algebra.left_ops)
-        self.inner_actions = _leg_family(self.field, self.legs, 1, module.left)
+        self._left_legs = ((0, self.algebra.left_stack), (1, module.left_stack))
+        self.outer_actions = _leg_family(self.field, self.legs, *self._left_legs[0])
+        self.inner_actions = _leg_family(self.field, self.legs, *self._left_legs[1])
         self.delta_actions = tuple(
             o - i for o, i in zip(self.outer_actions, self.inner_actions)
         )
@@ -355,8 +367,7 @@ class TensorOneSided:
 
     def delta(self, coords) -> LegAction:
         """delta^b for a general algebra element (linear in b)."""
-        outer, inner = _combo(self.algebra.left_ops, coords), self.module.left_action(coords)
-        return LegAction(self.field, self.legs, ((0, outer), (1, -inner)))
+        return _deviation(self.field, self.legs, coords, *self._left_legs)
 
     def left_linear_maps(self, target: BimoduleRep) -> Subspace:
         """Maps f : A tensor P -> target with f(b x) = b f(x) for the outer action.
@@ -371,10 +382,9 @@ class TensorOneSided:
         if target.algebra is not self.algebra:
             raise DimensionMismatch("left-linear maps need both modules over one algebra")
         n, m, d = self.algebra.dim, self.module.dim, target.dim
-        lefts = np.stack([L.a for L in target.left])  # [i, q, q0]
         lifts = np.zeros((m, d, n, m, d), dtype=self.field.dtype)
         for u in range(m):
-            lifts[u, :, :, u, :] = lefts.transpose(2, 0, 1)  # lift of E_(q0, u)
+            lifts[u, :, :, u, :] = target.left_stack.transpose(2, 0, 1)  # lift of E_(q0, u)
         return Subspace.from_spanning(self.field, self.dim * d, lifts.reshape(m * d, -1))
 
 
@@ -392,10 +402,12 @@ class TensorTwoSided:
         n, m = self.algebra.dim, module.dim
         self.dim = n * m * n
         self.legs = legs = (n, m, n)
-        self.outer_left_actions = _leg_family(self.field, legs, 0, self.algebra.left_ops)
-        self.inner_left_actions = _leg_family(self.field, legs, 1, module.left)
-        self.outer_right_actions = _leg_family(self.field, legs, 2, self.algebra.right_ops)
-        self.inner_right_actions = _leg_family(self.field, legs, 1, module.right)
+        self._left_legs = ((0, self.algebra.left_stack), (1, module.left_stack))
+        self._right_legs = ((2, self.algebra.right_stack), (1, module.right_stack))
+        self.outer_left_actions = _leg_family(self.field, legs, *self._left_legs[0])
+        self.inner_left_actions = _leg_family(self.field, legs, *self._left_legs[1])
+        self.outer_right_actions = _leg_family(self.field, legs, *self._right_legs[0])
+        self.inner_right_actions = _leg_family(self.field, legs, *self._right_legs[1])
         self.delta_actions = tuple(
             o - i for o, i in zip(self.outer_left_actions, self.inner_left_actions)
         )
@@ -410,9 +422,7 @@ class TensorTwoSided:
         return unit_col.kron(Matrix.identity(self.field, self.module.dim).kron(unit_col))
 
     def delta(self, coords) -> LegAction:
-        outer, inner = _combo(self.algebra.left_ops, coords), self.module.left_action(coords)
-        return LegAction(self.field, self.legs, ((0, outer), (1, -inner)))
+        return _deviation(self.field, self.legs, coords, *self._left_legs)
 
     def delta_bar(self, coords) -> LegAction:
-        outer, inner = _combo(self.algebra.right_ops, coords), self.module.right_action(coords)
-        return LegAction(self.field, self.legs, ((2, outer), (1, -inner)))
+        return _deviation(self.field, self.legs, coords, *self._right_legs)

@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ncjets.algebra import Algebra, AlgebraValidationError
+from ncjets.algebra import Algebra, AlgebraElement, AlgebraValidationError
 from ncjets.catalog import builtin, names
 from ncjets.linalg import QQ, Matrix, vector
 
@@ -61,6 +61,21 @@ def test_malformed_shape():
     with pytest.raises(AlgebraValidationError) as exc:
         Algebra(QQ, ["1", "x"], [1, 0], [[[1, 0]]])
     assert exc.value.axiom == "shape"
+
+
+def test_empty_algebra_is_a_shape_error():
+    with pytest.raises(AlgebraValidationError) as exc:
+        Algebra(QQ, [], [], [])
+    assert exc.value.axiom == "shape"
+
+
+def test_unit_and_coordinates_may_be_one_shot_iterables():
+    a = Algebra(QQ, ["1", "eps"], (x for x in [1, 0]), raw_mul(dual()))
+    assert list(a.unit) == [1, 0]
+    x = AlgebraElement(a, (c for c in [F(1, 2), 3]))
+    assert list(x.coords) == [F(1, 2), 3]
+    with pytest.raises(AlgebraValidationError):
+        AlgebraElement(a, (c for c in [1, 2, 3]))
 
 
 # ---------------------------------------------------------------------------

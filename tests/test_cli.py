@@ -66,6 +66,31 @@ def _m2_docs():
     return algebra_to_doc(algebra), module_to_doc(BimoduleRep.regular(algebra))
 
 
+def test_noncentral_module_reports_its_witness_as_scalar_strings(tmp_path, capsys):
+    from ncjets.catalog import builtin
+    from ncjets.documents import module_to_doc
+
+    module = module_to_doc(builtin("dual_numbers").module("self"))
+    module["right_action"] = [[["1", "0"], ["0", "1"]], [["0", "0"], ["0", "0"]]]
+    path = tmp_path / "module.json"
+    path.write_text(json.dumps(module))
+    code, report, _ = run_json(capsys, ["validate", "-a", "dual_numbers", "-m", str(path)])
+    assert code == 1
+    assert report["results"]["axiom"] == "centrality"
+    assert report["results"]["witness"] == ["0", "1"]
+
+
+def test_tampered_algebra_reports_its_associativity_witness(tmp_path, capsys):
+    algebra, _ = _m2_docs()
+    algebra["mul"][1][2] = ["0"] * 4
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(algebra))
+    code, report, _ = run_json(capsys, ["validate", "-a", str(path)])
+    assert code == 1
+    assert report["results"]["axiom"] == "associativity"
+    assert report["results"]["witness"] == [1, 2, 1]
+
+
 def test_module_with_a_number_scalar_is_validation_error(tmp_path, capsys):
     _, module = _m2_docs()
     module["left_action"][0][0][0] = 1

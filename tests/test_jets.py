@@ -143,7 +143,7 @@ def test_factorize_identity_is_zero_order():
             tensor_vec[i * 3 + u] = 1
             out = fact.factor.apply(fact.jet.projection.apply(tensor_vec))
             expected = P.algebra.multiply(
-                P.algebra._basis_vec(i), P.algebra._basis_vec(u)
+                unit_vector(QQ, 3, i), unit_vector(QQ, 3, u)
             )
             assert list(out) == list(expected)
 

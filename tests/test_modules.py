@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncjets.algebra import Algebra
+from ncjets.algebra import Algebra, AlgebraValidationError
 from ncjets.catalog import builtin, names
 from ncjets.linalg import GF, QQ, DimensionMismatch, Matrix, unit_vector, vector
 from ncjets.modules import (
@@ -75,6 +75,174 @@ def test_noncentral_bimodule_flagged_and_rejected():
     assert not loose.central
     with pytest.raises(CentralityRequired):
         require_central(loose)
+
+
+def _catalog_over(field, name):
+    a = entry(name).algebra
+    return Algebra(field, a.basis_names, list(a.unit), a.mul.tolist(), name=a.name)
+
+
+def _witness_of(error, build):
+    with pytest.raises(error) as exc:
+        build()
+    return exc.value.axiom, exc.value.witness
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=["QQ", "GF101"])
+def test_validation_witnesses_are_the_first_failures_in_loop_order(field):
+    m2, quat, dual = (_catalog_over(field, n) for n in ("m2", "quaternions", "dual_numbers"))
+    table = m2.mul.tolist()
+    table[1][2] = [0, 0, 0, 0]  # kill e12 * e21
+    axiom, witness = _witness_of(
+        AlgebraValidationError, lambda: Algebra(field, m2.basis_names, list(m2.unit), table)
+    )
+    assert (axiom, witness) == ("associativity", (1, 2, 1))
+    assert all(type(x) is int for x in witness)
+    axiom, witness = _witness_of(
+        AlgebraValidationError, lambda: Algebra(field, dual.basis_names, [0, 1], dual.mul.tolist())
+    )
+    assert (axiom, witness) == ("unit", 0) and type(witness) is int
+    for algebra, first in ((m2, (0, 1)), (quat, (1, 2))):
+        axiom, witness = _witness_of(
+            BimoduleValidationError, lambda: BimoduleRep(algebra, algebra.left_ops, algebra.left_ops)
+        )
+        assert (axiom, witness) == ("right-associativity", first)
+        assert all(type(x) is int for x in witness)
+    right = [Matrix.identity(field, 2), Matrix.zeros(field, 2, 2)]
+    axiom, witness = _witness_of(BimoduleValidationError, lambda: BimoduleRep(dual, dual.left_ops, right))
+    assert axiom == "centrality" and list(witness) == [0, 1]
+    # p . a = p sigma(a), sigma swapping the two idempotents: both central basis vectors fail
+    prod = _catalog_over(field, "product_QQ")
+    twisted = prod.right_ops[::-1]
+    axiom, witness = _witness_of(BimoduleValidationError, lambda: BimoduleRep(prod, prod.left_ops, twisted))
+    assert axiom == "centrality" and list(witness) == [1, 0]
+
+
+def _over_p(p):
+    """Reduction mod p of a list (p = 0 is Q), and a table entry as a Python scalar."""
+    return (lambda xs: [x % p for x in xs]) if p else list, (int if p else (lambda x: x))
+
+
+def _naive_module_failure(mul, left, right, unit, p):
+    """Per-pair loops on Python lists: (axiom, witness) of the first failing axiom, or None."""
+    n, d = len(mul), len(left[0])
+    red = _over_p(p)[0]
+
+    def mm(a, b):
+        return [red([sum(a[r][t] * b[t][c] for t in range(d)) for c in range(d)]) for r in range(d)]
+
+    def combo(mats, coeffs):
+        return [red([sum(c * m[r][s] for c, m in zip(coeffs, mats)) for s in range(d)]) for r in range(d)]
+
+    for i in range(n):
+        for j in range(n):
+            if mm(left[i], left[j]) != combo(left, mul[i][j]):
+                return "left-associativity", (i, j)
+            if mm(right[i], right[j]) != combo(right, mul[j][i]):
+                return "right-associativity", (i, j)
+            if mm(left[i], right[j]) != mm(right[j], left[i]):
+                return "action-commutation", (i, j)
+    ident = [[int(r == s) for s in range(d)] for r in range(d)]
+    for side, mats in (("left", left), ("right", right)):
+        if combo(mats, unit) != ident:
+            return "unit", side
+    return None
+
+
+def _naive_algebra_failure(mul, unit, p):
+    """The first (e_i e_j) e_k != e_i (e_j e_k) scanning i, k, j; then the unit, left first."""
+    n, red = len(mul), _over_p(p)[0]
+    for i in range(n):
+        for k in range(n):
+            for j in range(n):
+                lhs = [sum(mul[i][j][m] * mul[m][k][o] for m in range(n)) for o in range(n)]
+                rhs = [sum(mul[j][k][m] * mul[i][m][o] for m in range(n)) for o in range(n)]
+                if red(lhs) != red(rhs):
+                    return "associativity", (i, j, k)
+    for on_left in (True, False):
+        for i in range(n):
+            prods = [mul[m][i] if on_left else mul[i][m] for m in range(n)]
+            acted = [sum(c * v[o] for c, v in zip(unit, prods)) for o in range(n)]
+            if red(acted) != [int(o == i) for o in range(n)]:
+                return "unit", i
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(["dual_numbers", "trunc3", "product_QQ", "t2", "m2", "quaternions"]),
+    p=st.sampled_from([0, 5]),
+    free=st.booleans(),
+    edits=st.lists(st.tuples(st.booleans(), st.integers(0, 63), st.integers(-2, 2)), max_size=3),
+)
+def test_module_witness_is_the_first_failure_of_the_per_pair_loops(name, p, free, edits):
+    field, scalar = GF(p) if p else QQ, _over_p(p)[1]
+    a = _catalog_over(field, name)
+    P = BimoduleRep.free(a, 2) if free else BimoduleRep.regular(a)
+    left, right = ([m.to_lists() for m in fam] for fam in (P.left, P.right))
+    for on_left, cell, value in edits:
+        m = (left if on_left else right)[cell % a.dim]
+        m[cell // a.dim % P.dim][cell % P.dim] = value % p if p else value
+    mul = [[[scalar(x) for x in a.mul[i, j]] for j in range(a.dim)] for i in range(a.dim)]
+    want = _naive_module_failure(mul, left, right, [scalar(x) for x in a.unit], p)
+
+    def build():
+        fams = ([Matrix(field, m) for m in fam] for fam in (left, right))
+        return BimoduleRep(a, *fams, check_central=False)
+
+    if want is None:
+        build()
+    else:
+        assert _witness_of(BimoduleValidationError, build) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(["dual_numbers", "trunc3", "t2", "m2", "quaternions"]),
+    p=st.sampled_from([0, 5]),
+    edits=st.lists(st.tuples(st.integers(0, 63), st.integers(-2, 2)), max_size=3),
+    unit_edit=st.none() | st.tuples(st.integers(0, 3), st.integers(-1, 2)),
+)
+def test_algebra_witness_is_the_first_failure_of_the_per_triple_loops(name, p, edits, unit_edit):
+    field, scalar = GF(p) if p else QQ, _over_p(p)[1]
+    a = _catalog_over(field, name)
+    n = a.dim
+    mul = [[[scalar(x) for x in a.mul[i, j]] for j in range(n)] for i in range(n)]
+    unit = [scalar(x) for x in a.unit]
+    for cell, value in edits:
+        mul[cell // (n * n) % n][cell // n % n][cell % n] = value % p if p else value
+    if unit_edit is not None:
+        unit[unit_edit[0] % n] = unit_edit[1] % p if p else unit_edit[1]
+    want = _naive_algebra_failure(mul, unit, p)
+    build = lambda: Algebra(field, a.basis_names, unit, mul)  # noqa: E731
+    if want is None:
+        build()
+    else:
+        assert _witness_of(AlgebraValidationError, build) == want
+
+
+def test_wrong_length_coordinates_raise_dimension_mismatch():
+    a = entry("dual_numbers").algebra
+    P = BimoduleRep.regular(a)
+    hs, one, two = HomSpace(P, P), TensorOneSided(P), TensorTwoSided(P)
+    calls = [
+        lambda c: a.multiply(c, [0, 1]),
+        lambda c: a.multiply([0, 1], c),
+        a.left_mult_matrix,
+        a.right_mult_matrix,
+        P.left_action,
+        P.right_action,
+        hs.delta,
+        hs.delta_bar,
+        one.delta,
+        two.delta,
+        two.delta_bar,
+    ]
+    for call in calls:
+        for coords in ([1, 0, 5], [1], np.array([0, 1, 0], dtype=object)):
+            with pytest.raises(DimensionMismatch):
+                call(coords)
+        call(iter([1, 0]))  # the right length, read once
 
 
 # ---------------------------------------------------------------------------
