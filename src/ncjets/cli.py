@@ -42,6 +42,7 @@ from .jets import (
     residual_witness_search,
     two_sided_jet1,
 )
+from .linalg import Matrix
 from .modules import BimoduleRep, BimoduleValidationError, CentralityRequired, HomSpace
 
 OK = 0
@@ -127,16 +128,14 @@ def _cmd_center(args):
 def _cmd_derivations(args):
     algebra = _load_algebra(args.algebra)
     sub = algebra.derivations
-    P = BimoduleRep.regular(algebra)
-    hs = HomSpace(P, P)
+    n = algebra.dim
+    # a derivation's hom vector is its n x n matrix flattened column-major
+    maps = [Matrix._wrap(algebra.field, v.reshape((n, n), order="F")) for v in sub.basis_vectors()]
     return make_report(
         "derivations",
         _echo(args),
         _inputs(algebra),
-        {
-            "dim": sub.dim,
-            "basis": [hom_matrix_to_doc(hs.unvec(v)) for v in sub.basis_vectors()],
-        },
+        {"dim": sub.dim, "basis": [hom_matrix_to_doc(d) for d in maps]},
     )
 
 

@@ -8,18 +8,20 @@ outside this module needs to know which field it works over:
 
 - over Q, arrays have dtype ``object`` and hold exact Python scalars, a
   plain ``int`` wherever the value is integral and a ``Fraction``
-  otherwise; elimination is fraction-free Gauss-Jordan on integer rows
-  (Bareiss, Math. Comp. 22, 1968), each updated row divided by its
-  content, so no Fraction arithmetic happens inside the pivot loop;
-  ``sparse_dot`` (products with relation bases and kernel coefficients)
-  and ``leg_dot`` (one factor of a tensor action on one leg) only touch
-  the nonzero entries of their mostly-zero operands, while ``dot`` stays
-  numpy's dense product for the small dense matrices of validation;
+  otherwise; ``sparse_dot`` (products with relation bases and kernel
+  coefficients) and ``leg_dot`` (one factor of a tensor action on one
+  leg) only touch the nonzero entries of their mostly-zero operands,
+  while ``dot`` stays numpy's dense product for the small dense matrices
+  of validation;
 - over F_p, arrays have dtype ``int64`` with every entry in ``[0, p)``;
   products split the right operand into 16-bit halves so that no partial
   sum can leave int64 (the word-size technique of Dumas, Giorgi and
-  Pernet, FFLAS-FFPACK, 2008), and elimination is by vectorized rank-1
-  updates; ``sparse_dot`` and ``leg_dot`` are the dense int64 products.
+  Pernet, FFLAS-FFPACK, 2008); ``sparse_dot`` and ``leg_dot`` are the
+  dense int64 products.
+
+Both fields' ``echelon`` is one routine, ``_gauss_jordan``: incremental
+Gauss-Jordan on sparse rows that touches nonzero entries only, on Python
+scalars; a field supplies its scalar inverse and its modulus (0 for Q).
 
 Subspaces are stored with a reduced row-echelon basis and no zero rows,
 which makes set equality of subspaces the same as matrix equality of
@@ -88,24 +90,89 @@ def _inexact(x) -> ScalarFormatError:
     return ScalarFormatError(f"not an exact scalar: {x!r} ({type(x).__name__})")
 
 
-def _exact_quotient(x: int, d: int):
-    q, rem = divmod(x, d)
-    return Fraction(x, d) if rem else q
+def _gauss_jordan(a: np.ndarray, inverse, p: int) -> tuple[np.ndarray, list[int]]:
+    """RREF of a (same shape, zero rows last) and its pivot columns.
+
+    The one elimination of both fields: incremental Gauss-Jordan on sparse
+    rows, {col: value} dicts of a row's nonzeros, since the systems built
+    from structure constants are a few percent nonzero (the standard
+    remedy over finite fields: Dumas and Villard, CASC 2002).  A pivot row
+    is kept as its tail, the entries off its pivot (which is 1), and every
+    tail is zero at every pivot column.  Each input row is reduced by the
+    tails of the pivots it meets, which cannot create an entry at another
+    pivot; whatever is left opens a pivot at its first column, is scaled
+    by the inverse of its entry there and is cleared from the earlier
+    tails that meet that column.  Arithmetic is on Python scalars, reduced
+    mod p when p is nonzero; the field supplies only `inverse`.  Other
+    rationals in an object array (numpy ints) are made Python Fractions
+    first, since a numpy int times a Fraction overflows, and integral
+    Fractions in the result become ints.
+    """
+    nz_rows, nz_cols = a.nonzero()
+    cols = nz_cols.tolist()
+    vals = a[nz_rows, nz_cols].tolist()
+    if a.dtype == object:
+        vals = [
+            x
+            if type(x) is int or type(x) is Fraction
+            else Fraction(int(x.numerator), int(x.denominator))
+            for x in vals
+        ]
+    # where each input row's run of nonzeros ends in the row-major lists
+    ends = [*(np.flatnonzero(np.diff(nz_rows)) + 1).tolist(), len(cols)]
+    tails: dict[int, dict] = {}
+    start = 0
+    for end in ends:
+        row = dict(zip(cols[start:end], vals[start:end]))
+        start = end
+        for c in [c for c in row if c in tails]:
+            _subtract(row, row.pop(c), tails[c], p)
+        if not row:
+            continue
+        c = min(row)
+        s = row.pop(c)
+        if s != 1:
+            s = inverse(s)
+            for k, x in row.items():
+                row[k] = x * s % p if p else x * s
+        for tail in tails.values():
+            if c in tail:
+                _subtract(tail, tail.pop(c), row, p)
+        tails[c] = row
+    pivots = sorted(tails)
+    out_rows, out_cols, out_vals = [], [], []
+    for r, c in enumerate(pivots):
+        tail = tails[c]
+        out_rows += [r] * (len(tail) + 1)
+        out_cols.append(c)
+        out_cols += tail
+        out_vals.append(1)
+        out_vals += tail.values()
+    out = np.zeros(a.shape, dtype=a.dtype)
+    out[out_rows, out_cols] = [
+        x.numerator if type(x) is Fraction and x.denominator == 1 else x for x in out_vals
+    ]
+    return out, pivots
 
 
-# Elementwise over object arrays.  Ints (and numpy ints) have numerator
-# and denominator too, and int() turns a numpy int into a Python int.
-_numerator = np.frompyfunc(lambda x: int(x.numerator), 1, 1)
-_denominator = np.frompyfunc(lambda x: x.denominator, 1, 1)
-_divide = np.frompyfunc(_exact_quotient, 2, 1)
+def _subtract(row: dict, f, tail: dict, p: int) -> None:
+    """row -= f * tail in place, mod p when p is nonzero; cells that cancel leave the dict."""
+    get = row.get
+    for j, v in tail.items():
+        x = get(j, 0) - f * v
+        if p:
+            x %= p
+        if x:
+            row[j] = x
+        else:
+            del row[j]
 
 
 class RationalField:
     """The field Q; scalars are Fractions in lowest terms.
 
     Integral values are held as plain ints (Fraction and int mix exactly
-    and print identically); fractions only appear after division.
-    Elimination scales each row to integers and works on Python ints; an
+    and print identically); fractions only appear after division.  An
     echelon form holds a Fraction only where its value is not integral.
     """
 
@@ -119,6 +186,11 @@ class RationalField:
             raise _inexact(x)
         f = Fraction(x)
         return f.numerator if f.denominator == 1 else f
+
+    def inv(self, x):
+        """1/x, an int when that is integral."""
+        q = 1 / Fraction(x)
+        return q.numerator if q.denominator == 1 else q
 
     # -- array kernel: object arrays of exact scalars --------------------
 
@@ -181,62 +253,8 @@ class RationalField:
         return out
 
     def echelon(self, a: np.ndarray) -> tuple[np.ndarray, list[int]]:
-        """RREF of a (same shape, zero rows last) and its pivot columns.
-
-        Fraction-free: zero rows are dropped and each row is scaled by the
-        lcm of its denominators, which keeps its span; only nonzero cells
-        are touched, since the inputs are mostly zero.  The pivot loop has
-        the shape of PrimeField.echelon, on Python ints: each row nonzero
-        in the pivot column becomes pv*row - row[c]*head, divided by its
-        content.  Last, each pivot row is divided by its pivot: an exact
-        quotient stays an int, the rest become Fractions.  Every integral
-        cell of the result is a plain int, so it needs no demote_array.
-        """
-        a = np.asarray(a, dtype=object)
-        nz = a.astype(bool)
-        keep = nz.any(axis=1)
-        vals = a[keep][nz[keep]]
-        nz = nz[keep]
-        rows, cols = nz.shape
-        which = nz.nonzero()[0]  # row of each entry of vals
-        den = _denominator(vals)
-        lcm = np.ones(rows, dtype=object)
-        np.lcm.at(lcm, which, den)
-        work = np.zeros((rows, cols), dtype=object)
-        work[nz] = _numerator(vals) * (lcm[which] // den)
-        pivots: list[int] = []
-        r = c = 0
-        while r < rows and c < cols:
-            live = nz[r:, c:].any(axis=0).nonzero()[0]
-            if not live.size:
-                break
-            c += int(live[0])
-            below = nz[r:, c].nonzero()[0][0]
-            if below:
-                work[[r, r + below]] = work[[r + below, r]]
-                nz[[r, r + below]] = nz[[r + below, r]]
-            head = work[r]
-            pv = head[c]
-            for i in nz[:, c].nonzero()[0]:
-                if i == r:
-                    continue
-                row = pv * work[i] - work[i, c] * head
-                g = math.gcd(*row)
-                if g > 1:
-                    row //= g
-                work[i] = row
-                nz[i] = row.astype(bool)
-            pivots.append(c)
-            r += 1
-            c += 1
-        for i, c in enumerate(pivots):
-            pv = work[i, c]
-            if pv != 1:
-                cells = nz[i].nonzero()[0]
-                work[i, cells] = _divide(work[i, cells], pv)
-        out = np.zeros(a.shape, dtype=object)
-        out[:r] = work[:r]
-        return out, pivots
+        """RREF of a (same shape, zero rows last) and its pivot columns, by _gauss_jordan."""
+        return _gauss_jordan(np.asarray(a, dtype=object), self.inv, 0)
 
     def demote_array(self, a: np.ndarray) -> np.ndarray:
         # Turn integral Fractions back into ints; keeps later arithmetic fast.
@@ -253,7 +271,10 @@ class RationalField:
         return Fraction(s)
 
     def format(self, x) -> str:
-        return str(Fraction(x))
+        # str of an int or a Fraction is already canonical; other types
+        # (numpy ints, bools) print through Fraction
+        t = type(x)
+        return str(x) if t is int or t is Fraction else str(Fraction(x))
 
     def spec(self) -> object:
         """The field's JSON form, read back by field_from_spec."""
@@ -284,6 +305,7 @@ class PrimeField:
     Arrays are int64 with entries in [0, p).  The kernel's products also
     accept negated entries (|x| < p), which is all the library produces
     between reductions, and keep every partial sum below 2**63.
+    Elimination works on Python ints reduced mod p, which cannot overflow.
     """
 
     kind = "prime-field"
@@ -309,7 +331,7 @@ class PrimeField:
         x %= self.p
         if x == 0:
             raise ZeroDivisionError(f"0 has no inverse in F_{self.p}")
-        return pow(x, self.p - 2, self.p)
+        return pow(x, -1, self.p)
 
     # -- array kernel: int64 arrays reduced to [0, p) --------------------
 
@@ -392,46 +414,8 @@ class PrimeField:
         return moved if out is None else out + moved
 
     def echelon(self, a: np.ndarray) -> tuple[np.ndarray, list[int]]:
-        """RREF of a (same shape, zero rows last) and its pivot columns.
-
-        Zero rows are dropped first, and each step jumps straight to the
-        next column that is nonzero below the current row.  A pivot is a
-        rank-1 update of the rows nonzero in its column, on the columns
-        from the pivot on (the pivot row is zero before it); entries stay
-        in [0, p), so each update's products are below 2**62.
-        """
-        p = self.p
-        a = self.asarray(a)
-        out = np.zeros(a.shape, dtype=np.int64)
-        work = a[a.any(axis=1)]
-        rows, cols = work.shape
-        pivots: list[int] = []
-        r = c = 0
-        while r < rows and c < cols:
-            live = work[r:, c:].any(axis=0).nonzero()[0]
-            if not live.size:
-                break
-            c += int(live[0])
-            below = work[r:, c].nonzero()[0][0]
-            if below:
-                work[[r, r + below]] = work[[r + below, r]]
-            head = work[r, c:]
-            x = int(head[0])
-            if x != 1:
-                head *= pow(x, p - 2, p)
-                head %= p
-            hits = work[:, c].nonzero()[0]
-            hits = hits[hits != r]
-            if hits.size:
-                block = work[hits, c:]
-                block -= np.multiply.outer(block[:, 0], head)
-                block %= p
-                work[hits, c:] = block
-            pivots.append(c)
-            r += 1
-            c += 1
-        out[:r] = work[:r]
-        return out, pivots
+        """RREF of a (same shape, zero rows last) and its pivot columns, by _gauss_jordan."""
+        return _gauss_jordan(self.asarray(a), self.inv, self.p)
 
     def demote_array(self, a: np.ndarray) -> np.ndarray:
         return a

@@ -193,9 +193,12 @@ class LegAction:
             raise DimensionMismatch(f"{self.field!r} action - {other.field!r} action")
         if self.dims != other.dims:
             raise DimensionMismatch(f"leg dims {self.dims} - {other.dims}")
-        return LegAction(
-            self.field, self.dims, self.terms + tuple((axis, -m) for axis, m in other.terms)
+        field = self.field
+        # negating a field-form array leaves it in field form: no demote
+        negated = tuple(
+            (axis, Matrix._wrap(field, field.reduce_array(-m.a))) for axis, m in other.terms
         )
+        return LegAction(field, self.dims, self.terms + negated)
 
     @property
     def T(self) -> "LegAction":

@@ -3,7 +3,10 @@ import json
 import pytest
 
 import ncjets.jets
+from ncjets.catalog import builtin, names as catalog_names
 from ncjets.cli import run
+from ncjets.documents import canonical_json, hom_matrix_to_doc
+from ncjets.modules import BimoduleRep, HomSpace
 
 
 def out_of(capsys):
@@ -154,6 +157,23 @@ def test_center_and_derivations(capsys):
     assert code == 0
     assert report["results"]["dim"] == 3
     assert len(report["results"]["basis"]) == 3
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_derivations_build_no_module(monkeypatch, capsys, name):
+    algebra = builtin(name).algebra  # the catalog entry's own modules are built here
+    P = BimoduleRep.regular(algebra)
+    hs = HomSpace(P, P)
+    want_basis = [hom_matrix_to_doc(hs.unvec(v)) for v in algebra.derivations.basis_vectors()]
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("derivations built a module")
+
+    monkeypatch.setattr(BimoduleRep, "__init__", refuse)
+    code, report, out = run_json(capsys, ["derivations", "-a", name])
+    assert code == 0
+    report["results"]["basis"] = want_basis
+    assert canonical_json(report) == out
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
+import ast
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +26,7 @@ from ncjets.linalg import (
 )
 from ncjets.modules import LegAction
 
-from naive_gauss import naive_kernel_basis, naive_rref
+from naive_gauss import naive_kernel_basis, naive_rref, naive_rref_mod
 
 F = Fraction
 
@@ -52,6 +54,13 @@ def test_rational_parse_rejects_junk():
 def test_rational_canonicalization():
     assert QQ.normalize(F(2, 4)) == F(1, 2)
     assert QQ.format(F(-1, -2)) == "1/2"
+
+
+@pytest.mark.parametrize(
+    "x", [0, -7, 2**70, -(2**70), F(1, 2), F(-22, 7), F(4, 2), F(5), np.int64(-3), True, False]
+)
+def test_rational_format_is_str_of_the_fraction(x):
+    assert QQ.format(x) == str(Fraction(x))
 
 
 def test_prime_field_basics():
@@ -254,6 +263,109 @@ def test_from_spanning_and_rref_never_demote_the_echelon(monkeypatch):
     _assert_canonical_q(s.basis.a)
     assert res.matrix == s.basis
     assert rows[0, 0] == 2 and type(rows[0, 0]) is Fraction and rows.flags.writeable
+
+
+# ---------------------------------------------------------------------------
+# sparse Gauss-Jordan against the oracle
+
+P31 = 2**31 - 1
+
+
+def _q_cell_types(draw, x):
+    """x as an int, np.int64, Fraction(n, 1) or proper Fraction: the types a Q cell arrives in."""
+    if type(x) is Fraction:
+        return x
+    kinds = ["int", "fraction"] + (["int64"] if -(2**63) <= x < 2**63 else [])
+    kind = draw(st.sampled_from(kinds))
+    return np.int64(x) if kind == "int64" else Fraction(x) if kind == "fraction" else x
+
+
+@st.composite
+def _sparse_systems(draw):
+    """Up to 16x24 at about 10% density over Q or GF(p), p in {2, 7, 2^31-1}.
+
+    Returns (field, canonical rows for the oracle, the array handed to
+    echelon).  Rows are often sorted by decreasing leading column, so a
+    later row opens a pivot left of the earlier ones and that column must
+    be cleared from the earlier pivot rows; a combination of two rows
+    makes a rank drop likely.
+    """
+    field = draw(st.sampled_from([QQ, GF(2), GF(7), GF(P31)]))
+    nrows, ncols = draw(st.integers(1, 16)), draw(st.integers(1, 24))
+    if field == QQ:
+        value = st.one_of(
+            st.integers(-9, 9),
+            st.fractions(min_value=-20, max_value=20, max_denominator=50),
+            st.sampled_from([2**70, -(2**70), 2**63, -(2**63) - 1]),
+        ).filter(bool)
+    else:
+        p = field.p
+        top = st.sampled_from(sorted({1, p - 1, max(p - 2, 1)}))
+        value = st.one_of(top, st.integers(1, p - 1))
+    rows = [[0] * ncols for _ in range(nrows)]
+    cells = st.tuples(st.integers(0, nrows - 1), st.integers(0, ncols - 1), value)
+    for i, j, x in draw(st.lists(cells, max_size=max(1, nrows * ncols // 10))):
+        rows[i][j] = x
+    if draw(st.booleans()):
+        rows.sort(key=lambda r: next((j for j, x in enumerate(r) if x), ncols), reverse=True)
+    if nrows > 2 and draw(st.booleans()):
+        c = draw(value)
+        rows[-1] = [x + c * y for x, y in zip(rows[0], rows[1])]
+        if field != QQ:
+            rows[-1] = [x % field.p for x in rows[-1]]
+    if field == QQ:
+        a = np.empty((nrows, ncols), dtype=object)
+        for i, row in enumerate(rows):
+            for j, x in enumerate(row):
+                a[i, j] = _q_cell_types(draw, x) if x else 0
+    else:
+        a = np.array(rows, dtype=np.int64)
+    return field, rows, a
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sparse_systems())
+def test_sparse_gauss_jordan_matches_naive(case):
+    field, rows, a = case
+    given_cells = a.copy()
+    out, piv = field.echelon(a)
+    if field == QQ:
+        want, want_piv = naive_rref(rows)
+        _assert_canonical_q(out)
+    else:
+        want, want_piv = naive_rref_mod(rows, field.p)
+        assert out.dtype == np.int64
+    assert out.shape == a.shape
+    assert out.tolist() == want
+    assert piv == want_piv
+    assert np.array_equal(a, given_cells)  # the input is left as it was
+    again, again_piv = field.echelon(out)
+    assert again.tolist() == out.tolist() and again_piv == piv
+
+
+def test_new_pivot_is_cleared_from_earlier_pivot_rows():
+    # each row leads left of the rows before it: every pivot after the
+    # first lands in a column the earlier pivot rows hold
+    rows = [[0, 0, 0, 2, 1], [0, 0, 3, 1, 0], [0, 5, 1, 0, 0], [7, 1, 0, 0, 0]]
+    for field in (QQ, GF(2), GF(7), GF(P31)):
+        out, piv = field.echelon(np.array(rows, dtype=field.dtype))
+        p = getattr(field, "p", None)
+        want, want_piv = naive_rref(rows) if p is None else naive_rref_mod(rows, p)
+        assert out.tolist() == want and piv == want_piv
+
+
+@pytest.mark.parametrize("name", ["naive_gauss.py", "oracle_systems.py"])
+def test_oracle_imports_neither_the_library_nor_numpy(name):
+    # the referee stays independent of the kernel it judges
+    tree = ast.parse((Path(__file__).parent / name).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported.add((node.module or "").split(".")[0])
+    assert imported, name
+    assert not imported & {"ncjets", "numpy", "importlib"}, imported
 
 
 _SPARSE_ENTRIES = st.sampled_from([0, 0, 0, 0, 1, -1, 2, F(3, 2), F(-3, 2), 2**70, -(2**70)])

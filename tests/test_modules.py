@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from ncjets.algebra import Algebra, AlgebraValidationError
 from ncjets.catalog import builtin, names
+from ncjets import linalg
 from ncjets.linalg import GF, QQ, DimensionMismatch, Matrix, unit_vector, vector
 from ncjets.modules import (
     BimoduleRep,
@@ -508,6 +509,21 @@ def test_leg_action_difference_concatenates_terms():
     assert [axis for axis, _ in diff.terms] == [0, 1]
     assert diff.terms[1][1] == -a.left_ops[2]
     assert diff.dense == left.dense - right.dense
+
+
+def test_hom_deviations_are_built_without_demoting(monkeypatch):
+    P = entry("m2").module("self")
+    calls = []
+    monkeypatch.setattr(linalg.RationalField, "demote_array", lambda self, a: calls.append(a.shape))
+    hs = HomSpace(P, P)
+    deltas, delta_bars = hs.deltas, hs.delta_bars
+    assert calls == []
+    monkeypatch.undo()
+    families = ((deltas, hs.left, hs.bullet_left), (delta_bars, hs.right, hs.bullet_right))
+    for diffs, plus, minus in families:
+        assert len(diffs) == P.algebra.dim
+        for d, l, b in zip(diffs, plus, minus):
+            assert d.dense == l.dense - b.dense
 
 
 # exact values the zero-skipping product treats differently: zero (skipped),
