@@ -27,6 +27,7 @@ from .modules import (
     LegAction,
     TensorOneSided,
     TensorTwoSided,
+    _pair_products,
     require_central,
 )
 
@@ -204,9 +205,9 @@ def _collapse_conditions(jet: JetModule, Q: BimoduleRep) -> Matrix:
     """
     P = jet.base
     field = P.algebra.field
-    rights = Q.right if jet.two_sided else (Matrix.identity(field, Q.dim),)
+    rights = Q.right_stack if jet.two_sided else Matrix.identity(field, Q.dim).a[None]
     w = jet.mu.basis.a.reshape(jet.mu.dim, P.algebra.dim, P.dim, len(rights))
-    sandwich = np.stack([np.stack([(R @ L).a for R in rights]) for L in Q.left])
+    sandwich = _pair_products(field, rights, Q.left_stack).transpose(1, 0, 2, 3)  # [i, j] = R_j L_i
     rows = field.tensordot(w, sandwich, ([1, 3], [0, 1]))  # (w, u, q, q')
     rows = rows.transpose(0, 2, 1, 3).reshape(jet.mu.dim * Q.dim, P.dim * Q.dim)
     return Matrix._raw(field, rows)

@@ -8,8 +8,8 @@ outside this module needs to know which field it works over:
 
 - over Q, arrays have dtype ``object`` and hold exact Python scalars, a
   plain ``int`` wherever the value is integral and a ``Fraction``
-  otherwise; ``sparse_dot`` (products with relation bases and kernel
-  coefficients) and ``leg_dot`` (one factor of a tensor action on one
+  otherwise; ``sparse_dot`` (a restriction's kernel coefficients times
+  its basis) and ``leg_dot`` (one factor of a tensor action on one
   leg) only touch the nonzero entries of their mostly-zero operands,
   while ``dot`` stays numpy's dense product for the small dense matrices
   of validation;
@@ -19,9 +19,12 @@ outside this module needs to know which field it works over:
   Pernet, FFLAS-FFPACK, 2008); ``sparse_dot`` and ``leg_dot`` are the
   dense int64 products.
 
-Both fields' ``echelon`` is one routine, ``_gauss_jordan``: incremental
-Gauss-Jordan on sparse rows that touches nonzero entries only, on Python
-scalars; a field supplies its scalar inverse and its modulus (0 for Q).
+Every reduction against a reduced row-echelon basis is one pair of steps
+on sparse rows ({col: value} dicts of Python scalars): ``_reduce``
+subtracts the pivot rows a row meets and ``_insert`` makes what is left a
+new pivot row.  Elimination, membership (``Subspace.residuals``), closure,
+intersection, preimages and induced quotient maps all go through them;
+a field supplies only its scalar inverse and its modulus (0 for Q).
 
 Subspaces are stored with a reduced row-echelon basis and no zero rows,
 which makes set equality of subspaces the same as matrix equality of
@@ -31,6 +34,7 @@ their bases.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -90,69 +94,61 @@ def _inexact(x) -> ScalarFormatError:
     return ScalarFormatError(f"not an exact scalar: {x!r} ({type(x).__name__})")
 
 
-def _gauss_jordan(a: np.ndarray, inverse, p: int) -> tuple[np.ndarray, list[int]]:
-    """RREF of a (same shape, zero rows last) and its pivot columns.
-
-    The one elimination of both fields: incremental Gauss-Jordan on sparse
-    rows, {col: value} dicts of a row's nonzeros, since the systems built
-    from structure constants are a few percent nonzero (the standard
-    remedy over finite fields: Dumas and Villard, CASC 2002).  A pivot row
-    is kept as its tail, the entries off its pivot (which is 1), and every
-    tail is zero at every pivot column.  Each input row is reduced by the
-    tails of the pivots it meets, which cannot create an entry at another
-    pivot; whatever is left opens a pivot at its first column, is scaled
-    by the inverse of its entry there and is cleared from the earlier
-    tails that meet that column.  Arithmetic is on Python scalars, reduced
-    mod p when p is nonzero; the field supplies only `inverse`.  Other
-    rationals in an object array (numpy ints) are made Python Fractions
-    first, since a numpy int times a Fraction overflows, and integral
-    Fractions in the result become ints.
-    """
+def _sparse_rows(a: np.ndarray) -> list[dict]:
+    """Row i of a 2-D kernel array as a {col: value} dict of its nonzeros, in Python scalars."""
     nz_rows, nz_cols = a.nonzero()
     cols = nz_cols.tolist()
     vals = a[nz_rows, nz_cols].tolist()
-    if a.dtype == object:
-        vals = [
-            x
-            if type(x) is int or type(x) is Fraction
-            else Fraction(int(x.numerator), int(x.denominator))
-            for x in vals
-        ]
-    # where each input row's run of nonzeros ends in the row-major lists
-    ends = [*(np.flatnonzero(np.diff(nz_rows)) + 1).tolist(), len(cols)]
-    tails: dict[int, dict] = {}
-    start = 0
-    for end in ends:
-        row = dict(zip(cols[start:end], vals[start:end]))
+    if a.dtype == object:  # a numpy int among them would wrap around in products
+        vals = [x if type(x) is int or type(x) is Fraction else QQ.normalize(x) for x in vals]
+    rows, start = [], 0
+    for end in np.cumsum(np.bincount(nz_rows, minlength=a.shape[0])).tolist():
+        rows.append(dict(zip(cols[start:end], vals[start:end])))
         start = end
-        for c in [c for c in row if c in tails]:
-            _subtract(row, row.pop(c), tails[c], p)
-        if not row:
-            continue
-        c = min(row)
-        s = row.pop(c)
-        if s != 1:
-            s = inverse(s)
-            for k, x in row.items():
-                row[k] = x * s % p if p else x * s
-        for tail in tails.values():
-            if c in tail:
-                _subtract(tail, tail.pop(c), row, p)
-        tails[c] = row
-    pivots = sorted(tails)
+    return rows
+
+
+def _dense(rows: Sequence[dict], shape: tuple[int, int], dtype) -> np.ndarray:
+    """The array whose first rows are the sparse rows, integral Fractions made ints."""
     out_rows, out_cols, out_vals = [], [], []
-    for r, c in enumerate(pivots):
-        tail = tails[c]
-        out_rows += [r] * (len(tail) + 1)
-        out_cols.append(c)
-        out_cols += tail
-        out_vals.append(1)
-        out_vals += tail.values()
-    out = np.zeros(a.shape, dtype=a.dtype)
-    out[out_rows, out_cols] = [
-        x.numerator if type(x) is Fraction and x.denominator == 1 else x for x in out_vals
-    ]
-    return out, pivots
+    for r, row in enumerate(rows):
+        out_rows += [r] * len(row)
+        out_cols += row
+        out_vals += row.values()
+    out = np.zeros(shape, dtype=dtype)
+    whole = [x.numerator if type(x) is Fraction and x.denominator == 1 else x for x in out_vals]
+    out[out_rows, out_cols] = whole
+    return out
+
+
+def _reduce(row: dict, tails: dict, p: int) -> dict:
+    """row minus its components along the pivot rows, in place: its residual; returns row.
+
+    tails maps each pivot column to its row's entries off the pivot (which
+    is 1); every tail is zero at every pivot column, and so is what is left.
+    """
+    for c in [c for c in row if c in tails]:
+        _subtract(row, row.pop(c), tails[c], p)
+    return row
+
+
+def _insert(row: dict, tails: dict, inverse, p: int) -> int:
+    """Make a reduced nonzero row the pivot row of its first column; returns the column.
+
+    The row is scaled to 1 there and the column is cleared from the earlier
+    tails, so tails stays an RREF.
+    """
+    c = min(row)
+    s = row.pop(c)
+    if s != 1:
+        s = inverse(s)
+        for k, x in row.items():
+            row[k] = x * s % p if p else x * s
+    for tail in tails.values():
+        if c in tail:
+            _subtract(tail, tail.pop(c), row, p)
+    tails[c] = row
+    return c
 
 
 def _subtract(row: dict, f, tail: dict, p: int) -> None:
@@ -168,6 +164,26 @@ def _subtract(row: dict, f, tail: dict, p: int) -> None:
             del row[j]
 
 
+def _grow(tails: dict, rows: Iterable[dict], field) -> list[int]:
+    """Reduce each sparse row by the pivot rows so far and insert what is left; the new pivots.
+
+    Incremental Gauss-Jordan on sparse rows, since the systems built from
+    structure constants are a few percent nonzero (the standard remedy
+    over finite fields: Dumas and Villard, CASC 2002).
+    """
+    inverse, p = field.inv, field.modulus
+    return [_insert(row, tails, inverse, p) for row in rows if _reduce(row, tails, p)]
+
+
+def _gauss_jordan(field, a: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """RREF of a (same shape, zero rows last) and its pivot columns: both fields' echelon."""
+    a = field.asarray(a)
+    tails: dict[int, dict] = {}
+    _grow(tails, _sparse_rows(a), field)
+    pivots = sorted(tails)
+    return _dense([{c: 1, **tails[c]} for c in pivots], a.shape, a.dtype), pivots
+
+
 class RationalField:
     """The field Q; scalars are Fractions in lowest terms.
 
@@ -180,12 +196,15 @@ class RationalField:
     zero = 0
     one = 1
     dtype = object
+    modulus = 0
 
     def normalize(self, x):
+        # Python ints only: a numpy int64 cell would wrap around in products
         if type(x) in _INEXACT_TYPES:
             raise _inexact(x)
         f = Fraction(x)
-        return f.numerator if f.denominator == 1 else f
+        num, den = operator.index(f.numerator), operator.index(f.denominator)
+        return num if den == 1 else Fraction(num, den)
 
     def inv(self, x):
         """1/x, an int when that is integral."""
@@ -195,7 +214,10 @@ class RationalField:
     # -- array kernel: object arrays of exact scalars --------------------
 
     def asarray(self, a) -> np.ndarray:
-        return np.asarray(a, dtype=object)
+        """a itself when it is an object array; anything else through normalize, cell by cell."""
+        if isinstance(a, np.ndarray) and a.dtype == object:
+            return a
+        return _normalized_array(self, np.asarray(a, dtype=object))
 
     def reduce_array(self, a: np.ndarray) -> np.ndarray:
         return a
@@ -207,22 +229,17 @@ class RationalField:
         return np.tensordot(a, b, axes=axes)
 
     def sparse_dot(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """a @ b for 2-D operands, summing only the products of nonzero entries.
+        """a @ b for 2-D operands: row i sums a[i, k] times sparse row k of b over a[i, k] != 0.
 
-        Every exact product over Q is a Python-level operation, and relation
-        bases and the images of tensor actions are mostly zero (under 2%
-        nonzero on the two-sided jet of Q[S3]), so the work is one outer
-        product per inner index over the nonzero rows of a and nonzero
-        columns of b.
+        Every exact product over Q is a Python-level operation and these
+        operands are mostly zero, so only products of nonzero entries are formed.
         """
-        out = np.zeros((a.shape[0], b.shape[1]), dtype=object)
-        nz_a = a != 0
-        nz_b = b != 0
-        for j in np.flatnonzero(nz_a.any(axis=0) & nz_b.any(axis=1)):
-            rows = np.flatnonzero(nz_a[:, j])
-            cols = np.flatnonzero(nz_b[j])
-            out[np.ix_(rows, cols)] += np.multiply.outer(a[rows, j], b[j, cols])
-        return out
+        b_rows = _sparse_rows(b)
+        out = [{} for _ in range(a.shape[0])]
+        for acc, row in zip(out, _sparse_rows(a)):
+            for k, x in row.items():
+                _subtract(acc, -x, b_rows[k], 0)
+        return _dense(out, (a.shape[0], b.shape[1]), object)
 
     def leg_dot(self, t: np.ndarray, m: np.ndarray, axis: int, out=None) -> np.ndarray:
         """out plus t with the square factor m applied on axis `axis`.
@@ -252,9 +269,7 @@ class RationalField:
             last = i
         return out
 
-    def echelon(self, a: np.ndarray) -> tuple[np.ndarray, list[int]]:
-        """RREF of a (same shape, zero rows last) and its pivot columns, by _gauss_jordan."""
-        return _gauss_jordan(np.asarray(a, dtype=object), self.inv, 0)
+    echelon = _gauss_jordan
 
     def demote_array(self, a: np.ndarray) -> np.ndarray:
         # Turn integral Fractions back into ints; keeps later arithmetic fast.
@@ -314,7 +329,7 @@ class PrimeField:
     def __init__(self, p: int):
         if not isinstance(p, int) or p >= 2**31 or not _is_prime(p):
             raise ValueError(f"prime field needs a prime p < 2**31, got {p}")
-        self.p = p
+        self.p = self.modulus = p
         self.zero = 0
         self.one = 1 % p
 
@@ -413,9 +428,7 @@ class PrimeField:
         moved = np.moveaxis(self.tensordot(t, m, ([axis], [1])), -1, axis)
         return moved if out is None else out + moved
 
-    def echelon(self, a: np.ndarray) -> tuple[np.ndarray, list[int]]:
-        """RREF of a (same shape, zero rows last) and its pivot columns, by _gauss_jordan."""
-        return _gauss_jordan(self.asarray(a), self.inv, self.p)
+    echelon = _gauss_jordan
 
     def demote_array(self, a: np.ndarray) -> np.ndarray:
         return a
@@ -704,16 +717,15 @@ def _complement_rows(field, basis: np.ndarray, pivots: Sequence[int], free: list
 class QuotientMaps:
     """Surjection q with kernel U and a section s with q @ s = identity.
 
-    The section selects the free coordinates of U's echelon basis, so an
-    induced operator needs the operator applied to those unit vectors
-    only, plus one product with q's pivot block, instead of two dense
-    products.
+    The section selects the free coordinates of U's echelon basis and q
+    reads a vector's residual modulo U there, so an induced operator needs
+    the operator on the section's columns and one reduction, no products.
     """
 
     projection: Matrix
     section: Matrix
     dim: int
-    pivots: tuple[int, ...]
+    subspace: "Subspace"
     free: tuple[int, ...]
 
     def induced(self, op) -> Matrix:
@@ -723,28 +735,29 @@ class QuotientMaps:
         it is applied to the section's columns only.
         """
         moved = op.rows_apply(self.section.a.T)  # row t: op applied to section column t
-        f, p = list(self.free), list(self.pivots)
-        block = moved[:, f].T.copy()
-        if p:
-            w = self.projection.a[:, p]
-            block = op.field.reduce_array(block + op.field.sparse_dot(w, moved[:, p].T))
-        return Matrix._raw(op.field, block)
+        return Matrix._wrap(op.field, self.subspace.residuals(moved)[:, list(self.free)].T.copy())
 
 
 class Subspace:
     """Subspace of K^n held as an RREF basis with no zero rows.
 
-    pivots holds the pivot column of each basis row, increasing; the
-    constructors below are the only callers and pass the pivots they know.
+    The constructors below are the only callers of __init__; they pass the
+    echelon their elimination built, as the tails that _reduce takes, and
+    nothing mutates it.  basis is that RREF as a dense matrix, pivots its
+    pivot columns, increasing.
     """
 
-    __slots__ = ("field", "ambient_dim", "basis", "pivots")
+    __slots__ = ("field", "ambient_dim", "basis", "pivots", "_tails")
 
-    def __init__(self, field, ambient_dim: int, basis: Matrix, pivots: tuple[int, ...]):
+    def __init__(self, field, ambient_dim: int, tails: dict):
+        pivots = sorted(tails)
+        rows = [{c: 1, **tails[c]} for c in pivots]
+        basis = _dense(rows, (len(pivots), ambient_dim), field.dtype)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "pivots", pivots)
+        object.__setattr__(self, "basis", Matrix._wrap(field, basis))
+        object.__setattr__(self, "pivots", tuple(pivots))
+        object.__setattr__(self, "_tails", tails)
 
     def __setattr__(self, *_):
         raise AttributeError("Subspace is immutable")
@@ -755,26 +768,21 @@ class Subspace:
             rows = list(rows)
         if not len(rows):
             return cls.zero(field, ambient_dim)
-        if isinstance(rows[0], np.ndarray):
-            # only rref reads m, and echelon copies and canonicalizes it
-            a = field.asarray(rows)
-            m = Matrix._wrap(field, a.view() if a is rows else a)
-        else:
-            m = Matrix(field, rows)
-        if m.cols != ambient_dim:
-            raise DimensionMismatch(f"vectors of length {m.cols} in ambient {ambient_dim}")
-        res = rref(m)
-        basis = Matrix._wrap(field, res.matrix.a[: res.rank].copy())
-        return cls(field, ambient_dim, basis, res.pivots)
+        arrays = isinstance(rows[0], np.ndarray)
+        a = field.asarray(rows) if arrays else _normalized_array(field, rows)
+        if a.shape[1] != ambient_dim:
+            raise DimensionMismatch(f"vectors of length {a.shape[1]} in ambient {ambient_dim}")
+        tails: dict[int, dict] = {}
+        _grow(tails, _sparse_rows(a), field)
+        return cls(field, ambient_dim, tails)
 
     @classmethod
     def zero(cls, field, ambient_dim: int) -> "Subspace":
-        return cls(field, ambient_dim, Matrix.zeros(field, 0, ambient_dim), ())
+        return cls(field, ambient_dim, {})
 
     @classmethod
     def full(cls, field, ambient_dim: int) -> "Subspace":
-        basis = Matrix.identity(field, ambient_dim)
-        return cls(field, ambient_dim, basis, tuple(range(ambient_dim)))
+        return cls(field, ambient_dim, {c: {} for c in range(ambient_dim)})
 
     @property
     def dim(self) -> int:
@@ -796,30 +804,27 @@ class Subspace:
     def contains(self, v: np.ndarray) -> bool:
         return self.contains_all(self.field.asarray(v).reshape(1, -1))
 
-    def residuals(self, rows: np.ndarray) -> np.ndarray:
-        """Residuals of a stack of row vectors after elimination against the basis.
-
-        Row i is zero iff rows[i] is a member.  In RREF each pivot column
-        holds a single 1, so a residual is zero there and only the free
-        columns are computed: rows[:, free] - rows[:, pivots] @ basis[:, free].
-        """
+    def _reduced(self, rows: np.ndarray) -> list[dict]:
+        """Each row of a stack as a sparse row reduced against the basis."""
         rows = self.field.asarray(rows)
         if rows.ndim != 2 or rows.shape[1] != self.ambient_dim:
             raise DimensionMismatch("row length does not match the ambient")
-        pivots = list(self.pivots)
-        if not pivots:
-            return self.field.reduce_array(rows.copy())
-        free = _free_cols(self.ambient_dim, pivots)
-        resid = rows[:, free]
-        if free:
-            resid -= self.field.sparse_dot(rows[:, pivots], self.basis.a[:, free])
-        out = np.zeros(rows.shape, dtype=self.field.dtype)
-        out[:, free] = self.field.reduce_array(resid)
-        return out
+        tails, p = self._tails, self.field.modulus
+        return [_reduce(row, tails, p) for row in _sparse_rows(rows)]
+
+    def residuals(self, rows: np.ndarray) -> np.ndarray:
+        """Residuals of a stack of row vectors after reduction against the basis.
+
+        Row i is zero iff rows[i] is a member.  Each row is reduced as a
+        sparse row by the basis rows it meets, the one reduction of every
+        echelon here, so a residual has the full ambient width and is zero
+        at every pivot column.
+        """
+        return _dense(self._reduced(rows), np.shape(rows), self.field.dtype)
 
     def contains_all(self, rows: np.ndarray) -> bool:
         """Membership for a whole stack of row vectors at once."""
-        return not self.residuals(rows).any()
+        return not any(self._reduced(rows))
 
     def is_subset(self, other: "Subspace") -> bool:
         self._check(other)
@@ -828,8 +833,8 @@ class Subspace:
     def outside(self, other: "Subspace") -> Optional[np.ndarray]:
         """First basis row of self that is not in other; None when self <= other."""
         self._check(other)
-        hits = np.flatnonzero((other.residuals(self.basis.a) != 0).any(axis=1))
-        return self.basis.a[hits[0]].copy() if len(hits) else None
+        hits = [i for i, resid in enumerate(other._reduced(self.basis.a)) if resid]
+        return self.basis.a[hits[0]].copy() if hits else None
 
     def __le__(self, other):
         return self.is_subset(other)
@@ -852,15 +857,11 @@ class Subspace:
         )
 
     def __and__(self, other):
+        """The combinations of self's basis rows whose residuals modulo other cancel."""
         self._check(other)
         if self.is_zero() or other.is_zero():
             return Subspace.zero(self.field, self.ambient_dim)
-        field = self.field
-        # u = sum w_i self_i equals sum w'_j other_j exactly when (w, w') kills this stack
-        negated = field.reduce_array(-other.basis.a.T)
-        coeffs = kernel(Matrix._wrap(field, np.hstack([self.basis.a.T, negated])))
-        vecs = field.sparse_dot(coeffs.basis.a[:, : self.dim], self.basis.a)
-        return Subspace.from_spanning(field, self.ambient_dim, vecs)
+        return _cancelling(self, other.residuals(self.basis.a))
 
     def quotient(self) -> QuotientMaps:
         """Projection onto the ambient modulo this subspace, plus a section.
@@ -868,19 +869,11 @@ class Subspace:
         The free coordinates of the RREF basis index the quotient; the
         projection subtracts each vector's component along the basis rows.
         """
-        field = self.field
-        pivots = self.pivots
-        free = _free_cols(self.ambient_dim, pivots)
-        qdim = len(free)
-        s = np.zeros((self.ambient_dim, qdim), dtype=field.dtype)
-        s[free, range(qdim)] = field.one
-        return QuotientMaps(
-            Matrix._raw(field, _complement_rows(field, self.basis.a, pivots, free)),
-            Matrix._raw(field, s),
-            qdim,
-            pivots,
-            tuple(free),
-        )
+        field, free = self.field, _free_cols(self.ambient_dim, self.pivots)
+        s = np.zeros((self.ambient_dim, len(free)), dtype=field.dtype)
+        s[free, range(len(free))] = field.one
+        q = Matrix._raw(field, _complement_rows(field, self.basis.a, self.pivots, free))
+        return QuotientMaps(q, Matrix._raw(field, s), len(free), self, tuple(free))
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
@@ -894,28 +887,25 @@ def closure_under(operators: Sequence, seed: Subspace) -> Subspace:
     """Smallest subspace containing seed and invariant under every operator.
 
     Operators are anything with a square shape and rows_apply (a Matrix
-    or a modules.LegAction).  Frontier spinning, as in the MeatAxe
-    (Parker 1984): each pass applies the operators only to the rows the
-    previous pass added, reduces the images against the current basis,
-    and adds the span of the nonzero residuals.  The dimension grows
-    on every pass but the last, so there are at most ambient_dim passes.
+    or a modules.LegAction).  Frontier spinning into one growing echelon,
+    as in the MeatAxe (Parker 1984): each pass applies the operators only
+    to the pivot rows the previous pass added and grows the echelon by
+    each operator's images as they arrive.  The dimension grows on every
+    pass but the last, so there are at most ambient_dim passes.
     """
     n = seed.ambient_dim
     for op in operators:
         if op.shape != (n, n):
             raise DimensionMismatch(f"operator {op.shape} on ambient {n}")
-    current = seed
+    field = seed.field
+    tails = {c: dict(tail) for c, tail in seed._tails.items()}
     frontier = seed.basis.a
-    while operators and len(frontier) and not current.is_full():
-        images = np.vstack([op.rows_apply(frontier) for op in operators])
-        resid = current.residuals(images)
-        resid = resid[resid.any(axis=1)]
-        if not len(resid):
-            break
-        new = Subspace.from_spanning(seed.field, n, resid)
-        current = current + new
-        frontier = new.basis.a
-    return current
+    while operators and len(frontier) and len(tails) < n:
+        added = []
+        for op in operators:
+            added += _grow(tails, _sparse_rows(op.rows_apply(frontier)), field)
+        frontier = _dense([{c: 1, **tails[c]} for c in added], (len(added), n), field.dtype)
+    return seed if len(tails) == seed.dim else Subspace(field, n, tails)
 
 
 def preimage(operators: Sequence, target: Subspace) -> Subspace:
@@ -953,13 +943,18 @@ def _restrict(operators: Sequence, target: Optional[Subspace]) -> Subspace:
             raise DimensionMismatch("operators disagree on source dimension")
         if current.is_zero():
             return current
-        resid = op.rows_apply(current.basis.a)  # row i: op applied to basis row i
-        if target is not None:
-            resid = target.residuals(resid)
-        resid = resid[:, resid.any(axis=0)]
-        if resid.size:
-            coeffs = kernel(Matrix._wrap(field, resid.T))
-            current = Subspace.from_spanning(
-                field, n, field.sparse_dot(coeffs.basis.a, current.basis.a)
-            )
+        images = op.rows_apply(current.basis.a)  # row i: op applied to basis row i
+        current = _cancelling(current, images if target is None else target.residuals(images))
     return current
+
+
+def _cancelling(current: Subspace, resid: np.ndarray) -> Subspace:
+    """The span of the combinations of current's basis rows whose rows of resid cancel."""
+    resid = resid[:, resid.any(axis=0)]
+    if not resid.size:
+        return current
+    field = current.field
+    coeffs = kernel(Matrix._wrap(field, resid.T))
+    return Subspace.from_spanning(
+        field, current.ambient_dim, field.sparse_dot(coeffs.basis.a, current.basis.a)
+    )

@@ -5,10 +5,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ncjets import linalg
+from ncjets.algebra import _combine
 from ncjets.linalg import (
     GF,
     QQ,
@@ -26,7 +27,7 @@ from ncjets.linalg import (
 )
 from ncjets.modules import LegAction
 
-from naive_gauss import naive_kernel_basis, naive_rref, naive_rref_mod
+from naive_gauss import naive_kernel_basis, naive_kernel_basis_mod, naive_rref, naive_rref_mod
 
 F = Fraction
 
@@ -104,6 +105,53 @@ def test_inexact_scalars_are_rejected(field, bad):
 def test_exact_integer_types_are_accepted():
     assert Matrix(QQ, [[np.int64(3), F(1, 2)]]) == Matrix(QQ, [[3, F(1, 2)]])
     assert GF(7).normalize(np.int32(9)) == 2
+
+
+_NUMPY_INTS = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]
+_NEAR_THE_TOP = [2**62, 2**62 + 1, 2**63 - 1, 2**63, 2**64 - 1, -(2**62), -(2**63), -1, 0, 3]
+
+
+def _py_matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+@st.composite
+def _numpy_int_systems(draw):
+    """A 3x3 system of one numpy int width, values near 2^62 and 2^63 clipped to the width."""
+    dtype = draw(st.sampled_from(_NUMPY_INTS))
+    info = np.iinfo(dtype)
+    near = st.sampled_from(_NEAR_THE_TOP).map(lambda x: min(max(x, int(info.min)), int(info.max)))
+    value = st.one_of(near, st.integers(int(info.min), int(info.max)))
+    rows = draw(st.lists(st.lists(value, min_size=3, max_size=3), min_size=3, max_size=3))
+    return dtype, rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(_numpy_int_systems())
+@example((np.int64, [[2**62, 0, 0], [0, 2**62, 0], [0, 0, 1]]))
+def test_numpy_int_widths_stay_exact_over_q(case):
+    dtype, rows = case
+    cells = [[dtype(x) for x in row] for row in rows]
+    stacked = np.array(rows, dtype=dtype)
+    square = _py_matmul(rows, rows)
+    for m in (Matrix(QQ, cells), Matrix(QQ, stacked)):
+        assert m.to_lists() == rows
+        assert all(type(x) is int for x in m.a.flat)
+        assert (m @ m).to_lists() == square
+        assert QQ.sparse_dot(m.a, m.a).tolist() == square
+        assert QQ.leg_dot(m.a, m.a, 0).tolist() == square
+        assert rref(m).matrix.to_lists() == naive_rref(rows)[0]
+    assert all(type(x) is int for x in vector(QQ, cells[0]))
+    assert QQ.leg_dot(QQ.asarray(cells), QQ.asarray(stacked), 0).tolist() == square
+    assert _combine(QQ, stacked[0], QQ.asarray(stacked)[:, None]).tolist() == [square[0]]
+    # residuals modulo the line through (1, 1, 1): row v leaves v - v[0] (1, 1, 1)
+    line = Subspace.from_spanning(QQ, 3, [[1, 1, 1]])
+    want = [[0, v[1] - v[0], v[2] - v[0]] for v in rows]
+    for given_rows in (stacked, cells):
+        got = line.residuals(given_rows)
+        assert got.tolist() == want
+        assert all(type(x) is int for x in got.flat)
+        assert line.contains_all(given_rows) == (not any(map(any, want)))
 
 
 # ---------------------------------------------------------------------------
@@ -494,10 +542,10 @@ def test_subspace_canonical_equality():
 
 
 def test_intersection_eliminates_reduced_entries_over_prime_field(monkeypatch):
-    # the stack [U^T | -V^T] must reach rref with entries in [0, p), not -1
+    # the residual of e0 modulo V is -e1: every rref input must hold 6, not -1
     field = GF(7)
-    u = Subspace.from_spanning(field, 2, [vector(field, [1, 0])])
-    v = Subspace.full(field, 2)
+    u = Subspace.from_spanning(field, 3, [vector(field, [1, 0, 0]), vector(field, [0, 1, 0])])
+    v = Subspace.from_spanning(field, 3, [vector(field, [1, 1, 0]), vector(field, [0, 0, 1])])
     seen = []
 
     def recording_rref(m):
@@ -508,13 +556,11 @@ def test_intersection_eliminates_reduced_entries_over_prime_field(monkeypatch):
     monkeypatch.setattr(linalg, "rref", recording_rref)
     w = u & v
     monkeypatch.undo()
-    assert w == u
+    assert w == Subspace.from_spanning(field, 3, [vector(field, [1, 1, 0])])
     assert seen
     for m, res in seen:
         for arr in (m.a, res.matrix.a):
             assert all(0 <= x < 7 for x in arr.flat)
-    stack = seen[0][1].matrix
-    assert stack == Matrix(field, [[1, 6, 0], [0, 0, 1]])
 
 
 def test_prime_field_arrays_are_reduced_int64():
@@ -656,6 +702,62 @@ def test_frontier_closure_matches_naive_respin(case):
     closed = closure_under(ops, seed)
     assert closed == _naive_closure(ops, seed)
     assert seed <= closed
+
+
+def _naive_intersection(field, u_rows, w_rows):
+    """RREF rows of span(u) & span(w), from the oracle's kernel of [U^T | -W^T]."""
+    if not u_rows or not w_rows:
+        return []
+    n = len(u_rows[0])
+    system = [[u[r] for u in u_rows] + [-w[r] for w in w_rows] for r in range(n)]
+    rational = field == QQ
+    coeffs = naive_kernel_basis(system) if rational else naive_kernel_basis_mod(system, field.p)
+    vecs = [[sum(c[i] * u[j] for i, u in enumerate(u_rows)) for j in range(n)] for c in coeffs]
+    if not vecs:
+        return []
+    red, pivots = naive_rref(vecs) if rational else naive_rref_mod(vecs, field.p)
+    return red[: len(pivots)]
+
+
+@st.composite
+def _merged_cases(draw):
+    """A closure case and two spanning sets over its field: random, zero, full, equal or nested."""
+    ops, seed = draw(closure_cases())
+    n = draw(st.integers(1, 5))
+    entry = st.sampled_from([0, 0, 1, -1, 2, 3])
+
+    def rows():
+        return draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=n))
+
+    u = rows()
+    kind = draw(st.sampled_from(["random", "zero", "full", "equal", "nested"]))
+    w = {
+        "random": rows,
+        "zero": list,
+        "full": lambda: [[int(i == j) for j in range(n)] for i in range(n)],
+        "equal": lambda: u[::-1],
+        "nested": lambda: u + rows(),
+    }[kind]()
+    if draw(st.booleans()):
+        u, w = w, u
+    return ops, seed, n, u, w
+
+
+@settings(max_examples=80, deadline=None)
+@given(_merged_cases())
+def test_intersection_and_induced_maps_match_the_oracle(case):
+    ops, seed, n, u_rows, w_rows = case
+    field = seed.field
+    u, w = ([vector(field, r) for r in rows] for rows in (u_rows, w_rows))
+    u, w = Subspace.from_spanning(field, n, u), Subspace.from_spanning(field, n, w)
+    assert (u & w).basis.to_lists() == _naive_intersection(field, u_rows, w_rows)
+    quot = closure_under(ops, seed).quotient()
+    for op in ops:
+        dense = op.dense if isinstance(op, LegAction) else op
+        got = quot.induced(op)
+        assert got == quot.projection @ dense @ quot.section
+        if field == QQ:
+            _assert_canonical_q(got.a)
 
 
 @settings(max_examples=40, deadline=None)

@@ -24,7 +24,7 @@ from ncjets.jets import (
     representability_check,
     two_sided_jet1,
 )
-from ncjets.linalg import GF, MAX_INNER, QQ, DimensionMismatch, Matrix, Subspace, kernel, rref
+from ncjets.linalg import GF, MAX_INNER, QQ, DimensionMismatch, Matrix, kernel, rref
 from ncjets.modules import BimoduleRep, LegAction
 
 from naive_gauss import naive_kernel_basis_mod, naive_rref_mod
@@ -143,10 +143,16 @@ def test_collapse_conditions_on_top_residues_match_python_ints():
     n, m = P.algebra.dim, P.dim
     # a stand-in relation basis and target module whose sandwiches R_j L_i are all TOP
     mu = Matrix(field, [[TOP] * jet.ambient_dim for _ in range(3)])
-    jet = dataclasses.replace(jet, mu=Subspace(field, jet.ambient_dim, mu, (0, 1, 2)))
+    jet = dataclasses.replace(jet, mu=SimpleNamespace(basis=mu, dim=3))
     ident = Matrix.identity(field, m)
     top = Matrix(field, [[TOP] * m for _ in range(m)])
-    Q = SimpleNamespace(dim=m, left=(top,) * n, right=(ident,) * n)
+    Q = SimpleNamespace(
+        dim=m,
+        left=(top,) * n,
+        right=(ident,) * n,
+        left_stack=np.stack([top.a] * n),
+        right_stack=np.stack([ident.a] * n),
+    )
     got = _collapse_conditions(jet, Q).a.tolist()
     # row (r, q), column (u, q2): sum over i, j of w[r, i, u, j] (R_j L_i)[q, q2]
     w = np.array(mu.to_lists(), dtype=object).reshape(3, n, m, n)
