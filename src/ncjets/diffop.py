@@ -16,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .linalg import Matrix, Subspace, closure_under, joint_kernel, kernel, preimage
 from .modules import BimoduleRep, HomSpace, require_central
 
@@ -70,8 +68,9 @@ def _span_family(ops: Sequence, seed: Subspace) -> Subspace:
     """span{op v : v in seed}; closed already since each family composes to itself."""
     if seed.is_zero():
         return seed
-    blocks = [op.rows_apply(seed.basis.a) for op in ops]
-    return Subspace.from_spanning(seed.field, seed.ambient_dim, np.vstack(blocks))
+    rows = seed.rows
+    images = [image for op in ops for image in op.apply_rows(rows)]
+    return Subspace.from_spanning(seed.field, seed.ambient_dim, images)
 
 
 def _zero_order(acts: Sequence, devs: Sequence) -> Subspace:

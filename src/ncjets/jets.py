@@ -20,7 +20,16 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .diffop import MAX_ORDER, DefinitionDomainError, diff_bar1, stage_by_tag
-from .linalg import DimensionMismatch, Matrix, Subspace, closure_under, hstack, kernel
+from .linalg import (
+    DimensionMismatch,
+    Matrix,
+    Subspace,
+    _dense,
+    _sparse_rows,
+    closure_under,
+    hstack,
+    kernel,
+)
 from .modules import (
     BimoduleRep,
     HomSpace,
@@ -86,21 +95,27 @@ def _invariant(ops: Sequence, sub: Subspace) -> bool:
     """Is sub invariant under every op (Matrix or LegAction)?  Stops at the first that moves it."""
     if sub.is_zero() or sub.is_full():
         return True
-    return all(sub.contains_all(op.rows_apply(sub.basis.a)) for op in ops)
+    rows = sub.rows
+    return all(sub.contains_all(op.apply_rows(rows)) for op in ops)
+
+
+def _units(t: TensorOneSided | TensorTwoSided) -> list[dict]:
+    """Sparse row u is the embedded basis vector 1 tensor p_u (tensor 1) of the ambient t."""
+    return t.embedding.apply_rows([{u: 1} for u in range(t.module.dim)])
 
 
 def _assemble_jet(
     P: BimoduleRep,
     order: int,
     t: TensorOneSided | TensorTwoSided,
-    gens: np.ndarray,
+    gens: list[dict],
     outer: Sequence[LegAction],
     inner: Sequence[LegAction],
     right: Optional[tuple[Sequence[LegAction], Sequence[LegAction]]] = None,
 ) -> JetModule:
     """Close the seed relations under the outer actions and pass to the quotient.
 
-    gens is a stack of seed rows; outer/inner are the left action
+    gens lists the seed relations as sparse rows; outer/inner are the left action
     families on the ambient t; right is the (outer, inner) pair of right
     families for the two-sided jet.  The outer actions always descend; an
     inner family is attached only when the relations are invariant under it.
@@ -130,7 +145,7 @@ def _assemble_jet(
         bullet_ops=bullet(inner),
         right_ops=induced(right[0]) if right else None,
         bullet_right_ops=bullet(right[1]) if right else None,
-        jet_map=quot.projection @ t.embedding,
+        jet_map=quot.project(_units(t)),
     )
     _check_generation(jet)
     return jet
@@ -148,9 +163,9 @@ def jet_module(P: BimoduleRep, k: int) -> JetModule:
     require_central(P)
     _check_order(k)
     t = TensorOneSided(P)
-    level = t.embedding.a.T  # row u is 1 tensor p_u
+    level = _units(t)
     for _ in range(k + 1):
-        level = np.vstack([d.rows_apply(level) for d in t.delta_actions])
+        level = [row for d in t.delta_actions for row in d.apply_rows(level)]
     return _assemble_jet(P, k, t, level, t.outer_actions, t.inner_actions)
 
 
@@ -162,9 +177,8 @@ def two_sided_jet1(P: BimoduleRep) -> JetModule:
     """
     require_central(P)
     t = TensorTwoSided(P)
-    units = t.embedding.a.T  # row u is 1 tensor p_u tensor 1
-    moved = np.vstack([d.rows_apply(units) for d in t.delta_actions])
-    gens = np.vstack([db.rows_apply(moved) for db in t.delta_bar_actions])
+    moved = [row for d in t.delta_actions for row in d.apply_rows(_units(t))]
+    gens = [row for db in t.delta_bar_actions for row in db.apply_rows(moved)]
     return _assemble_jet(
         P,
         1,
@@ -322,7 +336,7 @@ def factorize(
         jet = jet_module(P, k)
     field = P.algebra.field
     lift = hstack([L @ delta for L in Q.left])
-    if field.dot(lift.a, jet.mu.basis.a.T).any():
+    if any(lift.apply_rows(jet.mu.rows)):
         raise OrderViolationError(f"map is not an order-{k} differential operator")
     # _check_generation proved that J(P) generates the jet as a left module,
     # so a left-linear f is fixed by f . J and the factorization is unique.
@@ -414,18 +428,21 @@ def residual_witness_search(
     flin = t.left_linear_maps(Q)
     hs = HomSpace(P, Q)
     emb = t.embedding
+    # RREF rows are already in field form: wrapped, not demoted
     fmats = [
-        Matrix._raw(field, v.reshape((Q.dim, t.dim), order="F").copy())
+        Matrix._wrap(field, v.reshape((Q.dim, t.dim), order="F").copy())
         for v in flin.basis.a
     ]
     fstack = np.stack([f.a for f in fmats])  # [f, q, x]
-    phis = np.stack([hs.vec(f @ emb) for f in fmats])  # row f is vec(f . J)
-    units = emb.a.T  # row u is 1 tensor p_u
+    phis = _sparse_rows(np.stack([hs.vec(f @ emb) for f in fmats]))  # row f is vec(f . J)
+    units = _units(t)
     for b_indices in itertools.product(range(n), repeat=k + 1):
         moved_phis, moved_units = phis, units
         for b in reversed(b_indices):
-            moved_phis = hs.deltas[b].rows_apply(moved_phis)
-            moved_units = t.delta_actions[b].rows_apply(moved_units)
+            moved_phis = hs.deltas[b].apply_rows(moved_phis)
+            moved_units = t.delta_actions[b].apply_rows(moved_units)
+        moved_phis = _dense(moved_phis, (len(fmats), hs.dim), field.dtype)
+        moved_units = _dense(moved_units, (P.dim, t.dim), field.dtype)
         # lhs[u, f] = (delta word phi_f)(p_u): vec is column-major, so the
         # row of phi_f reshapes to [u, q]; rhs[u, f] = f(delta word (1 tensor p_u))
         lhs = moved_phis.reshape(len(fmats), P.dim, Q.dim).transpose(1, 0, 2)

@@ -1,34 +1,34 @@
-"""Exact dense linear algebra over Q and prime fields.
+"""Exact linear algebra over Q and prime fields.
 
 Scalars are `fractions.Fraction` for the rationals and ints in ``[0, p)``
-for a prime field.  Each field carries the array kernel every module
-goes through (``dtype``, ``asarray``, ``dot``, ``tensordot``,
-``sparse_dot``, ``leg_dot``, ``echelon``, ``reduce_array``), so no code
-outside this module needs to know which field it works over:
+for a prime field.  Each field carries the dense array kernel every
+module goes through (``dtype``, ``asarray``, ``dot``, ``tensordot``,
+``echelon``, ``reduce_array``), so no code outside this module needs to
+know which field it works over:
 
 - over Q, arrays have dtype ``object`` and hold exact Python scalars, a
   plain ``int`` wherever the value is integral and a ``Fraction``
-  otherwise; ``sparse_dot`` (a restriction's kernel coefficients times
-  its basis) and ``leg_dot`` (one factor of a tensor action on one
-  leg) only touch the nonzero entries of their mostly-zero operands,
-  while ``dot`` stays numpy's dense product for the small dense matrices
-  of validation;
+  otherwise; ``dot`` is numpy's dense product, kept for the small dense
+  matrices of validation;
 - over F_p, arrays have dtype ``int64`` with every entry in ``[0, p)``;
   products split the right operand into 16-bit halves so that no partial
   sum can leave int64 (the word-size technique of Dumas, Giorgi and
-  Pernet, FFLAS-FFPACK, 2008); ``sparse_dot`` and ``leg_dot`` are the
-  dense int64 products.
+  Pernet, FFLAS-FFPACK, 2008).
 
-Every reduction against a reduced row-echelon basis is one pair of steps
-on sparse rows ({col: value} dicts of Python scalars): ``_reduce``
-subtracts the pivot rows a row meets and ``_insert`` makes what is left a
-new pivot row.  Elimination, membership (``Subspace.residuals``), closure,
-intersection, preimages and induced quotient maps all go through them;
-a field supplies only its scalar inverse and its modulus (0 for Q).
+The heavy work runs on sparse rows: {col: value} dicts of Python scalars,
+reduced mod p over F_p, holding no zero cell.  An operator (a ``Matrix``
+or a ``modules.LegAction``) applies to them with ``apply_rows``, which
+reads a per-column plan of its nonzeros, so structure constants a few
+percent nonzero cost only their nonzero products.  Every reduction
+against a reduced row-echelon basis is one pair of steps on such rows:
+``_reduce`` subtracts the pivot rows a row meets and ``_insert`` makes
+what is left a new pivot row.  Elimination, membership, closure,
+intersection, preimages and induced quotient maps all go through them; a
+field supplies only its scalar inverse and its modulus (0 for Q).
 
-Subspaces are stored with a reduced row-echelon basis and no zero rows,
-which makes set equality of subspaces the same as matrix equality of
-their bases.
+Subspaces are stored as the tails of a reduced row-echelon basis with no
+zero rows, which makes set equality of subspaces the same as equality of
+those echelons; the dense basis is built only when it is read.
 """
 
 from __future__ import annotations
@@ -94,13 +94,19 @@ def _inexact(x) -> ScalarFormatError:
     return ScalarFormatError(f"not an exact scalar: {x!r} ({type(x).__name__})")
 
 
+def _cell_values(a: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> list:
+    """The cells a[rows, cols] of a kernel array as a list of exact Python scalars."""
+    vals = a[rows, cols].tolist()
+    if a.dtype == object:  # a numpy int among them would wrap around in products
+        vals = [x if type(x) is int or type(x) is Fraction else QQ.normalize(x) for x in vals]
+    return vals
+
+
 def _sparse_rows(a: np.ndarray) -> list[dict]:
     """Row i of a 2-D kernel array as a {col: value} dict of its nonzeros, in Python scalars."""
     nz_rows, nz_cols = a.nonzero()
     cols = nz_cols.tolist()
-    vals = a[nz_rows, nz_cols].tolist()
-    if a.dtype == object:  # a numpy int among them would wrap around in products
-        vals = [x if type(x) is int or type(x) is Fraction else QQ.normalize(x) for x in vals]
+    vals = _cell_values(a, nz_rows, nz_cols)
     rows, start = [], 0
     for end in np.cumsum(np.bincount(nz_rows, minlength=a.shape[0])).tolist():
         rows.append(dict(zip(cols[start:end], vals[start:end])))
@@ -118,6 +124,45 @@ def _dense(rows: Sequence[dict], shape: tuple[int, int], dtype) -> np.ndarray:
     out = np.zeros(shape, dtype=dtype)
     whole = [x.numerator if type(x) is Fraction and x.denominator == 1 else x for x in out_vals]
     out[out_rows, out_cols] = whole
+    return out
+
+
+def _column_plan(n_cols: int, src: list, dst: list, vals: list, p: int) -> list[tuple]:
+    """Entry c: the (target column, value) pairs of an operator's nonzeros in source column c.
+
+    The operator's entries are given as parallel lists (source column,
+    target column, value); entries given twice at one place are summed,
+    mod p when p is nonzero, and a sum that vanishes is dropped.
+    """
+    summed: dict = {}
+    for key, v in zip(zip(src, dst), vals):
+        summed[key] = summed.get(key, 0) + v
+    cols: dict = {}
+    for (s, d), v in summed.items():
+        if p:
+            v %= p
+        if v:
+            cols.setdefault(s, []).append((d, v))
+    return [tuple(cols.get(c, ())) for c in range(n_cols)]
+
+
+def _apply_plan(plan: list[tuple], rows: Iterable[dict], p: int) -> list[dict]:
+    """Each sparse row times the operator whose column plan this is, as a sparse row.
+
+    Only the nonzeros of the row meet only the nonzeros of the operator;
+    each sum is reduced mod p when p is nonzero, and zero cells are dropped.
+    """
+    out = []
+    for row in rows:
+        acc: dict = {}
+        get = acc.get
+        for c, x in row.items():
+            for j, v in plan[c]:
+                acc[j] = get(j, 0) + x * v
+        if p:
+            out.append({j: r for j, v in acc.items() if (r := v % p)})
+        else:
+            out.append({j: v for j, v in acc.items() if v})
     return out
 
 
@@ -227,47 +272,6 @@ class RationalField:
 
     def tensordot(self, a: np.ndarray, b: np.ndarray, axes) -> np.ndarray:
         return np.tensordot(a, b, axes=axes)
-
-    def sparse_dot(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """a @ b for 2-D operands: row i sums a[i, k] times sparse row k of b over a[i, k] != 0.
-
-        Every exact product over Q is a Python-level operation and these
-        operands are mostly zero, so only products of nonzero entries are formed.
-        """
-        b_rows = _sparse_rows(b)
-        out = [{} for _ in range(a.shape[0])]
-        for acc, row in zip(out, _sparse_rows(a)):
-            for k, x in row.items():
-                _subtract(acc, -x, b_rows[k], 0)
-        return _dense(out, (a.shape[0], b.shape[1]), object)
-
-    def leg_dot(self, t: np.ndarray, m: np.ndarray, axis: int, out=None) -> np.ndarray:
-        """out plus t with the square factor m applied on axis `axis`.
-
-        Slab i of the result on that axis is sum_j m[i, j] * (slab j of t),
-        taken over the nonzero entries of m only: an entry of +-1 is a slab
-        add or subtract, any other a scaled add, so the cost is nnz(m)
-        times the slab size.  With out=None the result is a new array, each
-        slab's first term assigned rather than added to zero.
-        """
-        fresh = out is None
-        if fresh:
-            out = np.zeros(t.shape, dtype=object)
-        src = np.moveaxis(t, axis, 0)
-        dst = np.moveaxis(out, axis, 0)
-        last = -1
-        for i, j in zip(*m.nonzero()):
-            c, slab, col = m[i, j], dst[i], src[j]
-            if fresh and i != last:
-                slab[...] = col if c == 1 else -col if c == -1 else c * col
-            elif c == 1:
-                slab += col
-            elif c == -1:
-                slab -= col
-            else:
-                slab += c * col
-            last = i
-        return out
 
     echelon = _gauss_jordan
 
@@ -420,14 +424,6 @@ class PrimeField:
         rhs = b.transpose(ax_b + free_b).reshape(k, math.prod(out_b))
         return self.dot(lhs, rhs).reshape(out_a + out_b)
 
-    # products with mostly-zero operands take the dense int64 path
-    sparse_dot = dot
-
-    def leg_dot(self, t: np.ndarray, m: np.ndarray, axis: int, out=None) -> np.ndarray:
-        """out plus t with the square factor m applied on axis `axis`, by tensordot."""
-        moved = np.moveaxis(self.tensordot(t, m, ([axis], [1])), -1, axis)
-        return moved if out is None else out + moved
-
     echelon = _gauss_jordan
 
     def demote_array(self, a: np.ndarray) -> np.ndarray:
@@ -504,7 +500,7 @@ def _normalized_array(field, rows) -> np.ndarray:
 class Matrix:
     """Immutable dense matrix over an exact field."""
 
-    __slots__ = ("field", "a")
+    __slots__ = ("field", "a", "_plan")
 
     def __init__(self, field, rows):
         a = _normalized_array(field, rows)
@@ -582,16 +578,38 @@ class Matrix:
         return NotImplemented
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        """Matrix times a 1-D coordinate vector."""
+        """Matrix times a 1-D coordinate vector, its cells read as exact Python scalars."""
         if self.cols != len(v):
             raise DimensionMismatch(f"{self.shape} applied to length {len(v)}")
-        return self.field.dot(self.a, self.field.asarray(v))
+        return self.rows_apply(self.field.asarray(v).reshape(1, -1))[0]
 
     def rows_apply(self, rows: np.ndarray) -> np.ndarray:
-        """rows @ self.T for a stack of row vectors: the matrix applied to each row."""
-        if rows.shape[1] != self.cols:
+        """rows @ self.T for a dense stack of row vectors, through apply_rows.
+
+        Shared with modules.LegAction, which has the same field, shape and
+        apply_rows.
+        """
+        if rows.shape[1] != self.shape[1]:
             raise DimensionMismatch(f"{self.shape} applied to rows of length {rows.shape[1]}")
-        return self.field.dot(self.field.asarray(rows), self.a.T)
+        moved = self.apply_rows(_sparse_rows(self.field.asarray(rows)))
+        return _dense(moved, (len(moved), self.shape[0]), self.field.dtype)
+
+    def apply_rows(self, rows: Iterable[dict]) -> list[dict]:
+        """The matrix applied to each sparse row {col: value}, as sparse rows.
+
+        Row i of the result is self @ rows[i].  The rows hold field scalars
+        (Python ints or Fractions, residues over F_p) at columns below
+        self.cols; the per-column plan of the matrix's nonzeros is built on
+        first use.
+        """
+        try:
+            plan = self._plan
+        except AttributeError:
+            dst, src = self.a.nonzero()
+            vals = _cell_values(self.a, dst, src)
+            plan = _column_plan(self.cols, src.tolist(), dst.tolist(), vals, self.field.modulus)
+            object.__setattr__(self, "_plan", plan)
+        return _apply_plan(plan, rows, self.field.modulus)
 
     def __add__(self, other):
         if isinstance(other, Matrix):
@@ -686,7 +704,7 @@ def kernel(m: Matrix) -> "Subspace":
     free = _free_cols(m.cols, res.pivots)
     if not free:
         return Subspace.zero(m.field, m.cols)
-    rows = _complement_rows(m.field, res.matrix.a[: res.rank], res.pivots, free)
+    rows = _complement_rows(m.field, _sparse_rows(res.matrix.a[: res.rank]), res.pivots, free)
     return Subspace.from_spanning(m.field, m.cols, rows)
 
 
@@ -695,18 +713,23 @@ def _free_cols(n: int, pivots: Sequence[int]) -> list[int]:
     return [c for c in range(n) if c not in taken]
 
 
-def _complement_rows(field, basis: np.ndarray, pivots: Sequence[int], free: list[int]) -> np.ndarray:
-    """Row t is e_f - sum_j basis[j, f] e_{pivots[j]} for f = free[t].
+def _complement_rows(
+    field, basis: Sequence[dict], pivots: Sequence[int], free: list[int]
+) -> list[dict]:
+    """Sparse row t is e_f - sum_j basis[j][f] e_{pivots[j]} for f = free[t].
 
-    For an RREF basis these rows are a basis of its right kernel, and as a
-    matrix they are the projection onto the free coordinates whose kernel
-    is the row space: kernel and quotient are the same construction.
+    For the sparse rows of an RREF basis these rows are a basis of its
+    right kernel, and as a matrix they are the projection onto the free
+    coordinates whose kernel is the row space: kernel and quotient are the
+    same construction.
     """
-    q = np.zeros((len(free), basis.shape[1]), dtype=field.dtype)
-    q[range(len(free)), free] = field.one
-    if len(pivots):
-        q[:, list(pivots)] = field.reduce_array(-basis[:, free].T)
-    return q
+    p = field.modulus
+    out = {f: {f: 1} for f in free}
+    for c, row in zip(pivots, basis):
+        for f, x in row.items():
+            if f != c:  # an RREF row is zero at every other pivot
+                out[f][c] = -x % p if p else -x
+    return list(out.values())
 
 
 # ---------------------------------------------------------------------------
@@ -728,52 +751,75 @@ class QuotientMaps:
     subspace: "Subspace"
     free: tuple[int, ...]
 
+    def project(self, columns: list[dict]) -> Matrix:
+        """q @ C for the matrix C whose columns are these sparse rows, which are consumed.
+
+        q reads a vector's residual modulo U on the free coordinates.
+        """
+        at = {f: t for t, f in enumerate(self.free)}  # residuals vanish at every pivot
+        resid = [{at[c]: x for c, x in r.items()} for r in self.subspace._reduce_rows(columns)]
+        field = self.subspace.field
+        return Matrix._wrap(field, _dense(resid, (len(resid), self.dim), field.dtype).T.copy())
+
     def induced(self, op) -> Matrix:
         """q @ op @ s for an operator that descends to the quotient.
 
-        op is anything with rows_apply (a Matrix or a modules.LegAction);
+        op is anything with apply_rows (a Matrix or a modules.LegAction);
         it is applied to the section's columns only.
         """
-        moved = op.rows_apply(self.section.a.T)  # row t: op applied to section column t
-        return Matrix._wrap(op.field, self.subspace.residuals(moved)[:, list(self.free)].T.copy())
+        return self.project(op.apply_rows([{f: 1} for f in self.free]))
 
 
 class Subspace:
-    """Subspace of K^n held as an RREF basis with no zero rows.
+    """Subspace of K^n held as the tails of an RREF basis with no zero rows.
 
     The constructors below are the only callers of __init__; they pass the
     echelon their elimination built, as the tails that _reduce takes, and
-    nothing mutates it.  basis is that RREF as a dense matrix, pivots its
-    pivot columns, increasing.
+    nothing mutates it.  pivots are its pivot columns, increasing; rows
+    gives its basis as sparse rows, and basis as a dense matrix, built on
+    first access.
     """
 
-    __slots__ = ("field", "ambient_dim", "basis", "pivots", "_tails")
+    __slots__ = ("field", "ambient_dim", "pivots", "_tails", "_basis")
 
     def __init__(self, field, ambient_dim: int, tails: dict):
-        pivots = sorted(tails)
-        rows = [{c: 1, **tails[c]} for c in pivots]
-        basis = _dense(rows, (len(pivots), ambient_dim), field.dtype)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "basis", Matrix._wrap(field, basis))
-        object.__setattr__(self, "pivots", tuple(pivots))
+        object.__setattr__(self, "pivots", tuple(sorted(tails)))
         object.__setattr__(self, "_tails", tails)
+        object.__setattr__(self, "_basis", None)
 
     def __setattr__(self, *_):
         raise AttributeError("Subspace is immutable")
 
     @classmethod
     def from_spanning(cls, field, ambient_dim: int, rows) -> "Subspace":
+        """The span of vectors: a 2-D array, a list of vectors, or a list of sparse rows.
+
+        Sparse rows {col: value} (as apply_rows yields them) go to from_rows,
+        which consumes them.
+        """
         if not isinstance(rows, np.ndarray):
             rows = list(rows)
+            if all(type(row) is dict for row in rows):
+                return cls.from_rows(field, ambient_dim, rows)
         if not len(rows):
             return cls.zero(field, ambient_dim)
         arrays = isinstance(rows[0], np.ndarray)
         a = field.asarray(rows) if arrays else _normalized_array(field, rows)
         if a.shape[1] != ambient_dim:
             raise DimensionMismatch(f"vectors of length {a.shape[1]} in ambient {ambient_dim}")
+        return cls.from_rows(field, ambient_dim, _sparse_rows(a))
+
+    @classmethod
+    def from_rows(cls, field, ambient_dim: int, rows: Iterable[dict]) -> "Subspace":
+        """The span of sparse rows {col: value}, as apply_rows yields them; consumes the rows.
+
+        The rows are trusted: field scalars (reduced mod p over F_p) at
+        columns below ambient_dim.
+        """
         tails: dict[int, dict] = {}
-        _grow(tails, _sparse_rows(a), field)
+        _grow(tails, rows, field)
         return cls(field, ambient_dim, tails)
 
     @classmethod
@@ -785,8 +831,21 @@ class Subspace:
         return cls(field, ambient_dim, {c: {} for c in range(ambient_dim)})
 
     @property
+    def rows(self) -> list[dict]:
+        """The RREF basis rows as new sparse rows, in pivot order."""
+        return [{c: 1, **self._tails[c]} for c in self.pivots]
+
+    @property
+    def basis(self) -> Matrix:
+        """The RREF basis as a dense matrix, built on first access."""
+        if self._basis is None:
+            a = _dense(self.rows, (self.dim, self.ambient_dim), self.field.dtype)
+            object.__setattr__(self, "_basis", Matrix._wrap(self.field, a))
+        return self._basis
+
+    @property
     def dim(self) -> int:
-        return self.basis.rows
+        return len(self.pivots)
 
     def is_zero(self) -> bool:
         return self.dim == 0
@@ -804,13 +863,17 @@ class Subspace:
     def contains(self, v: np.ndarray) -> bool:
         return self.contains_all(self.field.asarray(v).reshape(1, -1))
 
-    def _reduced(self, rows: np.ndarray) -> list[dict]:
-        """Each row of a stack as a sparse row reduced against the basis."""
+    def _sparse_stack(self, rows) -> list[dict]:
+        """A 2-D stack of row vectors in this ambient, as sparse rows."""
         rows = self.field.asarray(rows)
         if rows.ndim != 2 or rows.shape[1] != self.ambient_dim:
             raise DimensionMismatch("row length does not match the ambient")
+        return _sparse_rows(rows)
+
+    def _reduce_rows(self, rows: list[dict]) -> list[dict]:
+        """Each sparse row reduced in place to its residual modulo the subspace; returns them."""
         tails, p = self._tails, self.field.modulus
-        return [_reduce(row, tails, p) for row in _sparse_rows(rows)]
+        return [_reduce(row, tails, p) for row in rows]
 
     def residuals(self, rows: np.ndarray) -> np.ndarray:
         """Residuals of a stack of row vectors after reduction against the basis.
@@ -820,21 +883,28 @@ class Subspace:
         echelon here, so a residual has the full ambient width and is zero
         at every pivot column.
         """
-        return _dense(self._reduced(rows), np.shape(rows), self.field.dtype)
+        return _dense(self._reduce_rows(self._sparse_stack(rows)), np.shape(rows), self.field.dtype)
 
-    def contains_all(self, rows: np.ndarray) -> bool:
-        """Membership for a whole stack of row vectors at once."""
-        return not any(self._reduced(rows))
+    def contains_all(self, rows) -> bool:
+        """Membership for a whole stack of row vectors at once.
+
+        rows is a 2-D stack, or a list of sparse rows, which is consumed.
+        """
+        if not (isinstance(rows, list) and all(type(r) is dict for r in rows)):
+            rows = self._sparse_stack(rows)
+        return not any(self._reduce_rows(rows))
 
     def is_subset(self, other: "Subspace") -> bool:
         self._check(other)
-        return self.dim <= other.dim and other.contains_all(self.basis.a)
+        return self.dim <= other.dim and other.contains_all(self.rows)
 
     def outside(self, other: "Subspace") -> Optional[np.ndarray]:
         """First basis row of self that is not in other; None when self <= other."""
         self._check(other)
-        hits = [i for i, resid in enumerate(other._reduced(self.basis.a)) if resid]
-        return self.basis.a[hits[0]].copy() if hits else None
+        for row, resid in zip(self.rows, other._reduce_rows(self.rows)):
+            if resid:
+                return _dense([row], (1, self.ambient_dim), self.field.dtype)[0]
+        return None
 
     def __le__(self, other):
         return self.is_subset(other)
@@ -845,23 +915,23 @@ class Subspace:
         return (
             self.field == other.field
             and self.ambient_dim == other.ambient_dim
-            and self.basis == other.basis
+            and self._tails == other._tails
         )
 
     __hash__ = None
 
     def __add__(self, other):
         self._check(other)
-        return Subspace.from_spanning(
-            self.field, self.ambient_dim, np.vstack([self.basis.a, other.basis.a])
-        )
+        tails = {c: dict(tail) for c, tail in self._tails.items()}
+        _grow(tails, other.rows, self.field)
+        return Subspace(self.field, self.ambient_dim, tails)
 
     def __and__(self, other):
         """The combinations of self's basis rows whose residuals modulo other cancel."""
         self._check(other)
         if self.is_zero() or other.is_zero():
             return Subspace.zero(self.field, self.ambient_dim)
-        return _cancelling(self, other.residuals(self.basis.a))
+        return _cancelling(self, other._reduce_rows(self.rows), self.ambient_dim)
 
     def quotient(self) -> QuotientMaps:
         """Projection onto the ambient modulo this subspace, plus a section.
@@ -869,11 +939,13 @@ class Subspace:
         The free coordinates of the RREF basis index the quotient; the
         projection subtracts each vector's component along the basis rows.
         """
-        field, free = self.field, _free_cols(self.ambient_dim, self.pivots)
-        s = np.zeros((self.ambient_dim, len(free)), dtype=field.dtype)
+        field, n = self.field, self.ambient_dim
+        free = _free_cols(n, self.pivots)
+        s = np.zeros((n, len(free)), dtype=field.dtype)
         s[free, range(len(free))] = field.one
-        q = Matrix._raw(field, _complement_rows(field, self.basis.a, self.pivots, free))
-        return QuotientMaps(q, Matrix._raw(field, s), len(free), self, tuple(free))
+        q = _complement_rows(field, self.rows, self.pivots, free)
+        q = Matrix._wrap(field, _dense(q, (len(free), n), field.dtype))
+        return QuotientMaps(q, Matrix._wrap(field, s), len(free), self, tuple(free))
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
@@ -886,7 +958,7 @@ class Subspace:
 def closure_under(operators: Sequence, seed: Subspace) -> Subspace:
     """Smallest subspace containing seed and invariant under every operator.
 
-    Operators are anything with a square shape and rows_apply (a Matrix
+    Operators are anything with a square shape and apply_rows (a Matrix
     or a modules.LegAction).  Frontier spinning into one growing echelon,
     as in the MeatAxe (Parker 1984): each pass applies the operators only
     to the pivot rows the previous pass added and grows the echelon by
@@ -899,12 +971,12 @@ def closure_under(operators: Sequence, seed: Subspace) -> Subspace:
             raise DimensionMismatch(f"operator {op.shape} on ambient {n}")
     field = seed.field
     tails = {c: dict(tail) for c, tail in seed._tails.items()}
-    frontier = seed.basis.a
-    while operators and len(frontier) and len(tails) < n:
+    frontier = seed.rows
+    while operators and frontier and len(tails) < n:
         added = []
         for op in operators:
-            added += _grow(tails, _sparse_rows(op.rows_apply(frontier)), field)
-        frontier = _dense([{c: 1, **tails[c]} for c in added], (len(added), n), field.dtype)
+            added += _grow(tails, op.apply_rows(frontier), field)
+        frontier = [{c: 1, **tails[c]} for c in added]
     return seed if len(tails) == seed.dim else Subspace(field, n, tails)
 
 
@@ -926,7 +998,7 @@ def joint_kernel(operators: Sequence) -> Subspace:
 def _restrict(operators: Sequence, target: Optional[Subspace]) -> Subspace:
     """{v : op v in target for every op}, one operator at a time; None is the zero target.
 
-    Operators are anything with field, shape and rows_apply (a Matrix or a
+    Operators are anything with field, shape and apply_rows (a Matrix or a
     modules.LegAction).  Each step applies op to the current basis rows and
     reduces the images against target: the residual on target's free
     columns is the image under its quotient projection, so no projection
@@ -943,18 +1015,29 @@ def _restrict(operators: Sequence, target: Optional[Subspace]) -> Subspace:
             raise DimensionMismatch("operators disagree on source dimension")
         if current.is_zero():
             return current
-        images = op.rows_apply(current.basis.a)  # row i: op applied to basis row i
-        current = _cancelling(current, images if target is None else target.residuals(images))
+        images = op.apply_rows(current.rows)  # row i: op applied to basis row i
+        if target is not None:
+            target._reduce_rows(images)
+        current = _cancelling(current, images, op.shape[0])
     return current
 
 
-def _cancelling(current: Subspace, resid: np.ndarray) -> Subspace:
-    """The span of the combinations of current's basis rows whose rows of resid cancel."""
-    resid = resid[:, resid.any(axis=0)]
-    if not resid.size:
+def _cancelling(current: Subspace, resid: list[dict], width: int) -> Subspace:
+    """The span of the combinations of current's basis rows whose sparse rows resid cancel.
+
+    resid holds columns below width and is consumed.  One elimination of
+    the rows [resid_i | b_i], b_i basis row i shifted past width: the
+    pivot rows past width are zero on resid's columns, so they span the
+    combinations sum c_i b_i with sum c_i resid_i = 0, and shifted back
+    they are that span's RREF tails.
+    """
+    if not any(resid):
         return current
-    field = current.field
-    coeffs = kernel(Matrix._wrap(field, resid.T))
-    return Subspace.from_spanning(
-        field, current.ambient_dim, field.sparse_dot(coeffs.basis.a, current.basis.a)
-    )
+    for row, b in zip(resid, current.rows):
+        for c, x in b.items():
+            row[c + width] = x
+    tails: dict[int, dict] = {}
+    _grow(tails, resid, current.field)
+    kept = {c: tail for c, tail in tails.items() if c >= width}
+    shifted = {c - width: {k - width: x for k, x in tail.items()} for c, tail in kept.items()}
+    return Subspace(current.field, current.ambient_dim, shifted)

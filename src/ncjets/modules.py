@@ -14,12 +14,21 @@ from __future__ import annotations
 import math
 import numbers
 from functools import cached_property
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .algebra import Algebra, _combine
-from .linalg import DimensionMismatch, Matrix, Subspace, joint_kernel, vector
+from .linalg import (
+    DimensionMismatch,
+    Matrix,
+    Subspace,
+    _apply_plan,
+    _cell_values,
+    _column_plan,
+    joint_kernel,
+    vector,
+)
 
 
 class BimoduleValidationError(ValueError):
@@ -161,11 +170,12 @@ class LegAction:
 
     Each term (axis, M) is the operator I (x) .. (x) M (x) .. (x) I with M
     on leg `axis`; coordinates are row-major over the legs, the layout
-    Matrix.kron produces.  rows_apply hands each term to the field's
-    leg_dot, which over Q adds M[i, j] times slab j of the rows to slab i
-    for the nonzero entries of M only: nnz(M) * rows * dim / d_axis per
-    term instead of the O(rows * dim^2) of the dense matrix, which is built
-    only when `dense` is asked for.
+    Matrix.kron produces.  apply_rows applies it to sparse rows through a
+    per-column plan of its nonzeros, built once from each factor's nonzero
+    entries: M[j, i] moves a coordinate whose leg index is i to the one
+    whose leg index is j, so a row costs one multiply-add per nonzero
+    cell and factor entry it meets.  The dense matrix is built only when
+    `dense` is asked for.
     """
 
     def __init__(self, field, dims: Sequence[int], terms: Sequence[tuple[int, Matrix]]):
@@ -205,16 +215,29 @@ class LegAction:
         """The transpose, which transposes each factor on its own leg."""
         return LegAction(self.field, self.dims, tuple((axis, m.T) for axis, m in self.terms))
 
-    def rows_apply(self, rows: np.ndarray) -> np.ndarray:
-        """rows @ self.dense.T for a stack of row vectors."""
-        if rows.shape[1] != self.dim:
-            raise DimensionMismatch(f"{self.shape} applied to rows of length {rows.shape[1]}")
-        field = self.field
-        legs = field.asarray(rows).reshape((rows.shape[0],) + self.dims)
-        out = None
+    rows_apply = Matrix.rows_apply  # the dense adapter, through apply_rows
+
+    def apply_rows(self, rows: Iterable[dict]) -> list[dict]:
+        """The operator applied to each sparse row {col: value}, as sparse rows."""
+        return _apply_plan(self._plan, rows, self.field.modulus)
+
+    @cached_property
+    def _plan(self) -> list[tuple]:
+        """Entry c: the (target column, value) pairs of the operator's nonzeros in column c.
+
+        Term (axis, M) sends flat column base + i * stride to base + j *
+        stride with weight M[j, i], where base runs over the flat columns
+        whose leg index on `axis` is 0.
+        """
+        src, dst, vals = [], [], []
         for axis, m in self.terms:
-            out = field.leg_dot(legs, m.a, axis + 1, out)
-        return field.reduce_array(out.reshape(rows.shape[0], self.dim))
+            d, stride = self.dims[axis], math.prod(self.dims[axis + 1 :])
+            base = (np.arange(0, self.dim, d * stride)[:, None] + np.arange(stride)).ravel()
+            j, i = m.a.nonzero()
+            src += (i[:, None] * stride + base).ravel().tolist()
+            dst += (j[:, None] * stride + base).ravel().tolist()
+            vals += [x for x in _cell_values(m.a, j, i) for _ in range(base.size)]
+        return _column_plan(self.dim, src, dst, vals, self.field.modulus)
 
     @cached_property
     def dense(self) -> Matrix:

@@ -138,11 +138,13 @@ def test_numpy_int_widths_stay_exact_over_q(case):
         assert m.to_lists() == rows
         assert all(type(x) is int for x in m.a.flat)
         assert (m @ m).to_lists() == square
-        assert QQ.sparse_dot(m.a, m.a).tolist() == square
-        assert QQ.leg_dot(m.a, m.a, 0).tolist() == square
+        assert _product(Matrix._wrap(QQ, m.a.T.copy()), m.a).tolist() == square
+        on_leg = LegAction(QQ, (3, 3), ((0, m),))
+        assert _product(on_leg, m.a.reshape(1, -1)).reshape(3, 3).tolist() == square
         assert rref(m).matrix.to_lists() == naive_rref(rows)[0]
     assert all(type(x) is int for x in vector(QQ, cells[0]))
-    assert QQ.leg_dot(QQ.asarray(cells), QQ.asarray(stacked), 0).tolist() == square
+    on_leg = LegAction(QQ, (3, 3), ((0, Matrix._wrap(QQ, QQ.asarray(stacked))),))
+    assert _product(on_leg, QQ.asarray(cells).reshape(1, -1)).reshape(3, 3).tolist() == square
     assert _combine(QQ, stacked[0], QQ.asarray(stacked)[:, None]).tolist() == [square[0]]
     # residuals modulo the line through (1, 1, 1): row v leaves v - v[0] (1, 1, 1)
     line = Subspace.from_spanning(QQ, 3, [[1, 1, 1]])
@@ -437,11 +439,17 @@ def _product_operands(draw):
     return field, operand(m, k), operand(k, n)
 
 
+def _product(op, a: np.ndarray) -> np.ndarray:
+    """a @ op.T through op.apply_rows on the sparse rows of a."""
+    moved = op.apply_rows(linalg._sparse_rows(a))
+    return linalg._dense(moved, (a.shape[0], op.shape[0]), op.field.dtype)
+
+
 @settings(max_examples=120, deadline=None)
 @given(_product_operands())
-def test_sparse_dot_matches_dense_dot(case):
+def test_apply_rows_matches_dense_dot(case):
     field, a, b = case
-    got = field.sparse_dot(a, b)
+    got = _product(Matrix._wrap(field, b.T.copy()), a)
     want = field.dot(a, b)
     assert got.shape == want.shape == (a.shape[0], b.shape[1])
     assert got.tolist() == want.tolist()
@@ -542,25 +550,28 @@ def test_subspace_canonical_equality():
 
 
 def test_intersection_eliminates_reduced_entries_over_prime_field(monkeypatch):
-    # the residual of e0 modulo V is -e1: every rref input must hold 6, not -1
+    # the residual of e0 modulo V is -e1: every row reaching the elimination must hold 6, not -1
     field = GF(7)
     u = Subspace.from_spanning(field, 3, [vector(field, [1, 0, 0]), vector(field, [0, 1, 0])])
     v = Subspace.from_spanning(field, 3, [vector(field, [1, 1, 0]), vector(field, [0, 0, 1])])
     seen = []
+    grow = linalg._grow
 
-    def recording_rref(m):
-        res = rref(m)
-        seen.append((m, res))
-        return res
+    def recording_grow(tails, rows, field):
+        rows = list(rows)
+        seen.append([dict(row) for row in rows])  # the rows eliminated
+        pivots = grow(tails, rows, field)
+        seen.append([dict(tail) for tail in tails.values()])  # the echelon they built
+        return pivots
 
-    monkeypatch.setattr(linalg, "rref", recording_rref)
+    monkeypatch.setattr(linalg, "_grow", recording_grow)
     w = u & v
     monkeypatch.undo()
     assert w == Subspace.from_spanning(field, 3, [vector(field, [1, 1, 0])])
     assert seen
-    for m, res in seen:
-        for arr in (m.a, res.matrix.a):
-            assert all(0 <= x < 7 for x in arr.flat)
+    for rows in seen:
+        for row in rows:
+            assert all(0 <= x < 7 for x in row.values())
 
 
 def test_prime_field_arrays_are_reduced_int64():
