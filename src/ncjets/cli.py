@@ -85,10 +85,23 @@ def _load_module(spec: str, algebra) -> BimoduleRep:
         raise
 
 
+def _load_modules(algebra, *specs) -> tuple:
+    """One module per spec; a spec named twice gives the same module, loaded once."""
+    loaded = {}
+    for spec in specs:
+        if spec not in loaded:
+            loaded[spec] = _load_module(spec, algebra)
+    return tuple(loaded[spec] for spec in specs)
+
+
 def _inputs(algebra, **modules) -> dict:
+    """Names and digests of the inputs; a module passed twice is digested once."""
     out = {"algebra": {"name": algebra.name, "digest": digest(algebra_to_doc(algebra))}}
+    digests = {}
     for key, mod in modules.items():
-        out[key] = {"name": mod.name, "digest": digest(module_to_doc(mod))}
+        if mod not in digests:
+            digests[mod] = digest(module_to_doc(mod))
+        out[key] = {"name": mod.name, "digest": digests[mod]}
     return out
 
 
@@ -141,8 +154,7 @@ def _cmd_derivations(args):
 
 def _cmd_diff(args):
     algebra = _load_algebra(args.algebra)
-    P = _load_module(args.module_p, algebra)
-    Q = _load_module(args.module_q, algebra)
+    P, Q = _load_modules(algebra, args.module_p, args.module_q)
     if args.definition == "bar1":
         if args.order != 1:
             raise DefinitionDomainError("bar1 is a first-order class; use --order 1")
@@ -200,8 +212,7 @@ def _cmd_jet(args):
 
 def _cmd_represent(args):
     algebra = _load_algebra(args.algebra)
-    P = _load_module(args.module_p, algebra)
-    Q = _load_module(args.module_q, algebra)
+    P, Q = _load_modules(algebra, args.module_p, args.module_q)
     if args.definition == "bar1":
         if args.order != 1:
             raise DefinitionDomainError("bar1 representability is first order; use --order 1")
@@ -233,8 +244,7 @@ def _cmd_represent(args):
 
 def _cmd_witness_cc3(args):
     algebra = _load_algebra(args.algebra)
-    P = _load_module(args.module_p, algebra)
-    Q = _load_module(args.module_q, algebra) if args.module_q else P
+    P, Q = _load_modules(algebra, args.module_p, args.module_q or args.module_p)
     witness = residual_witness_search(P, Q, args.order)
     fmt = algebra.field.format
     results = {"order": args.order, "found": witness is not None}
@@ -258,8 +268,7 @@ def _cmd_witness_cc3(args):
 
 def _cmd_compare(args):
     algebra = _load_algebra(args.algebra)
-    P = _load_module(args.module_p, algebra)
-    Q = _load_module(args.module_q, algebra)
+    P, Q = _load_modules(algebra, args.module_p, args.module_q)
     report = compare_definitions(P, Q, args.order)
     hs = HomSpace(P, Q)
     witnesses = {

@@ -9,6 +9,13 @@ how, with explicit witnesses for strict containments.
 
 All stage subspaces live in the flat coordinates of the Hom space, and
 every function rejects non-central bimodules.
+
+Each public entry point checks its inputs, builds HomSpace(P, Q) once and
+runs one body per definition on it (the table _BODIES), so the action
+families and their plans are built once per call: compare_definitions
+runs every applicable body on one Hom space, and diff_bar1 reuses the
+joint delta_bar kernel of its two-sided zero stage.  Nothing is kept
+once the call returns.
 """
 
 from __future__ import annotations
@@ -20,16 +27,6 @@ from .linalg import Matrix, Subspace, closure_under, joint_kernel, kernel, preim
 from .modules import BimoduleRep, HomSpace, require_central
 
 MAX_ORDER = 4
-
-TAGS = (
-    "comm-iterated",
-    "comm-inductive",
-    "left-center",
-    "left-sum",
-    "right",
-    "two-sided",
-    "bar1",
-)
 
 
 class DefinitionDomainError(ValueError):
@@ -96,7 +93,89 @@ def _sum_form(acts: Sequence, devs: Sequence, r: int) -> tuple[Subspace, ...]:
 
 
 # ---------------------------------------------------------------------------
-# commutative definitions
+# one body per definition, each on a Hom space its caller built
+
+
+def _comm_inductive(hs: HomSpace, r: int) -> tuple[Subspace, ...]:
+    deltas = hs.deltas
+    stages = [joint_kernel(deltas)]
+    for _ in range(r):
+        stages.append(preimage(deltas, stages[-1]))
+    return tuple(stages)
+
+
+def _comm_iterated(hs: HomSpace, r: int) -> tuple[Subspace, ...]:
+    # the (k+1)-words w . delta_i have row space R_k . delta_i, so
+    # R_{k+1} = span{R_k delta_i} and stage[k] = ker R_k; R_0 is the
+    # span of the rows of every delta_i, the image of the full space
+    transposed = [d.T for d in hs.deltas]
+    words = _span_family(transposed, hs.full_subspace())
+    stages = [kernel(words.basis)]
+    for _ in range(r):
+        words = _span_family(transposed, words)
+        stages.append(kernel(words.basis))
+    return tuple(stages)
+
+
+def _left_center(hs: HomSpace, r: int) -> tuple[Subspace, ...]:
+    deltas = hs.deltas
+    left_pair = list(hs.left) + list(hs.bullet_left)
+    stages = [closure_under(left_pair, joint_kernel(deltas))]
+    for _ in range(r):
+        lift = preimage(deltas, stages[-1])
+        stages.append(closure_under(left_pair, lift))
+    return tuple(stages)
+
+
+def _left_sum(hs: HomSpace, r: int) -> tuple[Subspace, ...]:
+    return _sum_form(hs.left, hs.deltas, r)
+
+
+def _right(hs: HomSpace, r: int) -> tuple[Subspace, ...]:
+    return _sum_form(hs.right, hs.delta_bars, r)
+
+
+def _two_sided(hs: HomSpace, r: int) -> tuple[Subspace, ...]:
+    return _two_sided_over(hs, r, joint_kernel(hs.delta_bars))
+
+
+def _two_sided_over(hs: HomSpace, r: int, bar_kernel: Subspace) -> tuple[Subspace, ...]:
+    """The two-sided stages, given the joint delta_bar kernel of hs."""
+    stages = [_zero_order(hs.left, hs.deltas) + _span_family(hs.right, bar_kernel)]
+    for _ in range(r):
+        left_form = _sum_step(hs.left, hs.deltas, stages[-1])
+        right_form = _sum_step(hs.right, hs.delta_bars, stages[-1])
+        stages.append(left_form & right_form)
+    return tuple(stages)
+
+
+_BODIES = {
+    "comm-iterated": _comm_iterated,
+    "comm-inductive": _comm_inductive,
+    "left-center": _left_center,
+    "left-sum": _left_sum,
+    "right": _right,
+    "two-sided": _two_sided,
+}
+
+TAGS = (*_BODIES, "bar1")
+
+
+def _check(P: BimoduleRep, Q: BimoduleRep, r: int, max_order: int, commutative: bool = False):
+    require_central(P, Q)
+    _check_order(r, max_order)
+    if commutative and not P.algebra.is_commutative:
+        raise DefinitionDomainError(
+            f"commutative filtration over noncommutative algebra {P.algebra.name!r}"
+        )
+
+
+def _filtration(hs: HomSpace, tag: str, r: int) -> Filtration:
+    return Filtration(hs, tag, _BODIES[tag](hs, r))
+
+
+# ---------------------------------------------------------------------------
+# the public definitions
 
 
 def diff_commutative(
@@ -110,35 +189,10 @@ def diff_commutative(
     inductive: stage[0] = joint kernel of the delta_a; stage[k] pulls
                stage[k-1] back through every delta_a.
     """
-    require_central(P, Q)
-    _check_order(r, max_order)
-    if not P.algebra.is_commutative:
-        raise DefinitionDomainError(
-            f"commutative filtration over noncommutative algebra {P.algebra.name!r}"
-        )
+    _check(P, Q, r, max_order, commutative=True)
     if mode not in ("inductive", "iterated"):
         raise DefinitionDomainError(f"unknown commutative mode {mode!r}")
-    hs = HomSpace(P, Q)
-    deltas = hs.deltas
-    if mode == "inductive":
-        stages = [joint_kernel(deltas)]
-        for _ in range(r):
-            stages.append(preimage(deltas, stages[-1]))
-    else:
-        # the (k+1)-words w . delta_i have row space R_k . delta_i, so
-        # R_{k+1} = span{R_k delta_i} and stage[k] = ker R_k; R_0 is the
-        # span of the rows of every delta_i, the image of the full space
-        transposed = [d.T for d in deltas]
-        words = _span_family(transposed, hs.full_subspace())
-        stages = [kernel(words.basis)]
-        for _ in range(r):
-            words = _span_family(transposed, words)
-            stages.append(kernel(words.basis))
-    return Filtration(hs, f"comm-{mode}", tuple(stages))
-
-
-# ---------------------------------------------------------------------------
-# left definitions
+    return _filtration(HomSpace(P, Q), f"comm-{mode}", r)
 
 
 def diff_left(
@@ -152,30 +206,18 @@ def diff_left(
     sum:    stage[k] = span{b w : w with delta_a w in stage[k-1]} + stage[k-1],
             where b runs over the left action.
     """
-    require_central(P, Q)
-    _check_order(r, max_order)
+    _check(P, Q, r, max_order)
     if mode not in ("center", "sum"):
         raise DefinitionDomainError(f"unknown left mode {mode!r}")
-    hs = HomSpace(P, Q)
-    deltas = hs.deltas
-    if mode == "sum":
-        return Filtration(hs, "left-sum", _sum_form(hs.left, deltas, r))
-    left_pair = list(hs.left) + list(hs.bullet_left)
-    stages = [closure_under(left_pair, joint_kernel(deltas))]
-    for _ in range(r):
-        lift = preimage(deltas, stages[-1])
-        stages.append(closure_under(left_pair, lift))
-    return Filtration(hs, "left-center", tuple(stages))
+    return _filtration(HomSpace(P, Q), f"left-{mode}", r)
 
 
 def diff_right(
     P: BimoduleRep, Q: BimoduleRep, r: int, max_order: int = MAX_ORDER
 ) -> Filtration:
     """Mirror of the left sum filtration: delta_bar kernels moved by phi b."""
-    require_central(P, Q)
-    _check_order(r, max_order)
-    hs = HomSpace(P, Q)
-    return Filtration(hs, "right", _sum_form(hs.right, hs.delta_bars, r))
+    _check(P, Q, r, max_order)
+    return _filtration(HomSpace(P, Q), "right", r)
 
 
 def diff_two_sided(
@@ -187,16 +229,8 @@ def diff_two_sided(
     order); the union itself is not a subspace, so membership of single
     elements is reported separately by two_sided_zero_order_membership.
     """
-    require_central(P, Q)
-    _check_order(r, max_order)
-    hs = HomSpace(P, Q)
-    left0, right0 = _zero_orders(hs)
-    stages = [left0 + right0]
-    for _ in range(r):
-        left_form = _sum_step(hs.left, hs.deltas, stages[-1])
-        right_form = _sum_step(hs.right, hs.delta_bars, stages[-1])
-        stages.append(left_form & right_form)
-    return Filtration(hs, "two-sided", tuple(stages))
+    _check(P, Q, r, max_order)
+    return _filtration(HomSpace(P, Q), "two-sided", r)
 
 
 def two_sided_zero_order_membership(P: BimoduleRep, Q: BimoduleRep, phi: Matrix) -> dict:
@@ -218,12 +252,14 @@ def diff_bar1(P: BimoduleRep, Q: BimoduleRep) -> Subspace:
     """Two-sided first-order operators killed by every delta_bar_c . delta_b.
 
     Those are the phi whose every delta_b phi lies in the joint delta_bar
-    kernel, a preimage, so no composed operator is formed.
+    kernel, a preimage, so no composed operator is formed; that kernel is
+    the one the two-sided zero stage spans from.
     """
     require_central(P, Q)
     hs = HomSpace(P, Q)
-    t1 = diff_two_sided(P, Q, 1).stages[1]
-    return t1 & preimage(hs.deltas, joint_kernel(hs.delta_bars))
+    bar_kernel = joint_kernel(hs.delta_bars)
+    t1 = _two_sided_over(hs, 1, bar_kernel)[1]
+    return t1 & preimage(hs.deltas, bar_kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -233,19 +269,10 @@ def diff_bar1(P: BimoduleRep, Q: BimoduleRep) -> Subspace:
 def filtration_by_tag(
     P: BimoduleRep, Q: BimoduleRep, r: int, tag: str, max_order: int = MAX_ORDER
 ) -> Filtration:
-    if tag == "comm-iterated":
-        return diff_commutative(P, Q, r, mode="iterated", max_order=max_order)
-    if tag == "comm-inductive":
-        return diff_commutative(P, Q, r, mode="inductive", max_order=max_order)
-    if tag == "left-center":
-        return diff_left(P, Q, r, mode="center", max_order=max_order)
-    if tag == "left-sum":
-        return diff_left(P, Q, r, mode="sum", max_order=max_order)
-    if tag == "right":
-        return diff_right(P, Q, r, max_order=max_order)
-    if tag == "two-sided":
-        return diff_two_sided(P, Q, r, max_order=max_order)
-    raise DefinitionDomainError(f"unknown definition tag {tag!r}")
+    if tag not in _BODIES:
+        raise DefinitionDomainError(f"unknown definition tag {tag!r}")
+    _check(P, Q, r, max_order, commutative=tag.startswith("comm-"))
+    return _filtration(HomSpace(P, Q), tag, r)
 
 
 def stage_by_tag(
@@ -274,11 +301,11 @@ def compare_definitions(P: BimoduleRep, Q: BimoduleRep, r: int, max_order: int =
     Every strict containment (and every incomparability) carries a
     witness vector from the side that sticks out.
     """
-    require_central(P, Q)
-    _check_order(r, max_order)
+    _check(P, Q, r, max_order)
     commutative = P.algebra.is_commutative
-    tags = list(TAGS[:-1]) if commutative else ["left-center", "left-sum", "right", "two-sided"]
-    filts = {tag: filtration_by_tag(P, Q, r, tag, max_order=max_order) for tag in tags}
+    tags = list(_BODIES) if commutative else ["left-center", "left-sum", "right", "two-sided"]
+    hs = HomSpace(P, Q)
+    filts = {tag: _filtration(hs, tag, r) for tag in tags}
     dims = {tag: filts[tag].dims for tag in tags}
     relations = {}
     witnesses = {}

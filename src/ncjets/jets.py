@@ -8,6 +8,10 @@ that fails, and the failure is witnessed by a nonzero residual in the
 factorization identity.  The two-sided first jet (inside
 A tensor P tensor A) repairs the story for the restricted first-order
 class, and representability_bar1 verifies that on any input.
+
+The maps out of a jet are read off sparse condition rows built from the
+sparse rows of mu, one row per relation and target coordinate, and their
+kernel is taken on sparse rows too, so no dense relation basis is formed.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from .linalg import (
     _sparse_rows,
     closure_under,
     hstack,
-    kernel,
+    kernel_of_rows,
 )
 from .modules import (
     BimoduleRep,
@@ -206,25 +210,40 @@ def _check_generation(jet: JetModule):
 # hom sides and the comparison map
 
 
-def _collapse_conditions(jet: JetModule, Q: BimoduleRep) -> Matrix:
-    """Rows that vanish on vec(phi) exactly when phi extends to the jet.
+def _collapse_conditions(jet: JetModule, Q: BimoduleRep) -> list[dict]:
+    """Sparse rows that vanish on vec(phi) exactly when phi extends to the jet.
 
     The tensor ambient is free on its P-leg, so a module map f out of the
     jet is fixed by phi = f . J through f(a tensor p [tensor c]) = a phi(p) [c],
     and such an f exists exactly when it kills mu, i.e. when these rows
     vanish; the generation invariant (checked at construction) makes
-    f -> phi injective.  Row (w, q) is the q-th entry of
-    sum_{i,u,j} w[i,u,j] L_i R_j phi(p_u) for a basis vector w of mu; the
-    one-sided ambient is the case of a single right factor R = I_Q.
+    f -> phi injective.  Row (w, q), for a basis row w of mu, has entry
+    sum_{i,j} w[i,u,j] (R_j L_i)[q, q'] at column u * dimQ + q', the
+    column of entry (q', u) of vec(phi); the one-sided ambient is the
+    case of a single right factor R = I_Q.  Only the nonzeros of w meet
+    only the nonzeros of each sandwich R_j L_i.
     """
-    P = jet.base
-    field = P.algebra.field
-    rights = Q.right_stack if jet.two_sided else Matrix.identity(field, Q.dim).a[None]
-    w = jet.mu.basis.a.reshape(jet.mu.dim, P.algebra.dim, P.dim, len(rights))
-    sandwich = _pair_products(field, rights, Q.left_stack).transpose(1, 0, 2, 3)  # [i, j] = R_j L_i
-    rows = field.tensordot(w, sandwich, ([1, 3], [0, 1]))  # (w, u, q, q')
-    rows = rows.transpose(0, 2, 1, 3).reshape(jet.mu.dim * Q.dim, P.dim * Q.dim)
-    return Matrix._raw(field, rows)
+    field = jet.base.algebra.field
+    p, m, d = field.modulus, jet.base.dim, Q.dim
+    rights = Q.right_stack if jet.two_sided else Matrix.identity(field, d).a[None]
+    r = len(rights)
+    sandwich = _pair_products(field, rights, Q.left_stack)  # [j, i] = R_j L_i
+    # entry (i, j): the nonzeros (q, q', value) of R_j L_i
+    nz = sandwich.nonzero()
+    terms = {}
+    for j, i, q, q2, v in zip(*(x.tolist() for x in nz), sandwich[nz].tolist()):
+        terms.setdefault((i, j), []).append((q, q2, v))
+    out = []
+    for w in jet.mu.rows:
+        rows = [{} for _ in range(d)]
+        for c, x in w.items():  # c = (i * dimP + u) * r + j
+            i, u, j = c // (m * r), c // r % m, c % r
+            for q, q2, v in terms.get((i, j), ()):
+                acc, col = rows[q], u * d + q2
+                acc[col] = acc.get(col, 0) + x * v
+        for row in rows:
+            out.append({col: y for col, x in row.items() if (y := x % p if p else x)})
+    return out
 
 
 @dataclass(frozen=True)
@@ -253,9 +272,11 @@ def _representability(
 
     Under the free parametrization of _collapse_conditions the push-forward
     is the identity on phi, so the image is the hom side itself and the
-    comparison map is injective by construction.
+    comparison map is injective by construction.  The image is the kernel
+    of the sparse condition rows, grown into an echelon whose complement
+    rows span it (linalg.kernel_of_rows).
     """
-    image = kernel(_collapse_conditions(jet, Q))
+    image = kernel_of_rows(stage.field, stage.ambient_dim, _collapse_conditions(jet, Q))
     witness = image.outside(stage)
     if witness is not None:
         verdict, kind = VERDICT_NOT_CONTAINED, "image element outside the filtration stage"

@@ -700,12 +700,22 @@ def rref(m: Matrix) -> RrefResult:
 
 def kernel(m: Matrix) -> "Subspace":
     """Right kernel {v : m v = 0} as a subspace of the column space."""
-    res = rref(m)
-    free = _free_cols(m.cols, res.pivots)
-    if not free:
-        return Subspace.zero(m.field, m.cols)
-    rows = _complement_rows(m.field, _sparse_rows(res.matrix.a[: res.rank]), res.pivots, free)
-    return Subspace.from_spanning(m.field, m.cols, rows)
+    return kernel_of_rows(m.field, m.cols, _sparse_rows(m.a))
+
+
+def kernel_of_rows(field, n: int, rows: Iterable[dict]) -> "Subspace":
+    """{v in K^n : row . v = 0 for every sparse row}; consumes the rows.
+
+    The rows are grown into an echelon and its complement rows span the
+    kernel, so no dense matrix is formed.  The rows are trusted as in
+    Subspace.from_rows.
+    """
+    tails: dict[int, dict] = {}
+    _grow(tails, rows, field)
+    pivots = sorted(tails)
+    free = _free_cols(n, pivots)
+    rows = _complement_rows(field, [tails[c] for c in pivots], pivots, free)
+    return Subspace.from_rows(field, n, rows)
 
 
 def _free_cols(n: int, pivots: Sequence[int]) -> list[int]:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import ncjets.cli as cli
 import ncjets.jets
 from ncjets.catalog import builtin, names as catalog_names
 from ncjets.cli import run
@@ -174,6 +175,30 @@ def test_derivations_build_no_module(monkeypatch, capsys, name):
     assert code == 0
     report["results"]["basis"] = want_basis
     assert canonical_json(report) == out
+
+
+def test_same_module_for_p_and_q_is_loaded_and_digested_once(monkeypatch, capsys):
+    argv = ["diff", "-a", "m2", "-p", "self", "-q", "self", "--def", "two-sided", "--order", "1"]
+    builtin("m2")  # the catalog entry's own modules are built here
+    built, digests = [], []
+    real_init, real_digest = BimoduleRep.__init__, cli.digest
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        real_init(self, *args, **kwargs)
+
+    with monkeypatch.context() as counted:
+        counted.setattr(BimoduleRep, "__init__", counting_init)
+        counted.setattr(cli, "digest", lambda doc: digests.append(doc) or real_digest(doc))
+        code, _, out = run_json(capsys, argv)
+    assert code == 0
+    assert len(built) == 1
+    assert len(digests) == 2  # the algebra and the one module
+    # the reference run builds a new module for every spec it is given
+    monkeypatch.setattr(
+        cli, "_load_modules", lambda a, *specs: tuple(cli._load_module(s, a) for s in specs)
+    )
+    assert run_json(capsys, argv)[2] == out
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import pytest
 
+import ncjets.diffop as diffop
 from ncjets.algebra import Algebra
 from ncjets.catalog import COMMUTATIVE_NAMES, builtin, names
 from ncjets.diffop import (
@@ -282,6 +283,49 @@ def test_compare_relations_are_consistent_with_dims():
                 assert d1 <= d2
             elif rel == "superset":
                 assert d1 >= d2
+
+
+# ---------------------------------------------------------------------------
+# one Hom space per call
+
+
+def _count_hom_spaces(monkeypatch) -> list:
+    made = []
+
+    class Counted(HomSpace):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(diffop, "HomSpace", Counted)
+    return made
+
+
+def test_compare_builds_one_hom_space(monkeypatch):
+    P, Q = self_pair("trunc3")
+    want = compare_definitions(P, Q, 2)
+    made = _count_hom_spaces(monkeypatch)
+    assert compare_definitions(P, Q, 2) == want
+    assert len(want["tags"]) == 6
+    assert len(made) == 1
+
+
+def test_bar1_builds_one_hom_space_and_one_delta_bar_kernel(monkeypatch):
+    P, Q = self_pair("m2")
+    want = diff_bar1(P, Q)
+    made = _count_hom_spaces(monkeypatch)
+    bar_kernels = []
+    real = diffop.joint_kernel
+
+    def counting(ops):
+        if any(ops is hs.__dict__.get("delta_bars") for hs in made):
+            bar_kernels.append(ops)
+        return real(ops)
+
+    monkeypatch.setattr(diffop, "joint_kernel", counting)
+    assert diff_bar1(P, Q) == want
+    assert len(made) == 1
+    assert len(bar_kernels) == 1
 
 
 # ---------------------------------------------------------------------------

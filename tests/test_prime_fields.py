@@ -24,8 +24,19 @@ from ncjets.jets import (
     representability_check,
     two_sided_jet1,
 )
-from ncjets.linalg import GF, MAX_INNER, QQ, DimensionMismatch, Matrix, kernel, rref
-from ncjets.modules import BimoduleRep, LegAction
+from ncjets.linalg import (
+    GF,
+    MAX_INNER,
+    QQ,
+    DimensionMismatch,
+    Matrix,
+    _dense,
+    _sparse_rows,
+    kernel,
+    kernel_of_rows,
+    rref,
+)
+from ncjets.modules import BimoduleRep, LegAction, _pair_products
 
 from naive_gauss import naive_kernel_basis_mod, naive_rref_mod
 
@@ -143,7 +154,7 @@ def test_collapse_conditions_on_top_residues_match_python_ints():
     n, m = P.algebra.dim, P.dim
     # a stand-in relation basis and target module whose sandwiches R_j L_i are all TOP
     mu = Matrix(field, [[TOP] * jet.ambient_dim for _ in range(3)])
-    jet = dataclasses.replace(jet, mu=SimpleNamespace(basis=mu, dim=3))
+    jet = dataclasses.replace(jet, mu=SimpleNamespace(rows=_sparse_rows(mu.a), dim=3))
     ident = Matrix.identity(field, m)
     top = Matrix(field, [[TOP] * m for _ in range(m)])
     Q = SimpleNamespace(
@@ -153,7 +164,7 @@ def test_collapse_conditions_on_top_residues_match_python_ints():
         left_stack=np.stack([top.a] * n),
         right_stack=np.stack([ident.a] * n),
     )
-    got = _collapse_conditions(jet, Q).a.tolist()
+    got = _dense(_collapse_conditions(jet, Q), (3 * m, m * m), field.dtype).tolist()
     # row (r, q), column (u, q2): sum over i, j of w[r, i, u, j] (R_j L_i)[q, q2]
     w = np.array(mu.to_lists(), dtype=object).reshape(3, n, m, n)
     rl = [[_py_matmul(R.to_lists(), L.to_lists(), P31) for R in Q.right] for L in Q.left]
@@ -167,6 +178,33 @@ def test_collapse_conditions_on_top_residues_match_python_ints():
         for q in range(m)
     ]
     assert got == want
+
+
+def _dense_collapse_conditions(jet, Q) -> Matrix:
+    """The condition rows by one dense tensordot over mu's basis: the reference formula."""
+    P = jet.base
+    field = P.algebra.field
+    rights = Q.right_stack if jet.two_sided else Matrix.identity(field, Q.dim).a[None]
+    w = jet.mu.basis.a.reshape(jet.mu.dim, P.algebra.dim, P.dim, len(rights))
+    sandwich = _pair_products(field, rights, Q.left_stack).transpose(1, 0, 2, 3)  # [i, j] = R_j L_i
+    rows = field.tensordot(w, sandwich, ([1, 3], [0, 1]))  # (w, u, q, q')
+    rows = rows.transpose(0, 2, 1, 3).reshape(jet.mu.dim * Q.dim, P.dim * Q.dim)
+    return Matrix._raw(field, rows)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7), GF(P31)], ids=["Q", "GF7", "GFbig"])
+def test_sparse_collapse_conditions_match_the_dense_formula(field):
+    # every catalog algebra, self and free2, the one- and two-sided first jets
+    for name in names():
+        for key in ("self", "free2"):
+            P = _over(field, builtin(name).module(key), key)
+            if not P.central:
+                continue
+            for jet in (jet_module(P, 1), two_sided_jet1(P)):
+                want = _dense_collapse_conditions(jet, P)
+                rows = _collapse_conditions(jet, P)
+                assert _dense(rows, want.shape, field.dtype).tolist() == want.a.tolist()
+                assert kernel_of_rows(field, want.cols, rows) == kernel(want)
 
 
 # ---------------------------------------------------------------------------
