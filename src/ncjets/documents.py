@@ -3,6 +3,17 @@
 Scalars travel as exact strings ("n", "n/d", "k mod p").  Reports are
 serialized with sorted keys and canonical scalar strings, so identical
 inputs produce byte-identical output.
+
+canonical_json writes exactly the bytes of
+``json.dumps(obj, sort_keys=True, indent=2) + "\n"``.  The stdlib falls
+back to its pure-Python encoder whenever ``indent`` is set, so this module
+has its own small recursive encoder: strings go through
+``json.encoder.encode_basestring_ascii``, the C function ``json.dumps``
+uses, and each container is one ``",\n" + indent`` join; a list of
+strings, such as a matrix row, is one join over the escaped strings.  Its
+domain is what reports hold: dicts with str keys, lists, tuples, str,
+int, bool and None.  Anything else (a float, a set, a numpy scalar, a
+non-str key) raises TypeError.
 """
 
 from __future__ import annotations
@@ -27,8 +38,47 @@ def _is_count(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _encode(obj, nl: str) -> str:
+    """obj as JSON with sorted keys and two-space indents; nl is "\n" plus obj's indent."""
+    if isinstance(obj, str):
+        return _quote(obj)
+    inner = nl + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        sep = "," + inner
+        if isinstance(obj[0], str):
+            try:  # a list of strings, such as a matrix row, in one join
+                return "[" + inner + sep.join(map(_quote, obj)) + nl + "]"
+            except TypeError:  # a later item is not a string
+                pass
+        return "[" + inner + sep.join([_encode(x, inner) for x in obj]) + nl + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        for key in obj:
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+        sep = "," + inner
+        items = [_quote(k) + ": " + _encode(v, inner) for k, v in sorted(obj.items())]
+        return "{" + inner + sep.join(items) + nl + "}"
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    raise TypeError(f"{type(obj).__name__} is not a report value")
+
+
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """obj as sorted, indent-2 JSON text ending in a newline (see the module docstring)."""
+    return _encode(obj, "\n") + "\n"
 
 
 def digest(obj) -> str:
@@ -40,17 +90,17 @@ def digest(obj) -> str:
 
 
 def algebra_to_doc(algebra: Algebra) -> dict:
-    fmt = algebra.field.format
+    n = algebra.dim
+    unit, *mul = algebra.field.format_rows(
+        [algebra.unit.tolist(), *algebra.mul.reshape(n * n, n).tolist()]
+    )
     return {
         "field": algebra.field.spec(),
         "name": algebra.name,
-        "dim": algebra.dim,
+        "dim": n,
         "basis": list(algebra.basis_names),
-        "unit": [fmt(x) for x in algebra.unit],
-        "mul": [
-            [[fmt(x) for x in algebra.mul[i, j]] for j in range(algebra.dim)]
-            for i in range(algebra.dim)
-        ],
+        "unit": unit,
+        "mul": [mul[i * n : (i + 1) * n] for i in range(n)],
     }
 
 
@@ -169,11 +219,19 @@ def make_report(command: str, args: dict, inputs: dict, results: dict) -> dict:
 
 
 def subspace_to_doc(sub, field) -> dict:
-    fmt = field.format
+    # from the sparse rows: never builds the dense sub.basis
+    rows = sub.rows
+    zero = [field.format(field.zero)] * sub.ambient_dim
+    basis = []
+    for row, texts in zip(rows, field.format_rows([row.values() for row in rows])):
+        line = zero.copy()
+        for c, text in zip(row, texts):
+            line[c] = text
+        basis.append(line)
     return {
         "dim": sub.dim,
         "ambient_dim": sub.ambient_dim,
-        "basis": [[fmt(x) for x in row] for row in sub.basis.a],
+        "basis": basis,
     }
 
 

@@ -79,8 +79,10 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$")
-_MOD_RE = re.compile(r"^(\d+) mod (\d+)$")
+# Matched with fullmatch: "$" alone would also accept a trailing newline.
+_RATIONAL_RE = re.compile(r"([+-]?\d+)(?:/([1-9]\d*))?")
+_MOD_RE = re.compile(r"(\d+) mod (\d+)")
+_INT_RE = re.compile(r"[+-]?\d+")
 
 # Scalar types that are not exact field elements: a float carries binary
 # rounding (0.1 would become 3602879701896397/36028797018963968) and a bool
@@ -285,15 +287,26 @@ class RationalField:
         return a
 
     def parse(self, s: str) -> Fraction:
-        if not isinstance(s, str) or not _RATIONAL_RE.match(s):
+        m = _RATIONAL_RE.fullmatch(s) if isinstance(s, str) else None
+        if m is None:
             raise ScalarFormatError(f"not a rational scalar: {s!r}")
-        return Fraction(s)
+        num, den = m.groups()
+        return Fraction(int(num), int(den)) if den else Fraction(int(num))
 
     def format(self, x) -> str:
         # str of an int or a Fraction is already canonical; other types
         # (numpy ints, bools) print through Fraction
         t = type(x)
         return str(x) if t is int or t is Fraction else str(Fraction(x))
+
+    def format_rows(self, rows) -> list[list[str]]:
+        """format of every cell of rows, as lists of strings.
+
+        The cells are those a kernel array holds (Python ints, Fractions,
+        numpy ints), whose str equals format: normalize refuses bools and
+        floats before an array is built.
+        """
+        return [list(map(str, row)) for row in rows]
 
     def spec(self) -> object:
         """The field's JSON form, read back by field_from_spec."""
@@ -432,17 +445,22 @@ class PrimeField:
     def parse(self, s: str) -> int:
         if not isinstance(s, str):
             raise ScalarFormatError(f"not a prime-field scalar: {s!r}")
-        m = _MOD_RE.match(s)
+        m = _MOD_RE.fullmatch(s)
         if m:
             if int(m.group(2)) != self.p:
                 raise ScalarFormatError(f"scalar {s!r} is not mod {self.p}")
             return int(m.group(1)) % self.p
-        if re.match(r"^[+-]?\d+$", s):
+        if _INT_RE.fullmatch(s):
             return int(s) % self.p
         raise ScalarFormatError(f"not a prime-field scalar: {s!r}")
 
     def format(self, x) -> str:
         return f"{int(x) % self.p} mod {self.p}"
+
+    def format_rows(self, rows) -> list[list[str]]:
+        """format of every cell of rows (ints), as lists of strings."""
+        p = self.p
+        return [[f"{x % p} mod {p}" for x in row] for row in rows]
 
     def spec(self) -> object:
         return {"Fp": self.p}
@@ -562,8 +580,7 @@ class Matrix:
         return self.a.tolist()
 
     def to_strings(self) -> list[list[str]]:
-        f = self.field.format
-        return [[f(x) for x in r] for r in self.a]
+        return self.field.format_rows(self.a.tolist())
 
     def _check(self, other: "Matrix"):
         if self.field != other.field:

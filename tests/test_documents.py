@@ -1,4 +1,9 @@
+import json
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncjets.catalog import builtin, names
 from ncjets.documents import (
@@ -9,7 +14,9 @@ from ncjets.documents import (
     digest,
     module_from_doc,
     module_to_doc,
+    subspace_to_doc,
 )
+from ncjets.linalg import GF, QQ, Subspace
 
 
 def test_algebra_doc_round_trip():
@@ -85,6 +92,87 @@ def test_canonical_json_is_sorted_and_newline_terminated():
     text = canonical_json({"b": 1, "a": [2, {"d": 3, "c": 4}]})
     assert text.index('"a"') < text.index('"b"')
     assert text.endswith("\n")
+
+
+def _reference_json(obj) -> str:
+    # the stdlib's (pure-Python) indent-2 encoder: canonical_json must write these bytes
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+# quotes, backslashes, control characters, DEL, non-ASCII text, the line
+# separator U+2028 and lone surrogates, among arbitrary code points
+_chars = st.one_of(
+    st.sampled_from('"\\/\x00\x08\t\n\x1f\x7f\u00e9\u2028\ud800\udfff\U0001f600'),
+    st.characters(blacklist_categories=()),
+)
+_texts = st.text(_chars, max_size=6)
+_leaves = st.one_of(
+    _texts,
+    st.integers(),
+    st.integers(2**70 - 2, 2**70 + 2),
+    st.integers(-(2**70) - 2, -(2**70) + 2),
+    st.booleans(),
+    st.none(),
+)
+
+
+def _trees(depth: int):
+    if depth == 0:
+        return _leaves
+    sub = _trees(depth - 1)
+    return st.one_of(
+        _leaves,
+        st.lists(sub, max_size=3),
+        st.lists(sub, max_size=3).map(tuple),
+        st.lists(_texts, max_size=4),
+        st.dictionaries(_texts, sub, max_size=3),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_trees(4))
+def test_canonical_json_equals_the_stdlib_encoder(obj):
+    assert canonical_json(obj) == _reference_json(obj)
+
+
+def test_canonical_json_equals_the_stdlib_encoder_on_reports():
+    m2 = builtin("m2")
+    for doc in (algebra_to_doc(m2.algebra), module_to_doc(m2.module("free2")), {}, [], [[]]):
+        assert canonical_json(doc) == _reference_json(doc)
+
+
+@pytest.mark.parametrize(
+    "obj", [1.5, {"a": [0.0]}, {1, 2}, np.int64(3), [np.bool_(True)], {1: "a"}, {"a": {None: 1}}]
+)
+def test_canonical_json_refuses_values_outside_reports(obj):
+    with pytest.raises(TypeError):
+        canonical_json(obj)
+
+
+def _dense_subspace_doc(sub, field) -> dict:
+    return {
+        "dim": sub.dim,
+        "ambient_dim": sub.ambient_dim,
+        "basis": [[field.format(x) for x in row] for row in sub.basis.a],
+    }
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)])
+@pytest.mark.parametrize("kind", ["zero", "full", "mixed"])
+def test_subspace_doc_reads_the_sparse_rows(field, kind):
+    def make():
+        if kind == "zero":
+            return Subspace.zero(field, 4)
+        if kind == "full":
+            return Subspace.full(field, 4)
+        return Subspace.from_spanning(field, 4, [[3, 1, 0, 2], [0, 2, 1, 0], [3, 3, 1, 2]])
+
+    sub = make()
+    doc = subspace_to_doc(sub, field)
+    assert sub._basis is None
+    assert doc == _dense_subspace_doc(make(), field)
+    if kind == "mixed" and field == QQ:
+        assert doc["basis"] == [["1", "0", "-1/6", "2/3"], ["0", "1", "1/2", "0"]]
 
 
 def test_bool_dims_rejected():

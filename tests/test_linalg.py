@@ -47,7 +47,8 @@ def test_rational_scalar_roundtrip():
 
 
 def test_rational_parse_rejects_junk():
-    for s in ["0.5", "1/0", "1/-2", "a", "1 / 2", ""]:
+    # "$" alone would accept the strings with a trailing newline
+    for s in ["0.5", "1/0", "1/-2", "a", "1 / 2", "", "5 ", "5\n", "1/2\n"]:
         with pytest.raises(ScalarFormatError):
             QQ.parse(s)
 
@@ -64,6 +65,28 @@ def test_rational_format_is_str_of_the_fraction(x):
     assert QQ.format(x) == str(Fraction(x))
 
 
+@pytest.mark.parametrize(
+    "field, rows",
+    [
+        (QQ, [[0, -7, 1, 2**70, -(2**70)], [F(1, 2), F(-22, 7), F(2**70, 3), 5, 0]]),
+        (GF(7), [[0, 1, 3, 5, 6]]),
+        (GF(2**31 - 1), [[0, 1, 12345, 2**31 - 3, 2**31 - 2]]),
+    ],
+)
+def test_format_rows_is_format_cell_by_cell(field, rows):
+    want = [[field.format(x) for x in row] for row in rows]
+    assert field.format_rows(rows) == want
+    assert Matrix(field, rows).to_strings() == want
+
+
+def test_to_strings_of_numpy_int_cells_over_q():
+    a = np.empty((2, 3), dtype=object)
+    a[:] = [[np.int64(-3), np.int64(2**62), np.int32(7)], [np.int64(0), F(1, 3), 2**70]]
+    want = [[QQ.format(x) for x in row] for row in a]
+    assert Matrix._wrap(QQ, a).to_strings() == want
+    assert QQ.format_rows(a.tolist()) == want
+
+
 def test_prime_field_basics():
     f5 = GF(5)
     assert f5.parse("7") == 2
@@ -74,6 +97,9 @@ def test_prime_field_basics():
         f5.parse("3 mod 7")
     with pytest.raises(ZeroDivisionError):
         f5.inv(0)
+    for s in ["3 mod 7\n", "4\n", "4 "]:
+        with pytest.raises(ScalarFormatError):
+            GF(7).parse(s)
 
 
 def test_prime_field_rejects_composites():
