@@ -12,10 +12,10 @@ every function rejects non-central bimodules.
 
 Each public entry point checks its inputs, builds HomSpace(P, Q) once and
 runs one body per definition on it (the table _BODIES), so the action
-families and their plans are built once per call: compare_definitions
-runs every applicable body on one Hom space, and diff_bar1 reuses the
-joint delta_bar kernel of its two-sided zero stage.  Nothing is kept
-once the call returns.
+families and their factors' columns are built once per call:
+compare_definitions runs every applicable body on one Hom space, and
+diff_bar1 reuses the joint delta_bar kernel of its two-sided zero stage.
+Nothing is kept once the call returns.
 """
 
 from __future__ import annotations

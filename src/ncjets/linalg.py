@@ -17,14 +17,15 @@ know which field it works over:
 
 The heavy work runs on sparse rows: {col: value} dicts of Python scalars,
 reduced mod p over F_p, holding no zero cell.  An operator (a ``Matrix``
-or a ``modules.LegAction``) applies to them with ``apply_rows``, which
-reads a per-column plan of its nonzeros, so structure constants a few
-percent nonzero cost only their nonzero products.  Every reduction
-against a reduced row-echelon basis is one pair of steps on such rows:
-``_reduce`` subtracts the pivot rows a row meets and ``_insert`` makes
-what is left a new pivot row.  Elimination, membership, closure,
-intersection, preimages and induced quotient maps all go through them; a
-field supplies only its scalar inverse and its modulus (0 for Q).
+or a ``modules.LegAction``) applies to them with ``apply_rows``, one
+kernel reading each factor's column nonzeros, so structure constants a
+few percent nonzero cost only their nonzero products and no table spans
+the ambient.  Every reduction against a reduced row-echelon basis is one
+pair of steps on such rows: ``_reduce`` subtracts the pivot rows a row
+meets and ``_insert`` makes what is left a new pivot row.  Elimination,
+membership, closure, intersection, preimages and induced quotient maps
+all go through them; a field supplies only its scalar inverse and its
+modulus (0 for Q).
 
 Subspaces are stored as the tails of a reduced row-echelon basis with no
 zero rows, which makes set equality of subspaces the same as equality of
@@ -96,9 +97,9 @@ def _inexact(x) -> ScalarFormatError:
     return ScalarFormatError(f"not an exact scalar: {x!r} ({type(x).__name__})")
 
 
-def _cell_values(a: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> list:
-    """The cells a[rows, cols] of a kernel array as a list of exact Python scalars."""
-    vals = a[rows, cols].tolist()
+def _cell_values(a: np.ndarray, *index: np.ndarray) -> list:
+    """The cells a[index] of a kernel array as a list of exact Python scalars."""
+    vals = a[index].tolist()
     if a.dtype == object:  # a numpy int among them would wrap around in products
         vals = [x if type(x) is int or type(x) is Fraction else QQ.normalize(x) for x in vals]
     return vals
@@ -129,38 +130,41 @@ def _dense(rows: Sequence[dict], shape: tuple[int, int], dtype) -> np.ndarray:
     return out
 
 
-def _column_plan(n_cols: int, src: list, dst: list, vals: list, p: int) -> list[tuple]:
-    """Entry c: the (target column, value) pairs of an operator's nonzeros in source column c.
+def _factor_columns(stack: np.ndarray, stride: int) -> list[tuple]:
+    """Each matrix M of a stack (k, rows, d) as one term (stride, d, cols) of _apply_columns.
 
-    The operator's entries are given as parallel lists (source column,
-    target column, value); entries given twice at one place are summed,
-    mod p when p is nonzero, and a sum that vanishes is dropped.
+    cols[i] holds ((j - i) * stride, M[j, i]) per nonzero of M's column i:
+    on a leg of that stride, the offset from leg index i to j.  One scan of
+    the stack's nonzeros, O(nnz + k d).
     """
-    summed: dict = {}
-    for key, v in zip(zip(src, dst), vals):
-        summed[key] = summed.get(key, 0) + v
-    cols: dict = {}
-    for (s, d), v in summed.items():
-        if p:
-            v %= p
-        if v:
-            cols.setdefault(s, []).append((d, v))
-    return [tuple(cols.get(c, ())) for c in range(n_cols)]
+    k, _, d = stack.shape
+    t = stack.transpose(0, 2, 1)  # nonzero() then runs member by member, column by column
+    m, i, j = t.nonzero()
+    pairs = list(zip(((j - i) * stride).tolist(), _cell_values(t, m, i, j)))
+    cols, start = [], 0
+    for end in np.cumsum(np.bincount(m * d + i, minlength=k * d)).tolist():
+        cols.append(tuple(pairs[start:end]))
+        start = end
+    return [(stride, d, tuple(cols[n * d : (n + 1) * d])) for n in range(k)]
 
 
-def _apply_plan(plan: list[tuple], rows: Iterable[dict], p: int) -> list[dict]:
-    """Each sparse row times the operator whose column plan this is, as a sparse row.
+def _apply_columns(terms: Sequence[tuple], width: int, rows: Iterable[dict], p: int) -> list[dict]:
+    """Each sparse row times the sum of these factor terms, as a sparse row.
 
-    Only the nonzeros of the row meet only the nonzeros of the operator;
-    each sum is reduced mod p when p is nonzero, and zero cells are dropped.
+    A row nonzero x at column c meets cols[c // stride % d] of each term and
+    adds x v at c + offset per pair (offset, v) there; sums are reduced mod
+    p when p is nonzero, zero cells dropped, columns outside [0, width) refused.
     """
     out = []
     for row in rows:
         acc: dict = {}
         get = acc.get
         for c, x in row.items():
-            for j, v in plan[c]:
-                acc[j] = get(j, 0) + x * v
+            if not 0 <= c < width:
+                raise DimensionMismatch(f"column {c} is outside an operator of width {width}")
+            for stride, d, cols in terms:
+                for off, v in cols[c // stride % d]:
+                    acc[c + off] = get(c + off, 0) + x * v
         if p:
             out.append({j: r for j, v in acc.items() if (r := v % p)})
         else:
@@ -518,7 +522,7 @@ def _normalized_array(field, rows) -> np.ndarray:
 class Matrix:
     """Immutable dense matrix over an exact field."""
 
-    __slots__ = ("field", "a", "_plan")
+    __slots__ = ("field", "a", "_columns")
 
     def __init__(self, field, rows):
         a = _normalized_array(field, rows)
@@ -615,18 +619,16 @@ class Matrix:
         """The matrix applied to each sparse row {col: value}, as sparse rows.
 
         Row i of the result is self @ rows[i].  The rows hold field scalars
-        (Python ints or Fractions, residues over F_p) at columns below
-        self.cols; the per-column plan of the matrix's nonzeros is built on
-        first use.
+        (Python ints or Fractions, residues over F_p) at columns in
+        [0, self.cols), else DimensionMismatch; the matrix is one kernel
+        term of stride 1, built on first use.
         """
         try:
-            plan = self._plan
+            columns = self._columns
         except AttributeError:
-            dst, src = self.a.nonzero()
-            vals = _cell_values(self.a, dst, src)
-            plan = _column_plan(self.cols, src.tolist(), dst.tolist(), vals, self.field.modulus)
-            object.__setattr__(self, "_plan", plan)
-        return _apply_plan(plan, rows, self.field.modulus)
+            columns = _factor_columns(self.a[None], 1)
+            object.__setattr__(self, "_columns", columns)
+        return _apply_columns(columns, self.cols, rows, self.field.modulus)
 
     def __add__(self, other):
         if isinstance(other, Matrix):

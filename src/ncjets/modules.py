@@ -23,9 +23,8 @@ from .linalg import (
     DimensionMismatch,
     Matrix,
     Subspace,
-    _apply_plan,
-    _cell_values,
-    _column_plan,
+    _apply_columns,
+    _factor_columns,
     joint_kernel,
     vector,
 )
@@ -170,12 +169,12 @@ class LegAction:
 
     Each term (axis, M) is the operator I (x) .. (x) M (x) .. (x) I with M
     on leg `axis`; coordinates are row-major over the legs, the layout
-    Matrix.kron produces.  apply_rows applies it to sparse rows through a
-    per-column plan of its nonzeros, built once from each factor's nonzero
-    entries: M[j, i] moves a coordinate whose leg index is i to the one
-    whose leg index is j, so a row costs one multiply-add per nonzero
-    cell and factor entry it meets.  The dense matrix is built only when
-    `dense` is asked for.
+    Matrix.kron produces.  apply_rows applies it to sparse rows with the
+    kernel Matrix.apply_rows uses, one term per factor: M[j, i] moves a
+    coordinate whose leg index is i to the one whose leg index is j, so a
+    row costs one multiply-add per nonzero cell and factor entry it meets,
+    and the kernel holds only the factors' columns, never a table over the
+    ambient.  The dense matrix is built only when `dense` is asked for.
     """
 
     def __init__(self, field, dims: Sequence[int], terms: Sequence[tuple[int, Matrix]]):
@@ -208,7 +207,13 @@ class LegAction:
         negated = tuple(
             (axis, Matrix._wrap(field, field.reduce_array(-m.a))) for axis, m in other.terms
         )
-        return LegAction(field, self.dims, self.terms + negated)
+        out = LegAction(field, self.dims, self.terms + negated)
+        # other's kernel terms, negated: over F_p the kernel's final % p turns -v into p - v
+        out._columns = self._columns + tuple(
+            (stride, d, tuple(tuple((off, -v) for off, v in col) for col in cols))
+            for stride, d, cols in other._columns
+        )
+        return out
 
     @property
     def T(self) -> "LegAction":
@@ -219,41 +224,34 @@ class LegAction:
 
     def apply_rows(self, rows: Iterable[dict]) -> list[dict]:
         """The operator applied to each sparse row {col: value}, as sparse rows."""
-        return _apply_plan(self._plan, rows, self.field.modulus)
+        return _apply_columns(self._columns, self.dim, rows, self.field.modulus)
 
     @cached_property
-    def _plan(self) -> list[tuple]:
-        """Entry c: the (target column, value) pairs of the operator's nonzeros in column c.
-
-        Term (axis, M) sends flat column base + i * stride to base + j *
-        stride with weight M[j, i], where base runs over the flat columns
-        whose leg index on `axis` is 0.
-        """
-        src, dst, vals = [], [], []
-        for axis, m in self.terms:
-            d, stride = self.dims[axis], math.prod(self.dims[axis + 1 :])
-            base = (np.arange(0, self.dim, d * stride)[:, None] + np.arange(stride)).ravel()
-            j, i = m.a.nonzero()
-            src += (i[:, None] * stride + base).ravel().tolist()
-            dst += (j[:, None] * stride + base).ravel().tolist()
-            vals += [x for x in _cell_values(m.a, j, i) for _ in range(base.size)]
-        return _column_plan(self.dim, src, dst, vals, self.field.modulus)
+    def _columns(self) -> tuple[tuple, ...]:
+        """Each term (axis, M) as a kernel term of M's columns with the stride of its leg."""
+        return tuple(
+            _factor_columns(m.a[None], math.prod(self.dims[axis + 1 :]))[0]
+            for axis, m in self.terms
+        )
 
     @cached_property
     def dense(self) -> Matrix:
         """The same operator as a dense matrix, by kron with identities."""
-        out = None
+        out = Matrix.zeros(self.field, self.dim, self.dim)
         for axis, m in self.terms:
             before = Matrix.identity(self.field, math.prod(self.dims[:axis]))
             after = Matrix.identity(self.field, math.prod(self.dims[axis + 1 :]))
-            term = before.kron(m).kron(after)
-            out = term if out is None else out + term
+            out = out + before.kron(m).kron(after)
         return out
 
 
 def _leg_family(field, legs, axis: int, stack: np.ndarray) -> tuple[LegAction, ...]:
-    """One single-leg LegAction per matrix of a stacked family."""
-    return tuple(LegAction(field, legs, ((axis, Matrix._wrap(field, m)),)) for m in stack.copy())
+    """One single-leg LegAction per matrix of a stacked family, its kernel from one scan."""
+    stack = stack.copy()
+    family = tuple(LegAction(field, legs, ((axis, Matrix._wrap(field, m)),)) for m in stack)
+    for op, term in zip(family, _factor_columns(stack, math.prod(legs[axis + 1 :]))):
+        op._columns = (term,)
+    return family
 
 
 def _deviation(field, legs, coords, plus, minus) -> LegAction:

@@ -7,6 +7,7 @@ dense basis, exact reads of numpy ints, and the jets built on all of it.
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -49,7 +50,8 @@ FIELDS = [
     (GF(7), [0, 0, 0, 1, 6, 3]),
     (GF(P31), [0, 0, 0, 1, P31 - 1, P31 - 2]),
 ]
-DIMS = [(4,), (2, 2), (2, 3), (3, 2), (2, 1, 2), (2, 2, 2)]
+# legs of dim 1 first, last and in the middle among them
+DIMS = [(4,), (2, 2), (2, 3), (3, 2), (2, 1, 2), (2, 2, 2), (1, 3), (3, 1), (1, 2, 1)]
 
 
 def _square(draw, field, entries, d):
@@ -63,15 +65,21 @@ def _sparse_row(draw, entries, n):
 
 
 def _leg_action(draw, field, entries, dims):
-    """A multi-term LegAction, sometimes a deviation (a difference, so negated factors)."""
+    """A multi-term LegAction, sometimes a deviation a - b or a - b - c (so negated factors)."""
+    leg = st.integers(0, len(dims) - 1)
 
     def one():
-        axes = draw(st.lists(st.integers(0, len(dims) - 1), min_size=1, max_size=3))
+        if draw(st.booleans()):  # a term on every leg, and one leg twice
+            axes = draw(st.permutations([*range(len(dims)), draw(leg)]))
+        else:
+            axes = draw(st.lists(leg, min_size=1, max_size=3))
         terms = tuple((a, _square(draw, field, entries, dims[a])) for a in axes)
         return LegAction(field, dims, terms)
 
     act = one()
-    return act - one() if draw(st.booleans()) else act
+    for _ in range(draw(st.integers(0, 2))):
+        act = act - one()
+    return act
 
 
 @st.composite
@@ -111,6 +119,41 @@ def test_apply_rows_matches_the_dense_operator(case):
             assert p == 0 or 0 <= x < p
     assert op.apply_rows([]) == []
     assert op.apply_rows([{}, {}]) == [{}, {}]
+
+
+@pytest.mark.parametrize("col", [-1, 4, 7])
+def test_apply_rows_refuses_columns_outside_the_operator(col):
+    m = Matrix(QQ, [[1, 2], [3, 4]])
+    wide = Matrix(QQ, [[1, 2, 0, 1], [3, 4, 1, 0]])  # rectangular: width 4
+    act = LegAction(QQ, (2, 2), ((1, m),))  # column 4 would read leg index 4 % 2 = 0
+    for op, width in [(m, 2), (wide, 4), (act, 4), (act - act, 4)]:
+        with pytest.raises(linalg.DimensionMismatch, match=f"column {col} .* width {width}"):
+            op.apply_rows([{0: 1}, {col: 1, 1: 2}])
+
+
+def test_a_term_less_leg_action_is_the_zero_operator():
+    for field in (QQ, GF(7)):
+        op = LegAction(field, (2, 3), ())
+        assert op.dense == Matrix.zeros(field, 6, 6)
+        assert op.apply_rows([{0: 1, 5: 2}, {}]) == [{}, {}]
+        assert op.rows_apply(field.asarray([[1, 0, 0, 0, 0, 2]])).tolist() == [[0] * 6]
+
+
+def test_a_leg_action_keeps_only_its_factors_columns():
+    """One row through a factor on the middle of legs (64, 64, 64): no table over 262,144 columns."""
+    cells = [[0] * 64 for _ in range(64)]
+    cells[3][7], cells[7][7], cells[60][2] = 2, 5, 1
+    op = LegAction(GF(P31), (64, 64, 64), ((1, Matrix(GF(P31), cells)),))
+    c = (5 * 64 + 7) * 64 + 9  # leg indices (5, 7, 9)
+    tracemalloc.start()
+    try:
+        got = op.apply_rows([{c: 3}])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == [{c - 4 * 64: 6, c: 15}]
+    assert peak < 256 * 1024  # a list of 262,144 entries alone takes 2 MiB
+    assert [(stride, d, len(cols)) for stride, d, cols in op._columns] == [(64, 64, 64)]
 
 
 def test_apply_reads_numpy_ints_in_object_vectors_exactly():
