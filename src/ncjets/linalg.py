@@ -97,9 +97,9 @@ def _inexact(x) -> ScalarFormatError:
     return ScalarFormatError(f"not an exact scalar: {x!r} ({type(x).__name__})")
 
 
-def _cell_values(a: np.ndarray, *index: np.ndarray) -> list:
-    """The cells a[index] of a kernel array as a list of exact Python scalars."""
-    vals = a[index].tolist()
+def _cell_values(a: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> list:
+    """The cells a[rows, cols] of a kernel array as a list of exact Python scalars."""
+    vals = a[rows, cols].tolist()
     if a.dtype == object:  # a numpy int among them would wrap around in products
         vals = [x if type(x) is int or type(x) is Fraction else QQ.normalize(x) for x in vals]
     return vals
@@ -130,22 +130,18 @@ def _dense(rows: Sequence[dict], shape: tuple[int, int], dtype) -> np.ndarray:
     return out
 
 
-def _factor_columns(stack: np.ndarray, stride: int) -> list[tuple]:
-    """Each matrix M of a stack (k, rows, d) as one term (stride, d, cols) of _apply_columns.
+def _factor_term(a: np.ndarray, stride: int) -> tuple:
+    """A factor M (rows, d) as one term (stride, d, cols) of _apply_columns.
 
     cols[i] holds ((j - i) * stride, M[j, i]) per nonzero of M's column i:
-    on a leg of that stride, the offset from leg index i to j.  One scan of
-    the stack's nonzeros, O(nnz + k d).
+    on a leg of that stride, the offset from leg index i to j.  O(nnz + d).
     """
-    k, _, d = stack.shape
-    t = stack.transpose(0, 2, 1)  # nonzero() then runs member by member, column by column
-    m, i, j = t.nonzero()
-    pairs = list(zip(((j - i) * stride).tolist(), _cell_values(t, m, i, j)))
-    cols, start = [], 0
-    for end in np.cumsum(np.bincount(m * d + i, minlength=k * d)).tolist():
-        cols.append(tuple(pairs[start:end]))
-        start = end
-    return [(stride, d, tuple(cols[n * d : (n + 1) * d])) for n in range(k)]
+    d = a.shape[1]
+    i, j = a.T.nonzero()  # column by column, rows ascending
+    cols: list = [[] for _ in range(d)]
+    for c, off, v in zip(i.tolist(), ((j - i) * stride).tolist(), _cell_values(a, j, i)):
+        cols[c].append((off, v))
+    return (stride, d, tuple(map(tuple, cols)))
 
 
 def _apply_columns(terms: Sequence[tuple], width: int, rows: Iterable[dict], p: int) -> list[dict]:
@@ -153,10 +149,24 @@ def _apply_columns(terms: Sequence[tuple], width: int, rows: Iterable[dict], p: 
 
     A row nonzero x at column c meets cols[c // stride % d] of each term and
     adds x v at c + offset per pair (offset, v) there; sums are reduced mod
-    p when p is nonzero, zero cells dropped, columns outside [0, width) refused.
+    p when p is nonzero, zero cells dropped, columns outside [0, width)
+    refused.  A row with one nonzero through an operator of one term (most
+    rows, most operators) reads one factor column and forms no sums.
     """
     out = []
+    append = out.append
+    single = terms[0] if len(terms) == 1 else None
     for row in rows:
+        if single and len(row) == 1:
+            ((c, x),) = row.items()
+            stride, d, cols = single
+            if not 0 <= c < width:
+                raise DimensionMismatch(f"column {c} is outside an operator of width {width}")
+            if p:
+                append({c + off: r for off, v in cols[c // stride % d] if (r := x * v % p)})
+            else:
+                append({c + off: r for off, v in cols[c // stride % d] if (r := x * v)})
+            continue
         acc: dict = {}
         get = acc.get
         for c, x in row.items():
@@ -166,9 +176,9 @@ def _apply_columns(terms: Sequence[tuple], width: int, rows: Iterable[dict], p: 
                 for off, v in cols[c // stride % d]:
                     acc[c + off] = get(c + off, 0) + x * v
         if p:
-            out.append({j: r for j, v in acc.items() if (r := v % p)})
+            append({j: r for j, v in acc.items() if (r := v % p)})
         else:
-            out.append({j: v for j, v in acc.items() if v})
+            append({j: v for j, v in acc.items() if v})
     return out
 
 
@@ -626,7 +636,7 @@ class Matrix:
         try:
             columns = self._columns
         except AttributeError:
-            columns = _factor_columns(self.a[None], 1)
+            columns = (_factor_term(self.a, 1),)
             object.__setattr__(self, "_columns", columns)
         return _apply_columns(columns, self.cols, rows, self.field.modulus)
 

@@ -24,7 +24,7 @@ from .linalg import (
     Matrix,
     Subspace,
     _apply_columns,
-    _factor_columns,
+    _factor_term,
     joint_kernel,
     vector,
 )
@@ -207,13 +207,7 @@ class LegAction:
         negated = tuple(
             (axis, Matrix._wrap(field, field.reduce_array(-m.a))) for axis, m in other.terms
         )
-        out = LegAction(field, self.dims, self.terms + negated)
-        # other's kernel terms, negated: over F_p the kernel's final % p turns -v into p - v
-        out._columns = self._columns + tuple(
-            (stride, d, tuple(tuple((off, -v) for off, v in col) for col in cols))
-            for stride, d, cols in other._columns
-        )
-        return out
+        return LegAction(field, self.dims, self.terms + negated)
 
     @property
     def T(self) -> "LegAction":
@@ -229,10 +223,7 @@ class LegAction:
     @cached_property
     def _columns(self) -> tuple[tuple, ...]:
         """Each term (axis, M) as a kernel term of M's columns with the stride of its leg."""
-        return tuple(
-            _factor_columns(m.a[None], math.prod(self.dims[axis + 1 :]))[0]
-            for axis, m in self.terms
-        )
+        return tuple(_factor_term(m.a, math.prod(self.dims[axis + 1 :])) for axis, m in self.terms)
 
     @cached_property
     def dense(self) -> Matrix:
@@ -246,12 +237,8 @@ class LegAction:
 
 
 def _leg_family(field, legs, axis: int, stack: np.ndarray) -> tuple[LegAction, ...]:
-    """One single-leg LegAction per matrix of a stacked family, its kernel from one scan."""
-    stack = stack.copy()
-    family = tuple(LegAction(field, legs, ((axis, Matrix._wrap(field, m)),)) for m in stack)
-    for op, term in zip(family, _factor_columns(stack, math.prod(legs[axis + 1 :]))):
-        op._columns = (term,)
-    return family
+    """One single-leg LegAction per matrix of a stacked family."""
+    return tuple(LegAction(field, legs, ((axis, Matrix._wrap(field, m)),)) for m in stack.copy())
 
 
 def _deviation(field, legs, coords, plus, minus) -> LegAction:

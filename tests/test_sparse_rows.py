@@ -127,8 +127,9 @@ def test_apply_rows_refuses_columns_outside_the_operator(col):
     wide = Matrix(QQ, [[1, 2, 0, 1], [3, 4, 1, 0]])  # rectangular: width 4
     act = LegAction(QQ, (2, 2), ((1, m),))  # column 4 would read leg index 4 % 2 = 0
     for op, width in [(m, 2), (wide, 4), (act, 4), (act - act, 4)]:
-        with pytest.raises(linalg.DimensionMismatch, match=f"column {col} .* width {width}"):
-            op.apply_rows([{0: 1}, {col: 1, 1: 2}])
+        for rows in ([{0: 1}, {col: 1, 1: 2}], [{col: 3}]):  # one nonzero or several
+            with pytest.raises(linalg.DimensionMismatch, match=f"column {col} .* width {width}"):
+                op.apply_rows(rows)
 
 
 def test_a_term_less_leg_action_is_the_zero_operator():
@@ -140,7 +141,7 @@ def test_a_term_less_leg_action_is_the_zero_operator():
 
 
 def test_a_leg_action_keeps_only_its_factors_columns():
-    """One row through a factor on the middle of legs (64, 64, 64): no table over 262,144 columns."""
+    """One row through a factor on the middle of legs (64, 64, 64): no 262,144-entry table."""
     cells = [[0] * 64 for _ in range(64)]
     cells[3][7], cells[7][7], cells[60][2] = 2, 5, 1
     op = LegAction(GF(P31), (64, 64, 64), ((1, Matrix(GF(P31), cells)),))
