@@ -20,10 +20,12 @@ Nothing is kept once the call returns.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
-from .linalg import Matrix, Subspace, closure_under, joint_kernel, kernel, preimage
+from .linalg import Matrix, Subspace, closure_under, joint_kernel, kernel_of_rows, preimage
+from .linalg import span_of_images
 from .modules import BimoduleRep, HomSpace, require_central
 
 MAX_ORDER = 4
@@ -34,6 +36,8 @@ class DefinitionDomainError(ValueError):
 
 
 def _check_order(r: int, max_order: int):
+    if isinstance(r, bool) or not isinstance(r, numbers.Integral):
+        raise DefinitionDomainError(f"order must be an integer, got {r!r}")
     if r < 0:
         raise DefinitionDomainError("order must be >= 0")
     if r > max_order:
@@ -61,18 +65,9 @@ class Filtration:
         return all(a <= b for a, b in zip(self.stages, self.stages[1:]))
 
 
-def _span_family(ops: Sequence, seed: Subspace) -> Subspace:
-    """span{op v : v in seed}; closed already since each family composes to itself."""
-    if seed.is_zero():
-        return seed
-    rows = seed.rows
-    images = [image for op in ops for image in op.apply_rows(rows)]
-    return Subspace.from_spanning(seed.field, seed.ambient_dim, images)
-
-
 def _zero_order(acts: Sequence, devs: Sequence) -> Subspace:
-    """span{b w : dev w = 0 for every dev}, b running over acts."""
-    return _span_family(acts, joint_kernel(devs))
+    """span{b w : dev w = 0 for every dev}, b over acts: closed, as acts compose to themselves."""
+    return span_of_images(acts, joint_kernel(devs))
 
 
 def _zero_orders(hs: HomSpace) -> tuple[Subspace, Subspace]:
@@ -82,7 +77,7 @@ def _zero_orders(hs: HomSpace) -> tuple[Subspace, Subspace]:
 
 def _sum_step(acts: Sequence, devs: Sequence, prev: Subspace) -> Subspace:
     """span{b w : dev w in prev for every dev} + prev, the sum-form stage after prev."""
-    return _span_family(acts, preimage(devs, prev)) + prev
+    return span_of_images(acts, preimage(devs, prev)) + prev
 
 
 def _sum_form(acts: Sequence, devs: Sequence, r: int) -> tuple[Subspace, ...]:
@@ -109,11 +104,11 @@ def _comm_iterated(hs: HomSpace, r: int) -> tuple[Subspace, ...]:
     # R_{k+1} = span{R_k delta_i} and stage[k] = ker R_k; R_0 is the
     # span of the rows of every delta_i, the image of the full space
     transposed = [d.T for d in hs.deltas]
-    words = _span_family(transposed, hs.full_subspace())
-    stages = [kernel(words.basis)]
+    words = span_of_images(transposed, hs.full_subspace())
+    stages = [kernel_of_rows(hs.field, hs.dim, words.rows)]
     for _ in range(r):
-        words = _span_family(transposed, words)
-        stages.append(kernel(words.basis))
+        words = span_of_images(transposed, words)
+        stages.append(kernel_of_rows(hs.field, hs.dim, words.rows))
     return tuple(stages)
 
 
@@ -141,7 +136,7 @@ def _two_sided(hs: HomSpace, r: int) -> tuple[Subspace, ...]:
 
 def _two_sided_over(hs: HomSpace, r: int, bar_kernel: Subspace) -> tuple[Subspace, ...]:
     """The two-sided stages, given the joint delta_bar kernel of hs."""
-    stages = [_zero_order(hs.left, hs.deltas) + _span_family(hs.right, bar_kernel)]
+    stages = [_zero_order(hs.left, hs.deltas) + span_of_images(hs.right, bar_kernel)]
     for _ in range(r):
         left_form = _sum_step(hs.left, hs.deltas, stages[-1])
         right_form = _sum_step(hs.right, hs.delta_bars, stages[-1])
@@ -280,6 +275,7 @@ def stage_by_tag(
 ) -> Subspace:
     """Stage-k subspace of the tagged filtration; bar1 is its own single stage."""
     if tag == "bar1":
+        _check_order(k, max_order)
         if k != 1:
             raise DefinitionDomainError("bar1 is a first-order class; use order 1")
         return diff_bar1(P, Q)

@@ -30,9 +30,11 @@ from .linalg import (
     Subspace,
     _dense,
     _sparse_rows,
+    _subtract,
     closure_under,
     hstack,
     kernel_of_rows,
+    span_of_images,
 )
 from .modules import (
     BimoduleRep,
@@ -90,9 +92,9 @@ class JetModule:
 
 
 def _check_order(k: int):
-    # the seed stack has n^(k+1) dim P rows and the witness search n^(k+1) tuples
-    if not 0 <= k <= MAX_ORDER:
-        raise OrderViolationError(f"order must be between 0 and {MAX_ORDER}, got {k}")
+    # MAX_ORDER bounds the witness search's n^(k+1) tuples; the seed levels stay within the ambient
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or not 0 <= k <= MAX_ORDER:
+        raise OrderViolationError(f"order must be between 0 and {MAX_ORDER}, got {k!r}")
 
 
 def _invariant(ops: Sequence, sub: Subspace) -> bool:
@@ -104,28 +106,39 @@ def _invariant(ops: Sequence, sub: Subspace) -> bool:
 
 
 def _units(t: TensorOneSided | TensorTwoSided) -> list[dict]:
-    """Sparse row u is the embedded basis vector 1 tensor p_u (tensor 1) of the ambient t."""
-    return t.embedding.apply_rows([{u: 1} for u in range(t.module.dim)])
+    """Sparse row u is 1 tensor p_u (tensor 1) in the ambient t, from the unit's nonzeros."""
+    (one,) = _sparse_rows(t.algebra.unit.reshape(1, -1))
+    n, m, norm = t.algebra.dim, t.module.dim, t.field.normalize
+    if isinstance(t, TensorOneSided):  # (i, u) -> i * dimP + u
+        return [{i * m + u: x for i, x in one.items()} for u in range(m)]
+    # (i, u, j) -> (i * dimP + u) * dimA + j
+    ends = [(i * m * n + j, norm(x * y)) for i, x in one.items() for j, y in one.items()]
+    return [{c + u * n: x for c, x in ends} for u in range(m)]
+
+
+def _vec_of_columns(cols: list[dict], d: int) -> dict:
+    """vec(phi) as a sparse row, from the sparse columns of phi (each of length d)."""
+    return {u * d + q: x for u, col in enumerate(cols) for q, x in col.items()}
 
 
 def _assemble_jet(
     P: BimoduleRep,
     order: int,
     t: TensorOneSided | TensorTwoSided,
-    gens: list[dict],
+    seed: Subspace,
     outer: Sequence[LegAction],
     inner: Sequence[LegAction],
     right: Optional[tuple[Sequence[LegAction], Sequence[LegAction]]] = None,
 ) -> JetModule:
     """Close the seed relations under the outer actions and pass to the quotient.
 
-    gens lists the seed relations as sparse rows; outer/inner are the left action
+    seed spans the seed relations; outer/inner are the left action
     families on the ambient t; right is the (outer, inner) pair of right
     families for the two-sided jet.  The outer actions always descend; an
     inner family is attached only when the relations are invariant under it.
     """
     outer_all = list(outer) + (list(right[0]) if right else [])
-    mu = closure_under(outer_all, Subspace.from_spanning(t.field, t.dim, gens))
+    mu = closure_under(outer_all, seed)
     if not _invariant(outer_all, mu):
         raise InvariantViolation("jet relations must be closed under the outer actions")
     quot = mu.quotient()
@@ -160,16 +173,18 @@ def jet_module(P: BimoduleRep, k: int) -> JetModule:
 
     mu^(k+1) is generated by the (k+1)-fold deviation words applied to
     1 tensor p, p over a basis of P, and closed under the outer action
-    b (a tensor p) = (b a) tensor p.  The induced inner action
+    b (a tensor p) = (b a) tensor p.  The words are applied one deviation
+    at a time to a basis of the level before (linalg.span_of_images), so
+    no level holds more rows than the ambient.  The induced inner action
     b . (a tensor p) = a tensor (b p) is attached only when the
     relations are invariant under it (always, when A is commutative).
     """
     require_central(P)
     _check_order(k)
     t = TensorOneSided(P)
-    level = _units(t)
+    level = Subspace.from_rows(t.field, t.dim, _units(t))
     for _ in range(k + 1):
-        level = [row for d in t.delta_actions for row in d.apply_rows(level)]
+        level = span_of_images(t.delta_actions, level)
     return _assemble_jet(P, k, t, level, t.outer_actions, t.inner_actions)
 
 
@@ -181,13 +196,12 @@ def two_sided_jet1(P: BimoduleRep) -> JetModule:
     """
     require_central(P)
     t = TensorTwoSided(P)
-    moved = [row for d in t.delta_actions for row in d.apply_rows(_units(t))]
-    gens = [row for db in t.delta_bar_actions for row in db.apply_rows(moved)]
+    moved = span_of_images(t.delta_actions, Subspace.from_rows(t.field, t.dim, _units(t)))
     return _assemble_jet(
         P,
         1,
         t,
-        gens,
+        span_of_images(t.delta_bar_actions, moved),
         t.outer_left_actions,
         t.inner_left_actions,
         (t.outer_right_actions, t.inner_right_actions),
@@ -196,13 +210,9 @@ def two_sided_jet1(P: BimoduleRep) -> JetModule:
 
 def _check_generation(jet: JetModule):
     """The module closure of the jet-map image must be the whole quotient."""
-    field = jet.projection.field
-    image = Subspace.from_spanning(
-        field, jet.dim, [jet.jet_map.col(u) for u in range(jet.base.dim)]
-    )
+    image = Subspace.from_rows(jet.mu.field, jet.dim, _sparse_rows(jet.jet_map.a.T))
     ops = list(jet.left_ops) + (list(jet.right_ops) if jet.right_ops else [])
-    generated = closure_under(ops, image)
-    if not generated.is_full():
+    if not closure_under(ops, image).is_full():
         raise InvariantViolation("jet map image must generate the quotient")
 
 
@@ -371,9 +381,10 @@ def factorize(
 def _check_left_linear(t: TensorOneSided, Q: BimoduleRep, f: Matrix):
     if f.shape != (Q.dim, t.dim):
         raise NotLeftLinearError(f"f must be {Q.dim} x {t.dim}, got {f.shape}")
+    rows = _sparse_rows(f.a)
     for i, (lo, lq) in enumerate(zip(t.outer_actions, Q.left)):
         # row q of f . outer(b) is the transposed action applied to row q of f
-        if Matrix._raw(t.field, lo.T.rows_apply(f.a)) != lq @ f:
+        if lo.T.apply_rows(rows) != _sparse_rows((lq @ f).a):
             raise NotLeftLinearError(f"f is not left-linear against basis element {i}")
 
 
@@ -403,9 +414,14 @@ def factorization_residual(
     _check_left_linear(t, Q, f)
     hs = HomSpace(P, Q)
     field = t.field
-    v = hs.vec(f @ t.embedding).reshape(1, -1)
     p = field.asarray(p)
-    w = t.embedding.apply(p).reshape(1, -1)
+    if p.shape != (P.dim,):
+        raise DimensionMismatch(f"p must be a vector of length {P.dim}, got shape {p.shape}")
+    units = _units(t)
+    v = [_vec_of_columns(f.apply_rows(units), Q.dim)]  # vec(f . J)
+    w = [{}]  # 1 tensor p, the combination of the units with p's coordinates
+    for u, x in _sparse_rows(p.reshape(1, -1))[0].items():
+        _subtract(w[0], -x, units[u], field.modulus)
     n = len(t.delta_actions)
     for b in reversed(list(b_tuple)):
         if isinstance(b, (bool, np.bool_)) or (
@@ -416,10 +432,11 @@ def factorization_residual(
             dv, dw = hs.deltas[b], t.delta_actions[b]
         else:
             dv, dw = hs.delta(b), t.delta(b)
-        v = dv.rows_apply(v)
-        w = dw.rows_apply(w)
-    lhs = hs.unvec(v[0]).apply(p)
-    return field.reduce_array(lhs - f.apply(w[0]))
+        v = dv.apply_rows(v)
+        w = dw.apply_rows(w)
+    lhs = hs.unvec(_dense(v, (1, hs.dim), field.dtype)[0]).apply(p)
+    rhs = _dense(f.apply_rows(w), (1, Q.dim), field.dtype)[0]
+    return field.reduce_array(lhs - rhs)
 
 
 @dataclass(frozen=True)
@@ -448,15 +465,14 @@ def residual_witness_search(
     field = P.algebra.field
     flin = t.left_linear_maps(Q)
     hs = HomSpace(P, Q)
-    emb = t.embedding
     # RREF rows are already in field form: wrapped, not demoted
     fmats = [
         Matrix._wrap(field, v.reshape((Q.dim, t.dim), order="F").copy())
         for v in flin.basis.a
     ]
     fstack = np.stack([f.a for f in fmats])  # [f, q, x]
-    phis = _sparse_rows(np.stack([hs.vec(f @ emb) for f in fmats]))  # row f is vec(f . J)
     units = _units(t)
+    phis = [_vec_of_columns(f.apply_rows(units), Q.dim) for f in fmats]  # vec(f . J)
     for b_indices in itertools.product(range(n), repeat=k + 1):
         moved_phis, moved_units = phis, units
         for b in reversed(b_indices):

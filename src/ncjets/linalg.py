@@ -3,8 +3,8 @@
 Scalars are `fractions.Fraction` for the rationals and ints in ``[0, p)``
 for a prime field.  Each field carries the dense array kernel every
 module goes through (``dtype``, ``asarray``, ``dot``, ``tensordot``,
-``echelon``, ``reduce_array``), so no code outside this module needs to
-know which field it works over:
+``reduce_array``), so no code outside this module needs to know which
+field it works over:
 
 - over Q, arrays have dtype ``object`` and hold exact Python scalars, a
   plain ``int`` wherever the value is integral and a ``Fraction``
@@ -23,9 +23,9 @@ few percent nonzero cost only their nonzero products and no table spans
 the ambient.  Every reduction against a reduced row-echelon basis is one
 pair of steps on such rows: ``_reduce`` subtracts the pivot rows a row
 meets and ``_insert`` makes what is left a new pivot row.  Elimination,
-membership, closure, intersection, preimages and induced quotient maps
-all go through them; a field supplies only its scalar inverse and its
-modulus (0 for Q).
+membership, spans of images, closure, intersection, preimages and induced
+quotient maps all go through them; a field supplies only its scalar
+inverse and its modulus (0 for Q).
 
 Subspaces are stored as the tails of a reduced row-echelon basis with no
 zero rows, which makes set equality of subspaces the same as equality of
@@ -236,15 +236,6 @@ def _grow(tails: dict, rows: Iterable[dict], field) -> list[int]:
     return [_insert(row, tails, inverse, p) for row in rows if _reduce(row, tails, p)]
 
 
-def _gauss_jordan(field, a: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """RREF of a (same shape, zero rows last) and its pivot columns: both fields' echelon."""
-    a = field.asarray(a)
-    tails: dict[int, dict] = {}
-    _grow(tails, _sparse_rows(a), field)
-    pivots = sorted(tails)
-    return _dense([{c: 1, **tails[c]} for c in pivots], a.shape, a.dtype), pivots
-
-
 class RationalField:
     """The field Q; scalars are Fractions in lowest terms.
 
@@ -288,8 +279,6 @@ class RationalField:
 
     def tensordot(self, a: np.ndarray, b: np.ndarray, axes) -> np.ndarray:
         return np.tensordot(a, b, axes=axes)
-
-    echelon = _gauss_jordan
 
     def demote_array(self, a: np.ndarray) -> np.ndarray:
         # Turn integral Fractions back into ints; keeps later arithmetic fast.
@@ -451,8 +440,6 @@ class PrimeField:
         rhs = b.transpose(ax_b + free_b).reshape(k, math.prod(out_b))
         return self.dot(lhs, rhs).reshape(out_a + out_b)
 
-    echelon = _gauss_jordan
-
     def demote_array(self, a: np.ndarray) -> np.ndarray:
         return a
 
@@ -556,7 +543,7 @@ class Matrix:
     def _wrap(cls, field, a: np.ndarray) -> "Matrix":
         # Trusted constructor for an array already in the field's form (an
         # echelon output, a fresh identity or zero array) or read only by
-        # rref, whose echelon canonicalizes it: no reduction, no demote;
+        # rref, whose elimination canonicalizes it: no reduction, no demote;
         # takes ownership of a and freezes it.
         a.flags.writeable = False
         m = object.__new__(cls)
@@ -612,18 +599,8 @@ class Matrix:
         """Matrix times a 1-D coordinate vector, its cells read as exact Python scalars."""
         if self.cols != len(v):
             raise DimensionMismatch(f"{self.shape} applied to length {len(v)}")
-        return self.rows_apply(self.field.asarray(v).reshape(1, -1))[0]
-
-    def rows_apply(self, rows: np.ndarray) -> np.ndarray:
-        """rows @ self.T for a dense stack of row vectors, through apply_rows.
-
-        Shared with modules.LegAction, which has the same field, shape and
-        apply_rows.
-        """
-        if rows.shape[1] != self.shape[1]:
-            raise DimensionMismatch(f"{self.shape} applied to rows of length {rows.shape[1]}")
-        moved = self.apply_rows(_sparse_rows(self.field.asarray(rows)))
-        return _dense(moved, (len(moved), self.shape[0]), self.field.dtype)
+        moved = self.apply_rows(_sparse_rows(self.field.asarray(v).reshape(1, -1)))
+        return _dense(moved, (1, self.rows), self.field.dtype)[0]
 
     def apply_rows(self, rows: Iterable[dict]) -> list[dict]:
         """The matrix applied to each sparse row {col: value}, as sparse rows.
@@ -722,9 +699,12 @@ class RrefResult:
 
 
 def rref(m: Matrix) -> RrefResult:
-    """Unique reduced row-echelon form of m, with pivot columns and rank."""
-    a, pivots = m.field.echelon(m.a)
-    return RrefResult(Matrix._wrap(m.field, a), tuple(pivots), len(pivots))
+    """Unique reduced row-echelon form of m (zero rows last), with pivot columns and rank."""
+    field, tails = m.field, {}
+    _grow(tails, _sparse_rows(m.a), field)
+    pivots = sorted(tails)
+    a = _dense([{c: 1, **tails[c]} for c in pivots], m.shape, field.dtype)
+    return RrefResult(Matrix._wrap(field, a), tuple(pivots), len(pivots))
 
 
 def kernel(m: Matrix) -> "Subspace":
@@ -994,6 +974,27 @@ class Subspace:
 # operator-driven constructions
 
 
+def _check_square(operators: Sequence, n: int):
+    for op in operators:
+        if op.shape != (n, n):
+            raise DimensionMismatch(f"operator {op.shape} on ambient {n}")
+
+
+def span_of_images(operators: Sequence, seed: Subspace) -> Subspace:
+    """span{op v : v in seed, op in operators}, for square operators on seed's ambient.
+
+    Every op is linear, so the images of seed's basis rows span it: the
+    elimination takes at most dim(seed) rows per operator, and a chain of
+    spans stays within the ambient however many operators it applies.
+    """
+    n, field = seed.ambient_dim, seed.field
+    _check_square(operators, n)
+    rows, tails = seed.rows, {}
+    for op in operators:
+        _grow(tails, op.apply_rows(rows), field)
+    return Subspace(field, n, tails)
+
+
 def closure_under(operators: Sequence, seed: Subspace) -> Subspace:
     """Smallest subspace containing seed and invariant under every operator.
 
@@ -1004,11 +1005,8 @@ def closure_under(operators: Sequence, seed: Subspace) -> Subspace:
     each operator's images as they arrive.  The dimension grows on every
     pass but the last, so there are at most ambient_dim passes.
     """
-    n = seed.ambient_dim
-    for op in operators:
-        if op.shape != (n, n):
-            raise DimensionMismatch(f"operator {op.shape} on ambient {n}")
-    field = seed.field
+    n, field = seed.ambient_dim, seed.field
+    _check_square(operators, n)
     tails = {c: dict(tail) for c, tail in seed._tails.items()}
     frontier = seed.rows
     while operators and frontier and len(tails) < n:

@@ -214,8 +214,6 @@ class LegAction:
         """The transpose, which transposes each factor on its own leg."""
         return LegAction(self.field, self.dims, tuple((axis, m.T) for axis, m in self.terms))
 
-    rows_apply = Matrix.rows_apply  # the dense adapter, through apply_rows
-
     def apply_rows(self, rows: Iterable[dict]) -> list[dict]:
         """The operator applied to each sparse row {col: value}, as sparse rows."""
         return _apply_columns(self._columns, self.dim, rows, self.field.modulus)
@@ -287,7 +285,10 @@ class HomSpace:
         return phi.a.ravel(order="F").copy()
 
     def unvec(self, v: np.ndarray) -> Matrix:
-        a = self.field.asarray(v).reshape((self.target.dim, self.source.dim), order="F")
+        a = self.field.asarray(v)
+        if a.shape != (self.dim,):
+            raise DimensionMismatch(f"hom vector must have length {self.dim}, got shape {a.shape}")
+        a = a.reshape((self.target.dim, self.source.dim), order="F")
         return Matrix._raw(self.field, a.copy())
 
     @cached_property
@@ -370,12 +371,6 @@ class TensorOneSided:
             o - i for o, i in zip(self.outer_actions, self.inner_actions)
         )
 
-    @cached_property
-    def embedding(self) -> Matrix:
-        """p -> 1 tensor p, a (dim) x (dim P) matrix."""
-        unit_col = Matrix._raw(self.field, self.algebra.unit.reshape(-1, 1))
-        return unit_col.kron(Matrix.identity(self.field, self.module.dim))
-
     def delta(self, coords) -> LegAction:
         """delta^b for a general algebra element (linear in b)."""
         return _deviation(self.field, self.legs, coords, *self._left_legs)
@@ -425,12 +420,6 @@ class TensorTwoSided:
         self.delta_bar_actions = tuple(
             o - i for o, i in zip(self.outer_right_actions, self.inner_right_actions)
         )
-
-    @cached_property
-    def embedding(self) -> Matrix:
-        """p -> 1 tensor p tensor 1."""
-        unit_col = Matrix._raw(self.field, self.algebra.unit.reshape(-1, 1))
-        return unit_col.kron(Matrix.identity(self.field, self.module.dim).kron(unit_col))
 
     def delta(self, coords) -> LegAction:
         return _deviation(self.field, self.legs, coords, *self._left_legs)

@@ -318,9 +318,11 @@ def jet_dim(mul, k):
         for i in range(n):
             v[i * n + u] = unit_coords[i]
         gens.append(v)
+    # every deviation word applied to every generator, through the nonzeros
+    sparse_deltas = [_sparse_rows(d) for d in deltas]
     level = gens
     for _ in range(k + 1):
-        level = [naive_mat_vec(deltas[b], v) for b in range(n) for v in level]
+        level = [_sparse_apply(d, v) for d in sparse_deltas for v in level]
     left_ops = []
     for b in range(n):
         L_b = _left_op(mul, b)

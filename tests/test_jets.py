@@ -5,8 +5,16 @@ import numpy as np
 import pytest
 
 import ncjets.jets
+from ncjets import linalg
+from ncjets.algebra import Algebra
 from ncjets.catalog import COMMUTATIVE_NAMES, builtin, names
-from ncjets.diffop import MAX_ORDER, DefinitionDomainError, diff_bar1, diff_commutative
+from ncjets.diffop import (
+    MAX_ORDER,
+    DefinitionDomainError,
+    diff_bar1,
+    diff_commutative,
+    stage_by_tag,
+)
 from ncjets.jets import (
     VERDICT_ISO,
     InvariantViolation,
@@ -20,8 +28,8 @@ from ncjets.jets import (
     residual_witness_search,
     two_sided_jet1,
 )
-from ncjets.linalg import QQ, Matrix, Subspace, unit_vector, vector
-from ncjets.modules import HomSpace, hom_AA
+from ncjets.linalg import QQ, DimensionMismatch, Matrix, Subspace, closure_under, unit_vector, vector
+from ncjets.modules import BimoduleRep, HomSpace, TensorOneSided, TensorTwoSided, hom_AA
 
 from oracle_systems import jet_dim, two_sided_jet_dims
 
@@ -124,6 +132,97 @@ def test_orders_outside_the_cap_are_refused_before_any_ambient(monkeypatch, k):
         jet_module(P, k)
     with pytest.raises(OrderViolationError):
         residual_witness_search(P, P, k)
+
+
+@pytest.mark.parametrize("k", [True, False, 2.0, 1.5, "1", None])
+def test_orders_that_are_not_integers_are_refused(k):
+    P = self_module("dual_numbers")
+    named = re.escape(repr(k))
+    with pytest.raises(OrderViolationError, match=named):
+        jet_module(P, k)
+    with pytest.raises(OrderViolationError, match=named):
+        residual_witness_search(P, P, k)
+    with pytest.raises(DefinitionDomainError, match=named):
+        diff_commutative(P, P, k)
+    with pytest.raises(DefinitionDomainError, match=named):
+        stage_by_tag(P, P, k, "bar1")
+
+
+def test_numpy_integer_orders_are_orders():
+    P = self_module("dual_numbers")
+    assert jet_module(P, np.int64(1)).mu == jet_module(P, 1).mu
+    assert diff_commutative(P, P, np.int64(1)).dims == diff_commutative(P, P, 1).dims
+
+
+# ---------------------------------------------------------------------------
+# seeds by level spans against the deviation words
+
+
+def _trunc(d):
+    """K[x]/(x^d) over Q, basis 1, x, ..., x^(d-1)."""
+    table = [[[int(k == i + j) for k in range(d)] for j in range(d)] for i in range(d)]
+    return Algebra(QQ, [f"x{k}" for k in range(d)], [int(k == 0) for k in range(d)], table)
+
+
+def _word_seeds(t, families):
+    """Every deviation word, one family per letter, applied to every unit: no reduction."""
+    rows = ncjets.jets._units(t)
+    for family in families:
+        rows = [row for d in family for row in d.apply_rows(rows)]
+    return rows
+
+
+def _word_seeded_mu(P, k):
+    t = TensorOneSided(P)
+    seeds = _word_seeds(t, [t.delta_actions] * (k + 1))
+    return closure_under(t.outer_actions, Subspace.from_rows(t.field, t.dim, seeds))
+
+
+def _word_seeded_two_sided_mu(P):
+    t = TensorTwoSided(P)
+    seeds = _word_seeds(t, [t.delta_actions, t.delta_bar_actions])
+    outer = t.outer_left_actions + t.outer_right_actions
+    return closure_under(outer, Subspace.from_rows(t.field, t.dim, seeds))
+
+
+@pytest.mark.parametrize("name", names())
+def test_level_seeds_span_the_word_seeds(name):
+    for P in (self_module(name), builtin(name).module("free2")):
+        for k in range(3):
+            jet = jet_module(P, k)
+            assert jet.mu == _word_seeded_mu(P, k), (P, k)
+            if P.dim == P.algebra.dim:
+                assert jet.dim == jet_dim(raw_mul(P.algebra), k)
+        assert two_sided_jet1(P).mu == _word_seeded_two_sided_mu(P), P
+
+
+def test_level_seeds_of_trunc6_at_order_2_match_the_words_and_the_oracle():
+    P = BimoduleRep.regular(_trunc(6))
+    t = TensorOneSided(P)
+    assert len(_word_seeds(t, [t.delta_actions] * 3)) == 1296
+    jet = jet_module(P, 2)
+    assert jet.mu == _word_seeded_mu(P, 2)
+    assert (jet.mu.dim, jet.dim) == (20, 16)
+    assert jet.dim == jet_dim(raw_mul(P.algebra), 2)
+
+
+@pytest.mark.parametrize("d,k", [(2, 1), (3, 2), (6, 2), (8, 3)])
+def test_each_seed_level_hands_at_most_the_ambient_to_elimination(monkeypatch, d, k):
+    sizes = []
+    real = linalg._grow
+
+    def counting(tails, rows, field):
+        rows = list(rows)
+        sizes.append(len(rows))
+        return real(tails, rows, field)
+
+    monkeypatch.setattr(linalg, "_grow", counting)
+    P = BimoduleRep.regular(_trunc(d))
+    jet_module(P, k)
+    assert sizes and max(sizes) <= d * d  # the ambient A tensor P
+    sizes.clear()
+    two_sided_jet1(P)
+    assert sizes and max(sizes) <= d**3  # the ambient A tensor P tensor A
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +422,19 @@ def test_residual_is_multilinear_in_the_b_arguments():
         P, Q, w.f, [unit_vector(QQ, 4, b0) * 2, unit_vector(QQ, 4, b1)], p
     )
     assert list(doubled) == [2 * x for x in by_index]
+
+
+def test_residual_is_linear_in_p_and_refuses_a_p_of_the_wrong_length():
+    P = Q = self_module("m2")  # the unit e00 + e11 has two nonzeros
+    w = residual_witness_search(P, Q, 1)
+    b = list(w.b_indices)
+    parts = [factorization_residual(P, Q, w.f, b, unit_vector(QQ, 4, u)) for u in range(4)]
+    p = vector(QQ, [1, F(-1, 2), 3, 0])
+    got = factorization_residual(P, Q, w.f, b, p)
+    assert list(got) == [sum(c * r[q] for c, r in zip(p, parts)) for q in range(4)]
+    for bad in ([1, 0, 0], [0] * 5):
+        with pytest.raises(DimensionMismatch, match="length 4"):
+            factorization_residual(P, Q, w.f, b, bad)
 
 
 def test_residual_takes_numpy_int_indices_and_refuses_bool_and_out_of_range():

@@ -289,9 +289,9 @@ def test_fraction_free_rref_matches_naive(rows):
     for k, x in enumerate(a.flat):
         if type(x) is int:
             a.flat[k] = np.int64(x) if k % 2 and -(2**63) <= x < 2**63 else Fraction(x)
-    out, piv = QQ.echelon(a)
-    assert out.tolist() == naive and piv == naive_piv
-    _assert_canonical_q(out)
+    res = rref(Matrix._wrap(QQ, a))  # rref reads the cells as they are
+    assert res.matrix.to_lists() == naive and list(res.pivots) == naive_piv
+    _assert_canonical_q(res.matrix.a)
 
 
 def test_fraction_free_rref_negative_and_non_unit_pivots():
@@ -361,7 +361,7 @@ def _sparse_systems(draw):
     """Up to 16x24 at about 10% density over Q or GF(p), p in {2, 7, 2^31-1}.
 
     Returns (field, canonical rows for the oracle, the array handed to
-    echelon).  Rows are often sorted by decreasing leading column, so a
+    rref).  Rows are often sorted by decreasing leading column, so a
     later row opens a pivot left of the earlier ones and that column must
     be cleared from the earlier pivot rows; a combination of two rows
     makes a rank drop likely.
@@ -404,7 +404,8 @@ def _sparse_systems(draw):
 def test_sparse_gauss_jordan_matches_naive(case):
     field, rows, a = case
     given_cells = a.copy()
-    out, piv = field.echelon(a)
+    res = rref(Matrix._wrap(field, a))  # rref reads the cells as they are
+    out, piv = res.matrix.a, list(res.pivots)
     if field == QQ:
         want, want_piv = naive_rref(rows)
         _assert_canonical_q(out)
@@ -415,8 +416,8 @@ def test_sparse_gauss_jordan_matches_naive(case):
     assert out.tolist() == want
     assert piv == want_piv
     assert np.array_equal(a, given_cells)  # the input is left as it was
-    again, again_piv = field.echelon(out)
-    assert again.tolist() == out.tolist() and again_piv == piv
+    again = rref(res.matrix)
+    assert again.matrix == res.matrix and list(again.pivots) == piv
 
 
 def test_new_pivot_is_cleared_from_earlier_pivot_rows():
@@ -424,10 +425,10 @@ def test_new_pivot_is_cleared_from_earlier_pivot_rows():
     # first lands in a column the earlier pivot rows hold
     rows = [[0, 0, 0, 2, 1], [0, 0, 3, 1, 0], [0, 5, 1, 0, 0], [7, 1, 0, 0, 0]]
     for field in (QQ, GF(2), GF(7), GF(P31)):
-        out, piv = field.echelon(np.array(rows, dtype=field.dtype))
+        res = rref(Matrix(field, rows))
         p = getattr(field, "p", None)
         want, want_piv = naive_rref(rows) if p is None else naive_rref_mod(rows, p)
-        assert out.tolist() == want and piv == want_piv
+        assert res.matrix.to_lists() == want and list(res.pivots) == want_piv
 
 
 @pytest.mark.parametrize("name", ["naive_gauss.py", "oracle_systems.py"])
@@ -857,7 +858,7 @@ def test_leg_action_kernels_and_preimages_match_dense(case):
     q = target.quotient().projection
     assert pre == joint_kernel([q @ d for d in dense])
     for d in dense:
-        assert target.contains_all(d.rows_apply(pre.basis.a))
+        assert target.contains_all(d.apply_rows(pre.rows))
 
 
 def test_preimage_cases():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from ncjets.algebra import Algebra, AlgebraValidationError
 from ncjets.catalog import builtin, names
 from ncjets import linalg
+from ncjets.jets import _units
 from ncjets.linalg import GF, QQ, DimensionMismatch, Matrix, unit_vector, vector
 from ncjets.modules import (
     BimoduleRep,
@@ -246,6 +247,15 @@ def test_wrong_length_coordinates_raise_dimension_mismatch():
         call(iter([1, 0]))  # the right length, read once
 
 
+def test_unvec_refuses_a_vector_of_the_wrong_length():
+    P = entry("dual_numbers").module("self")
+    hs = HomSpace(P, P)
+    assert hs.unvec(hs.vec(P.left[1])) == P.left[1]
+    for v in ([1, 0, 0], [0] * 5, np.zeros((2, 2), dtype=object)):
+        with pytest.raises(DimensionMismatch, match=r"length 4, got shape \("):
+            hs.unvec(v)
+
+
 # ---------------------------------------------------------------------------
 # hom space structure
 
@@ -373,12 +383,43 @@ def test_tensor_two_sided_dims_and_commutation():
                 assert d.dense @ db.dense == db.dense @ d.dense
 
 
+def _embedding(t):
+    """p -> 1 tensor p (tensor 1) as a dense matrix, kron-built: the oracle for jets._units."""
+    unit_col = Matrix._raw(t.field, t.algebra.unit.reshape(-1, 1))
+    ident = Matrix.identity(t.field, t.module.dim)
+    return unit_col.kron(ident if isinstance(t, TensorOneSided) else ident.kron(unit_col))
+
+
+def _rows_apply(op, rows):
+    """rows @ op.T for a dense stack of row vectors, through op.apply_rows."""
+    moved = op.apply_rows(linalg._sparse_rows(op.field.asarray(rows)))
+    return linalg._dense(moved, (len(moved), op.shape[0]), op.field.dtype)
+
+
 def test_tensor_embed_is_one_tensor_p():
     e = entry("dual_numbers")
     t = TensorOneSided(e.module("self"))
-    emb = t.embedding
+    assert _units(t) == [{0: 1}, {1: 1}]
+    emb = _embedding(t)
     assert list(emb.col(0)) == [1, 0, 0, 0]
     assert list(emb.col(1)) == [0, 1, 0, 0]
+
+
+def _scaled_unit_algebra(field):
+    """K x K on the basis e_1, 2 e_2: the unit has coordinates (1, 1/2)."""
+    mul = [[[1, 0], [0, 0]], [[0, 0], [0, 2]]]
+    return Algebra(field, ["e1", "2e2"], [1, F(1, 2)], mul, name="kk")
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=["Q", "GF101"])
+def test_units_are_the_columns_of_the_kron_built_embedding(field):
+    algebras = [_modules_over(field, name)["self"].algebra for name in names()]
+    for algebra in algebras + [_scaled_unit_algebra(field)]:
+        for P in (BimoduleRep.regular(algebra), BimoduleRep.free(algebra, 2)):
+            for t in (TensorOneSided(P), TensorTwoSided(P)):
+                emb = _embedding(t)
+                assert emb.shape == (t.dim, P.dim)
+                assert _units(t) == linalg._sparse_rows(emb.T.a), (algebra.name, t)
 
 
 def test_order_zero_tensor_compatibility():
@@ -391,7 +432,7 @@ def test_order_zero_tensor_compatibility():
         mul = raw_mul(e.algebra)
         flin = hom_left_linear(tensor_outer_ops(mul), free_left_ops(mul))
         assert flin
-        emb = t.embedding
+        emb = _embedding(t)
         for fv in flin:
             fmat = Matrix._raw(
                 QQ, np.asarray(fv, dtype=object).reshape((Q.dim, t.dim), order="F").copy()
@@ -419,7 +460,7 @@ def _check_rows_apply(actions, field, seed):
     for act in actions:
         rows = rng.integers(-3, 4, size=(3, act.dim)).astype(object)
         expected = field.reduce_array(np.dot(rows, act.dense.a.T))
-        assert np.array_equal(act.rows_apply(rows), expected)
+        assert np.array_equal(_rows_apply(act, rows), expected)
 
 
 @pytest.mark.parametrize("field", [QQ, GF(101)], ids=["Q", "GF101"])
@@ -498,7 +539,7 @@ def test_hom_leg_actions_match_kron_built_families(name, kind, field):
     # phi -> a phi on vec(phi) is the matrix product on phi itself
     phi = Matrix(field, [[(3 * i + j) % 5 - 2 for j in range(P.dim)] for i in range(Q.dim)])
     for L, act in zip(Q.left, hs.left):
-        assert hs.unvec(act.rows_apply(hs.vec(phi).reshape(1, -1))[0]) == L @ phi
+        assert hs.unvec(_rows_apply(act, hs.vec(phi).reshape(1, -1))[0]) == L @ phi
 
 
 def test_leg_action_difference_concatenates_terms():
@@ -563,7 +604,7 @@ def test_leg_action_rows_apply_matches_dense_product(case):
     field, act, rows = case
     n = act.dim
     a = Matrix(field, rows).a if rows else np.zeros((0, n), dtype=field.dtype)
-    got = act.rows_apply(a)
+    got = _rows_apply(act, a)
     want = np.dot(a.astype(object), act.dense.a.T.astype(object))
     if field != QQ:
         want = want % field.p
@@ -579,9 +620,9 @@ def test_leg_action_refuses_bad_axes():
     # e0 and e3 of K^2 (x) K^2, M on the second leg
     rows = np.array([[1, 0, 0, 0], [0, 0, 0, 1]], dtype=object)
     want = [[1, 3, 0, 0], [0, 0, 2, 4]]
-    assert LegAction(QQ, (2, 2), ((1, m),)).rows_apply(rows).tolist() == want
+    assert _rows_apply(LegAction(QQ, (2, 2), ((1, m),)), rows).tolist() == want
     numpy_axis = LegAction(QQ, (2, 2), ((np.int64(1), m),))
-    assert numpy_axis.rows_apply(rows).tolist() == want
+    assert _rows_apply(numpy_axis, rows).tolist() == want
     assert numpy_axis.dense.shape == (4, 4)
 
 

@@ -143,8 +143,8 @@ def test_leg_action_on_top_residues_matches_dense():
     rows = np.full((4, act.dim), TOP, dtype=np.int64)
     dense = act.dense.to_lists()
     want = _py_matmul(rows.tolist(), [list(col) for col in zip(*dense)], P31)
-    assert act.rows_apply(rows).tolist() == want
-    assert act.dense.rows_apply(rows).tolist() == want
+    for op in (act, act.dense):
+        assert _dense(op.apply_rows(_sparse_rows(rows)), rows.shape, np.int64).tolist() == want
 
 
 def test_collapse_conditions_on_top_residues_match_python_ints():
