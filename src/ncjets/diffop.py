@@ -104,7 +104,7 @@ def _comm_iterated(hs: HomSpace, r: int) -> tuple[Subspace, ...]:
     # R_{k+1} = span{R_k delta_i} and stage[k] = ker R_k; R_0 is the
     # span of the rows of every delta_i, the image of the full space
     transposed = [d.T for d in hs.deltas]
-    words = span_of_images(transposed, hs.full_subspace())
+    words = span_of_images(transposed, Subspace.full(hs.field, hs.dim))
     stages = [kernel_of_rows(hs.field, hs.dim, words.rows)]
     for _ in range(r):
         words = span_of_images(transposed, words)

@@ -39,7 +39,6 @@ from .linalg import (
 from .modules import (
     BimoduleRep,
     HomSpace,
-    LegAction,
     TensorOneSided,
     TensorTwoSided,
     _pair_products,
@@ -106,14 +105,19 @@ def _invariant(ops: Sequence, sub: Subspace) -> bool:
 
 
 def _units(t: TensorOneSided | TensorTwoSided) -> list[dict]:
-    """Sparse row u is 1 tensor p_u (tensor 1) in the ambient t, from the unit's nonzeros."""
+    """Sparse row u is 1 tensor p_u (tensor 1) in the ambient t, from the unit's nonzeros.
+
+    The module is leg 1; every other leg is an algebra leg holding the unit.
+    """
     (one,) = _sparse_rows(t.algebra.unit.reshape(1, -1))
-    n, m, norm = t.algebra.dim, t.module.dim, t.field.normalize
-    if isinstance(t, TensorOneSided):  # (i, u) -> i * dimP + u
-        return [{i * m + u: x for i, x in one.items()} for u in range(m)]
-    # (i, u, j) -> (i * dimP + u) * dimA + j
-    ends = [(i * m * n + j, norm(x * y)) for i, x in one.items() for j, y in one.items()]
-    return [{c + u * n: x for c, x in ends} for u in range(m)]
+    norm, out = t.field.normalize, []
+    for u in range(t.module.dim):
+        row = {0: 1}
+        for axis, d in enumerate(t.legs):  # row-major: fold in one leg at a time
+            leg = {u: 1} if axis == 1 else one
+            row = {c * d + i: norm(x * y) for c, x in row.items() for i, y in leg.items()}
+        out.append(row)
+    return out
 
 
 def _vec_of_columns(cols: list[dict], d: int) -> dict:
@@ -122,22 +126,16 @@ def _vec_of_columns(cols: list[dict], d: int) -> dict:
 
 
 def _assemble_jet(
-    P: BimoduleRep,
-    order: int,
-    t: TensorOneSided | TensorTwoSided,
-    seed: Subspace,
-    outer: Sequence[LegAction],
-    inner: Sequence[LegAction],
-    right: Optional[tuple[Sequence[LegAction], Sequence[LegAction]]] = None,
+    P: BimoduleRep, order: int, t: TensorOneSided | TensorTwoSided, seed: Subspace
 ) -> JetModule:
     """Close the seed relations under the outer actions and pass to the quotient.
 
-    seed spans the seed relations; outer/inner are the left action
-    families on the ambient t; right is the (outer, inner) pair of right
-    families for the two-sided jet.  The outer actions always descend; an
-    inner family is attached only when the relations are invariant under it.
+    seed spans the seed relations in the ambient t.  The outer actions
+    (t.left, and t.right on the two-sided ambient) always descend; a
+    bullet family is attached only when the relations are invariant under it.
     """
-    outer_all = list(outer) + (list(right[0]) if right else [])
+    two_sided = isinstance(t, TensorTwoSided)
+    outer_all = list(t.left) + (list(t.right) if two_sided else [])
     mu = closure_under(outer_all, seed)
     if not _invariant(outer_all, mu):
         raise InvariantViolation("jet relations must be closed under the outer actions")
@@ -152,16 +150,16 @@ def _assemble_jet(
     jet = JetModule(
         base=P,
         order=order,
-        two_sided=right is not None,
+        two_sided=two_sided,
         ambient_dim=t.dim,
         mu=mu,
         projection=quot.projection,
         section=quot.section,
         dim=quot.dim,
-        left_ops=induced(outer),
-        bullet_ops=bullet(inner),
-        right_ops=induced(right[0]) if right else None,
-        bullet_right_ops=bullet(right[1]) if right else None,
+        left_ops=induced(t.left),
+        bullet_ops=bullet(t.bullet_left),
+        right_ops=induced(t.right) if two_sided else None,
+        bullet_right_ops=bullet(t.bullet_right) if two_sided else None,
         jet_map=quot.project(_units(t)),
     )
     _check_generation(jet)
@@ -184,8 +182,8 @@ def jet_module(P: BimoduleRep, k: int) -> JetModule:
     t = TensorOneSided(P)
     level = Subspace.from_rows(t.field, t.dim, _units(t))
     for _ in range(k + 1):
-        level = span_of_images(t.delta_actions, level)
-    return _assemble_jet(P, k, t, level, t.outer_actions, t.inner_actions)
+        level = span_of_images(t.deltas, level)
+    return _assemble_jet(P, k, t, level)
 
 
 def two_sided_jet1(P: BimoduleRep) -> JetModule:
@@ -196,16 +194,8 @@ def two_sided_jet1(P: BimoduleRep) -> JetModule:
     """
     require_central(P)
     t = TensorTwoSided(P)
-    moved = span_of_images(t.delta_actions, Subspace.from_rows(t.field, t.dim, _units(t)))
-    return _assemble_jet(
-        P,
-        1,
-        t,
-        span_of_images(t.delta_bar_actions, moved),
-        t.outer_left_actions,
-        t.inner_left_actions,
-        (t.outer_right_actions, t.inner_right_actions),
-    )
+    moved = span_of_images(t.deltas, Subspace.from_rows(t.field, t.dim, _units(t)))
+    return _assemble_jet(P, 1, t, span_of_images(t.delta_bars, moved))
 
 
 def _check_generation(jet: JetModule):
@@ -382,7 +372,7 @@ def _check_left_linear(t: TensorOneSided, Q: BimoduleRep, f: Matrix):
     if f.shape != (Q.dim, t.dim):
         raise NotLeftLinearError(f"f must be {Q.dim} x {t.dim}, got {f.shape}")
     rows = _sparse_rows(f.a)
-    for i, (lo, lq) in enumerate(zip(t.outer_actions, Q.left)):
+    for i, (lo, lq) in enumerate(zip(t.left, Q.left)):
         # row q of f . outer(b) is the transposed action applied to row q of f
         if lo.T.apply_rows(rows) != _sparse_rows((lq @ f).a):
             raise NotLeftLinearError(f"f is not left-linear against basis element {i}")
@@ -422,14 +412,14 @@ def factorization_residual(
     w = [{}]  # 1 tensor p, the combination of the units with p's coordinates
     for u, x in _sparse_rows(p.reshape(1, -1))[0].items():
         _subtract(w[0], -x, units[u], field.modulus)
-    n = len(t.delta_actions)
+    n = len(t.deltas)
     for b in reversed(list(b_tuple)):
         if isinstance(b, (bool, np.bool_)) or (
             isinstance(b, numbers.Integral) and not 0 <= b < n
         ):
             raise ValueError(f"algebra basis index {b!r} is not in range({n})")
         if isinstance(b, numbers.Integral):
-            dv, dw = hs.deltas[b], t.delta_actions[b]
+            dv, dw = hs.deltas[b], t.deltas[b]
         else:
             dv, dw = hs.delta(b), t.delta(b)
         v = dv.apply_rows(v)
@@ -477,7 +467,7 @@ def residual_witness_search(
         moved_phis, moved_units = phis, units
         for b in reversed(b_indices):
             moved_phis = hs.deltas[b].apply_rows(moved_phis)
-            moved_units = t.delta_actions[b].apply_rows(moved_units)
+            moved_units = t.deltas[b].apply_rows(moved_units)
         moved_phis = _dense(moved_phis, (len(fmats), hs.dim), field.dtype)
         moved_units = _dense(moved_units, (P.dim, t.dim), field.dtype)
         # lhs[u, f] = (delta word phi_f)(p_u): vec is column-major, so the

@@ -4,9 +4,11 @@ A bimodule is a pair of action-matrix families, one per algebra basis
 element.  Hom_K(P, Q) carries four module structures; its elements are
 (dim Q) x (dim P) matrices flattened column-major (entry (q, p) sits at
 index p * dimQ + q), and that flattening is part of the public contract.
-It is the row-major layout of the tensor P* (x) Q, so every action on
-Hom and on the tensor ambients is a LegAction: one factor on one leg,
-applied to vec(phi) without forming the Kronecker product.
+It is the row-major layout of the tensor P* (x) Q, so Hom and the jet
+ambients A (x) P and A (x) P (x) A are one kind of object, a
+TensorAmbient: legs, an outer and a bullet action family per side, and
+their deviations.  Every action is a LegAction: one factor on one leg,
+applied to sparse rows without forming the Kronecker product.
 """
 
 from __future__ import annotations
@@ -88,13 +90,6 @@ class BimoduleRep:
             raise BimoduleValidationError(
                 "centrality", witness, "central algebra elements must act identically on both sides"
             )
-
-    def left_action(self, coords) -> Matrix:
-        """Action matrix of the algebra element with these coordinates, acting on the left."""
-        return Matrix._raw(self.algebra.field, _combine(self.algebra.field, coords, self.left_stack))
-
-    def right_action(self, coords) -> Matrix:
-        return Matrix._raw(self.algebra.field, _combine(self.algebra.field, coords, self.right_stack))
 
     def _validate(self):
         """The axioms at all pairs (e_i, e_j) at once, then the unit.
@@ -234,33 +229,92 @@ class LegAction:
         return out
 
 
-def _leg_family(field, legs, axis: int, stack: np.ndarray) -> tuple[LegAction, ...]:
-    """One single-leg LegAction per matrix of a stacked family."""
-    return tuple(LegAction(field, legs, ((axis, Matrix._wrap(field, m)),)) for m in stack.copy())
+# ---------------------------------------------------------------------------
+# one tensor ambient, for Hom spaces and the jet ambients
 
 
-def _deviation(field, legs, coords, plus, minus) -> LegAction:
-    """sum_i c_i (plus_i - minus_i) for two (leg, stacked family) pairs."""
-    coords = vector(field, coords)
-    (plus_axis, plus_stack), (minus_axis, minus_stack) = plus, minus
-    plus_op = Matrix._raw(field, _combine(field, coords, plus_stack))
-    minus_op = Matrix._raw(field, -_combine(field, coords, minus_stack))
-    return LegAction(field, legs, ((plus_axis, plus_op), (minus_axis, minus_op)))
+class TensorAmbient:
+    """A tensor ambient K^d0 (x) K^d1 (x) ... with an outer and a bullet structure per side.
+
+    left_pair (and right_pair, for an ambient with right structure) is
+    ((leg, stack), (leg, stack)): the outer structure, then the bullet
+    one, each a stacked family (dim A, d, d) acting on one leg.  Per
+    algebra basis element a the families, built on first read, are
+    single-leg LegActions
+       left, bullet_left:    the left pair's outer and bullet actions
+       right, bullet_right:  the right pair's outer and bullet actions
+    and the deviations are delta_a = left - bullet_left,
+    delta_bar_a = right - bullet_right.
+    """
+
+    def __init__(self, field, legs: Sequence[int], left_pair, right_pair=None):
+        self.field = field
+        self.legs = tuple(legs)
+        self.dim = math.prod(self.legs)
+        self._pairs = {"left": left_pair, "right": right_pair}
+
+    def _pair(self, side: str):
+        if self._pairs[side] is None:
+            raise AttributeError(f"{type(self).__name__} has no {side} structure")
+        return self._pairs[side]
+
+    def _family(self, side: str, k: int) -> tuple[LegAction, ...]:
+        """One single-leg LegAction per matrix of the side's outer (k=0) or bullet (k=1) stack."""
+        axis, stack = self._pair(side)[k]
+        field, legs = self.field, self.legs
+        return tuple(LegAction(field, legs, ((axis, Matrix._wrap(field, m)),)) for m in stack.copy())
+
+    def _combined(self, side: str, coords) -> LegAction:
+        """sum_i c_i (outer_i - bullet_i) on one side, for a general algebra element."""
+        field, coords = self.field, vector(self.field, coords)
+        (outer_axis, outer), (bullet_axis, bullet) = self._pair(side)
+        outer_op = Matrix._raw(field, _combine(field, coords, outer))
+        bullet_op = Matrix._raw(field, -_combine(field, coords, bullet))
+        return LegAction(field, self.legs, ((outer_axis, outer_op), (bullet_axis, bullet_op)))
+
+    @cached_property
+    def left(self) -> tuple[LegAction, ...]:
+        return self._family("left", 0)
+
+    @cached_property
+    def bullet_left(self) -> tuple[LegAction, ...]:
+        return self._family("left", 1)
+
+    @cached_property
+    def right(self) -> tuple[LegAction, ...]:
+        return self._family("right", 0)
+
+    @cached_property
+    def bullet_right(self) -> tuple[LegAction, ...]:
+        return self._family("right", 1)
+
+    @cached_property
+    def deltas(self) -> tuple[LegAction, ...]:
+        return tuple(a - b for a, b in zip(self.left, self.bullet_left))
+
+    @cached_property
+    def delta_bars(self) -> tuple[LegAction, ...]:
+        return tuple(a - b for a, b in zip(self.right, self.bullet_right))
+
+    def delta(self, coords) -> LegAction:
+        """delta_a for a general algebra element (linear in a)."""
+        return self._combined("left", coords)
+
+    def delta_bar(self, coords) -> LegAction:
+        return self._combined("right", coords)
 
 
-class HomSpace:
+class HomSpace(TensorAmbient):
     """Hom_K(P, Q) with its four module structures and deviation operators.
 
     Elements are (dim Q) x (dim P) matrices; vec/unvec translate to the
     flat column-major coordinates all subspaces below live in, which are
     the legs (dim P, dim Q) of P* (x) Q.  Per algebra basis element a the
-    structures are LegActions
+    structures are
        left:          (a phi)(p)  = a phi(p)     L_a on the Q leg
        bullet_left:   (phi . a)(p) = phi(a p)    L_a^T on the P leg
        right:         (phi a)(p)  = phi(p) a     R_a on the Q leg
        bullet_right:  (a . phi)(p) = phi(p a)    R_a^T on the P leg
-    and the deviations are delta_a = left - bullet_left,
-    delta_bar_a = right - bullet_right.
     """
 
     def __init__(self, source: BimoduleRep, target: BimoduleRep):
@@ -269,13 +323,21 @@ class HomSpace:
         self.source = source
         self.target = target
         self.algebra = source.algebra
-        self.field = source.algebra.field
-        self.dim = source.dim * target.dim
-        self.legs = (source.dim, target.dim)
-        # (leg, stacked family) of each structure: the actions on values
-        # sit on the Q leg, the transposed actions on arguments on the P leg
-        self._left_legs = ((1, target.left_stack), (0, source.left_stack.transpose(0, 2, 1)))
-        self._right_legs = ((1, target.right_stack), (0, source.right_stack.transpose(0, 2, 1)))
+        super().__init__(
+            self.algebra.field,
+            (source.dim, target.dim),
+            ((1, target.left_stack), (0, source.left_stack.transpose(0, 2, 1))),
+            ((1, target.right_stack), (0, source.right_stack.transpose(0, 2, 1))),
+        )
+
+    # bound here as well, so that HomSpace.__dict__ holds each family:
+    # benchmarks/tracing.py wraps them there as cached_property objects
+    left = TensorAmbient.left
+    bullet_left = TensorAmbient.bullet_left
+    right = TensorAmbient.right
+    bullet_right = TensorAmbient.bullet_right
+    deltas = TensorAmbient.deltas
+    delta_bars = TensorAmbient.delta_bars
 
     def vec(self, phi: Matrix) -> np.ndarray:
         if phi.shape != (self.target.dim, self.source.dim):
@@ -290,45 +352,6 @@ class HomSpace:
             raise DimensionMismatch(f"hom vector must have length {self.dim}, got shape {a.shape}")
         a = a.reshape((self.target.dim, self.source.dim), order="F")
         return Matrix._raw(self.field, a.copy())
-
-    @cached_property
-    def left(self) -> tuple[LegAction, ...]:
-        return _leg_family(self.field, self.legs, *self._left_legs[0])
-
-    @cached_property
-    def bullet_left(self) -> tuple[LegAction, ...]:
-        return _leg_family(self.field, self.legs, *self._left_legs[1])
-
-    @cached_property
-    def right(self) -> tuple[LegAction, ...]:
-        return _leg_family(self.field, self.legs, *self._right_legs[0])
-
-    @cached_property
-    def bullet_right(self) -> tuple[LegAction, ...]:
-        return _leg_family(self.field, self.legs, *self._right_legs[1])
-
-    @cached_property
-    def deltas(self) -> tuple[LegAction, ...]:
-        return tuple(l - b for l, b in zip(self.left, self.bullet_left))
-
-    @cached_property
-    def delta_bars(self) -> tuple[LegAction, ...]:
-        return tuple(r - b for r, b in zip(self.right, self.bullet_right))
-
-    def delta(self, coords) -> LegAction:
-        """delta_a for a general algebra element (linear in a)."""
-        return _deviation(self.field, self.legs, coords, *self._left_legs)
-
-    def delta_bar(self, coords) -> LegAction:
-        return _deviation(self.field, self.legs, coords, *self._right_legs)
-
-    def identity_element(self) -> Matrix:
-        if self.source.dim != self.target.dim:
-            raise DimensionMismatch("identity hom needs equal dims")
-        return Matrix.identity(self.field, self.source.dim)
-
-    def full_subspace(self) -> Subspace:
-        return Subspace.full(self.field, self.dim)
 
     def __repr__(self):
         return f"HomSpace({self.source.name!r} -> {self.target.name!r}, dim={self.dim})"
@@ -346,34 +369,26 @@ def hom_AA(source: BimoduleRep, target: BimoduleRep) -> Subspace:
 
 
 # ---------------------------------------------------------------------------
-# tensor ambients
+# the jet ambients A (x) P and A (x) P (x) A
 
 
-class TensorOneSided:
+class TensorOneSided(TensorAmbient):
     """A tensor P over K, with coordinates flat at (i, u) -> i * dimP + u.
 
-    Carries the outer structure b (a tensor p) = (b a) tensor p, the inner
-    one b . (a tensor p) = a tensor (b p), and their deviation
-    delta^b = outer(b) - inner(b), as LegAction families on the legs
-    (dim A, dim P).
+    On the legs (dim A, dim P): the outer structure b (a tensor p) =
+    (b a) tensor p is `left`, the inner one b . (a tensor p) =
+    a tensor (b p) is `bullet_left`, and delta^b is their deviation.
+    There is no right structure.
     """
 
     def __init__(self, module: BimoduleRep):
         self.module = module
         self.algebra = module.algebra
-        self.field = module.algebra.field
-        self.dim = self.algebra.dim * module.dim
-        self.legs = (self.algebra.dim, module.dim)
-        self._left_legs = ((0, self.algebra.left_stack), (1, module.left_stack))
-        self.outer_actions = _leg_family(self.field, self.legs, *self._left_legs[0])
-        self.inner_actions = _leg_family(self.field, self.legs, *self._left_legs[1])
-        self.delta_actions = tuple(
-            o - i for o, i in zip(self.outer_actions, self.inner_actions)
+        super().__init__(
+            self.algebra.field,
+            (self.algebra.dim, module.dim),
+            ((0, self.algebra.left_stack), (1, module.left_stack)),
         )
-
-    def delta(self, coords) -> LegAction:
-        """delta^b for a general algebra element (linear in b)."""
-        return _deviation(self.field, self.legs, coords, *self._left_legs)
 
     def left_linear_maps(self, target: BimoduleRep) -> Subspace:
         """Maps f : A tensor P -> target with f(b x) = b f(x) for the outer action.
@@ -394,35 +409,21 @@ class TensorOneSided:
         return Subspace.from_spanning(self.field, self.dim * d, lifts.reshape(m * d, -1))
 
 
-class TensorTwoSided:
+class TensorTwoSided(TensorAmbient):
     """A tensor P tensor A, coordinates flat at (i, u, j) -> (i*dimP + u)*dimA + j.
 
-    The outer and inner actions on each side, and the deviations delta^b
-    and delta_bar^b, are LegAction families on the legs (dim A, dim P, dim A).
+    On the legs (dim A, dim P, dim A): the outer and inner left actions
+    are `left` and `bullet_left`, the outer and inner right actions
+    `right` and `bullet_right`, with deviations delta^b and delta_bar^b.
     """
 
     def __init__(self, module: BimoduleRep):
         self.module = module
         self.algebra = module.algebra
-        self.field = module.algebra.field
-        n, m = self.algebra.dim, module.dim
-        self.dim = n * m * n
-        self.legs = legs = (n, m, n)
-        self._left_legs = ((0, self.algebra.left_stack), (1, module.left_stack))
-        self._right_legs = ((2, self.algebra.right_stack), (1, module.right_stack))
-        self.outer_left_actions = _leg_family(self.field, legs, *self._left_legs[0])
-        self.inner_left_actions = _leg_family(self.field, legs, *self._left_legs[1])
-        self.outer_right_actions = _leg_family(self.field, legs, *self._right_legs[0])
-        self.inner_right_actions = _leg_family(self.field, legs, *self._right_legs[1])
-        self.delta_actions = tuple(
-            o - i for o, i in zip(self.outer_left_actions, self.inner_left_actions)
+        n = self.algebra.dim
+        super().__init__(
+            self.algebra.field,
+            (n, module.dim, n),
+            ((0, self.algebra.left_stack), (1, module.left_stack)),
+            ((2, self.algebra.right_stack), (1, module.right_stack)),
         )
-        self.delta_bar_actions = tuple(
-            o - i for o, i in zip(self.outer_right_actions, self.inner_right_actions)
-        )
-
-    def delta(self, coords) -> LegAction:
-        return _deviation(self.field, self.legs, coords, *self._left_legs)
-
-    def delta_bar(self, coords) -> LegAction:
-        return _deviation(self.field, self.legs, coords, *self._right_legs)

@@ -1,7 +1,7 @@
 import pytest
+from hypothesis import given, settings
 
 import ncjets.diffop as diffop
-from ncjets.algebra import Algebra
 from ncjets.catalog import COMMUTATIVE_NAMES, builtin, names
 from ncjets.diffop import (
     TAGS,
@@ -19,6 +19,7 @@ from ncjets.diffop import (
 from ncjets.linalg import QQ, Matrix
 from ncjets.modules import BimoduleRep, HomSpace, hom_A, hom_AA
 
+from algebra_builders import build, opposite, small_algebras, t2_column
 from oracle_systems import (
     comm_diff_stage_dims,
     left_center_stage0_dim,
@@ -163,7 +164,7 @@ def test_identity_is_right_zero_order():
         P, Q = self_pair(name)
         hs = HomSpace(P, Q)
         filt = diff_right(P, Q, 0)
-        assert filt.stages[0].contains(hs.vec(hs.identity_element()))
+        assert filt.stages[0].contains(hs.vec(Matrix.identity(QQ, P.dim)))
         for i in range(P.algebra.dim):
             assert filt.stages[0].contains(hs.vec(P.algebra.right_ops[i]))
 
@@ -332,23 +333,6 @@ def test_bar1_builds_one_hom_space_and_one_delta_bar_kernel(monkeypatch):
 # metamorphic: a left module over A^op is a right module over A
 
 
-def _opposite(A):
-    mul_op = [[list(A.mul[j, i]) for j in range(A.dim)] for i in range(A.dim)]
-    return Algebra(A.field, A.basis_names, list(A.unit), mul_op, name=f"{A.name}^op")
-
-
-def _t2_column():
-    """K^2 with t2 acting by matrices on the left and through e11 -> 1 on the right.
-
-    On the regular bimodules left-sum and right agree, so this is the
-    catalog-sized case where swapping them is visible (dims 3 vs 4).
-    """
-    A = builtin("t2").algebra
-    left = [Matrix(QQ, [[1, 0], [0, 0]]), Matrix(QQ, [[0, 1], [0, 0]]), Matrix(QQ, [[0, 0], [0, 1]])]
-    right = [Matrix.identity(QQ, 2).scale(c) for c in (1, 0, 0)]
-    return BimoduleRep(A, left, right, name="column")
-
-
 def _opposite_cases():
     cases = [(name, "self", "self") for name in names()]
     cases += [(name, "free2", "free2") for name in names() if builtin(name).algebra.dim <= 2]
@@ -356,14 +340,12 @@ def _opposite_cases():
 
 
 def _module(name, kind):
-    return _t2_column() if kind == "column" else builtin(name).module(kind)
+    return t2_column() if kind == "column" else builtin(name).module(kind)
 
 
-@pytest.mark.parametrize("name,p,q", _opposite_cases())
-def test_opposite_algebra_swaps_left_sum_and_right(name, p, q):
-    P, Q = _module(name, p), _module(name, q)
+def _check_opposite(P, Q):
     # over A^op the left and right actions swap sides
-    A_op = _opposite(P.algebra)
+    A_op = opposite(P.algebra)
     P_op, Q_op = (BimoduleRep(A_op, M.right, M.left) for M in (P, Q))
     for tag_op, tag in [("left-sum", "right"), ("right", "left-sum"), ("two-sided", "two-sided")]:
         over_op = filtration_by_tag(P_op, Q_op, 2, tag_op).stages
@@ -372,19 +354,43 @@ def test_opposite_algebra_swaps_left_sum_and_right(name, p, q):
             assert over_op[k] == over_a[k], (tag_op, tag, k)
 
 
+@pytest.mark.parametrize("name,p,q", _opposite_cases())
+def test_opposite_algebra_swaps_left_sum_and_right(name, p, q):
+    _check_opposite(_module(name, p), _module(name, q))
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_algebras())
+def test_opposite_algebra_swaps_left_sum_and_right_on_generated_algebras(algebra):
+    A = build(algebra)
+    for P in (BimoduleRep.regular(A), BimoduleRep.free(A, 2)):
+        _check_opposite(P, P)
+
+
 # ---------------------------------------------------------------------------
 # direct sums
 
 
-@pytest.mark.parametrize("name", names())
-def test_direct_sum_multiplies_every_stage_dim_by_four(name):
-    # Hom(P + P, Q + Q) is four copies of Hom(P, Q), and every action is diagonal on them
-    e = builtin(name)
-    small, big = (e.module("self"),) * 2, (e.module("free2"),) * 2
-    commutative = e.algebra.is_commutative
+def _check_direct_sum(P, P2):
+    # Hom(P + P, P + P) is four copies of Hom(P, P), and every action is diagonal on them
+    small, big = (P, P), (P2, P2)
+    commutative = P.algebra.is_commutative
     for tag in TAGS[:-1]:
         if tag.startswith("comm-") and not commutative:
             continue
         dims = filtration_by_tag(*small, 2, tag).dims
         assert filtration_by_tag(*big, 2, tag).dims == [4 * d for d in dims], tag
     assert diff_bar1(*big).dim == 4 * diff_bar1(*small).dim
+
+
+@pytest.mark.parametrize("name", names())
+def test_direct_sum_multiplies_every_stage_dim_by_four(name):
+    e = builtin(name)
+    _check_direct_sum(e.module("self"), e.module("free2"))
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_algebras())
+def test_direct_sum_multiplies_every_stage_dim_by_four_on_generated_algebras(algebra):
+    A = build(algebra)
+    _check_direct_sum(BimoduleRep.regular(A), BimoduleRep.free(A, 2))

@@ -31,6 +31,7 @@ from ncjets.jets import (
 from ncjets.linalg import QQ, DimensionMismatch, Matrix, Subspace, closure_under, unit_vector, vector
 from ncjets.modules import BimoduleRep, HomSpace, TensorOneSided, TensorTwoSided, hom_AA
 
+from algebra_builders import opposite, t2_column, trunc
 from oracle_systems import jet_dim, two_sided_jet_dims
 
 F = Fraction
@@ -160,8 +161,7 @@ def test_numpy_integer_orders_are_orders():
 
 def _trunc(d):
     """K[x]/(x^d) over Q, basis 1, x, ..., x^(d-1)."""
-    table = [[[int(k == i + j) for k in range(d)] for j in range(d)] for i in range(d)]
-    return Algebra(QQ, [f"x{k}" for k in range(d)], [int(k == 0) for k in range(d)], table)
+    return Algebra(QQ, *trunc(d))
 
 
 def _word_seeds(t, families):
@@ -174,14 +174,14 @@ def _word_seeds(t, families):
 
 def _word_seeded_mu(P, k):
     t = TensorOneSided(P)
-    seeds = _word_seeds(t, [t.delta_actions] * (k + 1))
-    return closure_under(t.outer_actions, Subspace.from_rows(t.field, t.dim, seeds))
+    seeds = _word_seeds(t, [t.deltas] * (k + 1))
+    return closure_under(t.left, Subspace.from_rows(t.field, t.dim, seeds))
 
 
 def _word_seeded_two_sided_mu(P):
     t = TensorTwoSided(P)
-    seeds = _word_seeds(t, [t.delta_actions, t.delta_bar_actions])
-    outer = t.outer_left_actions + t.outer_right_actions
+    seeds = _word_seeds(t, [t.deltas, t.delta_bars])
+    outer = t.left + t.right
     return closure_under(outer, Subspace.from_rows(t.field, t.dim, seeds))
 
 
@@ -199,7 +199,7 @@ def test_level_seeds_span_the_word_seeds(name):
 def test_level_seeds_of_trunc6_at_order_2_match_the_words_and_the_oracle():
     P = BimoduleRep.regular(_trunc(6))
     t = TensorOneSided(P)
-    assert len(_word_seeds(t, [t.delta_actions] * 3)) == 1296
+    assert len(_word_seeds(t, [t.deltas] * 3)) == 1296
     jet = jet_module(P, 2)
     assert jet.mu == _word_seeded_mu(P, 2)
     assert (jet.mu.dim, jet.dim) == (20, 16)
@@ -468,3 +468,33 @@ def test_direct_sum_doubles_first_jet_dims(name):
     small, big = e.module("self"), e.module("free2")
     assert jet_module(big, 1).dim == 2 * jet_module(small, 1).dim
     assert two_sided_jet1(big).dim == 2 * two_sided_jet1(small).dim
+
+
+# ---------------------------------------------------------------------------
+# metamorphic: over A^op the two-sided jet is the same jet with its legs reversed
+
+
+def _opposite_jet_cases():
+    cases = [(name, kind) for name in names() for kind in ("self", "free2")]
+    return cases + [("t2", "column")]
+
+
+def _legs_reversed(mu: Subspace, n: int, m: int) -> Subspace:
+    """mu read in A tensor P tensor A with (i, u, j) -> (j, u, i)."""
+    rows = [
+        {(c % n * m + c // n % m) * n + c // (m * n): x for c, x in row.items()} for row in mu.rows
+    ]
+    return Subspace.from_rows(mu.field, mu.ambient_dim, rows)
+
+
+@pytest.mark.parametrize("name,kind", _opposite_jet_cases())
+def test_opposite_algebra_reverses_the_two_sided_jet(name, kind):
+    P = t2_column() if kind == "column" else builtin(name).module(kind)
+    # P over A^op with its actions swapped: the left ambient leg becomes the right one
+    P_op = BimoduleRep(opposite(P.algebra), P.right, P.left)
+    jet, jet_op = two_sided_jet1(P), two_sided_jet1(P_op)
+    assert _legs_reversed(jet_op.mu, P.algebra.dim, P.dim) == jet.mu
+    assert jet_op.dim == jet.dim
+    report, report_op = representability_bar1(P, P), representability_bar1(P_op, P_op)
+    sides = ("verdict", "hom_side_dim", "diff_side_dim")
+    assert [getattr(report_op, s) for s in sides] == [getattr(report, s) for s in sides]

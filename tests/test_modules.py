@@ -232,8 +232,6 @@ def test_wrong_length_coordinates_raise_dimension_mismatch():
         lambda c: a.multiply([0, 1], c),
         a.left_mult_matrix,
         a.right_mult_matrix,
-        P.left_action,
-        P.right_action,
         hs.delta,
         hs.delta_bar,
         one.delta,
@@ -366,7 +364,7 @@ def test_dual_numbers_double_delta_generator():
     e = entry("dual_numbers")
     t = TensorOneSided(e.module("self"))
     one_tensor_one = unit_vector(QQ, 4, 0)  # flat (i, u) = i * 2 + u
-    d_eps = t.delta_actions[1].dense
+    d_eps = t.deltas[1].dense
     out = d_eps.apply(d_eps.apply(one_tensor_one))
     assert out.tolist() == [0, 0, 0, -2]  # -2 (eps tensor eps)
 
@@ -378,8 +376,8 @@ def test_tensor_two_sided_dims_and_commutation():
         n = e.algebra.dim
         assert t.dim == n * n * n
         assert t.delta_bar(e.algebra.unit).dense.is_zero()
-        for d in t.delta_actions:
-            for db in t.delta_bar_actions:
+        for d in t.deltas:
+            for db in t.delta_bars:
                 assert d.dense @ db.dense == db.dense @ d.dense
 
 
@@ -440,7 +438,7 @@ def test_order_zero_tensor_compatibility():
             phi = fmat @ emb
             for b in range(e.algebra.dim):
                 lhs = hs.unvec(hs.deltas[b].dense.apply(hs.vec(phi)))
-                rhs = fmat @ (t.delta_actions[b].dense @ emb)
+                rhs = fmat @ (t.deltas[b].dense @ emb)
                 assert lhs == rhs
 
 
@@ -463,83 +461,90 @@ def _check_rows_apply(actions, field, seed):
         assert np.array_equal(_rows_apply(act, rows), expected)
 
 
+# Each ambient under the shared family names, with each outer and bullet
+# family kron-built from identities: (ambient, {family: kron-built matrices}).
+# The source and target of the Hom space differ in dim, so a swapped leg
+# cannot pass.
+_KRON_ORACLES = {
+    "hom": lambda P, Q, ia, ip, iq: (
+        HomSpace(P, Q),
+        {
+            "left": [ip.kron(L) for L in Q.left],
+            "bullet_left": [L.T.kron(iq) for L in P.left],
+            "right": [ip.kron(R) for R in Q.right],
+            "bullet_right": [R.T.kron(iq) for R in P.right],
+        },
+    ),
+    "one-sided": lambda P, Q, ia, ip, iq: (
+        TensorOneSided(P),
+        {
+            "left": [L.kron(ip) for L in P.algebra.left_ops],
+            "bullet_left": [ia.kron(L) for L in P.left],
+        },
+    ),
+    "two-sided": lambda P, Q, ia, ip, iq: (
+        TensorTwoSided(P),
+        {
+            "left": [L.kron(ip).kron(ia) for L in P.algebra.left_ops],
+            "bullet_left": [ia.kron(L).kron(ia) for L in P.left],
+            "right": [ia.kron(ip).kron(R) for R in P.algebra.right_ops],
+            "bullet_right": [ia.kron(R).kron(ia) for R in P.right],
+        },
+    ),
+}
+
+_DEVIATIONS = {"deltas": ("left", "bullet_left"), "delta_bars": ("right", "bullet_right")}
+
+
+def _check_against_kron(ambient_name, name, kind, field):
+    """Every family of one ambient against its kron-built oracle; returns the ambient and P, Q."""
+    modules = _modules_over(field, name)
+    P, Q = modules[kind], modules["free2" if kind == "self" else "self"]
+    idents = (Matrix.identity(field, d) for d in (P.algebra.dim, P.dim, Q.dim))
+    ambient, families = _KRON_ORACLES[ambient_name](P, Q, *idents)
+    for dev, (outer, bullet) in _DEVIATIONS.items():
+        if outer in families:
+            families[dev] = [o - b for o, b in zip(families[outer], families[bullet])]
+    for attr, expected in families.items():
+        actions = getattr(ambient, attr)
+        assert [a.dense for a in actions] == expected, (ambient_name, attr)
+        assert all(a.T.dense == a.dense.T for a in actions), (ambient_name, attr)
+        _check_rows_apply(actions, field, 3)
+    coords = np.arange(1, P.algebra.dim + 1)
+    assert ambient.delta(coords).dense == _combo(families["deltas"], coords)
+    if "delta_bars" in families:
+        assert ambient.delta_bar(coords).dense == _combo(families["delta_bars"], coords)
+    return ambient, P, Q
+
+
 @pytest.mark.parametrize("field", [QQ, GF(101)], ids=["Q", "GF101"])
 @pytest.mark.parametrize("kind", ["self", "free2"])
 @pytest.mark.parametrize("name", names())
 def test_leg_actions_match_kron_built_families(name, kind, field):
-    P = _modules_over(field, name)[kind]
-    A = P.algebra
-    ia = Matrix.identity(field, A.dim)
-    ip = Matrix.identity(field, P.dim)
-
-    one = TensorOneSided(P)
-    outer = tuple(L.kron(ip) for L in A.left_ops)
-    inner = tuple(ia.kron(L) for L in P.left)
-    assert tuple(a.dense for a in one.outer_actions) == outer
-    assert tuple(a.dense for a in one.inner_actions) == inner
-    assert tuple(a.dense for a in one.delta_actions) == tuple(o - i for o, i in zip(outer, inner))
-    _check_rows_apply(one.outer_actions + one.inner_actions + one.delta_actions, field, 1)
-
-    two = TensorTwoSided(P)
-    outer_left = tuple(L.kron(ip).kron(ia) for L in A.left_ops)
-    inner_left = tuple(ia.kron(L).kron(ia) for L in P.left)
-    outer_right = tuple(ia.kron(ip).kron(R) for R in A.right_ops)
-    inner_right = tuple(ia.kron(R).kron(ia) for R in P.right)
-    assert tuple(a.dense for a in two.outer_left_actions) == outer_left
-    assert tuple(a.dense for a in two.inner_left_actions) == inner_left
-    assert tuple(a.dense for a in two.outer_right_actions) == outer_right
-    assert tuple(a.dense for a in two.inner_right_actions) == inner_right
-    assert tuple(a.dense for a in two.delta_actions) == tuple(
-        o - i for o, i in zip(outer_left, inner_left)
-    )
-    assert tuple(a.dense for a in two.delta_bar_actions) == tuple(
-        o - i for o, i in zip(outer_right, inner_right)
-    )
-    _check_rows_apply(two.delta_actions + two.delta_bar_actions, field, 2)
-
-    coords = np.arange(1, A.dim + 1)
-    assert one.delta(coords).dense == _combo([a.dense for a in one.delta_actions], coords)
-    assert two.delta(coords).dense == _combo([a.dense for a in two.delta_actions], coords)
-    assert two.delta_bar(coords).dense == _combo(
-        [a.dense for a in two.delta_bar_actions], coords
-    )
+    for ambient_name in ("one-sided", "two-sided"):
+        _check_against_kron(ambient_name, name, kind, field)
 
 
 @pytest.mark.parametrize("field", [QQ, GF(101)], ids=["Q", "GF101"])
 @pytest.mark.parametrize("kind", ["self", "free2"])
 @pytest.mark.parametrize("name", names())
 def test_hom_leg_actions_match_kron_built_families(name, kind, field):
-    # source and target differ in dim, so a swapped leg cannot pass
-    modules = _modules_over(field, name)
-    P = modules[kind]
-    Q = modules["free2" if kind == "self" else "self"]
-    hs = HomSpace(P, Q)
-    ip = Matrix.identity(field, P.dim)
-    iq = Matrix.identity(field, Q.dim)
-    left = tuple(ip.kron(L) for L in Q.left)
-    bullet_left = tuple(L.T.kron(iq) for L in P.left)
-    right = tuple(ip.kron(R) for R in Q.right)
-    bullet_right = tuple(R.T.kron(iq) for R in P.right)
-    families = {
-        "left": left,
-        "bullet_left": bullet_left,
-        "right": right,
-        "bullet_right": bullet_right,
-        "deltas": tuple(l - b for l, b in zip(left, bullet_left)),
-        "delta_bars": tuple(r - b for r, b in zip(right, bullet_right)),
-    }
-    for attr, expected in families.items():
-        actions = getattr(hs, attr)
-        assert tuple(a.dense for a in actions) == expected, attr
-        assert all(a.T.dense == a.dense.T for a in actions), attr
-        _check_rows_apply(actions, field, 3)
-    coords = np.arange(1, P.algebra.dim + 1)
-    assert hs.delta(coords).dense == _combo(families["deltas"], coords)
-    assert hs.delta_bar(coords).dense == _combo(families["delta_bars"], coords)
+    hs, P, Q = _check_against_kron("hom", name, kind, field)
     # phi -> a phi on vec(phi) is the matrix product on phi itself
     phi = Matrix(field, [[(3 * i + j) % 5 - 2 for j in range(P.dim)] for i in range(Q.dim)])
     for L, act in zip(Q.left, hs.left):
         assert hs.unvec(_rows_apply(act, hs.vec(phi).reshape(1, -1))[0]) == L @ phi
+
+
+def test_one_sided_ambient_refuses_every_right_family():
+    P = entry("m2").module("self")
+    t = TensorOneSided(P)
+    for attr in ("right", "bullet_right", "delta_bars"):
+        with pytest.raises(AttributeError, match="TensorOneSided has no right structure"):
+            getattr(t, attr)
+    with pytest.raises(AttributeError, match="TensorOneSided has no right structure"):
+        t.delta_bar([1, 0, 0, 0])
+    assert len(t.deltas) == 4 and not hasattr(t, "right")
 
 
 def test_leg_action_difference_concatenates_terms():
