@@ -9,6 +9,7 @@ carries the basis indices of the first one in loop order.
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 from typing import Sequence
 
@@ -166,12 +167,15 @@ def _combine(field, coeffs, stack: np.ndarray) -> np.ndarray:
     coeffs is a coordinate vector, or a stack of them along its last
     axis, with one entry per member of the family.  An array is taken as
     kernel scalars; any other iterable is read once through
-    field.normalize, which refuses inexact scalars.
+    field.normalize, which refuses inexact scalars.  The contraction is one
+    field.dot of the operands reshaped to matrices.
     """
     coeffs = field.asarray(coeffs) if isinstance(coeffs, np.ndarray) else vector(field, coeffs)
     if coeffs.ndim == 0 or coeffs.shape[-1] != len(stack):
         raise DimensionMismatch(f"{coeffs.shape[-1:]} coefficients for a family of {len(stack)}")
-    return field.tensordot(coeffs, stack, ([coeffs.ndim - 1], [0]))
+    lead, n, rest = coeffs.shape[:-1], len(stack), stack.shape[1:]
+    flat = field.dot(coeffs.reshape(math.prod(lead), n), stack.reshape(n, math.prod(rest)))
+    return flat.reshape(lead + rest)
 
 
 class AlgebraElement:

@@ -32,7 +32,6 @@ from .linalg import (
     _sparse_rows,
     _subtract,
     closure_under,
-    hstack,
     kernel_of_rows,
     span_of_images,
 )
@@ -126,17 +125,16 @@ def _vec_of_columns(cols: list[dict], d: int) -> dict:
 
 
 def _assemble_jet(
-    P: BimoduleRep, order: int, t: TensorOneSided | TensorTwoSided, seed: Subspace
+    P: BimoduleRep, order: int, t: TensorOneSided | TensorTwoSided, mu: Subspace
 ) -> JetModule:
-    """Close the seed relations under the outer actions and pass to the quotient.
+    """Pass to the quotient of the ambient t by the jet relations mu.
 
-    seed spans the seed relations in the ambient t.  The outer actions
-    (t.left, and t.right on the two-sided ambient) always descend; a
-    bullet family is attached only when the relations are invariant under it.
+    mu must be invariant under the outer actions (t.left, and t.right on
+    the two-sided ambient), which then descend; a bullet family is
+    attached only when mu is invariant under it.
     """
     two_sided = isinstance(t, TensorTwoSided)
     outer_all = list(t.left) + (list(t.right) if two_sided else [])
-    mu = closure_under(outer_all, seed)
     if not _invariant(outer_all, mu):
         raise InvariantViolation("jet relations must be closed under the outer actions")
     quot = mu.quotient()
@@ -183,14 +181,17 @@ def jet_module(P: BimoduleRep, k: int) -> JetModule:
     level = Subspace.from_rows(t.field, t.dim, _units(t))
     for _ in range(k + 1):
         level = span_of_images(t.deltas, level)
-    return _assemble_jet(P, k, t, level)
+    return _assemble_jet(P, k, t, closure_under(t.left, level))
 
 
 def two_sided_jet1(P: BimoduleRep) -> JetModule:
     """First-order two-sided jet: (A tensor P tensor A) / mu^1.
 
-    mu^1 is generated by delta_bar^c delta^b (1 tensor p tensor 1) and
-    closed under both outer actions.
+    mu^1 is spanned by s(b, p, c) = delta_bar^c delta^b (1 tensor p tensor 1)
+    over basis b, p, c, and that span is already a sub-bimodule:
+    a s(b, p, c) = s(ab, p, c) - s(a, bp, c) and
+    s(b, p, c) d = s(b, p, cd) - s(b, pc, d).  So no closure is taken;
+    _assemble_jet checks the invariance.
     """
     require_central(P)
     t = TensorTwoSided(P)
@@ -356,7 +357,7 @@ def factorize(
     if jet is None:
         jet = jet_module(P, k)
     field = P.algebra.field
-    lift = hstack([L @ delta for L in Q.left])
+    lift = Matrix._raw(field, np.hstack([(L @ delta).a for L in Q.left]))
     if any(lift.apply_rows(jet.mu.rows)):
         raise OrderViolationError(f"map is not an order-{k} differential operator")
     # _check_generation proved that J(P) generates the jet as a left module,
@@ -376,6 +377,29 @@ def _check_left_linear(t: TensorOneSided, Q: BimoduleRep, f: Matrix):
         # row q of f . outer(b) is the transposed action applied to row q of f
         if lo.T.apply_rows(rows) != _sparse_rows((lq @ f).a):
             raise NotLeftLinearError(f"f is not left-linear against basis element {i}")
+
+
+def _apply_word(hs: HomSpace, t: TensorOneSided, word: Sequence, v: list, w: list):
+    """Apply word's deviations, last first: Hom ones to the rows v, tensor ones to the rows w.
+
+    v holds vec(f . J) rows of hs, w rows of the ambient t.  Each letter
+    is a basis index (hs.deltas[b], t.deltas[b]; any integral type but
+    bool, in range(dim A), else ValueError) or a coordinate vector
+    (hs.delta(b), t.delta(b)).
+    """
+    n = len(t.deltas)
+    for b in reversed(list(word)):
+        if isinstance(b, (bool, np.bool_)) or (
+            isinstance(b, numbers.Integral) and not 0 <= b < n
+        ):
+            raise ValueError(f"algebra basis index {b!r} is not in range({n})")
+        if isinstance(b, numbers.Integral):
+            dv, dw = hs.deltas[b], t.deltas[b]
+        else:
+            dv, dw = hs.delta(b), t.delta(b)
+        v = dv.apply_rows(v)
+        w = dw.apply_rows(w)
+    return v, w
 
 
 def factorization_residual(
@@ -412,18 +436,7 @@ def factorization_residual(
     w = [{}]  # 1 tensor p, the combination of the units with p's coordinates
     for u, x in _sparse_rows(p.reshape(1, -1))[0].items():
         _subtract(w[0], -x, units[u], field.modulus)
-    n = len(t.deltas)
-    for b in reversed(list(b_tuple)):
-        if isinstance(b, (bool, np.bool_)) or (
-            isinstance(b, numbers.Integral) and not 0 <= b < n
-        ):
-            raise ValueError(f"algebra basis index {b!r} is not in range({n})")
-        if isinstance(b, numbers.Integral):
-            dv, dw = hs.deltas[b], t.deltas[b]
-        else:
-            dv, dw = hs.delta(b), t.delta(b)
-        v = dv.apply_rows(v)
-        w = dw.apply_rows(w)
+    v, w = _apply_word(hs, t, b_tuple, v, w)
     lhs = hs.unvec(_dense(v, (1, hs.dim), field.dtype)[0]).apply(p)
     rhs = _dense(f.apply_rows(w), (1, Q.dim), field.dtype)[0]
     return field.reduce_array(lhs - rhs)
@@ -445,43 +458,46 @@ def residual_witness_search(
 
     Enumeration is lexicographic (tuple, then p, then the RREF hom
     basis), so the reported witness is deterministic.  The hom basis is
-    the RREF of the free lifts (TensorOneSided.left_linear_maps); each
-    tuple's deviation words are applied to all maps and all p at once.
+    the RREF of the free lifts (TensorOneSided.left_linear_maps).  Each
+    tuple's word runs the body of factorization_residual (_apply_word)
+    on sparse rows, for all maps and all basis p at once: row u holds
+    (word phi_f)(p_u) - f(word (1 tensor p_u)) at column f * dimQ + q,
+    the second term from one operator stacking every f.
     """
     require_central(P, Q)
     _check_order(k)
     t = TensorOneSided(P)
     n = P.algebra.dim
     field = P.algebra.field
+    d = Q.dim
     flin = t.left_linear_maps(Q)
     hs = HomSpace(P, Q)
-    # RREF rows are already in field form: wrapped, not demoted
-    fmats = [
-        Matrix._wrap(field, v.reshape((Q.dim, t.dim), order="F").copy())
-        for v in flin.basis.a
-    ]
-    fstack = np.stack([f.a for f in fmats])  # [f, q, x]
+    # RREF rows are already in field form: wrapped, not demoted.  maps[f] is
+    # f as a dimQ x dim(A tensor P) matrix (vec is column-major), and row
+    # f * dimQ + q of the stacked operator is row q of f
+    maps = flin.basis.a.reshape(flin.dim, t.dim, d).transpose(0, 2, 1)
+    fmats = [Matrix._wrap(field, m.copy()) for m in maps]
+    stacked = Matrix._wrap(field, maps.reshape(flin.dim * d, t.dim))
     units = _units(t)
-    phis = [_vec_of_columns(f.apply_rows(units), Q.dim) for f in fmats]  # vec(f . J)
+    phis = [_vec_of_columns(f.apply_rows(units), d) for f in fmats]  # vec(f . J)
     for b_indices in itertools.product(range(n), repeat=k + 1):
-        moved_phis, moved_units = phis, units
-        for b in reversed(b_indices):
-            moved_phis = hs.deltas[b].apply_rows(moved_phis)
-            moved_units = t.deltas[b].apply_rows(moved_units)
-        moved_phis = _dense(moved_phis, (len(fmats), hs.dim), field.dtype)
-        moved_units = _dense(moved_units, (P.dim, t.dim), field.dtype)
-        # lhs[u, f] = (delta word phi_f)(p_u): vec is column-major, so the
-        # row of phi_f reshapes to [u, q]; rhs[u, f] = f(delta word (1 tensor p_u))
-        lhs = moved_phis.reshape(len(fmats), P.dim, Q.dim).transpose(1, 0, 2)
-        rhs = field.tensordot(fstack, moved_units, ([2], [1])).transpose(2, 0, 1)
-        res = field.reduce_array(lhs - rhs)
-        for p_index in range(P.dim):
-            for fi, fmat in enumerate(fmats):
-                if res[p_index, fi].any():
-                    return ResidualWitness(
-                        b_indices=tuple(b_indices),
-                        p_index=p_index,
-                        f=fmat,
-                        residual=res[p_index, fi].copy(),
-                    )
+        moved_phis, moved_units = _apply_word(hs, t, b_indices, phis, units)
+        # vec is column-major: column u * dimQ + q of phi_f's row is phi_f(p_u)[q]
+        res = [{} for _ in range(P.dim)]
+        for fi, row in enumerate(moved_phis):
+            for c, x in row.items():
+                u, q = divmod(c, d)
+                res[u][fi * d + q] = x
+        for row, image in zip(res, stacked.apply_rows(moved_units)):
+            _subtract(row, 1, image, field.modulus)
+        for p_index, row in enumerate(res):
+            if row:
+                fi = min(row) // d
+                residual = _dense([row], (1, len(fmats) * d), field.dtype)[0]
+                return ResidualWitness(
+                    b_indices=tuple(b_indices),
+                    p_index=p_index,
+                    f=fmats[fi],
+                    residual=residual[fi * d : fi * d + d].copy(),
+                )
     return None

@@ -2,9 +2,10 @@
 
 Scalars are `fractions.Fraction` for the rationals and ints in ``[0, p)``
 for a prime field.  Each field carries the dense array kernel every
-module goes through (``dtype``, ``asarray``, ``dot``, ``tensordot``,
-``reduce_array``), so no code outside this module needs to know which
-field it works over:
+module goes through (``dtype``, ``asarray``, ``dot``, ``reduce_array``;
+``dot`` is the one dense product, and a contraction of stacked arrays is
+a ``dot`` of the operands reshaped to matrices), so no code outside this
+module needs to know which field it works over:
 
 - over Q, arrays have dtype ``object`` and hold exact Python scalars, a
   plain ``int`` wherever the value is integral and a ``Fraction``
@@ -34,7 +35,6 @@ those echelons; the dense basis is built only when it is read.
 
 from __future__ import annotations
 
-import math
 import operator
 import re
 from dataclasses import dataclass
@@ -277,9 +277,6 @@ class RationalField:
     def dot(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.dot(a, b)
 
-    def tensordot(self, a: np.ndarray, b: np.ndarray, axes) -> np.ndarray:
-        return np.tensordot(a, b, axes=axes)
-
     def demote_array(self, a: np.ndarray) -> np.ndarray:
         # Turn integral Fractions back into ints; keeps later arithmetic fast.
         flat = a.ravel()
@@ -425,21 +422,6 @@ class PrimeField:
         hi %= p
         return hi
 
-    def tensordot(self, a: np.ndarray, b: np.ndarray, axes) -> np.ndarray:
-        """np.tensordot(a, b, axes) mod p; axes is a pair of axis lists."""
-        ax_a = [x % a.ndim for x in axes[0]]
-        ax_b = [x % b.ndim for x in axes[1]]
-        if [a.shape[x] for x in ax_a] != [b.shape[x] for x in ax_b]:
-            raise DimensionMismatch(f"tensordot of {a.shape} and {b.shape} over {axes}")
-        free_a = [x for x in range(a.ndim) if x not in ax_a]
-        free_b = [x for x in range(b.ndim) if x not in ax_b]
-        out_a = [a.shape[x] for x in free_a]
-        out_b = [b.shape[x] for x in free_b]
-        k = math.prod(a.shape[x] for x in ax_a)
-        lhs = a.transpose(free_a + ax_a).reshape(math.prod(out_a), k)
-        rhs = b.transpose(ax_b + free_b).reshape(k, math.prod(out_b))
-        return self.dot(lhs, rhs).reshape(out_a + out_b)
-
     def demote_array(self, a: np.ndarray) -> np.ndarray:
         return a
 
@@ -573,10 +555,6 @@ class Matrix:
     def shape(self) -> tuple[int, int]:
         return self.a.shape
 
-    def entries(self) -> list:
-        """Row-major flat list of scalars."""
-        return self.a.ravel().tolist()
-
     def to_lists(self) -> list[list]:
         return self.a.tolist()
 
@@ -670,11 +648,6 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.field!r}, {self.to_lists()!r})"
-
-
-def hstack(mats: Sequence[Matrix]) -> Matrix:
-    field = mats[0].field
-    return Matrix._raw(field, np.hstack([m.a for m in mats]))
 
 
 def vector(field, items: Iterable) -> np.ndarray:

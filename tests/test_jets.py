@@ -1,8 +1,10 @@
+import itertools
 import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import ncjets.jets
 from ncjets import linalg
@@ -28,10 +30,20 @@ from ncjets.jets import (
     residual_witness_search,
     two_sided_jet1,
 )
-from ncjets.linalg import QQ, DimensionMismatch, Matrix, Subspace, closure_under, unit_vector, vector
+from ncjets.linalg import (
+    GF,
+    QQ,
+    DimensionMismatch,
+    Matrix,
+    Subspace,
+    closure_under,
+    span_of_images,
+    unit_vector,
+    vector,
+)
 from ncjets.modules import BimoduleRep, HomSpace, TensorOneSided, TensorTwoSided, hom_AA
 
-from algebra_builders import opposite, t2_column, trunc
+from algebra_builders import build, opposite, small_algebras, t2_column, trunc
 from oracle_systems import jet_dim, two_sided_jet_dims
 
 F = Fraction
@@ -115,6 +127,44 @@ def test_non_invariant_relations_raise_invariant_violation(monkeypatch):
     monkeypatch.setattr(ncjets.jets, "closure_under", broken)
     with pytest.raises(InvariantViolation, match="outer actions"):
         jet_module(self_module("dual_numbers"), 1)
+
+
+def _units_span(t):
+    return Subspace.from_rows(t.field, t.dim, ncjets.jets._units(t))
+
+
+@pytest.mark.parametrize("ambient", [TensorOneSided, TensorTwoSided])
+def test_relations_the_outer_actions_move_raise_invariant_violation(ambient):
+    P = self_module("m2")
+    t = ambient(P)
+    moved = [_units_span(t)]  # span{1 tensor p (tensor 1)}, which e_ij tensor - moves
+    if ambient is TensorTwoSided:
+        moved.append(closure_under(t.left, moved[0]))  # A tensor P tensor 1, moved on the right
+    for mu in moved:
+        with pytest.raises(InvariantViolation, match="outer actions"):
+            ncjets.jets._assemble_jet(P, 1, t, mu)
+
+
+def _check_two_sided_seed_is_closed(P):
+    # a s(b,p,c) = s(ab,p,c) - s(a,bp,c) and s(b,p,c) d = s(b,p,cd) - s(b,pc,d),
+    # for s(b,p,c) = delta_bar^c delta^b (1 tensor p tensor 1)
+    t = TensorTwoSided(P)
+    seed = span_of_images(t.delta_bars, span_of_images(t.deltas, _units_span(t)))
+    assert closure_under(list(t.left) + list(t.right), seed) == seed
+    assert two_sided_jet1(P).mu == seed
+
+
+@pytest.mark.parametrize("name,kind", [(n, k) for n in names() for k in ("self", "free2")])
+def test_two_sided_seed_holds_every_relation(name, kind):
+    _check_two_sided_seed_is_closed(builtin(name).module(kind))
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_algebras())
+def test_two_sided_seed_holds_every_relation_on_generated_algebras(algebra):
+    A = build(algebra)
+    for P in (BimoduleRep.regular(A), BimoduleRep.free(A, 2)):
+        _check_two_sided_seed_is_closed(P)
 
 
 def test_jet_rejects_negative_order():
@@ -406,6 +456,40 @@ def test_residual_witness_found_for_noncommutative(name):
         P, Q, w.f, list(w.b_indices), unit_vector(QQ, P.dim, w.p_index)
     )
     assert list(res) == list(w.residual)
+
+
+def _first_residual(P, k):
+    """The first nonzero factorization_residual in (word, p, f) order over the RREF maps."""
+    field, m = P.algebra.field, P.dim
+    t = TensorOneSided(P)
+    maps = [
+        Matrix(field, v.reshape((m, t.dim), order="F").tolist())
+        for v in t.left_linear_maps(P).basis.a
+    ]
+    for word in itertools.product(range(P.algebra.dim), repeat=k + 1):
+        for u in range(m):
+            for f in maps:
+                res = factorization_residual(P, P, f, list(word), unit_vector(field, m, u))
+                if res.any():
+                    return word, u, f, res
+    return None
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "GF7"])
+def test_witness_search_is_the_first_nonzero_residual(field):
+    for name in names():
+        a = builtin(name).algebra
+        A = Algebra(field, a.basis_names, list(a.unit), a.mul.tolist(), name=a.name)
+        P = BimoduleRep.regular(A)
+        for k in (0, 1):
+            want, got = _first_residual(P, k), residual_witness_search(P, P, k)
+            if want is None:
+                assert got is None, (name, k)
+                continue
+            word, u, f, res = want
+            assert (got.b_indices, got.p_index) == (word, u), (name, k)
+            assert got.f == f
+            assert got.residual.dtype == res.dtype and list(got.residual) == list(res)
 
 
 def test_residual_is_multilinear_in_the_b_arguments():

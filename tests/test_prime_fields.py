@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncjets.algebra import Algebra
+from ncjets.algebra import Algebra, _combine
 from ncjets.catalog import COMMUTATIVE_NAMES, builtin, names
 from ncjets.diffop import TAGS, diff_bar1, diff_commutative, filtration_by_tag
 from ncjets.jets import (
@@ -124,15 +124,16 @@ def test_product_matches_python_ints_near_the_top():
     assert field.dot(-a, b).tolist() == [[-x % P31 for x in row] for row in want]
 
 
-def test_tensordot_past_the_chunk_boundary():
+def test_combine_past_the_chunk_boundary():
     field = GF(P31)
-    a = np.full((2, 256, 257), TOP, dtype=np.int64)  # contracted size 65792 > MAX_INNER
-    b = np.full((257, 256, 2), TOP, dtype=np.int64)
-    got = field.tensordot(a, b, ([1, 2], [1, 0]))
-    assert got.shape == (2, 2)
-    assert (got == 256 * 257 * TOP * TOP % P31).all()
+    inner = 256 * 257  # family size 65792 > MAX_INNER
+    coeffs = np.full((2, 1, inner), TOP, dtype=np.int64)
+    stack = np.full((inner, 3, 2), TOP, dtype=np.int64)
+    got = _combine(field, coeffs, stack)
+    assert got.shape == (2, 1, 3, 2)
+    assert (got == inner * TOP * TOP % P31).all()
     with pytest.raises(DimensionMismatch):
-        field.tensordot(a, b, ([2], [1]))
+        _combine(field, coeffs, stack[:-1])
 
 
 def test_leg_action_on_top_residues_matches_dense():
@@ -181,15 +182,18 @@ def test_collapse_conditions_on_top_residues_match_python_ints():
 
 
 def _dense_collapse_conditions(jet, Q) -> Matrix:
-    """The condition rows by one dense tensordot over mu's basis: the reference formula."""
+    """The condition rows by one dense product over mu's basis: the reference formula."""
     P = jet.base
     field = P.algebra.field
-    rights = Q.right_stack if jet.two_sided else Matrix.identity(field, Q.dim).a[None]
-    w = jet.mu.basis.a.reshape(jet.mu.dim, P.algebra.dim, P.dim, len(rights))
-    sandwich = _pair_products(field, rights, Q.left_stack).transpose(1, 0, 2, 3)  # [i, j] = R_j L_i
-    rows = field.tensordot(w, sandwich, ([1, 3], [0, 1]))  # (w, u, q, q')
-    rows = rows.transpose(0, 2, 1, 3).reshape(jet.mu.dim * Q.dim, P.dim * Q.dim)
-    return Matrix._raw(field, rows)
+    n, m, d = P.algebra.dim, P.dim, Q.dim
+    rights = Q.right_stack if jet.two_sided else Matrix.identity(field, d).a[None]
+    r = len(rights)
+    # w[(w, u), (i, j)] against sandwich[(i, j), (q, q')], with [i, j] = R_j L_i
+    w = jet.mu.basis.a.reshape(jet.mu.dim, n, m, r).transpose(0, 2, 1, 3)
+    sandwich = _pair_products(field, rights, Q.left_stack).transpose(1, 0, 2, 3)
+    rows = field.dot(w.reshape(jet.mu.dim * m, n * r), sandwich.reshape(n * r, d * d))
+    rows = rows.reshape(jet.mu.dim, m, d, d).transpose(0, 2, 1, 3)  # (w, q, u, q')
+    return Matrix._raw(field, rows.reshape(jet.mu.dim * d, m * d))
 
 
 @pytest.mark.parametrize("field", [QQ, GF(7), GF(P31)], ids=["Q", "GF7", "GFbig"])
