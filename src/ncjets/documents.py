@@ -104,6 +104,12 @@ def algebra_to_doc(algebra: Algebra) -> dict:
     }
 
 
+def _require_list(key: str, value) -> list:
+    if not isinstance(value, list):
+        raise DocumentError(f"algebra document {key} must be a list, not {type(value).__name__}")
+    return value
+
+
 def algebra_from_doc(doc) -> Algebra:
     if not isinstance(doc, dict):
         raise DocumentError("algebra document must be a JSON object")
@@ -118,6 +124,12 @@ def algebra_from_doc(doc) -> Algebra:
     basis = doc["basis"]
     if not _is_count(dim) or dim < 1 or not isinstance(basis, list) or len(basis) != dim:
         raise DocumentError("dim must be a positive int matching the basis length")
+    # a JSON string iterates as its characters, so "1001" would read as a vector
+    for key in ("unit", "mul"):
+        _require_list(key, doc[key])
+    for i, row in enumerate(doc["mul"]):
+        for j, cell in enumerate(_require_list(f"mul[{i}]", row)):
+            _require_list(f"mul[{i}][{j}]", cell)
     parse = field.parse
     try:
         unit = [parse(s) for s in doc["unit"]]

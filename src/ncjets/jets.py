@@ -12,6 +12,10 @@ class, and representability_bar1 verifies that on any input.
 The maps out of a jet are read off sparse condition rows built from the
 sparse rows of mu, one row per relation and target coordinate, and their
 kernel is taken on sparse rows too, so no dense relation basis is formed.
+
+The factorization identity has one body, _residual_rows, the residual
+rows of a stack of maps at every basis p: factorization_residual runs it
+on one map, residual_witness_search on every left-linear map at once.
 """
 
 from __future__ import annotations
@@ -117,11 +121,6 @@ def _units(t: TensorOneSided | TensorTwoSided) -> list[dict]:
             row = {c * d + i: norm(x * y) for c, x in row.items() for i, y in leg.items()}
         out.append(row)
     return out
-
-
-def _vec_of_columns(cols: list[dict], d: int) -> dict:
-    """vec(phi) as a sparse row, from the sparse columns of phi (each of length d)."""
-    return {u * d + q: x for u, col in enumerate(cols) for q, x in col.items()}
 
 
 def _assemble_jet(
@@ -347,15 +346,24 @@ def factorize(
     Only defined over commutative algebras.  A tensor P is free on its
     P-leg, so F(a tensor p) = a delta(p) is the one left-linear lift of
     delta to the ambient; delta has order k exactly when F kills mu^(k+1),
-    and f is then F read on the quotient through the section.
+    and f is then F read on the quotient through the section.  A given
+    jet must be the one-sided order-k jet of P itself, else ValueError.
     """
     require_central(P, Q)
     if not P.algebra.is_commutative:
         raise DefinitionDomainError("factorization requires a commutative algebra")
     if delta.shape != (Q.dim, P.dim):
         raise DimensionMismatch(f"operator must be {Q.dim}x{P.dim}, got {delta.shape}")
+    _check_order(k)
     if jet is None:
         jet = jet_module(P, k)
+    elif jet.base is not P or jet.order != k or jet.two_sided:
+        side = "two-sided" if jet.two_sided else "one-sided"
+        owner = "P" if jet.base is P else f"another module ({jet.base.name!r})"
+        raise ValueError(
+            f"factorize needs the one-sided order-{k} jet of P,"
+            f" got the {side} order-{jet.order} jet of {owner}"
+        )
     field = P.algebra.field
     lift = Matrix._raw(field, np.hstack([(L @ delta).a for L in Q.left]))
     if any(lift.apply_rows(jet.mu.rows)):
@@ -379,15 +387,31 @@ def _check_left_linear(t: TensorOneSided, Q: BimoduleRep, f: Matrix):
             raise NotLeftLinearError(f"f is not left-linear against basis element {i}")
 
 
-def _apply_word(hs: HomSpace, t: TensorOneSided, word: Sequence, v: list, w: list):
-    """Apply word's deviations, last first: Hom ones to the rows v, tensor ones to the rows w.
+def _residual_rows(
+    hs: HomSpace, t: TensorOneSided, word: Sequence, maps: Matrix, units: list
+) -> list[dict]:
+    """The factorization identity's residual for every stacked map at every basis p.
 
-    v holds vec(f . J) rows of hs, w rows of the ambient t.  Each letter
-    is a basis index (hs.deltas[b], t.deltas[b]; any integral type but
-    bool, in range(dim A), else ValueError) or a coordinate vector
-    (hs.delta(b), t.delta(b)).
+    Row f * dimQ + q of maps is row q of the map f, and units are the rows
+    1 tensor p_u of t.  Row u of the result holds (word phi_f)(p_u) -
+    f(word (1 tensor p_u)) at column f * dimQ + q, phi_f = f . J.  Letters
+    apply last first, the Hom deviations to the rows vec(phi_f) and the
+    tensor ones to the units; each is a basis index (hs.deltas[b],
+    t.deltas[b]; any integral type but bool, in range(dim A), else
+    ValueError) or a coordinate vector (hs.delta(b), t.delta(b)).
     """
-    n = len(t.deltas)
+    d, n = hs.target.dim, t.algebra.dim
+
+    def swap(rows, count):  # x at (r, s * dimQ + q) moves to (s, r * dimQ + q)
+        out = [{} for _ in range(count)]
+        for r, row in enumerate(rows):
+            for c, x in row.items():
+                s, q = divmod(c, d)
+                out[s][r * d + q] = x
+        return out
+
+    # vec(phi_f), column-major: phi_f(p_u)[q] = f(1 tensor p_u)[q] at u * dimQ + q
+    phis = swap(maps.apply_rows(units), maps.rows // d if d else 0)
     for b in reversed(list(word)):
         if isinstance(b, (bool, np.bool_)) or (
             isinstance(b, numbers.Integral) and not 0 <= b < n
@@ -397,9 +421,11 @@ def _apply_word(hs: HomSpace, t: TensorOneSided, word: Sequence, v: list, w: lis
             dv, dw = hs.deltas[b], t.deltas[b]
         else:
             dv, dw = hs.delta(b), t.delta(b)
-        v = dv.apply_rows(v)
-        w = dw.apply_rows(w)
-    return v, w
+        phis, units = dv.apply_rows(phis), dw.apply_rows(units)
+    out = swap(phis, len(units))
+    for row, image in zip(out, maps.apply_rows(units)):
+        _subtract(row, 1, image, t.field.modulus)
+    return out
 
 
 def factorization_residual(
@@ -421,7 +447,8 @@ def factorization_residual(
         delta_{b_0} ... delta_{b_k} (f . J)(p)  -  f(delta^{b_0} ... delta^{b_k}(1 tensor p))
 
     Zero for every input over a commutative algebra and for single b's
-    anywhere; nonzero tuples witness the failure of left jets.
+    anywhere; nonzero tuples witness the failure of left jets.  The
+    residual is linear in p: the sum of p_u times _residual_rows' row u.
     """
     require_central(P, Q)
     t = TensorOneSided(P)
@@ -431,15 +458,11 @@ def factorization_residual(
     p = field.asarray(p)
     if p.shape != (P.dim,):
         raise DimensionMismatch(f"p must be a vector of length {P.dim}, got shape {p.shape}")
-    units = _units(t)
-    v = [_vec_of_columns(f.apply_rows(units), Q.dim)]  # vec(f . J)
-    w = [{}]  # 1 tensor p, the combination of the units with p's coordinates
+    rows = _residual_rows(hs, t, b_tuple, f, _units(t))
+    out: dict = {}
     for u, x in _sparse_rows(p.reshape(1, -1))[0].items():
-        _subtract(w[0], -x, units[u], field.modulus)
-    v, w = _apply_word(hs, t, b_tuple, v, w)
-    lhs = hs.unvec(_dense(v, (1, hs.dim), field.dtype)[0]).apply(p)
-    rhs = _dense(f.apply_rows(w), (1, Q.dim), field.dtype)[0]
-    return field.reduce_array(lhs - rhs)
+        _subtract(out, -x, rows[u], field.modulus)
+    return _dense([out], (1, Q.dim), field.dtype)[0]
 
 
 @dataclass(frozen=True)
@@ -458,46 +481,28 @@ def residual_witness_search(
 
     Enumeration is lexicographic (tuple, then p, then the RREF hom
     basis), so the reported witness is deterministic.  The hom basis is
-    the RREF of the free lifts (TensorOneSided.left_linear_maps).  Each
-    tuple's word runs the body of factorization_residual (_apply_word)
-    on sparse rows, for all maps and all basis p at once: row u holds
-    (word phi_f)(p_u) - f(word (1 tensor p_u)) at column f * dimQ + q,
-    the second term from one operator stacking every f.
+    the RREF of the free lifts (TensorOneSided.left_linear_maps), stacked
+    into one operator; each tuple's word runs _residual_rows, the body of
+    factorization_residual, once for every map and every basis p.
     """
     require_central(P, Q)
     _check_order(k)
     t = TensorOneSided(P)
-    n = P.algebra.dim
-    field = P.algebra.field
-    d = Q.dim
-    flin = t.left_linear_maps(Q)
-    hs = HomSpace(P, Q)
-    # RREF rows are already in field form: wrapped, not demoted.  maps[f] is
-    # f as a dimQ x dim(A tensor P) matrix (vec is column-major), and row
-    # f * dimQ + q of the stacked operator is row q of f
-    maps = flin.basis.a.reshape(flin.dim, t.dim, d).transpose(0, 2, 1)
-    fmats = [Matrix._wrap(field, m.copy()) for m in maps]
-    stacked = Matrix._wrap(field, maps.reshape(flin.dim * d, t.dim))
+    field, d = t.field, Q.dim
+    flin, hs = t.left_linear_maps(Q), HomSpace(P, Q)
+    # RREF rows are already in field form: wrapped, not demoted.  vec is
+    # column-major, so row f * dimQ + q of the stack is row q of map f
+    stack = flin.basis.a.reshape(flin.dim, t.dim, d).transpose(0, 2, 1)
+    maps = Matrix._wrap(field, stack.reshape(flin.dim * d, t.dim))
     units = _units(t)
-    phis = [_vec_of_columns(f.apply_rows(units), d) for f in fmats]  # vec(f . J)
-    for b_indices in itertools.product(range(n), repeat=k + 1):
-        moved_phis, moved_units = _apply_word(hs, t, b_indices, phis, units)
-        # vec is column-major: column u * dimQ + q of phi_f's row is phi_f(p_u)[q]
-        res = [{} for _ in range(P.dim)]
-        for fi, row in enumerate(moved_phis):
-            for c, x in row.items():
-                u, q = divmod(c, d)
-                res[u][fi * d + q] = x
-        for row, image in zip(res, stacked.apply_rows(moved_units)):
-            _subtract(row, 1, image, field.modulus)
-        for p_index, row in enumerate(res):
+    for b_indices in itertools.product(range(P.algebra.dim), repeat=k + 1):
+        for p_index, row in enumerate(_residual_rows(hs, t, b_indices, maps, units)):
             if row:
-                fi = min(row) // d
-                residual = _dense([row], (1, len(fmats) * d), field.dtype)[0]
+                lo = min(row) // d * d  # the first map with a nonzero residual
                 return ResidualWitness(
                     b_indices=tuple(b_indices),
                     p_index=p_index,
-                    f=fmats[fi],
-                    residual=residual[fi * d : fi * d + d].copy(),
+                    f=Matrix._wrap(field, maps.a[lo : lo + d].copy()),
+                    residual=_dense([row], (1, maps.rows), field.dtype)[0, lo : lo + d].copy(),
                 )
     return None

@@ -132,10 +132,13 @@ class BimoduleRep:
 
     @classmethod
     def free(cls, algebra: Algebra, rank: int, name: str = "") -> "BimoduleRep":
-        """Free bimodule A^rank with diagonal actions."""
-        ident = Matrix.identity(algebra.field, rank)
-        left = [ident.kron(m) for m in algebra.left_ops]
-        right = [ident.kron(m) for m in algebra.right_ops]
+        """Free bimodule A^rank, each action block-diagonal with rank copies of A's."""
+        field, n = algebra.field, algebra.dim
+        pair = np.stack([algebra.left_stack, algebra.right_stack])
+        blocks = np.zeros((2, n, rank * n, rank * n), dtype=field.dtype)
+        for r in range(0, rank * n, n):
+            blocks[:, :, r : r + n, r : r + n] = pair
+        left, right = ([Matrix._wrap(field, m) for m in family] for family in blocks)
         return cls(algebra, left, right, name=name or f"free{rank}")
 
     def __repr__(self):
@@ -340,6 +343,8 @@ class HomSpace(TensorAmbient):
     delta_bars = TensorAmbient.delta_bars
 
     def vec(self, phi: Matrix) -> np.ndarray:
+        if phi.field != self.field:
+            raise DimensionMismatch(f"hom element over {phi.field!r} in Hom over {self.field!r}")
         if phi.shape != (self.target.dim, self.source.dim):
             raise DimensionMismatch(
                 f"hom element must be {self.target.dim}x{self.source.dim}, got {phi.shape}"

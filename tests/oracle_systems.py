@@ -436,6 +436,11 @@ def free_left_ops(mul, rank=1):
     return [_kron(_identity(rank), _left_op(mul, i)) for i in range(_n(mul))]
 
 
+def free_right_ops(mul, rank=1):
+    """x -> x e_i on A^rank with the diagonal action, I_rank (x) R_i."""
+    return [_kron(_identity(rank), _right_op(mul, i)) for i in range(_n(mul))]
+
+
 def tensor_outer_ops(mul, rank=1):
     """(b a) tensor p on A tensor A^rank, flat at i * dim P + u: L_b (x) I_P."""
     ident = _identity(rank * _n(mul))
@@ -459,3 +464,37 @@ def hom_left_linear_conditions(left_source, left_target):
 def hom_left_linear(left_source, left_target):
     """Basis of the maps f with f(b v) = b f(v), in column-major vec coordinates."""
     return naive_kernel_basis(hom_left_linear_conditions(left_source, left_target))
+
+
+# -- the factorization identity over the regular bimodule --------------------
+
+
+def naive_residual(mul, f, word, p):
+    """(delta_{b_0} .. delta_{b_k} phi)(p) - f(delta^{b_0} .. delta^{b_k}(1 tensor p)), P = Q = A.
+
+    f is a map A tensor A -> A as nested lists, its columns flat at
+    i * n + u, and phi(p) = f(1 tensor p).  On Hom(A, A) the deviation is
+    delta_b phi = L_b phi - phi L_b; on A tensor A it is
+    delta^b = outer_b - inner_b, with outer_b (e_i tensor e_u) =
+    (e_b e_i) tensor e_u and inner_b (e_i tensor e_u) = e_i tensor (e_b e_u).
+    The last letter b_k applies first, on both sides.  Each product
+    e_b e_i = sum_r mul[b][i][r] e_r is read from its nonzero constants.
+    """
+    n = _n(mul)
+    # integral coordinates as ints, so a residual of integral data stays on ints
+    unit = [x.numerator if x.denominator == 1 else x for x in _unit_coords(mul)]
+    # phi(e_u) = f(1 tensor e_u) = sum_i unit_i f(e_i tensor e_u), as the matrix phi[q][u]
+    phi = [[sum(unit[i] * f[q][i * n + u] for i in range(n)) for u in range(n)] for q in range(n)]
+    v = [unit[i] * p[u] for i in range(n) for u in range(n)]  # 1 tensor p
+    for b in reversed(word):
+        terms = [(i, r, c) for i in range(n) for r in range(n) if (c := mul[b][i][r])]
+        moved = [[0] * n for _ in range(n)]
+        w = [0] * (n * n)
+        for i, r, c in terms:  # e_b e_i has c at e_r
+            for x in range(n):
+                moved[r][x] += c * phi[i][x]  # (L_b phi)(e_x)
+                moved[x][i] -= c * phi[x][r]  # (phi L_b)(e_i) = phi(e_b e_i)
+                w[r * n + x] += c * v[i * n + x]  # (e_b e_i) tensor e_x
+                w[x * n + r] -= c * v[x * n + i]  # e_x tensor (e_b e_i)
+        phi, v = moved, w
+    return [x - y for x, y in zip(naive_mat_vec(phi, p), naive_mat_vec(f, v))]

@@ -123,6 +123,24 @@ def test_algebra_with_a_non_list_basis_is_validation_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "key, edit",
+    [
+        ("unit", lambda d: d.update(unit="1001")),  # the unit e00 + e11, as a string
+        ("mul[0][0]", lambda d: d["mul"][0].__setitem__(0, "1000")),
+        ("mul[1]", lambda d: d["mul"].__setitem__(1, "0" * 16)),
+        ("mul", lambda d: d.update(mul="0")),
+    ],
+)
+def test_algebra_with_a_string_for_a_list_is_validation_error(tmp_path, capsys, key, edit):
+    algebra, _ = _m2_docs()
+    edit(algebra)
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(algebra))
+    assert run(["validate", "-a", str(path)]) == 1
+    assert f"algebra document {key} must be a list, not str" in out_of(capsys)[1]
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["witness-cc3", "-a", "m2", "-p", "self", "--order", "-1"],

@@ -16,7 +16,7 @@ from ncjets.diffop import (
     stage_by_tag,
     two_sided_zero_order_membership,
 )
-from ncjets.linalg import QQ, Matrix
+from ncjets.linalg import GF, QQ, DimensionMismatch, Matrix
 from ncjets.modules import BimoduleRep, HomSpace, hom_A, hom_AA
 
 from algebra_builders import build, opposite, small_algebras, t2_column
@@ -204,6 +204,14 @@ def test_two_sided_membership_predicate():
     assert report["in_span"]
     report = two_sided_zero_order_membership(P, Q, P.algebra.right_ops[1])
     assert report["left_zero_order"]
+
+
+def test_two_sided_membership_refuses_a_map_over_another_field():
+    # g's residues mod 7 read as rationals would place it at order zero
+    P, _ = self_pair("m2")
+    g = Matrix(GF(7), P.algebra.left_ops[1].to_lists())
+    with pytest.raises(DimensionMismatch, match=r"over GF\(7\) in Hom over QQ"):
+        two_sided_zero_order_membership(P, P, g)
 
 
 def test_two_sided_stage_zero_contains_both_kernels():

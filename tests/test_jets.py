@@ -44,7 +44,7 @@ from ncjets.linalg import (
 from ncjets.modules import BimoduleRep, HomSpace, TensorOneSided, TensorTwoSided, hom_AA
 
 from algebra_builders import build, opposite, small_algebras, t2_column, trunc
-from oracle_systems import jet_dim, two_sided_jet_dims
+from oracle_systems import jet_dim, naive_residual, two_sided_jet_dims
 
 F = Fraction
 
@@ -338,6 +338,25 @@ def test_factorize_round_trips_stage_bases(name):
             assert fact.compose_with_jet_map() == delta
 
 
+def test_factorize_refuses_a_jet_of_another_order_module_or_kind():
+    T = self_module("trunc3")
+    ev0 = Matrix(QQ, [[1, 0, 0], [0, 0, 0], [0, 0, 0]])  # p -> p(0), order 2 and not 1
+    with pytest.raises(OrderViolationError):
+        factorize(T, T, ev0, 1)
+    assert factorize(T, T, ev0, 2).compose_with_jet_map() == ev0
+    other = BimoduleRep.regular(T.algebra)
+    for jet, mismatch in (
+        (jet_module(T, 2), "one-sided order-2 jet of P"),
+        (two_sided_jet1(T), "two-sided order-1 jet of P"),
+        (jet_module(other, 1), "one-sided order-1 jet of another module"),
+    ):
+        with pytest.raises(ValueError, match=f"one-sided order-1 jet of P, got the {mismatch}"):
+            factorize(T, T, ev0, 1, jet=jet)
+    for k in (-1, MAX_ORDER + 1):
+        with pytest.raises(OrderViolationError):
+            factorize(T, T, ev0, k, jet=jet_module(T, 1))
+
+
 def test_factorize_rejects_noncommutative():
     P = Q = self_module("m2")
     with pytest.raises(DefinitionDomainError):
@@ -492,6 +511,54 @@ def test_witness_search_is_the_first_nonzero_residual(field):
             assert got.residual.dtype == res.dtype and list(got.residual) == list(res)
 
 
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "GF7"])
+def test_residual_matches_the_naive_oracle(field):
+    """factorization_residual and the witness search against oracle_systems.naive_residual.
+
+    Every catalog self module at k = 0 and 1: every word, every basis p and
+    one fractional p, every RREF map.  Over GF(7) the oracle runs over Q on
+    the residues of f and p and is reduced mod 7 after, which is exact: the
+    residual is made of sums and products only.
+    """
+    mod = field.modulus
+
+    def oracle(f, word, p):
+        want = naive_residual(mul, f.a.tolist(), word, p.tolist())
+        return [int(x) % mod for x in want] if mod else want
+
+    for name in names():
+        a = builtin(name).algebra
+        mul = raw_mul(a)
+        A = Algebra(field, a.basis_names, list(a.unit), a.mul.tolist(), name=a.name)
+        P = BimoduleRep.regular(A)
+        m, t = P.dim, TensorOneSided(P)
+        maps = [
+            Matrix(field, v.reshape((m, t.dim), order="F").tolist())
+            for v in t.left_linear_maps(P).basis.a
+        ]
+        ps = [unit_vector(field, m, u) for u in range(m)]
+        ps.append(vector(field, [F((-1) ** u, u + 1) for u in range(m)]))
+        for k in (0, 1):
+            first = None
+            for word in itertools.product(range(m), repeat=k + 1):
+                for u, p in enumerate(ps):
+                    for f in maps:
+                        got = factorization_residual(P, P, f, list(word), p)
+                        want = oracle(f, word, p)
+                        assert got.dtype == field.dtype and list(got) == want, (name, word, u)
+                        # over Q an integral cell is an int, never a Fraction
+                        assert all(type(x) is not Fraction or x.denominator != 1 for x in got)
+                        if first is None and u < m and any(want):
+                            first = (word, u, f, want)
+            w = residual_witness_search(P, P, k)
+            if first is None:
+                assert w is None, (name, k)
+                continue
+            word, u, f, want = first
+            assert (w.b_indices, w.p_index, w.f) == (word, u, f), (name, k)
+            assert list(w.residual) == want == oracle(w.f, w.b_indices, ps[w.p_index])
+
+
 def test_residual_is_multilinear_in_the_b_arguments():
     P = Q = self_module("m2")
     w = residual_witness_search(P, Q, 1)
@@ -532,6 +599,13 @@ def test_residual_takes_numpy_int_indices_and_refuses_bool_and_out_of_range():
     for bad in (True, False, np.True_, 4, -1, np.int64(4), np.int64(-1)):
         with pytest.raises(ValueError, match=re.escape(repr(bad))):
             factorization_residual(P, Q, w.f, [b0, bad], p)
+
+
+def test_residual_into_the_zero_module_is_the_empty_vector():
+    P = self_module("m2")
+    zero = BimoduleRep(P.algebra, [Matrix(QQ, [])] * 4, [Matrix(QQ, [])] * 4, name="zero")
+    res = factorization_residual(P, zero, Matrix.zeros(QQ, 0, 16), [0, 1], unit_vector(QQ, 4, 0))
+    assert res.shape == (0,)
 
 
 def test_residual_rejects_non_left_linear_maps():

@@ -27,6 +27,7 @@ from ncjets.modules import (
 from naive_gauss import naive_nullity
 from oracle_systems import (
     free_left_ops,
+    free_right_ops,
     hom_A_dim,
     hom_AA_dim,
     hom_left_linear,
@@ -243,6 +244,20 @@ def test_wrong_length_coordinates_raise_dimension_mismatch():
             with pytest.raises(DimensionMismatch):
                 call(coords)
         call(iter([1, 0]))  # the right length, read once
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "GF7"])
+@pytest.mark.parametrize("name", names())
+def test_free_actions_match_the_kron_oracle(field, name):
+    a = builtin(name).algebra
+    mul = raw_mul(a)
+    algebra = Algebra(field, a.basis_names, list(a.unit), mul, name=a.name)
+    for rank in (1, 2, 3):
+        P = BimoduleRep.free(algebra, rank)
+        assert P.dim == rank * a.dim and P.name == f"free{rank}"
+        assert list(P.left) == [Matrix(field, m) for m in free_left_ops(mul, rank)]
+        assert list(P.right) == [Matrix(field, m) for m in free_right_ops(mul, rank)]
+        assert all(m.a.dtype == field.dtype for m in P.left + P.right)
 
 
 def test_unvec_refuses_a_vector_of_the_wrong_length():
