@@ -37,7 +37,6 @@ from .jets import (
     InvariantViolation,
     OrderViolationError,
     jet_module,
-    representability_bar1,
     representability_check,
     residual_witness_search,
     two_sided_jet1,
@@ -213,12 +212,9 @@ def _cmd_jet(args):
 def _cmd_represent(args):
     algebra = _load_algebra(args.algebra)
     P, Q = _load_modules(algebra, args.module_p, args.module_q)
-    if args.definition == "bar1":
-        if args.order != 1:
-            raise DefinitionDomainError("bar1 representability is first order; use --order 1")
-        report = representability_bar1(P, Q)
-    else:
-        report = representability_check(P, Q, args.order, args.definition)
+    if args.definition == "bar1" and args.order != 1:
+        raise DefinitionDomainError("bar1 representability is first order; use --order 1")
+    report = representability_check(P, Q, args.order, args.definition)
     hs = HomSpace(P, Q)
     results = {
         "definition": report.tag,

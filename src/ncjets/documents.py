@@ -104,9 +104,11 @@ def algebra_to_doc(algebra: Algebra) -> dict:
     }
 
 
-def _require_list(key: str, value) -> list:
+def _require_list(key: str, value, length: int | None = None) -> list:
     if not isinstance(value, list):
         raise DocumentError(f"algebra document {key} must be a list, not {type(value).__name__}")
+    if length is not None and len(value) != length:
+        raise DocumentError(f"algebra document {key} must have {length} entries, got {len(value)}")
     return value
 
 
@@ -125,10 +127,9 @@ def algebra_from_doc(doc) -> Algebra:
     if not _is_count(dim) or dim < 1 or not isinstance(basis, list) or len(basis) != dim:
         raise DocumentError("dim must be a positive int matching the basis length")
     # a JSON string iterates as its characters, so "1001" would read as a vector
-    for key in ("unit", "mul"):
-        _require_list(key, doc[key])
-    for i, row in enumerate(doc["mul"]):
-        for j, cell in enumerate(_require_list(f"mul[{i}]", row)):
+    _require_list("unit", doc["unit"])
+    for i, row in enumerate(_require_list("mul", doc["mul"], dim)):
+        for j, cell in enumerate(_require_list(f"mul[{i}]", row, dim)):
             _require_list(f"mul[{i}][{j}]", cell)
     parse = field.parse
     try:

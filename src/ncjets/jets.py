@@ -67,11 +67,13 @@ class InvariantViolation(ValueError):
 
 @dataclass(frozen=True)
 class JetModule:
-    """Quotient of a tensor ambient by the jet relations.
+    """Quotient of a tensor ambient by the jet relations mu.
 
-    projection/section realize the quotient; left_ops (and, when the
-    relations are invariant, bullet_ops) are the induced actions;
-    jet_map sends p to the class of 1 tensor p (tensor 1).
+    The free columns of mu's echelon index the jet, and reduction modulo
+    mu is the projection onto it (mu.quotient()).  left_ops, right_ops on
+    the two-sided ambient, and bullet_ops when mu is invariant under the
+    inner left action, are the induced actions; jet_map sends p to the
+    class of 1 tensor p (tensor 1).
     """
 
     base: BimoduleRep
@@ -79,13 +81,10 @@ class JetModule:
     two_sided: bool
     ambient_dim: int
     mu: Subspace
-    projection: Matrix
-    section: Matrix
     dim: int
     left_ops: tuple[Matrix, ...]
     bullet_ops: Optional[tuple[Matrix, ...]]
     right_ops: Optional[tuple[Matrix, ...]]
-    bullet_right_ops: Optional[tuple[Matrix, ...]]
     jet_map: Matrix
 
     @property
@@ -129,7 +128,7 @@ def _assemble_jet(
     """Pass to the quotient of the ambient t by the jet relations mu.
 
     mu must be invariant under the outer actions (t.left, and t.right on
-    the two-sided ambient), which then descend; a bullet family is
+    the two-sided ambient), which then descend; the inner left family is
     attached only when mu is invariant under it.
     """
     two_sided = isinstance(t, TensorTwoSided)
@@ -141,22 +140,16 @@ def _assemble_jet(
     def induced(ops):
         return tuple(quot.induced(op) for op in ops)
 
-    def bullet(ops):
-        return induced(ops) if _invariant(ops, mu) else None
-
     jet = JetModule(
         base=P,
         order=order,
         two_sided=two_sided,
         ambient_dim=t.dim,
         mu=mu,
-        projection=quot.projection,
-        section=quot.section,
         dim=quot.dim,
         left_ops=induced(t.left),
-        bullet_ops=bullet(t.bullet_left),
+        bullet_ops=induced(t.bullet_left) if _invariant(t.bullet_left, mu) else None,
         right_ops=induced(t.right) if two_sided else None,
-        bullet_right_ops=bullet(t.bullet_right) if two_sided else None,
         jet_map=quot.project(_units(t)),
     )
     _check_generation(jet)
@@ -306,9 +299,16 @@ def representability_check(
 
     Hom_A(J^k(P), Q) is computed through the free-module parametrization
     of _collapse_conditions and compared against the stage-k subspace of
-    the tagged filtration, with a witness for any failure.
+    the tagged filtration, with a witness for any failure.  The bar1
+    class is first order and is compared with its own jet, the two-sided
+    one (representability_bar1); any other order is DefinitionDomainError.
     """
     require_central(P, Q)
+    if def_tag == "bar1":
+        _check_order(k)
+        if k != 1:
+            raise DefinitionDomainError("bar1 is a first-order class; use order 1")
+        return representability_bar1(P, Q)
     jet = jet_module(P, k)
     return _representability(def_tag, jet, Q, stage_by_tag(P, Q, k, def_tag))
 
@@ -346,7 +346,8 @@ def factorize(
     Only defined over commutative algebras.  A tensor P is free on its
     P-leg, so F(a tensor p) = a delta(p) is the one left-linear lift of
     delta to the ambient; delta has order k exactly when F kills mu^(k+1),
-    and f is then F read on the quotient through the section.  A given
+    and f is then F read on the quotient: its columns at the free
+    coordinates of mu's echelon, which index the jet.  A given
     jet must be the one-sided order-k jet of P itself, else ValueError.
     """
     require_central(P, Q)
@@ -370,7 +371,8 @@ def factorize(
         raise OrderViolationError(f"map is not an order-{k} differential operator")
     # _check_generation proved that J(P) generates the jet as a left module,
     # so a left-linear f is fixed by f . J and the factorization is unique.
-    return Factorization(jet=jet, factor=lift @ jet.section, unique=True)
+    free = jet.mu.quotient().free
+    return Factorization(jet=jet, factor=Matrix._wrap(field, lift.a[:, free]), unique=True)
 
 
 # ---------------------------------------------------------------------------

@@ -694,33 +694,25 @@ def kernel_of_rows(field, n: int, rows: Iterable[dict]) -> "Subspace":
     """
     tails: dict[int, dict] = {}
     _grow(tails, rows, field)
-    pivots = sorted(tails)
-    free = _free_cols(n, pivots)
-    rows = _complement_rows(field, [tails[c] for c in pivots], pivots, free)
-    return Subspace.from_rows(field, n, rows)
+    return Subspace.from_rows(field, n, _complement_rows(field, n, tails))
 
 
-def _free_cols(n: int, pivots: Sequence[int]) -> list[int]:
+def _free_cols(n: int, pivots: Iterable[int]) -> list[int]:
     taken = set(pivots)
     return [c for c in range(n) if c not in taken]
 
 
-def _complement_rows(
-    field, basis: Sequence[dict], pivots: Sequence[int], free: list[int]
-) -> list[dict]:
-    """Sparse row t is e_f - sum_j basis[j][f] e_{pivots[j]} for f = free[t].
+def _complement_rows(field, n: int, tails: dict) -> list[dict]:
+    """Sparse row t is e_f - sum_c tails[c][f] e_c for the t-th free column f.
 
-    For the sparse rows of an RREF basis these rows are a basis of its
-    right kernel, and as a matrix they are the projection onto the free
-    coordinates whose kernel is the row space: kernel and quotient are the
-    same construction.
+    For the tails of an RREF echelon in K^n, which are zero at every
+    pivot, these rows are a basis of its right kernel.
     """
     p = field.modulus
-    out = {f: {f: 1} for f in free}
-    for c, row in zip(pivots, basis):
-        for f, x in row.items():
-            if f != c:  # an RREF row is zero at every other pivot
-                out[f][c] = -x % p if p else -x
+    out = {f: {f: 1} for f in _free_cols(n, tails)}
+    for c in sorted(tails):
+        for f, x in tails[c].items():
+            out[f][c] = -x % p if p else -x
     return list(out.values())
 
 
@@ -730,15 +722,15 @@ def _complement_rows(
 
 @dataclass(frozen=True)
 class QuotientMaps:
-    """Surjection q with kernel U and a section s with q @ s = identity.
+    """The quotient K^n / U, indexed by the free coordinates of U's echelon basis.
 
-    The section selects the free coordinates of U's echelon basis and q
-    reads a vector's residual modulo U there, so an induced operator needs
-    the operator on the section's columns and one reduction, no products.
+    The projection q reads a vector's residual modulo U at the free
+    coordinates, and the unit vectors at those coordinates are a section
+    s with q s = identity.  project applies q to sparse columns, and an
+    induced operator needs the operator on the section's columns and one
+    reduction, no products.
     """
 
-    projection: Matrix
-    section: Matrix
     dim: int
     subspace: "Subspace"
     free: tuple[int, ...]
@@ -926,18 +918,9 @@ class Subspace:
         return _cancelling(self, other._reduce_rows(self.rows), self.ambient_dim)
 
     def quotient(self) -> QuotientMaps:
-        """Projection onto the ambient modulo this subspace, plus a section.
-
-        The free coordinates of the RREF basis index the quotient; the
-        projection subtracts each vector's component along the basis rows.
-        """
-        field, n = self.field, self.ambient_dim
-        free = _free_cols(n, self.pivots)
-        s = np.zeros((n, len(free)), dtype=field.dtype)
-        s[free, range(len(free))] = field.one
-        q = _complement_rows(field, self.rows, self.pivots, free)
-        q = Matrix._wrap(field, _dense(q, (len(free), n), field.dtype))
-        return QuotientMaps(q, Matrix._wrap(field, s), len(free), self, tuple(free))
+        """The ambient modulo this subspace, indexed by the RREF basis's free coordinates."""
+        free = _free_cols(self.ambient_dim, self.pivots)
+        return QuotientMaps(len(free), self, tuple(free))
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"

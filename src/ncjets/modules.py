@@ -411,7 +411,7 @@ class TensorOneSided(TensorAmbient):
         lifts = np.zeros((m, d, n, m, d), dtype=self.field.dtype)
         for u in range(m):
             lifts[u, :, :, u, :] = target.left_stack.transpose(2, 0, 1)  # lift of E_(q0, u)
-        return Subspace.from_spanning(self.field, self.dim * d, lifts.reshape(m * d, -1))
+        return Subspace.from_spanning(self.field, self.dim * d, lifts.reshape(m * d, n * m * d))
 
 
 class TensorTwoSided(TensorAmbient):

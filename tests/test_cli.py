@@ -141,6 +141,26 @@ def test_algebra_with_a_string_for_a_list_is_validation_error(tmp_path, capsys, 
 
 
 @pytest.mark.parametrize(
+    "key, edit, got",
+    [
+        ("mul", lambda d: d["mul"].append([["7"] * 4] * 4), 5),  # a fifth row
+        ("mul[0]", lambda d: d["mul"][0].append(["9"] * 4), 5),  # a fifth cell in row 0
+        ("mul", lambda d: d["mul"].pop(), 3),
+        ("mul[3]", lambda d: d["mul"][3].pop(), 3),
+    ],
+)
+def test_algebra_with_a_mul_of_the_wrong_length_is_validation_error(
+    tmp_path, capsys, key, edit, got
+):
+    algebra, _ = _m2_docs()
+    edit(algebra)
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(algebra))
+    assert run(["validate", "-a", str(path)]) == 1
+    assert f"algebra document {key} must have 4 entries, got {got}" in out_of(capsys)[1]
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["witness-cc3", "-a", "m2", "-p", "self", "--order", "-1"],

@@ -286,11 +286,10 @@ def test_factorize_identity_is_zero_order():
     assert fact.unique
     assert fact.compose_with_jet_map() == ident
     # f(a tensor p) = a p: check against the collapse on basis tensors
+    quot = fact.jet.mu.quotient()
     for i in range(3):
         for u in range(3):
-            tensor_vec = np.zeros(9, dtype=object)
-            tensor_vec[i * 3 + u] = 1
-            out = fact.factor.apply(fact.jet.projection.apply(tensor_vec))
+            out = fact.factor.apply(quot.project([{i * 3 + u: 1}]).col(0))
             expected = P.algebra.multiply(
                 unit_vector(QQ, 3, i), unit_vector(QQ, 3, u)
             )
@@ -402,6 +401,17 @@ def test_left_jets_fail_for_m2():
     assert report.hom_side_dim < 16
 
 
+@pytest.mark.parametrize("name", ["m2", "quaternions"])
+def test_bar1_representability_check_compares_the_two_sided_jet(name):
+    P = Q = self_module(name)
+    report = representability_check(P, Q, 1, "bar1")
+    assert (report.tag, report.verdict, report.jet_dim) == ("bar1", VERDICT_ISO, 28)
+    assert report == representability_bar1(P, Q)
+    for k in (0, 2):
+        with pytest.raises(DefinitionDomainError, match="first-order"):
+            representability_check(P, Q, k, "bar1")
+
+
 # ---------------------------------------------------------------------------
 # two-sided first jet
 
@@ -477,38 +487,12 @@ def test_residual_witness_found_for_noncommutative(name):
     assert list(res) == list(w.residual)
 
 
-def _first_residual(P, k):
-    """The first nonzero factorization_residual in (word, p, f) order over the RREF maps."""
-    field, m = P.algebra.field, P.dim
-    t = TensorOneSided(P)
-    maps = [
-        Matrix(field, v.reshape((m, t.dim), order="F").tolist())
-        for v in t.left_linear_maps(P).basis.a
-    ]
-    for word in itertools.product(range(P.algebra.dim), repeat=k + 1):
-        for u in range(m):
-            for f in maps:
-                res = factorization_residual(P, P, f, list(word), unit_vector(field, m, u))
-                if res.any():
-                    return word, u, f, res
-    return None
-
-
-@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "GF7"])
-def test_witness_search_is_the_first_nonzero_residual(field):
-    for name in names():
-        a = builtin(name).algebra
-        A = Algebra(field, a.basis_names, list(a.unit), a.mul.tolist(), name=a.name)
-        P = BimoduleRep.regular(A)
-        for k in (0, 1):
-            want, got = _first_residual(P, k), residual_witness_search(P, P, k)
-            if want is None:
-                assert got is None, (name, k)
-                continue
-            word, u, f, res = want
-            assert (got.b_indices, got.p_index) == (word, u), (name, k)
-            assert got.f == f
-            assert got.residual.dtype == res.dtype and list(got.residual) == list(res)
+def test_witness_search_into_a_zero_module_finds_nothing():
+    P = self_module("m2")
+    A, zero = P.algebra, Matrix.zeros(P.algebra.field, 0, 0)
+    Z = BimoduleRep(A, [zero] * A.dim, [zero] * A.dim, name="zero")
+    assert TensorOneSided(P).left_linear_maps(Z).dim == 0
+    assert residual_witness_search(P, Z, 1) is None
 
 
 @pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "GF7"])
@@ -557,6 +541,7 @@ def test_residual_matches_the_naive_oracle(field):
             word, u, f, want = first
             assert (w.b_indices, w.p_index, w.f) == (word, u, f), (name, k)
             assert list(w.residual) == want == oracle(w.f, w.b_indices, ps[w.p_index])
+            assert w.residual.dtype == field.dtype
 
 
 def test_residual_is_multilinear_in_the_b_arguments():
