@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import DimensionMismatch, Matrix, Subspace, kernel, unit_vector, vector
+from .linalg import DimensionMismatch, Matrix, Subspace, closure_under, kernel, unit_vector, vector
 
 
 class AlgebraValidationError(ValueError):
@@ -103,6 +103,26 @@ class Algebra:
                 raise AlgebraValidationError(
                     "unit", i, f"unit fails to act as identity ({side}) on e{i}"
                 )
+
+    @cached_property
+    def generators(self) -> tuple[int, ...]:
+        """Basis indices that generate A as a unital algebra, chosen greedily in basis order.
+
+        e_i is skipped when it lies in the unital subalgebra the indices
+        kept so far generate, which is the closure of span{1} under their
+        left actions; the trivial algebra K gets ().  Computed on first read.
+        """
+        kept = []
+        sub = Subspace.from_spanning(self.field, self.dim, [self.unit])
+        for i in range(self.dim):
+            if not sub.contains(unit_vector(self.field, self.dim, i)):
+                kept.append(i)
+                sub = closure_under([self.left_ops[j] for j in kept], sub)
+        return tuple(kept)
+
+    def at_generators(self, family: Sequence) -> tuple:
+        """The members of a family indexed by the basis (one per e_i) at the generators."""
+        return tuple(family[i] for i in self.generators)
 
     @cached_property
     def is_commutative(self) -> bool:

@@ -16,6 +16,7 @@ from .catalog import builtin, names as catalog_names
 from .diffop import (
     DefinitionDomainError,
     TAGS,
+    check_bar1_order,
     compare_definitions,
     diff_bar1,
     filtration_by_tag,
@@ -155,8 +156,7 @@ def _cmd_diff(args):
     algebra = _load_algebra(args.algebra)
     P, Q = _load_modules(algebra, args.module_p, args.module_q)
     if args.definition == "bar1":
-        if args.order != 1:
-            raise DefinitionDomainError("bar1 is a first-order class; use --order 1")
+        check_bar1_order(args.order)
         stages = [diff_bar1(P, Q)]
     else:
         stages = list(filtration_by_tag(P, Q, args.order, args.definition).stages)
@@ -212,8 +212,6 @@ def _cmd_jet(args):
 def _cmd_represent(args):
     algebra = _load_algebra(args.algebra)
     P, Q = _load_modules(algebra, args.module_p, args.module_q)
-    if args.definition == "bar1" and args.order != 1:
-        raise DefinitionDomainError("bar1 representability is first order; use --order 1")
     report = representability_check(P, Q, args.order, args.definition)
     hs = HomSpace(P, Q)
     results = {

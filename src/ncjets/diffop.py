@@ -16,6 +16,20 @@ families and their factors' columns are built once per call:
 compare_definitions runs every applicable body on one Hom space, and
 diff_bar1 reuses the joint delta_bar kernel of its two-sided zero stage.
 Nothing is kept once the call returns.
+
+Every deviation family obeys one product rule.  left_a and
+bullet_left_b act on different legs and commute, so
+    delta_ab = left_a delta_b + bullet_left_b delta_a,
+and delta_bar_ab = right_b delta_bar_a + bullet_right_a delta_bar_b.  So
+the a with delta_a w in S form a unital subalgebra when S is invariant
+under the left pair (the zero S always is), and a subspace is invariant
+under an action family once it is invariant under its members at the
+generators (Algebra.generators).  The bodies act by the generators
+wherever that gives the same subspace, with the proof beside each call:
+zero-order kernels (modules.generator_preimage), module spans, left-center
+closures, and the preimages whose target is left-pair invariant
+(comm-inductive stages, left-center lifts, diff_bar1's pull-back).  The
+sum-form preimages and the comm-iterated words keep the whole basis.
 """
 
 from __future__ import annotations
@@ -24,9 +38,8 @@ import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
-from .linalg import Matrix, Subspace, closure_under, joint_kernel, kernel_of_rows, preimage
-from .linalg import span_of_images
-from .modules import BimoduleRep, HomSpace, require_central
+from .linalg import Matrix, Subspace, closure_under, kernel_of_rows, preimage, span_of_images
+from .modules import BimoduleRep, HomSpace, generator_preimage, require_central
 
 MAX_ORDER = 4
 
@@ -65,25 +78,40 @@ class Filtration:
         return all(a <= b for a, b in zip(self.stages, self.stages[1:]))
 
 
-def _zero_order(acts: Sequence, devs: Sequence) -> Subspace:
-    """span{b w : dev w = 0 for every dev}, b over acts: closed, as acts compose to themselves."""
-    return span_of_images(acts, joint_kernel(devs))
+def _module_span(hs: HomSpace, acts: Sequence, seed: Subspace) -> Subspace:
+    """span{b w : w in seed}, b over the action family acts.
+
+    The unit acts as the identity and acts_b acts_c is acts_bc or acts_cb,
+    so the span is the closure of seed under acts, which is its closure
+    under the generator members of acts.
+    """
+    return closure_under(hs.algebra.at_generators(acts), seed)
+
+
+def _zero_order(hs: HomSpace, acts: Sequence, devs: Sequence) -> Subspace:
+    """span{b w : dev w = 0 for every dev}, b over acts."""
+    # joint kernel: the a with dev_a w = 0 form a subalgebra (generator_preimage)
+    return _module_span(hs, acts, generator_preimage(hs, [devs]))
 
 
 def _zero_orders(hs: HomSpace) -> tuple[Subspace, Subspace]:
     """The left and the right zero-order spans."""
-    return _zero_order(hs.left, hs.deltas), _zero_order(hs.right, hs.delta_bars)
+    return _zero_order(hs, hs.left, hs.deltas), _zero_order(hs, hs.right, hs.delta_bars)
 
 
-def _sum_step(acts: Sequence, devs: Sequence, prev: Subspace) -> Subspace:
-    """span{b w : dev w in prev for every dev} + prev, the sum-form stage after prev."""
-    return span_of_images(acts, preimage(devs, prev)) + prev
+def _sum_step(hs: HomSpace, acts: Sequence, devs: Sequence, prev: Subspace) -> Subspace:
+    """span{b w : dev w in prev for every dev} + prev, the sum-form stage after prev.
+
+    prev need not be invariant under the pair devs come from, so the
+    preimage runs over every dev.
+    """
+    return _module_span(hs, acts, preimage(devs, prev)) + prev
 
 
-def _sum_form(acts: Sequence, devs: Sequence, r: int) -> tuple[Subspace, ...]:
-    stages = [_zero_order(acts, devs)]
+def _sum_form(hs: HomSpace, acts: Sequence, devs: Sequence, r: int) -> tuple[Subspace, ...]:
+    stages = [_zero_order(hs, acts, devs)]
     for _ in range(r):
-        stages.append(_sum_step(acts, devs, stages[-1]))
+        stages.append(_sum_step(hs, acts, devs, stages[-1]))
     return tuple(stages)
 
 
@@ -92,10 +120,11 @@ def _sum_form(acts: Sequence, devs: Sequence, r: int) -> tuple[Subspace, ...]:
 
 
 def _comm_inductive(hs: HomSpace, r: int) -> tuple[Subspace, ...]:
-    deltas = hs.deltas
-    stages = [joint_kernel(deltas)]
+    # A is commutative, so each delta_a commutes with left_b and bullet_left_b:
+    # by induction every stage is left-pair invariant, and generators suffice
+    stages = [generator_preimage(hs, [hs.deltas])]
     for _ in range(r):
-        stages.append(preimage(deltas, stages[-1]))
+        stages.append(generator_preimage(hs, [hs.deltas], stages[-1]))
     return tuple(stages)
 
 
@@ -113,33 +142,38 @@ def _comm_iterated(hs: HomSpace, r: int) -> tuple[Subspace, ...]:
 
 
 def _left_center(hs: HomSpace, r: int) -> tuple[Subspace, ...]:
-    deltas = hs.deltas
-    left_pair = list(hs.left) + list(hs.bullet_left)
-    stages = [closure_under(left_pair, joint_kernel(deltas))]
+    # a left-pair closure is one under the generator members of both families
+    at = hs.algebra.at_generators
+    left_pair = at(hs.left) + at(hs.bullet_left)
+    # joint kernel: the a with delta_a w = 0 form a subalgebra
+    stages = [closure_under(left_pair, generator_preimage(hs, [hs.deltas]))]
     for _ in range(r):
-        lift = preimage(deltas, stages[-1])
+        # the stage is a left-pair closure, so its delta preimage needs only generators
+        lift = generator_preimage(hs, [hs.deltas], stages[-1])
         stages.append(closure_under(left_pair, lift))
     return tuple(stages)
 
 
 def _left_sum(hs: HomSpace, r: int) -> tuple[Subspace, ...]:
-    return _sum_form(hs.left, hs.deltas, r)
+    return _sum_form(hs, hs.left, hs.deltas, r)
 
 
 def _right(hs: HomSpace, r: int) -> tuple[Subspace, ...]:
-    return _sum_form(hs.right, hs.delta_bars, r)
+    return _sum_form(hs, hs.right, hs.delta_bars, r)
 
 
 def _two_sided(hs: HomSpace, r: int) -> tuple[Subspace, ...]:
-    return _two_sided_over(hs, r, joint_kernel(hs.delta_bars))
+    # joint kernel: the a with delta_bar_a w = 0 form a subalgebra
+    return _two_sided_over(hs, r, generator_preimage(hs, [hs.delta_bars]))
 
 
 def _two_sided_over(hs: HomSpace, r: int, bar_kernel: Subspace) -> tuple[Subspace, ...]:
     """The two-sided stages, given the joint delta_bar kernel of hs."""
-    stages = [_zero_order(hs.left, hs.deltas) + span_of_images(hs.right, bar_kernel)]
+    right0 = _module_span(hs, hs.right, bar_kernel)
+    stages = [_zero_order(hs, hs.left, hs.deltas) + right0]
     for _ in range(r):
-        left_form = _sum_step(hs.left, hs.deltas, stages[-1])
-        right_form = _sum_step(hs.right, hs.delta_bars, stages[-1])
+        left_form = _sum_step(hs, hs.left, hs.deltas, stages[-1])
+        right_form = _sum_step(hs, hs.right, hs.delta_bars, stages[-1])
         stages.append(left_form & right_form)
     return tuple(stages)
 
@@ -252,9 +286,11 @@ def diff_bar1(P: BimoduleRep, Q: BimoduleRep) -> Subspace:
     """
     require_central(P, Q)
     hs = HomSpace(P, Q)
-    bar_kernel = joint_kernel(hs.delta_bars)
+    # joint kernel: the a with delta_bar_a w = 0 form a subalgebra
+    bar_kernel = generator_preimage(hs, [hs.delta_bars])
     t1 = _two_sided_over(hs, 1, bar_kernel)[1]
-    return t1 & preimage(hs.deltas, bar_kernel)
+    # each delta_bar commutes with the left pair, so bar_kernel is left-pair invariant
+    return t1 & generator_preimage(hs, [hs.deltas], bar_kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -273,13 +309,14 @@ def filtration_by_tag(
 def stage_by_tag(
     P: BimoduleRep, Q: BimoduleRep, k: int, tag: str, max_order: int = MAX_ORDER
 ) -> Subspace:
-    """Stage-k subspace of the tagged filtration; bar1 is its own single stage."""
-    if tag == "bar1":
-        _check_order(k, max_order)
-        if k != 1:
-            raise DefinitionDomainError("bar1 is a first-order class; use order 1")
-        return diff_bar1(P, Q)
+    """Stage-k subspace of the tagged filtration (bar1 is diff_bar1, not a tag here)."""
     return filtration_by_tag(P, Q, k, tag, max_order=max_order).stages[k]
+
+
+def check_bar1_order(r):
+    """bar1 is a first-order class: any order but the integer 1 is DefinitionDomainError."""
+    if isinstance(r, bool) or not isinstance(r, numbers.Integral) or r != 1:
+        raise DefinitionDomainError(f"bar1 is a first-order class; use order 1, not {r!r}")
 
 
 # keyed by (u <= v, v <= u)

@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .diffop import MAX_ORDER, DefinitionDomainError, diff_bar1, stage_by_tag
+from .diffop import MAX_ORDER, DefinitionDomainError, check_bar1_order, diff_bar1, stage_by_tag
 from .linalg import (
     DimensionMismatch,
     Matrix,
@@ -129,11 +129,16 @@ def _assemble_jet(
 
     mu must be invariant under the outer actions (t.left, and t.right on
     the two-sided ambient), which then descend; the inner left family is
-    attached only when mu is invariant under it.
+    attached only when mu is invariant under it.  Each family is a
+    representation or an antirepresentation of A, so invariance under its
+    generator members (Algebra.generators) is invariance under the whole
+    family: both checks, and _check_generation's closure, act by them.
     """
     two_sided = isinstance(t, TensorTwoSided)
-    outer_all = list(t.left) + (list(t.right) if two_sided else [])
-    if not _invariant(outer_all, mu):
+    at = t.algebra.at_generators
+    # outer invariance under every a follows from that under the generators
+    outer = at(t.left) + (at(t.right) if two_sided else ())
+    if not _invariant(outer, mu):
         raise InvariantViolation("jet relations must be closed under the outer actions")
     quot = mu.quotient()
 
@@ -148,7 +153,8 @@ def _assemble_jet(
         mu=mu,
         dim=quot.dim,
         left_ops=induced(t.left),
-        bullet_ops=induced(t.bullet_left) if _invariant(t.bullet_left, mu) else None,
+        # b -> bullet_left_b is a representation: generators decide its invariance
+        bullet_ops=induced(t.bullet_left) if _invariant(at(t.bullet_left), mu) else None,
         right_ops=induced(t.right) if two_sided else None,
         jet_map=quot.project(_units(t)),
     )
@@ -163,9 +169,12 @@ def jet_module(P: BimoduleRep, k: int) -> JetModule:
     1 tensor p, p over a basis of P, and closed under the outer action
     b (a tensor p) = (b a) tensor p.  The words are applied one deviation
     at a time to a basis of the level before (linalg.span_of_images), so
-    no level holds more rows than the ambient.  The induced inner action
-    b . (a tensor p) = a tensor (b p) is attached only when the
-    relations are invariant under it (always, when A is commutative).
+    no level holds more rows than the ambient; the words run over every
+    basis deviation.  The closure acts by the outer action's generator
+    members (Algebra.generators), as b -> left_b is a representation.
+    The induced inner action b . (a tensor p) = a tensor (b p) is
+    attached only when the relations are invariant under it (always,
+    when A is commutative).
     """
     require_central(P)
     _check_order(k)
@@ -173,7 +182,8 @@ def jet_module(P: BimoduleRep, k: int) -> JetModule:
     level = Subspace.from_rows(t.field, t.dim, _units(t))
     for _ in range(k + 1):
         level = span_of_images(t.deltas, level)
-    return _assemble_jet(P, k, t, closure_under(t.left, level))
+    # a closure under the generators' outer actions is one under every b's
+    return _assemble_jet(P, k, t, closure_under(t.algebra.at_generators(t.left), level))
 
 
 def two_sided_jet1(P: BimoduleRep) -> JetModule:
@@ -194,7 +204,9 @@ def two_sided_jet1(P: BimoduleRep) -> JetModule:
 def _check_generation(jet: JetModule):
     """The module closure of the jet-map image must be the whole quotient."""
     image = Subspace.from_rows(jet.mu.field, jet.dim, _sparse_rows(jet.jet_map.a.T))
-    ops = list(jet.left_ops) + (list(jet.right_ops) if jet.right_ops else [])
+    # the induced actions are (anti)representations: their generator members close alike
+    at = jet.base.algebra.at_generators
+    ops = at(jet.left_ops) + (at(jet.right_ops) if jet.right_ops else ())
     if not closure_under(ops, image).is_full():
         raise InvariantViolation("jet map image must generate the quotient")
 
@@ -305,9 +317,7 @@ def representability_check(
     """
     require_central(P, Q)
     if def_tag == "bar1":
-        _check_order(k)
-        if k != 1:
-            raise DefinitionDomainError("bar1 is a first-order class; use order 1")
+        check_bar1_order(k)
         return representability_bar1(P, Q)
     jet = jet_module(P, k)
     return _representability(def_tag, jet, Q, stage_by_tag(P, Q, k, def_tag))

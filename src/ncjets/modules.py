@@ -28,6 +28,7 @@ from .linalg import (
     _apply_columns,
     _factor_term,
     joint_kernel,
+    preimage,
     vector,
 )
 
@@ -362,15 +363,40 @@ class HomSpace(TensorAmbient):
         return f"HomSpace({self.source.name!r} -> {self.target.name!r}, dim={self.dim})"
 
 
+def generator_preimage(
+    ambient: TensorAmbient, families: Sequence, target: Subspace | None = None
+) -> Subspace:
+    """{v : d v in target for every generator member d of each deviation family}.
+
+    target None is the zero subspace, so the result is a joint kernel.
+    Each family obeys a product rule on every ambient here, since the
+    actions on different legs commute:
+       delta_ab     = left_a delta_b + bullet_left_b delta_a,
+       delta_bar_ab = right_b delta_bar_a + bullet_right_a delta_bar_b.
+    So the a with delta_a v in target form a unital subalgebra
+    (delta_1 = 0) when target is invariant under the left pair, and the
+    a with delta_bar_a v in target one when it is invariant under the
+    right pair; the zero target always is.  That subalgebra holds every
+    generator exactly when it is A, and this is the full-family result.
+    Over K there are no generators and every v qualifies.  The caller
+    proves the invariance of a nonzero target.
+    """
+    ops = [d for family in families for d in ambient.algebra.at_generators(family)]
+    if not ops:
+        return Subspace.full(ambient.field, ambient.dim)
+    return joint_kernel(ops) if target is None else preimage(ops, target)
+
+
 def hom_A(source: BimoduleRep, target: BimoduleRep) -> Subspace:
     """Left-linear maps {phi : phi(a p) = a phi(p)}, the joint delta kernel."""
-    return joint_kernel(HomSpace(source, target).deltas)
+    hs = HomSpace(source, target)
+    return generator_preimage(hs, [hs.deltas])
 
 
 def hom_AA(source: BimoduleRep, target: BimoduleRep) -> Subspace:
     """Bimodule maps: additionally phi(p a) = phi(p) a."""
     hs = HomSpace(source, target)
-    return joint_kernel(list(hs.deltas) + list(hs.delta_bars))
+    return generator_preimage(hs, [hs.deltas, hs.delta_bars])
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 An algebra is (basis names, unit, table), where table[i][j] is the
 coordinate list of e_i e_j: truncated polynomial rings, matrix units,
 upper-triangular matrices and direct products of these, all of dim <= 4.
-small_algebras draws one with hypothesis; build makes it an Algebra.
+small_algebras draws one with hypothesis; build makes it an Algebra, and
+change_basis writes it in a permuted, signed basis.
 """
 
 from hypothesis import strategies as st
@@ -53,6 +54,26 @@ def product(a, b):
         for j in range(n - m):
             table[m + i][m + j][m:] = tb[i][j]
     return [f"a{x}" for x in na] + [f"b{x}" for x in nb], ua + ub, table
+
+
+def change_basis(algebra, perm, signs):
+    """The same algebra in the basis f_i = signs[i] * e_perm[i]."""
+    names, unit, table = algebra
+    n = len(names)
+    inv = [0] * n
+    for i, p in enumerate(perm):
+        inv[p] = i
+    new = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for k, c in enumerate(table[perm[i]][perm[j]]):
+                # e_k = signs[inv[k]] * f_inv[k]
+                new[i][j][inv[k]] = c * signs[i] * signs[j] * signs[inv[k]]
+    return (
+        [names[p] for p in perm],
+        [unit[p] * s for p, s in zip(perm, signs)],
+        new,
+    )
 
 
 FACTORS = [trunc(1), trunc(2), trunc(3), trunc(4), full_matrices(2), upper_triangular(2)]

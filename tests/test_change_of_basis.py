@@ -14,27 +14,7 @@ from ncjets.diffop import TAGS, diff_bar1, filtration_by_tag
 from ncjets.jets import jet_module, representability_bar1, two_sided_jet1
 from ncjets.modules import BimoduleRep
 
-from algebra_builders import build, small_algebras
-
-
-def change_basis(algebra, perm, signs):
-    """The same algebra in the basis f_i = signs[i] * e_perm[i]."""
-    names, unit, table = algebra
-    n = len(names)
-    inv = [0] * n
-    for i, p in enumerate(perm):
-        inv[p] = i
-    new = [[[0] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            for k, c in enumerate(table[perm[i]][perm[j]]):
-                # e_k = signs[inv[k]] * f_inv[k]
-                new[i][j][inv[k]] = c * signs[i] * signs[j] * signs[inv[k]]
-    return (
-        [names[p] for p in perm],
-        [unit[p] * s for p, s in zip(perm, signs)],
-        new,
-    )
+from algebra_builders import build, change_basis, small_algebras
 
 
 @st.composite

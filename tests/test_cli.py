@@ -302,6 +302,16 @@ def test_represent_bar1_isomorphism(capsys):
     assert report["results"]["verdict"] == "isomorphism"
 
 
+@pytest.mark.parametrize("order", ["0", "2"])
+def test_bar1_at_another_order_is_one_refusal(capsys, order):
+    errors = set()
+    for cmd in ("diff", "represent"):
+        code = run([cmd, "-a", "m2", "-p", "self", "-q", "self", "--order", order, "--def", "bar1"])
+        assert code == 1
+        errors.add(out_of(capsys)[1])
+    assert errors == {f"error: bar1 is a first-order class; use order 1, not {order}\n"}
+
+
 def test_witness_cc3_found_and_expectations(capsys):
     code, report, _ = run_json(
         capsys, ["witness-cc3", "-a", "m2", "-p", "self", "--order", "1"]

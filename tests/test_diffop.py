@@ -2,10 +2,12 @@ import pytest
 from hypothesis import given, settings
 
 import ncjets.diffop as diffop
+import ncjets.modules as modules
 from ncjets.catalog import COMMUTATIVE_NAMES, builtin, names
 from ncjets.diffop import (
     TAGS,
     DefinitionDomainError,
+    check_bar1_order,
     compare_definitions,
     diff_bar1,
     diff_commutative,
@@ -241,11 +243,15 @@ def test_bimodule_maps_are_bar1(name):
     assert hom_AA(P, Q) <= diff_bar1(P, Q)
 
 
-def test_stage_by_tag_bar1_requires_order_one():
+def test_bar1_order_is_refused_by_one_check():
     P, Q = self_pair("m2")
-    with pytest.raises(DefinitionDomainError):
-        stage_by_tag(P, Q, 2, "bar1")
-    assert stage_by_tag(P, Q, 1, "bar1") == diff_bar1(P, Q)
+    for k in (0, 2, True, 1.0, "1"):
+        with pytest.raises(DefinitionDomainError, match="bar1 is a first-order class; use order 1"):
+            check_bar1_order(k)
+    check_bar1_order(1)
+    # bar1 is diff_bar1 itself, not a stage of a tagged filtration
+    with pytest.raises(DefinitionDomainError, match="unknown definition tag 'bar1'"):
+        stage_by_tag(P, Q, 1, "bar1")
 
 
 # ---------------------------------------------------------------------------
@@ -324,14 +330,19 @@ def test_bar1_builds_one_hom_space_and_one_delta_bar_kernel(monkeypatch):
     want = diff_bar1(P, Q)
     made = _count_hom_spaces(monkeypatch)
     bar_kernels = []
-    real = diffop.joint_kernel
+    real = modules.joint_kernel
+
+    def of_delta_bars(ops, hs):
+        family = hs.__dict__.get("delta_bars", ())
+        return bool(ops) and all(any(op is d for d in family) for op in ops)
 
     def counting(ops):
-        if any(ops is hs.__dict__.get("delta_bars") for hs in made):
+        # a joint kernel over members of the delta_bar family, as many as it takes
+        if any(of_delta_bars(ops, hs) for hs in made):
             bar_kernels.append(ops)
         return real(ops)
 
-    monkeypatch.setattr(diffop, "joint_kernel", counting)
+    monkeypatch.setattr(modules, "joint_kernel", counting)
     assert diff_bar1(P, Q) == want
     assert len(made) == 1
     assert len(bar_kernels) == 1

@@ -15,7 +15,6 @@ from ncjets.diffop import (
     DefinitionDomainError,
     diff_bar1,
     diff_commutative,
-    stage_by_tag,
 )
 from ncjets.jets import (
     VERDICT_ISO,
@@ -196,7 +195,7 @@ def test_orders_that_are_not_integers_are_refused(k):
     with pytest.raises(DefinitionDomainError, match=named):
         diff_commutative(P, P, k)
     with pytest.raises(DefinitionDomainError, match=named):
-        stage_by_tag(P, P, k, "bar1")
+        representability_check(P, P, k, "bar1")
 
 
 def test_numpy_integer_orders_are_orders():
