@@ -183,12 +183,12 @@ def _jet_results(jet, field):
         "bullet_well_defined": jet.bullet_well_defined,
         "relations_basis": subspace_to_doc(jet.mu, field)["basis"],
         "jet_map": jet.jet_map.to_strings(),
-        "left_actions": [m.to_strings() for m in jet.left_ops],
+        "left_actions": [m.to_strings() for m in jet.induced(jet.ambient.left)],
     }
-    if jet.right_ops is not None:
-        results["right_actions"] = [m.to_strings() for m in jet.right_ops]
-    if jet.bullet_ops is not None:
-        results["bullet_actions"] = [m.to_strings() for m in jet.bullet_ops]
+    if jet.two_sided:
+        results["right_actions"] = [m.to_strings() for m in jet.induced(jet.ambient.right)]
+    if jet.bullet_well_defined:
+        results["bullet_actions"] = [m.to_strings() for m in jet.induced(jet.ambient.bullet_left)]
     return results
 
 
@@ -196,8 +196,7 @@ def _cmd_jet(args):
     algebra = _load_algebra(args.algebra)
     P = _load_module(args.module_p, algebra)
     if args.two_sided:
-        if args.order != 1:
-            raise DefinitionDomainError("the two-sided jet is first order; use --order 1")
+        check_bar1_order(args.order)  # the two-sided jet is the bar1 class's, first order
         jet = two_sided_jet1(P)
     else:
         jet = jet_module(P, args.order)

@@ -9,6 +9,9 @@ factorization identity.  The two-sided first jet (inside
 A tensor P tensor A) repairs the story for the restricted first-order
 class, and representability_bar1 verifies that on any input.
 
+A JetModule is its tensor ambient, mu and jet map; the actions on the
+jet are induced from the ambient's only on request (JetModule.induced).
+
 The maps out of a jet are read off sparse condition rows built from the
 sparse rows of mu, one row per relation and target coordinate, and their
 kernel is taken on sparse rows too, so no dense relation basis is formed.
@@ -70,26 +73,38 @@ class JetModule:
     """Quotient of a tensor ambient by the jet relations mu.
 
     The free columns of mu's echelon index the jet, and reduction modulo
-    mu is the projection onto it (mu.quotient()).  left_ops, right_ops on
-    the two-sided ambient, and bullet_ops when mu is invariant under the
-    inner left action, are the induced actions; jet_map sends p to the
-    class of 1 tensor p (tensor 1).
+    mu is the projection onto it (mu.quotient()); jet_map sends p to the
+    class of 1 tensor p (tensor 1).  The ambient's outer actions descend,
+    and its inner left one when bullet_well_defined; induced builds them
+    on request, and nothing else is kept.
     """
 
-    base: BimoduleRep
     order: int
-    two_sided: bool
-    ambient_dim: int
+    ambient: TensorOneSided | TensorTwoSided
     mu: Subspace
-    dim: int
-    left_ops: tuple[Matrix, ...]
-    bullet_ops: Optional[tuple[Matrix, ...]]
-    right_ops: Optional[tuple[Matrix, ...]]
+    bullet_well_defined: bool
     jet_map: Matrix
 
     @property
-    def bullet_well_defined(self) -> bool:
-        return self.bullet_ops is not None
+    def base(self) -> BimoduleRep:
+        return self.ambient.module
+
+    @property
+    def two_sided(self) -> bool:
+        return isinstance(self.ambient, TensorTwoSided)
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.ambient.dim
+
+    @property
+    def dim(self) -> int:
+        return self.ambient.dim - self.mu.dim
+
+    def induced(self, ops: Sequence) -> tuple[Matrix, ...]:
+        """The actions on the jet of ambient operators that leave mu invariant, one per op."""
+        quot = self.mu.quotient()
+        return tuple(quot.induced(op) for op in ops)
 
 
 def _check_order(k: int):
@@ -122,43 +137,33 @@ def _units(t: TensorOneSided | TensorTwoSided) -> list[dict]:
     return out
 
 
-def _assemble_jet(
-    P: BimoduleRep, order: int, t: TensorOneSided | TensorTwoSided, mu: Subspace
-) -> JetModule:
+def _assemble_jet(order: int, t: TensorOneSided | TensorTwoSided, mu: Subspace) -> JetModule:
     """Pass to the quotient of the ambient t by the jet relations mu.
 
     mu must be invariant under the outer actions (t.left, and t.right on
-    the two-sided ambient), which then descend; the inner left family is
-    attached only when mu is invariant under it.  Each family is a
-    representation or an antirepresentation of A, so invariance under its
-    generator members (Algebra.generators) is invariance under the whole
-    family: both checks, and _check_generation's closure, act by them.
+    the two-sided ambient), which then descend, and the jet map's image
+    must generate the quotient under them; the inner left family descends
+    when mu is invariant under it.  Each family is a representation or an
+    antirepresentation of A, so its generator members (Algebra.generators)
+    decide invariance and closure: all three checks act by them, and only
+    those members' induced actions are built.
     """
-    two_sided = isinstance(t, TensorTwoSided)
     at = t.algebra.at_generators
     # outer invariance under every a follows from that under the generators
-    outer = at(t.left) + (at(t.right) if two_sided else ())
+    outer = at(t.left) + (at(t.right) if isinstance(t, TensorTwoSided) else ())
     if not _invariant(outer, mu):
         raise InvariantViolation("jet relations must be closed under the outer actions")
-    quot = mu.quotient()
-
-    def induced(ops):
-        return tuple(quot.induced(op) for op in ops)
-
     jet = JetModule(
-        base=P,
         order=order,
-        two_sided=two_sided,
-        ambient_dim=t.dim,
+        ambient=t,
         mu=mu,
-        dim=quot.dim,
-        left_ops=induced(t.left),
         # b -> bullet_left_b is a representation: generators decide its invariance
-        bullet_ops=induced(t.bullet_left) if _invariant(at(t.bullet_left), mu) else None,
-        right_ops=induced(t.right) if two_sided else None,
-        jet_map=quot.project(_units(t)),
+        bullet_well_defined=_invariant(at(t.bullet_left), mu),
+        jet_map=mu.quotient().project(_units(t)),
     )
-    _check_generation(jet)
+    image = Subspace.from_rows(mu.field, jet.dim, _sparse_rows(jet.jet_map.a.T))
+    if not closure_under(jet.induced(outer), image).is_full():
+        raise InvariantViolation("jet map image must generate the quotient")
     return jet
 
 
@@ -172,9 +177,9 @@ def jet_module(P: BimoduleRep, k: int) -> JetModule:
     no level holds more rows than the ambient; the words run over every
     basis deviation.  The closure acts by the outer action's generator
     members (Algebra.generators), as b -> left_b is a representation.
-    The induced inner action b . (a tensor p) = a tensor (b p) is
-    attached only when the relations are invariant under it (always,
-    when A is commutative).
+    The inner action b . (a tensor p) = a tensor (b p) descends only
+    when the relations are invariant under it (bullet_well_defined;
+    always, when A is commutative).
     """
     require_central(P)
     _check_order(k)
@@ -183,7 +188,7 @@ def jet_module(P: BimoduleRep, k: int) -> JetModule:
     for _ in range(k + 1):
         level = span_of_images(t.deltas, level)
     # a closure under the generators' outer actions is one under every b's
-    return _assemble_jet(P, k, t, closure_under(t.algebra.at_generators(t.left), level))
+    return _assemble_jet(k, t, closure_under(t.algebra.at_generators(t.left), level))
 
 
 def two_sided_jet1(P: BimoduleRep) -> JetModule:
@@ -198,17 +203,7 @@ def two_sided_jet1(P: BimoduleRep) -> JetModule:
     require_central(P)
     t = TensorTwoSided(P)
     moved = span_of_images(t.deltas, Subspace.from_rows(t.field, t.dim, _units(t)))
-    return _assemble_jet(P, 1, t, span_of_images(t.delta_bars, moved))
-
-
-def _check_generation(jet: JetModule):
-    """The module closure of the jet-map image must be the whole quotient."""
-    image = Subspace.from_rows(jet.mu.field, jet.dim, _sparse_rows(jet.jet_map.a.T))
-    # the induced actions are (anti)representations: their generator members close alike
-    at = jet.base.algebra.at_generators
-    ops = at(jet.left_ops) + (at(jet.right_ops) if jet.right_ops else ())
-    if not closure_under(ops, image).is_full():
-        raise InvariantViolation("jet map image must generate the quotient")
+    return _assemble_jet(1, t, span_of_images(t.delta_bars, moved))
 
 
 # ---------------------------------------------------------------------------
@@ -319,8 +314,10 @@ def representability_check(
     if def_tag == "bar1":
         check_bar1_order(k)
         return representability_bar1(P, Q)
-    jet = jet_module(P, k)
-    return _representability(def_tag, jet, Q, stage_by_tag(P, Q, k, def_tag))
+    _check_order(k)
+    # the stage refuses a bad tag, or comm-* over a noncommutative A, before any work
+    stage = stage_by_tag(P, Q, k, def_tag)
+    return _representability(def_tag, jet_module(P, k), Q, stage)
 
 
 def representability_bar1(P: BimoduleRep, Q: BimoduleRep) -> RepresentabilityReport:
@@ -379,7 +376,7 @@ def factorize(
     lift = Matrix._raw(field, np.hstack([(L @ delta).a for L in Q.left]))
     if any(lift.apply_rows(jet.mu.rows)):
         raise OrderViolationError(f"map is not an order-{k} differential operator")
-    # _check_generation proved that J(P) generates the jet as a left module,
+    # _assemble_jet proved that J(P) generates the jet as a left module,
     # so a left-linear f is fixed by f . J and the factorization is unique.
     free = jet.mu.quotient().free
     return Factorization(jet=jet, factor=Matrix._wrap(field, lift.a[:, free]), unique=True)

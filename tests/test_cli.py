@@ -312,6 +312,13 @@ def test_bar1_at_another_order_is_one_refusal(capsys, order):
     assert errors == {f"error: bar1 is a first-order class; use order 1, not {order}\n"}
 
 
+@pytest.mark.parametrize("order", ["0", "2"])
+def test_two_sided_jet_at_another_order_is_the_bar1_refusal(capsys, order):
+    # the two-sided jet is the bar1 class's jet, and first order like it
+    assert run(["jet", "-a", "m2", "-p", "self", "--order", order, "--two-sided"]) == 1
+    assert out_of(capsys)[1] == f"error: bar1 is a first-order class; use order 1, not {order}\n"
+
+
 def test_witness_cc3_found_and_expectations(capsys):
     code, report, _ = run_json(
         capsys, ["witness-cc3", "-a", "m2", "-p", "self", "--order", "1"]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+import ncjets.cli
 import ncjets.jets
 from ncjets import linalg
 from ncjets.algebra import Algebra
@@ -42,7 +43,7 @@ from ncjets.linalg import (
 )
 from ncjets.modules import BimoduleRep, HomSpace, TensorOneSided, TensorTwoSided, hom_AA
 
-from algebra_builders import build, opposite, small_algebras, t2_column, trunc
+from algebra_builders import build, full_matrices, opposite, small_algebras, t2_column, trunc
 from oracle_systems import jet_dim, naive_residual, two_sided_jet_dims
 
 F = Fraction
@@ -141,7 +142,7 @@ def test_relations_the_outer_actions_move_raise_invariant_violation(ambient):
         moved.append(closure_under(t.left, moved[0]))  # A tensor P tensor 1, moved on the right
     for mu in moved:
         with pytest.raises(InvariantViolation, match="outer actions"):
-            ncjets.jets._assemble_jet(P, 1, t, mu)
+            ncjets.jets._assemble_jet(1, t, mu)
 
 
 def _check_two_sided_seed_is_closed(P):
@@ -640,3 +641,112 @@ def test_opposite_algebra_reverses_the_two_sided_jet(name, kind):
     report, report_op = representability_bar1(P, P), representability_bar1(P_op, P_op)
     sides = ("verdict", "hom_side_dim", "diff_side_dim")
     assert [getattr(report_op, s) for s in sides] == [getattr(report, s) for s in sides]
+
+
+# ---------------------------------------------------------------------------
+# the actions on a jet, induced from the ambient on request
+
+
+def _module_over(field, P: BimoduleRep) -> BimoduleRep:
+    """P with its algebra and actions read over another field."""
+    a = P.algebra
+    A = Algebra(field, a.basis_names, list(a.unit), a.mul.tolist(), name=a.name)
+    moved = [[Matrix(field, m.to_lists()) for m in side] for side in (P.left, P.right)]
+    return BimoduleRep(A, *moved, name=P.name)
+
+
+def _induced_cases():
+    cases = [(name, kind) for name in names() for kind in ("self", "free2")]
+    return cases + [("t2", "column")]
+
+
+def _combination(ops, coeffs, zero):
+    """sum_k coeffs[k] ops[k], starting from the zero matrix."""
+    out = zero
+    for c, op in zip(coeffs, ops):
+        out = out + op.scale(c)
+    return out
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "GF7"])
+@pytest.mark.parametrize("name,kind", _induced_cases())
+def test_induced_actions_are_the_module_structure_of_the_jet(field, name, kind):
+    # left: L_i L_j = sum_k mul[i, j, k] L_k, and the unit acts as the identity;
+    # right: R_j R_i = sum_k mul[i, j, k] R_k, commuting with every L;
+    # bullet, where it descends: B_b . J = J . P.left[b]
+    P = _module_over(field, t2_column() if kind == "column" else builtin(name).module(kind))
+    A = P.algebra
+    for jet in [jet_module(P, k) for k in range(3)] + [two_sided_jet1(P)]:
+        zero, ident = Matrix.zeros(field, jet.dim, jet.dim), Matrix.identity(field, jet.dim)
+        families = [jet.induced(jet.ambient.left)]
+        if jet.two_sided:
+            families.append(jet.induced(jet.ambient.right))
+        for side, ops in enumerate(families):
+            assert _combination(ops, A.unit, zero) == ident
+            for i, j in itertools.product(range(A.dim), repeat=2):
+                lhs = ops[j] @ ops[i] if side else ops[i] @ ops[j]
+                assert lhs == _combination(ops, A.mul[i, j], zero)
+        if jet.two_sided:
+            lefts, rights = families
+            for L, R in itertools.product(lefts, rights):
+                assert L @ R == R @ L
+        if jet.bullet_well_defined:
+            for B, Pb in zip(jet.induced(jet.ambient.bullet_left), P.left):
+                assert B @ jet.jet_map == jet.jet_map @ Pb
+
+
+def _counting_induced(monkeypatch) -> list:
+    """Record every operator QuotientMaps.induced is asked for."""
+    calls, induced = [], linalg.QuotientMaps.induced
+
+    def counted(self, op):
+        calls.append(op)
+        return induced(self, op)
+
+    monkeypatch.setattr(linalg.QuotientMaps, "induced", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_a_jet_induces_only_its_outer_generator_members(monkeypatch, n):
+    # M_n is generated by its 2n - 1 units e_1j and e_j1, so the generation
+    # check induces 2n - 1 operators per outer side, and nothing else is induced
+    P = BimoduleRep.regular(build(full_matrices(n)))
+    gens = len(P.algebra.generators)
+    assert gens == 2 * n - 1
+    calls = _counting_induced(monkeypatch)
+    for build_jet, sides in [
+        (lambda: jet_module(P, 1), 1),
+        (lambda: two_sided_jet1(P), 2),
+        (lambda: representability_check(P, P, 1, "left-center"), 1),
+        (lambda: representability_bar1(P, P), 2),
+    ]:
+        calls.clear()
+        build_jet()
+        assert len(calls) == sides * gens
+
+
+@pytest.mark.parametrize("name", ["dual_numbers", "m2", "t2"])
+@pytest.mark.parametrize("two_sided", [False, True])
+def test_the_jet_report_induces_the_printed_actions_only(monkeypatch, capsys, name, two_sided):
+    # the generation check's generator members, then one per printed action
+    P = self_module(name)
+    jet = two_sided_jet1(P) if two_sided else jet_module(P, 1)
+    n, gens = P.algebra.dim, len(P.algebra.generators)
+    printed = n * (1 + two_sided + jet.bullet_well_defined)
+    calls = _counting_induced(monkeypatch)
+    argv = ["jet", "-a", name, "-p", "self", "--order", "1", "--json"]
+    assert ncjets.cli.run(argv + ["--two-sided"] * two_sided) == 0
+    capsys.readouterr()
+    assert len(calls) == gens * (1 + two_sided) + printed
+
+
+@pytest.mark.parametrize("tag", ["comm-inductive", "nosuch"])
+def test_a_tag_that_cannot_apply_is_refused_before_the_jet_is_built(monkeypatch, tag):
+    def no_jet(*args):
+        raise AssertionError("jet built for a tag that cannot apply")
+
+    monkeypatch.setattr(ncjets.jets, "jet_module", no_jet)
+    P = self_module("m2")
+    with pytest.raises(DefinitionDomainError):
+        representability_check(P, P, 1, tag)
