@@ -23,10 +23,13 @@ kernel reading each factor's column nonzeros, so structure constants a
 few percent nonzero cost only their nonzero products and no table spans
 the ambient.  Every reduction against a reduced row-echelon basis is one
 pair of steps on such rows: ``_reduce`` subtracts the pivot rows a row
-meets and ``_insert`` makes what is left a new pivot row.  Elimination,
-membership, spans of images, closure, intersection, preimages and induced
-quotient maps all go through them; a field supplies only its scalar
-inverse and its modulus (0 for Q).
+meets and ``_insert`` makes what is left a new pivot row.  Beside the
+echelon ``_insert`` keeps each column's occurrence list, the pivots whose
+rows hold it, so a new pivot clears its column from those rows only and
+not from every earlier one; a span or closure keeps one such index across
+all its operators and passes.  Elimination, membership, spans of images,
+closure, intersection, preimages and induced quotient maps all go through
+them; a field supplies only its scalar inverse and its modulus (0 for Q).
 
 Subspaces are stored as the tails of a reduced row-echelon basis with no
 zero rows, which makes set equality of subspaces the same as equality of
@@ -193,11 +196,13 @@ def _reduce(row: dict, tails: dict, p: int) -> dict:
     return row
 
 
-def _insert(row: dict, tails: dict, inverse, p: int) -> int:
+def _insert(row: dict, tails: dict, where: dict, inverse, p: int) -> int:
     """Make a reduced nonzero row the pivot row of its first column; returns the column.
 
     The row is scaled to 1 there and the column is cleared from the earlier
-    tails, so tails stays an RREF.
+    tails, so tails stays an RREF.  where maps each column to the set of
+    pivots whose tails hold it (no empty sets): the column is cleared from
+    where.pop(c) only, and where is kept exact as cells appear and cancel.
     """
     c = min(row)
     s = row.pop(c)
@@ -205,9 +210,23 @@ def _insert(row: dict, tails: dict, inverse, p: int) -> int:
         s = inverse(s)
         for k, x in row.items():
             row[k] = x * s % p if p else x * s
-    for tail in tails.values():
-        if c in tail:
-            _subtract(tail, tail.pop(c), row, p)
+    for k in row:
+        where.setdefault(k, set()).add(c)
+    for r in where.pop(c, ()):
+        tail = tails[r]
+        f = tail.pop(c)
+        get = tail.get  # _subtract(tail, f, row, p), recording each cell it adds or cancels
+        for j, v in row.items():
+            x = get(j, 0) - f * v
+            if p:
+                x %= p
+            if x:
+                if j not in tail:
+                    where[j].add(r)
+                tail[j] = x
+            else:
+                del tail[j]
+                where[j].discard(r)  # never empties: it holds c
     tails[c] = row
     return c
 
@@ -225,15 +244,29 @@ def _subtract(row: dict, f, tail: dict, p: int) -> None:
             del row[j]
 
 
-def _grow(tails: dict, rows: Iterable[dict], field) -> list[int]:
+def _grow(tails: dict, rows: Iterable[dict], field, where: Optional[dict] = None) -> list[int]:
     """Reduce each sparse row by the pivot rows so far and insert what is left; the new pivots.
 
     Incremental Gauss-Jordan on sparse rows, since the systems built from
-    structure constants are a few percent nonzero (the standard remedy
-    over finite fields: Dumas and Villard, CASC 2002).
+    structure constants are a few percent nonzero, with the column
+    occurrence lists of the standard remedy over finite fields (Dumas and
+    Villard, CASC 2002) in where, as _insert keeps it.  A caller that grows
+    one echelon by several calls builds where once and passes it to each;
+    None builds it from tails.
     """
+    if where is None:
+        where = _occurrences(tails)
     inverse, p = field.inv, field.modulus
-    return [_insert(row, tails, inverse, p) for row in rows if _reduce(row, tails, p)]
+    return [_insert(row, tails, where, inverse, p) for row in rows if _reduce(row, tails, p)]
+
+
+def _occurrences(tails: dict) -> dict:
+    """{column: set of the pivots whose tails hold it}, the index _insert keeps."""
+    where: dict[int, set] = {}
+    for c, tail in tails.items():
+        for j in tail:
+            where.setdefault(j, set()).add(c)
+    return where
 
 
 class RationalField:
@@ -260,6 +293,8 @@ class RationalField:
 
     def inv(self, x):
         """1/x, an int when that is integral."""
+        if type(x) is int:  # most pivots of integral systems: no Fraction arithmetic
+            return x if x == 1 or x == -1 else Fraction(1, x)
         q = 1 / Fraction(x)
         return q.numerator if q.denominator == 1 else q
 
@@ -945,9 +980,9 @@ def span_of_images(operators: Sequence, seed: Subspace) -> Subspace:
     """
     n, field = seed.ambient_dim, seed.field
     _check_square(operators, n)
-    rows, tails = seed.rows, {}
+    rows, tails, where = seed.rows, {}, {}
     for op in operators:
-        _grow(tails, op.apply_rows(rows), field)
+        _grow(tails, op.apply_rows(rows), field, where)
     return Subspace(field, n, tails)
 
 
@@ -964,11 +999,12 @@ def closure_under(operators: Sequence, seed: Subspace) -> Subspace:
     n, field = seed.ambient_dim, seed.field
     _check_square(operators, n)
     tails = {c: dict(tail) for c, tail in seed._tails.items()}
+    where = _occurrences(tails)
     frontier = seed.rows
     while operators and frontier and len(tails) < n:
         added = []
         for op in operators:
-            added += _grow(tails, op.apply_rows(frontier), field)
+            added += _grow(tails, op.apply_rows(frontier), field, where)
         frontier = [{c: 1, **tails[c]} for c in added]
     return seed if len(tails) == seed.dim else Subspace(field, n, tails)
 

@@ -261,10 +261,10 @@ def test_each_seed_level_hands_at_most_the_ambient_to_elimination(monkeypatch, d
     sizes = []
     real = linalg._grow
 
-    def counting(tails, rows, field):
+    def counting(tails, rows, field, where=None):
         rows = list(rows)
         sizes.append(len(rows))
-        return real(tails, rows, field)
+        return real(tails, rows, field, where)
 
     monkeypatch.setattr(linalg, "_grow", counting)
     P = BimoduleRep.regular(_trunc(d))

@@ -431,6 +431,95 @@ def test_new_pivot_is_cleared_from_earlier_pivot_rows():
         assert res.matrix.to_lists() == want and list(res.pivots) == want_piv
 
 
+def _scan_subtract(row, f, other, p):
+    for j, v in other.items():
+        x = row.get(j, 0) - f * v
+        if p:
+            x %= p
+        if x:
+            row[j] = x
+        else:
+            del row[j]
+
+
+def _scan_grow(tails, rows, p):
+    """Sparse incremental Gauss-Jordan that clears each new pivot column by scanning every tail."""
+    pivots = []
+    for row in rows:
+        for c in [c for c in row if c in tails]:
+            _scan_subtract(row, row.pop(c), tails[c], p)
+        if not row:
+            continue
+        c = min(row)
+        s = row.pop(c)
+        if s != 1:
+            if p:
+                s = pow(s, -1, p)
+            else:
+                s = 1 / Fraction(s)
+                s = s.numerator if s.denominator == 1 else s
+            for k, x in row.items():
+                row[k] = x * s % p if p else x * s
+        for tail in tails.values():
+            if c in tail:
+                _scan_subtract(tail, tail.pop(c), row, p)
+        tails[c] = row
+        pivots.append(c)
+    return pivots
+
+
+def _typed(tails):
+    """The echelon as its pivots and tails, in key order, each value with its type."""
+    return [(c, [(j, type(x), x) for j, x in tail.items()]) for c, tail in tails.items()]
+
+
+@st.composite
+def _row_streams(draw):
+    q_cells = [0, 0, 0, 1, -1, 2, -3, F(1, 2), F(-2, 3), 2**70]
+    field, cells = draw(st.sampled_from([(QQ, q_cells), (GF(7), [0, 0, 0, 1, 6, 3])]))
+    n = draw(st.integers(1, 9))
+    row = st.lists(st.sampled_from(cells), min_size=n, max_size=n).map(
+        lambda xs: {j: x for j, x in enumerate(xs) if x}
+    )
+    return field, draw(st.lists(st.lists(row, max_size=6), min_size=2, max_size=5))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_row_streams())
+def test_one_echelon_grown_by_several_calls_keeps_its_column_index(case):
+    # as closure_under does: the first call builds its own index, later
+    # calls share one built from the echelon so far
+    field, batches = case
+    tails, ref = {}, {}
+    where = None
+    for batch in batches:
+        pivots = linalg._grow(tails, [dict(row) for row in batch], field, where)
+        assert pivots == _scan_grow(ref, [dict(row) for row in batch], field.modulus)
+        assert _typed(tails) == _typed(ref)
+        rebuilt = {}
+        for c, tail in tails.items():
+            for j in tail:
+                rebuilt.setdefault(j, set()).add(c)
+        if where is None:
+            where = linalg._occurrences(tails)
+        assert where == rebuilt
+
+
+@given(st.integers().filter(bool), st.integers(1))
+def test_rational_inverse_of_ints_and_unit_fractions_is_an_int_only_when_integral(x, d):
+    for y in (1, -1):
+        assert type(QQ.inv(y)) is int and QQ.inv(y) == y
+        assert type(QQ.inv(F(y, d))) is int and QQ.inv(F(y, d)) == y * d
+    if x not in (1, -1):
+        assert type(QQ.inv(x)) is Fraction and QQ.inv(x) == F(1, x)
+    q = F(x, d)
+    if abs(q.numerator) != 1:
+        assert type(QQ.inv(q)) is Fraction and QQ.inv(q) == 1 / q
+    for zero in (0, F(0)):
+        with pytest.raises(ZeroDivisionError):
+            QQ.inv(zero)
+
+
 @pytest.mark.parametrize("name", ["naive_gauss.py", "oracle_systems.py"])
 def test_oracle_imports_neither_the_library_nor_numpy(name):
     # the referee stays independent of the kernel it judges
@@ -584,10 +673,10 @@ def test_intersection_eliminates_reduced_entries_over_prime_field(monkeypatch):
     seen = []
     grow = linalg._grow
 
-    def recording_grow(tails, rows, field):
+    def recording_grow(tails, rows, field, where=None):
         rows = list(rows)
         seen.append([dict(row) for row in rows])  # the rows eliminated
-        pivots = grow(tails, rows, field)
+        pivots = grow(tails, rows, field, where)
         seen.append([dict(tail) for tail in tails.values()])  # the echelon they built
         return pivots
 
