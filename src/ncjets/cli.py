@@ -174,6 +174,9 @@ def _cmd_diff(args):
 
 
 def _jet_results(jet, field):
+    def actions(ops):  # the actions on the jet, each densified for its report
+        return [m.dense.to_strings() for m in jet.induced(ops)]
+
     results = {
         "order": jet.order,
         "two_sided": jet.two_sided,
@@ -183,12 +186,12 @@ def _jet_results(jet, field):
         "bullet_well_defined": jet.bullet_well_defined,
         "relations_basis": subspace_to_doc(jet.mu, field)["basis"],
         "jet_map": jet.jet_map.to_strings(),
-        "left_actions": [m.to_strings() for m in jet.induced(jet.ambient.left)],
+        "left_actions": actions(jet.ambient.left),
     }
     if jet.two_sided:
-        results["right_actions"] = [m.to_strings() for m in jet.induced(jet.ambient.right)]
+        results["right_actions"] = actions(jet.ambient.right)
     if jet.bullet_well_defined:
-        results["bullet_actions"] = [m.to_strings() for m in jet.induced(jet.ambient.bullet_left)]
+        results["bullet_actions"] = actions(jet.ambient.bullet_left)
     return results
 
 

@@ -10,7 +10,12 @@ A tensor P tensor A) repairs the story for the restricted first-order
 class, and representability_bar1 verifies that on any input.
 
 A JetModule is its tensor ambient, mu and jet map; the actions on the
-jet are induced from the ambient's only on request (JetModule.induced).
+jet are induced from the ambient's only on request (JetModule.induced),
+as lazy operators on the jet's sparse rows: each lifts a row to the free
+coordinates of mu's echelon, applies the ambient operator and reduces
+the image modulo mu, so the generation check moves only the rows its
+closure reaches and builds no matrix; .dense builds an action's matrix
+for a report.
 
 The maps out of a jet are read off sparse condition rows built from the
 sparse rows of mu, one row per relation and target coordinate, and their
@@ -33,6 +38,7 @@ import numpy as np
 from .diffop import MAX_ORDER, DefinitionDomainError, check_bar1_order, diff_bar1, stage_by_tag
 from .linalg import (
     DimensionMismatch,
+    InducedOperator,
     Matrix,
     Subspace,
     _dense,
@@ -75,8 +81,8 @@ class JetModule:
     The free columns of mu's echelon index the jet, and reduction modulo
     mu is the projection onto it (mu.quotient()); jet_map sends p to the
     class of 1 tensor p (tensor 1).  The ambient's outer actions descend,
-    and its inner left one when bullet_well_defined; induced builds them
-    on request, and nothing else is kept.
+    and its inner left one when bullet_well_defined; induced gives them
+    on request as lazy operators, and nothing else is kept.
     """
 
     order: int
@@ -101,8 +107,13 @@ class JetModule:
     def dim(self) -> int:
         return self.ambient.dim - self.mu.dim
 
-    def induced(self, ops: Sequence) -> tuple[Matrix, ...]:
-        """The actions on the jet of ambient operators that leave mu invariant, one per op."""
+    def induced(self, ops: Sequence) -> tuple[InducedOperator, ...]:
+        """The actions on the jet of ambient operators that leave mu invariant, one per op.
+
+        Each is a linalg.InducedOperator: apply_rows moves sparse rows of
+        the jet through the ambient and reduces them modulo mu, and its
+        matrix is built only when .dense is read.
+        """
         quot = self.mu.quotient()
         return tuple(quot.induced(op) for op in ops)
 
@@ -145,8 +156,9 @@ def _assemble_jet(order: int, t: TensorOneSided | TensorTwoSided, mu: Subspace) 
     must generate the quotient under them; the inner left family descends
     when mu is invariant under it.  Each family is a representation or an
     antirepresentation of A, so its generator members (Algebra.generators)
-    decide invariance and closure: all three checks act by them, and only
-    those members' induced actions are built.
+    decide invariance and closure: all three checks act by them, and the
+    closure drives those members' induced actions on sparse rows, with no
+    matrix built.
     """
     at = t.algebra.at_generators
     # outer invariance under every a follows from that under the generators

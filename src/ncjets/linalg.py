@@ -42,6 +42,7 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -755,38 +756,89 @@ def _complement_rows(field, n: int, tails: dict) -> list[dict]:
 # subspaces
 
 
+def _column_matrix(field, columns: list[dict], rows: int) -> Matrix:
+    """The matrix whose columns are these sparse rows, each with entries below rows."""
+    return Matrix._wrap(field, _dense(columns, (len(columns), rows), field.dtype).T.copy())
+
+
 @dataclass(frozen=True)
 class QuotientMaps:
     """The quotient K^n / U, indexed by the free coordinates of U's echelon basis.
 
     The projection q reads a vector's residual modulo U at the free
     coordinates, and the unit vectors at those coordinates are a section
-    s with q s = identity.  project applies q to sparse columns, and an
-    induced operator needs the operator on the section's columns and one
-    reduction, no products.
+    s with q s = identity.  project applies q to sparse columns, and
+    induced gives q @ op @ s as a lazy operator on sparse rows: a lift to
+    the free coordinates, the operator, and one reduction, no products
+    and no matrix.
     """
 
     dim: int
     subspace: "Subspace"
     free: tuple[int, ...]
 
+    @cached_property
+    def _index(self) -> dict[int, int]:
+        """{free column: its quotient coordinate}; a residual vanishes at every pivot."""
+        return {f: t for t, f in enumerate(self.free)}
+
+    @cached_property
+    def _lift(self) -> dict[int, int]:
+        """{quotient coordinate: its free column}, the section s."""
+        return dict(enumerate(self.free))
+
+    def _residuals(self, rows: list[dict]) -> list[dict]:
+        """q applied to each sparse row of the ambient, which is consumed, as sparse rows."""
+        at = self._index
+        return [{at[c]: x for c, x in r.items()} for r in self.subspace._reduce_rows(rows)]
+
     def project(self, columns: list[dict]) -> Matrix:
-        """q @ C for the matrix C whose columns are these sparse rows, which are consumed.
+        """q @ C for the matrix C whose columns are these sparse rows, which are consumed."""
+        return _column_matrix(self.subspace.field, self._residuals(columns), self.dim)
 
-        q reads a vector's residual modulo U on the free coordinates.
+    def induced(self, op) -> "InducedOperator":
+        """q @ op @ s for an operator that descends to the quotient, as a lazy operator.
+
+        op is anything with apply_rows (a Matrix or a modules.LegAction).
         """
-        at = {f: t for t, f in enumerate(self.free)}  # residuals vanish at every pivot
-        resid = [{at[c]: x for c, x in r.items()} for r in self.subspace._reduce_rows(columns)]
-        field = self.subspace.field
-        return Matrix._wrap(field, _dense(resid, (len(resid), self.dim), field.dtype).T.copy())
+        return InducedOperator(self, op)
 
-    def induced(self, op) -> Matrix:
-        """q @ op @ s for an operator that descends to the quotient.
 
-        op is anything with apply_rows (a Matrix or a modules.LegAction);
-        it is applied to the section's columns only.
+class InducedOperator:
+    """q @ op @ s on a quotient's sparse rows, for an op that leaves the subspace invariant.
+
+    apply_rows lifts each row to the free coordinates (the section s),
+    applies op, and reads the residual modulo the subspace back at the
+    free coordinates (the projection q), so only the rows it is given are
+    moved.  The dense matrix is built only when `dense` is asked for.
+    """
+
+    def __init__(self, quotient: QuotientMaps, op):
+        self.quotient = quotient
+        self.op = op
+        self.field = quotient.subspace.field
+        self.shape = (quotient.dim, quotient.dim)
+
+    def apply_rows(self, rows: Iterable[dict]) -> list[dict]:
+        """The operator applied to each sparse row {col: value}, as sparse rows.
+
+        The rows hold field scalars at columns in [0, quotient dim), else
+        DimensionMismatch; they are not consumed.
         """
-        return self.project(op.apply_rows([{f: 1} for f in self.free]))
+        lift = self.quotient._lift
+        try:
+            lifted = [{lift[c]: x for c, x in row.items()} for row in rows]
+        except KeyError as e:
+            raise DimensionMismatch(
+                f"column {e.args[0]} is outside an operator of width {self.shape[1]}"
+            ) from None
+        return self.quotient._residuals(self.op.apply_rows(lifted))
+
+    @cached_property
+    def dense(self) -> Matrix:
+        """The same operator as a dense matrix: its columns are the images of the unit rows."""
+        n = self.shape[0]
+        return _column_matrix(self.field, self.apply_rows([{t: 1} for t in range(n)]), n)
 
 
 class Subspace:
@@ -989,12 +1041,13 @@ def span_of_images(operators: Sequence, seed: Subspace) -> Subspace:
 def closure_under(operators: Sequence, seed: Subspace) -> Subspace:
     """Smallest subspace containing seed and invariant under every operator.
 
-    Operators are anything with a square shape and apply_rows (a Matrix
-    or a modules.LegAction).  Frontier spinning into one growing echelon,
-    as in the MeatAxe (Parker 1984): each pass applies the operators only
-    to the pivot rows the previous pass added and grows the echelon by
-    each operator's images as they arrive.  The dimension grows on every
-    pass but the last, so there are at most ambient_dim passes.
+    Operators are anything with a square shape and apply_rows (a Matrix,
+    a modules.LegAction or an InducedOperator).  Frontier spinning into
+    one growing echelon, as in the MeatAxe (Parker 1984): each pass applies
+    the operators only to the pivot rows the previous pass added and grows
+    the echelon by each operator's images as they arrive.  The dimension
+    grows on every pass but the last, so there are at most ambient_dim
+    passes.
     """
     n, field = seed.ambient_dim, seed.field
     _check_square(operators, n)

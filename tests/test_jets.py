@@ -678,9 +678,9 @@ def test_induced_actions_are_the_module_structure_of_the_jet(field, name, kind):
     A = P.algebra
     for jet in [jet_module(P, k) for k in range(3)] + [two_sided_jet1(P)]:
         zero, ident = Matrix.zeros(field, jet.dim, jet.dim), Matrix.identity(field, jet.dim)
-        families = [jet.induced(jet.ambient.left)]
+        families = [[m.dense for m in jet.induced(jet.ambient.left)]]
         if jet.two_sided:
-            families.append(jet.induced(jet.ambient.right))
+            families.append([m.dense for m in jet.induced(jet.ambient.right)])
         for side, ops in enumerate(families):
             assert _combination(ops, A.unit, zero) == ident
             for i, j in itertools.product(range(A.dim), repeat=2):
@@ -692,53 +692,64 @@ def test_induced_actions_are_the_module_structure_of_the_jet(field, name, kind):
                 assert L @ R == R @ L
         if jet.bullet_well_defined:
             for B, Pb in zip(jet.induced(jet.ambient.bullet_left), P.left):
-                assert B @ jet.jet_map == jet.jet_map @ Pb
+                assert B.dense @ jet.jet_map == jet.jet_map @ Pb
 
 
-def _counting_induced(monkeypatch) -> list:
-    """Record every operator QuotientMaps.induced is asked for."""
-    calls, induced = [], linalg.QuotientMaps.induced
+def _recording_induced(monkeypatch) -> tuple[list, list]:
+    """Record the induced actions each generation closure drives, and every one densified."""
+    closures, densified = [], []
+    closure, dense = ncjets.jets.closure_under, linalg.InducedOperator.dense
 
-    def counted(self, op):
-        calls.append(op)
-        return induced(self, op)
+    def recorded_closure(operators, seed):
+        induced = [op for op in operators if isinstance(op, linalg.InducedOperator)]
+        if induced:
+            closures.append(induced)
+        return closure(operators, seed)
 
-    monkeypatch.setattr(linalg.QuotientMaps, "induced", counted)
-    return calls
+    def recorded_dense(self):
+        densified.append(self)
+        return dense.func(self)
+
+    monkeypatch.setattr(ncjets.jets, "closure_under", recorded_closure)
+    monkeypatch.setattr(linalg.InducedOperator, "dense", property(recorded_dense))
+    return closures, densified
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_a_jet_induces_only_its_outer_generator_members(monkeypatch, n):
     # M_n is generated by its 2n - 1 units e_1j and e_j1, so the generation
-    # check induces 2n - 1 operators per outer side, and nothing else is induced
+    # closure drives 2n - 1 induced actions per outer side, all on sparse
+    # rows: building a jet densifies none of them
     P = BimoduleRep.regular(build(full_matrices(n)))
     gens = len(P.algebra.generators)
     assert gens == 2 * n - 1
-    calls = _counting_induced(monkeypatch)
+    closures, densified = _recording_induced(monkeypatch)
     for build_jet, sides in [
         (lambda: jet_module(P, 1), 1),
         (lambda: two_sided_jet1(P), 2),
         (lambda: representability_check(P, P, 1, "left-center"), 1),
         (lambda: representability_bar1(P, P), 2),
     ]:
-        calls.clear()
+        closures.clear()
         build_jet()
-        assert len(calls) == sides * gens
+        assert [len(ops) for ops in closures] == [sides * gens]
+        assert densified == []
 
 
 @pytest.mark.parametrize("name", ["dual_numbers", "m2", "t2"])
 @pytest.mark.parametrize("two_sided", [False, True])
 def test_the_jet_report_induces_the_printed_actions_only(monkeypatch, capsys, name, two_sided):
-    # the generation check's generator members, then one per printed action
+    # the generation check's generator members stay lazy; each printed action is densified once
     P = self_module(name)
     jet = two_sided_jet1(P) if two_sided else jet_module(P, 1)
     n, gens = P.algebra.dim, len(P.algebra.generators)
     printed = n * (1 + two_sided + jet.bullet_well_defined)
-    calls = _counting_induced(monkeypatch)
+    closures, densified = _recording_induced(monkeypatch)
     argv = ["jet", "-a", name, "-p", "self", "--order", "1", "--json"]
     assert ncjets.cli.run(argv + ["--two-sided"] * two_sided) == 0
     capsys.readouterr()
-    assert len(calls) == gens * (1 + two_sided) + printed
+    assert [len(ops) for ops in closures] == [gens * (1 + two_sided)]
+    assert len(densified) == len(set(map(id, densified))) == printed
 
 
 @pytest.mark.parametrize("tag", ["comm-inductive", "nosuch"])

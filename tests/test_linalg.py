@@ -897,10 +897,49 @@ def test_intersection_and_induced_maps_match_the_oracle(case):
     projection, section = dense_quotient(quot)
     for op in ops:
         dense = op.dense if isinstance(op, LegAction) else op
-        got = quot.induced(op)
+        got = quot.induced(op).dense
         assert got == projection @ dense @ section
         if field == QQ:
             _assert_canonical_q(got.a)
+
+
+def _quotient_rows(data, field, d: int) -> list[dict]:
+    """Sparse rows of a quotient of dim d over field: some zero, possibly none at all."""
+    if field == QQ:
+        value = st.sampled_from([1, -1, 2, 3, Fraction(1, 2), Fraction(-3, 2)])
+    else:
+        value = st.integers(1, field.p - 1)
+    row = st.just({}) if d == 0 else st.dictionaries(st.integers(0, d - 1), value, max_size=d)
+    return data.draw(st.lists(row, max_size=4)) + [{}]
+
+
+@settings(max_examples=80, deadline=None)
+@given(closure_cases(), st.data())
+def test_induced_operator_rows_match_the_dense_oracle(case, data):
+    # apply_rows, lift by the section, the op, reduction modulo the closure,
+    # is projection @ dense(op) @ section on every row, and consumes none
+    ops, seed = case
+    field = seed.field
+    quot = closure_under(ops, seed).quotient()
+    projection, section = dense_quotient(quot)
+    for op in ops:
+        dense = op.dense if isinstance(op, LegAction) else op
+        oracle = projection @ dense @ section
+        induced = quot.induced(op)
+        assert induced.shape == oracle.shape and induced.field == field
+        assert induced.apply_rows([]) == []
+        rows = _quotient_rows(data, field, quot.dim)
+        given_rows = [dict(r) for r in rows]
+        want = []
+        for r in rows:
+            v = field.asarray([r.get(t, 0) for t in range(quot.dim)])
+            image = field.reduce_array(field.dot(oracle.a, v)).tolist() if quot.dim else []
+            want.append({t: x for t, x in enumerate(image) if x != 0})
+        assert induced.apply_rows(rows) == want
+        assert rows == given_rows
+        for bad in (-1, quot.dim):
+            with pytest.raises(DimensionMismatch):
+                induced.apply_rows([{bad: 1}])
 
 
 @settings(max_examples=40, deadline=None)
