@@ -1,25 +1,27 @@
 """Jet modules, the factorization theorem, and representability checks.
 
 The order-k jet of a module P is the quotient of A tensor P by the
-submodule generated by all (k+1)-fold tensor deviations of 1 tensor p,
-closed under the outer left action.  Over a commutative algebra every
-order-k operator factors uniquely through it; over a noncommutative one
-that fails, and the failure is witnessed by a nonzero residual in the
+submodule the (k+1)-fold tensor deviations of 1 tensor p generate under
+the outer left action.  Over a commutative algebra every order-k
+operator factors uniquely through it; over a noncommutative one that
+fails, and the failure is witnessed by a nonzero residual in the
 factorization identity.  The two-sided first jet (inside
 A tensor P tensor A) repairs the story for the restricted first-order
 class, and representability_bar1 verifies that on any input.
 
-A JetModule is its tensor ambient, mu and jet map; the actions on the
-jet are induced from the ambient's only on request (JetModule.induced),
-as lazy operators on the jet's sparse rows: each lifts a row to the free
-coordinates of mu's echelon, applies the ambient operator and reduces
-the image modulo mu, so the generation check moves only the rows its
-closure reaches and builds no matrix; .dense builds an action's matrix
-for a report.
+Both jets are built one way (_assemble_jet): deviation words span a
+seed, whose closure under the outer actions is mu.  A JetModule is its
+tensor ambient, mu and jet map; the actions on the jet are induced from
+the ambient's only on request (JetModule.induced), as lazy operators on
+the jet's sparse rows: each lifts a row to the free coordinates of mu's
+echelon, applies the ambient operator and reduces the image modulo mu,
+so the generation check moves only the rows its closure reaches and
+builds no matrix; .dense builds an action's matrix for a report.
 
 The maps out of a jet are read off sparse condition rows built from the
-sparse rows of mu, one row per relation and target coordinate, and their
-kernel is taken on sparse rows too, so no dense relation basis is formed.
+sparse rows of mu, one per relation and target coordinate unless empty,
+and their kernel is taken on sparse rows too, so no dense relation basis
+is formed.
 
 The factorization identity has one body, _residual_rows, the residual
 rows of a stack of maps at every basis p: factorization_residual runs it
@@ -148,23 +150,26 @@ def _units(t: TensorOneSided | TensorTwoSided) -> list[dict]:
     return out
 
 
-def _assemble_jet(order: int, t: TensorOneSided | TensorTwoSided, mu: Subspace) -> JetModule:
-    """Pass to the quotient of the ambient t by the jet relations mu.
+def _assemble_jet(order: int, t: TensorOneSided | TensorTwoSided, words: Sequence) -> JetModule:
+    """The quotient of the ambient t by mu, the submodule the deviation words generate.
 
-    mu must be invariant under the outer actions (t.left, and t.right on
-    the two-sided ambient), which then descend, and the jet map's image
-    must generate the quotient under them; the inner left family descends
-    when mu is invariant under it.  Each family is a representation or an
-    antirepresentation of A, so its generator members (Algebra.generators)
-    decide invariance and closure: all three checks act by them, and the
-    closure drives those members' induced actions on sparse rows, with no
-    matrix built.
+    The seed is the units 1 tensor p (tensor 1) spanned through each
+    family in words, a reduced level at a time (span_of_images), and mu
+    is its closure under the outer actions (t.left, and t.right when
+    two-sided), which then descend.  Each family is a representation or
+    an antirepresentation of A, so its generator members
+    (Algebra.generators) decide closure and invariance: the inner left
+    family descends when its own leave mu invariant, and the jet map's
+    image must generate the quotient under the induced outer ones.  Each
+    outer one moves at most ambient-dim rows: mu's, then the jet's.
     """
     at = t.algebra.at_generators
-    # outer invariance under every a follows from that under the generators
+    # a closure under the generators' outer actions is one under every a's
     outer = at(t.left) + (at(t.right) if isinstance(t, TensorTwoSided) else ())
-    if not _invariant(outer, mu):
-        raise InvariantViolation("jet relations must be closed under the outer actions")
+    seed = Subspace.from_rows(t.field, t.dim, _units(t))
+    for family in words:
+        seed = span_of_images(family, seed)
+    mu = closure_under(outer, seed)
     jet = JetModule(
         order=order,
         ambient=t,
@@ -182,13 +187,9 @@ def _assemble_jet(order: int, t: TensorOneSided | TensorTwoSided, mu: Subspace) 
 def jet_module(P: BimoduleRep, k: int) -> JetModule:
     """Order-k jet of P: (A tensor P) / mu^(k+1).
 
-    mu^(k+1) is generated by the (k+1)-fold deviation words applied to
-    1 tensor p, p over a basis of P, and closed under the outer action
-    b (a tensor p) = (b a) tensor p.  The words are applied one deviation
-    at a time to a basis of the level before (linalg.span_of_images), so
-    no level holds more rows than the ambient; the words run over every
-    basis deviation.  The closure acts by the outer action's generator
-    members (Algebra.generators), as b -> left_b is a representation.
+    mu^(k+1) is generated under the outer action b (a tensor p) =
+    (b a) tensor p by the (k+1)-fold deviation words, over every basis
+    deviation, applied to 1 tensor p, p over a basis of P (_assemble_jet).
     The inner action b . (a tensor p) = a tensor (b p) descends only
     when the relations are invariant under it (bullet_well_defined;
     always, when A is commutative).
@@ -196,26 +197,22 @@ def jet_module(P: BimoduleRep, k: int) -> JetModule:
     require_central(P)
     _check_order(k)
     t = TensorOneSided(P)
-    level = Subspace.from_rows(t.field, t.dim, _units(t))
-    for _ in range(k + 1):
-        level = span_of_images(t.deltas, level)
-    # a closure under the generators' outer actions is one under every b's
-    return _assemble_jet(k, t, closure_under(t.algebra.at_generators(t.left), level))
+    return _assemble_jet(k, t, [t.deltas] * (k + 1))
 
 
 def two_sided_jet1(P: BimoduleRep) -> JetModule:
     """First-order two-sided jet: (A tensor P tensor A) / mu^1.
 
-    mu^1 is spanned by s(b, p, c) = delta_bar^c delta^b (1 tensor p tensor 1)
-    over basis b, p, c, and that span is already a sub-bimodule:
-    a s(b, p, c) = s(ab, p, c) - s(a, bp, c) and
-    s(b, p, c) d = s(b, p, cd) - s(b, pc, d).  So no closure is taken;
-    _assemble_jet checks the invariance.
+    mu^1 is the sub-bimodule generated by s(b, p, c) =
+    delta_bar^c delta^b (1 tensor p tensor 1).  As s(ab, p, c) =
+    a s(b, p, c) + s(a, bp, c), s(b, p, cd) = s(b, p, c) d + s(b, pc, d)
+    and s vanishes at b = 1 or c = 1, induction on words in the algebra's
+    generators g, h shows the s(g, p, h), p over a basis, generate it
+    too; _assemble_jet closes that seed.
     """
     require_central(P)
     t = TensorTwoSided(P)
-    moved = span_of_images(t.deltas, Subspace.from_rows(t.field, t.dim, _units(t)))
-    return _assemble_jet(1, t, span_of_images(t.delta_bars, moved))
+    return _assemble_jet(1, t, [t.algebra.at_generators(f) for f in (t.deltas, t.delta_bars)])
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +230,8 @@ def _collapse_conditions(jet: JetModule, Q: BimoduleRep) -> list[dict]:
     sum_{i,j} w[i,u,j] (R_j L_i)[q, q'] at column u * dimQ + q', the
     column of entry (q', u) of vec(phi); the one-sided ambient is the
     case of a single right factor R = I_Q.  Only the nonzeros of w meet
-    only the nonzeros of each sandwich R_j L_i.
+    only the nonzeros of each sandwich R_j L_i, and rows left empty are
+    dropped, as they condition nothing.
     """
     field = jet.base.algebra.field
     p, m, d = field.modulus, jet.base.dim, Q.dim
@@ -254,7 +252,8 @@ def _collapse_conditions(jet: JetModule, Q: BimoduleRep) -> list[dict]:
                 acc, col = rows[q], u * d + q2
                 acc[col] = acc.get(col, 0) + x * v
         for row in rows:
-            out.append({col: y for col, x in row.items() if (y := x % p if p else x)})
+            if row := {col: y for col, x in row.items() if (y := x % p if p else x)}:
+                out.append(row)
     return out
 
 

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import re
 from fractions import Fraction
@@ -41,9 +42,24 @@ from ncjets.linalg import (
     unit_vector,
     vector,
 )
-from ncjets.modules import BimoduleRep, HomSpace, TensorOneSided, TensorTwoSided, hom_AA
+from ncjets.modules import (
+    BimoduleRep,
+    HomSpace,
+    LegAction,
+    TensorOneSided,
+    TensorTwoSided,
+    hom_AA,
+)
 
-from algebra_builders import build, full_matrices, opposite, small_algebras, t2_column, trunc
+from algebra_builders import (
+    build,
+    full_matrices,
+    opposite,
+    small_algebras,
+    t2_column,
+    trunc,
+    upper_triangular,
+)
 from oracle_systems import jet_dim, naive_residual, two_sided_jet_dims
 
 F = Fraction
@@ -108,10 +124,12 @@ def test_noncommutative_first_jets_collapse(name, expected):
 
 
 def test_skipped_closure_raises_invariant_violation(monkeypatch):
-    # Both seeds are already closed, so the stub changes the relations
-    # nothing; it makes the generation check's own closure a no-op, and the
-    # bare jet-map image (dim 2 of 3 for the dual numbers, 4 of 28 for the
-    # two-sided jet of M2) does not fill the quotient.
+    # The stub makes every closure a no-op, so mu is the seed itself.  Both
+    # seeds already span the closed relations (mu^2 of the dual numbers,
+    # 1 of 4; the generator seed of M2's two-sided jet, 36 of 64), so the
+    # relations are unchanged and only the generation check loses its
+    # closure: the bare jet-map image (dim 2 of 3, 4 of 28) does not fill
+    # the quotient.
     monkeypatch.setattr(ncjets.jets, "closure_under", lambda ops, seed: seed)
     with pytest.raises(InvariantViolation, match="generate"):
         jet_module(self_module("dual_numbers"), 1)
@@ -119,38 +137,39 @@ def test_skipped_closure_raises_invariant_violation(monkeypatch):
         two_sided_jet1(self_module("m2"))
 
 
-def test_non_invariant_relations_raise_invariant_violation(monkeypatch):
-    # a "closure" returning span{1 tensor 1}, which eps tensor - moves
-    def broken(ops, seed):
-        return Subspace.from_spanning(seed.field, seed.ambient_dim, [unit_vector(QQ, 4, 0)])
-
-    monkeypatch.setattr(ncjets.jets, "closure_under", broken)
-    with pytest.raises(InvariantViolation, match="outer actions"):
-        jet_module(self_module("dual_numbers"), 1)
-
-
 def _units_span(t):
     return Subspace.from_rows(t.field, t.dim, ncjets.jets._units(t))
 
 
+def _outer(t):
+    return list(t.left) + (list(t.right) if isinstance(t, TensorTwoSided) else [])
+
+
+@pytest.mark.parametrize("name", ["trunc4", "quaternions"])
 @pytest.mark.parametrize("ambient", [TensorOneSided, TensorTwoSided])
-def test_relations_the_outer_actions_move_raise_invariant_violation(ambient):
-    P = self_module("m2")
-    t = ambient(P)
-    moved = [_units_span(t)]  # span{1 tensor p (tensor 1)}, which e_ij tensor - moves
-    if ambient is TensorTwoSided:
-        moved.append(closure_under(t.left, moved[0]))  # A tensor P tensor 1, moved on the right
-    for mu in moved:
-        with pytest.raises(InvariantViolation, match="outer actions"):
-            ncjets.jets._assemble_jet(1, t, mu)
+def test_assembly_closes_a_seed_the_outer_actions_move(name, ambient):
+    # the deviations at the generators span a seed (4 of 64 on trunc4's
+    # two-sided ambient, 12 of 16 on the quaternions' one-sided one) that
+    # the outer actions move; mu is its closure under every a, not only
+    # under the generators the assembly acts by
+    t = ambient(self_module(name))
+    at = t.algebra.at_generators
+    words = [at(t.deltas), at(t.delta_bars) if ambient is TensorTwoSided else at(t.deltas)]
+    seed = _units_span(t)
+    for family in words:
+        seed = span_of_images(family, seed)
+    closed = closure_under(_outer(t), seed)
+    assert closed != seed
+    assert ncjets.jets._assemble_jet(1, t, words).mu == closed
 
 
 def _check_two_sided_seed_is_closed(P):
     # a s(b,p,c) = s(ab,p,c) - s(a,bp,c) and s(b,p,c) d = s(b,p,cd) - s(b,pc,d),
-    # for s(b,p,c) = delta_bar^c delta^b (1 tensor p tensor 1)
+    # for s(b,p,c) = delta_bar^c delta^b (1 tensor p tensor 1): the span over
+    # every basis b, c is already mu, the closure of the generator seed
     t = TensorTwoSided(P)
     seed = span_of_images(t.delta_bars, span_of_images(t.deltas, _units_span(t)))
-    assert closure_under(list(t.left) + list(t.right), seed) == seed
+    assert closure_under(_outer(t), seed) == seed
     assert two_sided_jet1(P).mu == seed
 
 
@@ -159,12 +178,50 @@ def test_two_sided_seed_holds_every_relation(name, kind):
     _check_two_sided_seed_is_closed(builtin(name).module(kind))
 
 
+@pytest.mark.parametrize("name,kind", [(n, k) for n in names() for k in ("self", "free2")])
+def test_two_sided_seed_holds_every_relation_over_gf7(name, kind):
+    P = _module_over(GF(7), builtin(name).module(kind))
+    if P.central:
+        _check_two_sided_seed_is_closed(P)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "GF7"])
+@pytest.mark.parametrize("algebra", [full_matrices(3), upper_triangular(3)], ids=["M3", "T3"])
+def test_two_sided_seed_holds_every_relation_at_size_three(field, algebra):
+    _check_two_sided_seed_is_closed(BimoduleRep.regular(build(algebra, field)))
+
+
 @settings(max_examples=25, deadline=None)
 @given(small_algebras())
 def test_two_sided_seed_holds_every_relation_on_generated_algebras(algebra):
     A = build(algebra)
     for P in (BimoduleRep.regular(A), BimoduleRep.free(A, 2)):
         _check_two_sided_seed_is_closed(P)
+
+
+@pytest.mark.parametrize("name,kind", [(n, k) for n in names() for k in ("self", "free2")])
+def test_each_outer_generator_moves_at_most_the_ambient(monkeypatch, name, kind):
+    # mu's closure moves each of its pivot rows once and the generation
+    # check each of the jet's, so no member moves more rows than the ambient
+    moved = collections.Counter()
+    real = LegAction.apply_rows
+
+    def counting(self, rows):
+        rows = list(rows)
+        moved[id(self)] += len(rows)
+        return real(self, rows)
+
+    monkeypatch.setattr(LegAction, "apply_rows", counting)
+    P = builtin(name).module(kind)
+    most = 0
+    for build_jet in [lambda: two_sided_jet1(P)] + [lambda k=k: jet_module(P, k) for k in range(3)]:
+        moved.clear()
+        t = build_jet().ambient
+        families = (t.left, t.right) if isinstance(t, TensorTwoSided) else (t.left,)
+        for op in itertools.chain(*map(t.algebra.at_generators, families)):
+            assert moved[id(op)] <= t.dim, (t, moved[id(op)])
+            most = max(most, moved[id(op)])
+    assert most or name == "trivial"  # the count sees the members' rows
 
 
 def test_jet_rejects_negative_order():
