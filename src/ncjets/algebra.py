@@ -2,9 +2,10 @@
 
 An algebra over an exact field is a dense n x n table of coordinate
 vectors, ``mul[i][j]`` = coordinates of ``e_i * e_j``.  Validation is
-eager and total: associativity and the two-sided unit axiom are checked
-on all basis triples at once before an Algebra exists, and a failure
-carries the basis indices of the first one in loop order.
+eager and total: the two-sided unit axiom, then associativity with the
+middle factor at the generators only (Light's test), are checked before
+an Algebra exists.  A failure carries the basis indices of the first one
+in loop order, which a full scan, one basis element at a time, names.
 """
 
 from __future__ import annotations
@@ -15,7 +16,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import DimensionMismatch, Matrix, Subspace, closure_under, kernel, unit_vector, vector
+from .linalg import (
+    DimensionMismatch,
+    Matrix,
+    Subspace,
+    _sparse_rows,
+    closure_under,
+    kernel,
+    unit_vector,
+    vector,
+)
 
 
 class AlgebraValidationError(ValueError):
@@ -80,29 +90,63 @@ class Algebra:
         return tuple(Matrix._wrap(self.field, m) for m in self.right_stack.copy())
 
     def _validate(self):
-        """Associativity on all basis triples at once, then the unit.
+        """The unit axioms, then associativity at the generators only (Light's test).
+
+        Let S = {g : (x g) y = x (g y) for all x, y}.  S is a subspace, and
+        it holds 1 once the unit axioms do.  It is closed under products:
+        for a, b in S, (x(ab))y = ((xa)b)y = (xa)(by) = x(a(by)) = x((ab)y),
+        using a, b, a, b in S in turn.  The left closure of span{1} under
+        the generators is A (that is how `generators` picks them), and it
+        only multiplies elements of S on the left by generators, so S
+        holding the generators is S = A.  The check is one pair of
+        (n, |generators|, n, n) products, not (n, n, n, n).  Only when it
+        fails does the full scan run, to name the witness.
+        """
+        if self._unit_failure() is None and self._associative_at_generators():
+            return
+        self._raise_first_failure()
+
+    def _unit_failure(self):
+        """(side, i) for the first column e_i the unit fails to fix, left before right, or None."""
+        ident = Matrix.identity(self.field, self.dim).a
+        for side, stack in (("left", self.left_stack), ("right", self.right_stack)):
+            bad = np.flatnonzero((_combine(self.field, self.unit, stack) != ident).any(axis=0))
+            if len(bad):
+                return side, int(bad[0])
+        return None
+
+    def _associative_at_generators(self) -> bool:
+        """(e_x e_g) e_y == e_x (e_g e_y) for every generator g and basis x, y."""
+        field, mul, gens = self.field, self.mul, list(self.generators)
+        # [x, g, y] holds the coordinates of (e_x e_g) e_y; [g, y, x] those of e_x (e_g e_y)
+        first = _combine(field, mul[:, gens], mul)
+        last = _combine(field, mul[gens], mul.transpose(1, 0, 2))
+        return bool(np.array_equal(first, last.transpose(2, 0, 1, 3)))
+
+    def _raise_first_failure(self):
+        """Scan every basis triple, one i at a time, then the unit; raise at the first failure.
 
         The witness is the first failing (i, j, k) scanning i, then k, then
-        j; for the unit, the first failing column, left before right.
+        j; for the unit, the first failing column, left before right.  Each
+        slice holds (n, n, n) products.
         """
         field, mul = self.field, self.mul
-        # [i, j, k] holds the coordinates of (e_i e_j) e_k and of e_i (e_j e_k)
-        products_first = _combine(field, mul, mul)
-        products_last = _combine(field, mul, mul.transpose(1, 0, 2)).transpose(2, 0, 1, 3)
-        bad = (products_first != products_last).any(axis=3).transpose(0, 2, 1)
-        if bad.any():
-            i, k, j = (int(x) for x in np.argwhere(bad)[0])
-            raise AlgebraValidationError(
-                "associativity", (i, j, k), f"(e{i} e{j}) e{k} != e{i} (e{j} e{k})"
-            )
-        ident = Matrix.identity(field, self.dim).a
-        for side, stack in (("left", self.left_stack), ("right", self.right_stack)):
-            bad = np.flatnonzero((_combine(field, self.unit, stack) != ident).any(axis=0))
-            if len(bad):
-                i = int(bad[0])
+        for i in range(self.dim):
+            # [j, k] holds the coordinates of (e_i e_j) e_k and of e_i (e_j e_k)
+            first = _combine(field, mul[i], mul)
+            last = _combine(field, mul, mul[i])
+            bad = (first != last).any(axis=2).T
+            if bad.any():
+                k, j = (int(x) for x in np.argwhere(bad)[0])
                 raise AlgebraValidationError(
-                    "unit", i, f"unit fails to act as identity ({side}) on e{i}"
+                    "associativity", (i, j, k), f"(e{i} e{j}) e{k} != e{i} (e{j} e{k})"
                 )
+        failure = self._unit_failure()
+        if failure is not None:
+            side, i = failure
+            raise AlgebraValidationError(
+                "unit", i, f"unit fails to act as identity ({side}) on e{i}"
+            )
 
     @cached_property
     def generators(self) -> tuple[int, ...]:
@@ -110,12 +154,16 @@ class Algebra:
 
         e_i is skipped when it lies in the unital subalgebra the indices
         kept so far generate, which is the closure of span{1} under their
-        left actions; the trivial algebra K gets ().  Computed on first read.
+        left actions; the trivial algebra K gets ().  Validation reads it
+        once the unit axioms hold, before associativity is known, which
+        the choice does not use.
         """
         kept = []
-        sub = Subspace.from_spanning(self.field, self.dim, [self.unit])
+        sub = Subspace.from_rows(self.field, self.dim, _sparse_rows(self.unit.reshape(1, -1)))
         for i in range(self.dim):
-            if not sub.contains(unit_vector(self.field, self.dim, i)):
+            if sub.is_full():
+                break
+            if not sub.contains_all([{i: 1}]):
                 kept.append(i)
                 sub = closure_under([self.left_ops[j] for j in kept], sub)
         return tuple(kept)

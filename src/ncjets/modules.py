@@ -51,10 +51,12 @@ class BimoduleRep:
 
     left and right hold the matrices; left_stack and right_stack hold
     each family once as a read-only (dim A, dim, dim) kernel array.
-    Validation checks, with witnesses: left action is a homomorphism,
-    right action an anti-homomorphism, the unit acts as identity on both
-    sides, the actions commute, and (unless check_central=False) that
-    central algebra elements act identically on both sides.
+    Validation checks, with witnesses: the unit acts as identity on both
+    sides, left action is a homomorphism, right action an
+    anti-homomorphism, the actions commute, and (unless
+    check_central=False) that central algebra elements act identically on
+    both sides.  The middle three are checked at the algebra's generators
+    (see _validate), and a full scan names the witness of a failure.
     """
 
     def __init__(
@@ -93,31 +95,81 @@ class BimoduleRep:
             )
 
     def _validate(self):
-        """The axioms at all pairs (e_i, e_j) at once, then the unit.
+        """The unit, then the action axioms at the algebra's generators only.
+
+        With L_1 = R_1 = I and A associative, each check reaches all of A,
+        because each set S below is a subspace holding 1 and closed under
+        products, and the left closure of span{1} under the generators
+        (Algebra.generators) is A:
+          - S = {a : L_a L_x = L_(a x) for all x}: for a, b in S,
+            L_(ab) L_x = L_a L_b L_x = L_a L_(bx) = L_(a(bx)) = L_((ab)x);
+          - S = {a : R_a R_x = R_(x a) for all x}: for a, b in S,
+            R_(ab) R_x = R_b R_a R_x = R_b R_(xa) = R_((xa)b) = R_(x(ab));
+          - with L a homomorphism and R an anti-homomorphism,
+            S = {a : L_a R_h = R_h L_a for generators h} is a subalgebra,
+            so it is A, and then so is {b : L_a R_b = R_b L_a for all a}.
+        The checks are (|generators|, dim A, dim, dim) products, not
+        (dim A, dim A, dim, dim).  Only when one fails does the full scan
+        run, to name the witness.
+        """
+        if self._unit_failure() is None and self._actions_hold_at_generators():
+            return
+        self._raise_first_failure()
+
+    def _unit_failure(self):
+        """The first side, left before right, where the unit does not act as identity, or None."""
+        A = self.algebra
+        ident = Matrix.identity(A.field, self.dim).a
+        for side, stack in (("left", self.left_stack), ("right", self.right_stack)):
+            if not np.array_equal(_combine(A.field, A.unit, stack), ident):
+                return side
+        return None
+
+    def _actions_hold_at_generators(self) -> bool:
+        """L_g L_x = L_(g x), R_g R_x = R_(x g) and L_g R_h = R_h L_g at generators g, h."""
+        A, field, gens = self.algebra, self.algebra.field, list(self.algebra.generators)
+        L, R = self.left_stack, self.right_stack
+        LG, RG, swap = L[gens], R[gens], (1, 0, 2, 3)
+
+        def agree():  # [g, x] of both sides of one axiom, one axiom at a time
+            yield np.array_equal(_pair_products(field, LG, L), _combine(field, A.mul[gens], L))
+            yield np.array_equal(
+                _pair_products(field, RG, R), _combine(field, A.mul[:, gens], R).transpose(swap)
+            )
+            yield np.array_equal(
+                _pair_products(field, LG, RG), _pair_products(field, RG, LG).transpose(swap)
+            )
+
+        return all(agree())
+
+    def _raise_first_failure(self):
+        """Scan every pair (e_i, e_j), one i at a time, then the unit; raise at the first failure.
 
         The witness is the first failing (i, j) in row-major order; at one
-        (i, j), left-associativity, then right-associativity, then commutation.
+        (i, j), left-associativity, then right-associativity, then
+        commutation.  Each slice holds (dim A, dim, dim) products.
         """
         A, field = self.algebra, self.algebra.field
         L, R = self.left_stack, self.right_stack
-        sides = (  # [i, j] of each pair: the two sides of one axiom
-            (_pair_products(field, L, L), _combine(field, A.mul, L)),
-            (_pair_products(field, R, R), _combine(field, A.mul, R).transpose(1, 0, 2, 3)),
-            (_pair_products(field, L, R), _pair_products(field, R, L).transpose(1, 0, 2, 3)),
-        )
-        bad = np.stack([(lhs != rhs).any(axis=(2, 3)) for lhs, rhs in sides], axis=-1)
-        if bad.any():
-            i, j, k = (int(x) for x in np.argwhere(bad)[0])
-            axiom, message = (
-                ("left-associativity", f"L_{i} L_{j} != L_(e{i} e{j})"),
-                ("right-associativity", f"R_{i} R_{j} != R_(e{j} e{i})"),
-                ("action-commutation", f"(e{i} p) e{j} != e{i} (p e{j})"),
-            )[k]
-            raise BimoduleValidationError(axiom, (i, j), message)
-        ident = Matrix.identity(field, self.dim).a
-        for side, stack in (("left", L), ("right", R)):
-            if not np.array_equal(_combine(field, A.unit, stack), ident):
-                raise BimoduleValidationError("unit", side, "unit must act as identity")
+        for i in range(A.dim):
+            Li, Ri = L[i : i + 1], R[i : i + 1]
+            sides = (  # [j] of each pair: the two sides of one axiom at (i, j)
+                (_pair_products(field, Li, L)[0], _combine(field, A.mul[i], L)),
+                (_pair_products(field, Ri, R)[0], _combine(field, A.mul[:, i], R)),
+                (_pair_products(field, Li, R)[0], _pair_products(field, R, Li)[:, 0]),
+            )
+            bad = np.stack([(lhs != rhs).any(axis=(1, 2)) for lhs, rhs in sides], axis=-1)
+            if bad.any():
+                j, k = (int(x) for x in np.argwhere(bad)[0])
+                axiom, message = (
+                    ("left-associativity", f"L_{i} L_{j} != L_(e{i} e{j})"),
+                    ("right-associativity", f"R_{i} R_{j} != R_(e{j} e{i})"),
+                    ("action-commutation", f"(e{i} p) e{j} != e{i} (p e{j})"),
+                )[k]
+                raise BimoduleValidationError(axiom, (i, j), message)
+        side = self._unit_failure()
+        if side is not None:
+            raise BimoduleValidationError("unit", side, "unit must act as identity")
 
     def _centrality_witness(self):
         """The first center basis vector acting differently on the two sides, or None."""

@@ -2,10 +2,13 @@
 
 An algebra is (basis names, unit, table), where table[i][j] is the
 coordinate list of e_i e_j: truncated polynomial rings, matrix units,
-upper-triangular matrices and direct products of these, all of dim <= 4.
-small_algebras draws one with hypothesis; build makes it an Algebra, and
-change_basis writes it in a permuted, signed basis.
+upper-triangular matrices and direct products of these, all of dim <= 4,
+which small_algebras draws with hypothesis, and the group algebra of S3
+and the exterior algebras.  build makes one an Algebra, and change_basis
+writes it in a permuted, signed basis.
 """
+
+import itertools
 
 from hypothesis import strategies as st
 
@@ -40,6 +43,30 @@ def full_matrices(n: int):
 
 def upper_triangular(n: int):
     return matrix_units([(r, c) for r in range(n) for c in range(r, n)], "t")
+
+
+def group_algebra_s3():
+    """K[S3] on the permutations of (0, 1, 2) in lexicographic order; (gh)(x) = g(h(x))."""
+    perms = sorted(itertools.permutations(range(3)))
+    table = [
+        [[int(k == perms.index(tuple(g[h[x]] for x in range(3)))) for k in range(6)] for h in perms]
+        for g in perms
+    ]
+    return ["".join(map(str, g)) for g in perms], [int(g == (0, 1, 2)) for g in perms], table
+
+
+def exterior(m: int):
+    """The exterior algebra on m anticommuting generators, basis the wedges of subsets by size."""
+    subsets = [s for r in range(m + 1) for s in itertools.combinations(range(m), r)]
+    n = len(subsets)
+    table = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for i, a in enumerate(subsets):
+        for j, b in enumerate(subsets):
+            if not set(a) & set(b):
+                swaps = sum(x > y for x in a for y in b)  # transpositions that sort a + b
+                table[i][j][subsets.index(tuple(sorted(a + b)))] = (-1) ** swaps
+    names = ["^".join(f"e{x}" for x in s) or "1" for s in subsets]
+    return names, [int(k == 0) for k in range(n)], table
 
 
 def product(a, b):

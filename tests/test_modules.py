@@ -1,11 +1,14 @@
+import itertools
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ncjets import algebra as algebra_module
 from ncjets.algebra import Algebra, AlgebraValidationError
 from ncjets.catalog import builtin, names
 from ncjets import linalg
@@ -24,6 +27,15 @@ from ncjets.modules import (
     require_central,
 )
 
+from algebra_builders import (
+    FACTORS,
+    exterior,
+    full_matrices,
+    group_algebra_s3,
+    product,
+    trunc,
+    upper_triangular,
+)
 from naive_gauss import naive_nullity
 from oracle_systems import (
     free_left_ops,
@@ -222,6 +234,142 @@ def test_algebra_witness_is_the_first_failure_of_the_per_triple_loops(name, p, e
         build()
     else:
         assert _witness_of(AlgebraValidationError, build) == want
+
+
+# ---------------------------------------------------------------------------
+# Light's test: the axioms at the generators, the full scan only on a failure
+
+LIGHT_ALGEBRAS = {  # each has fewer generators than basis elements
+    "trunc5": trunc(5),
+    "m3": full_matrices(3),
+    "t3": upper_triangular(3),
+    "qs3": group_algebra_s3(),
+    "ext2": exterior(2),
+}
+BUILDER_ALGEBRAS = [
+    *FACTORS,
+    *(product(a, b) for a, b in itertools.product(FACTORS, repeat=2) if len(a[0]) + len(b[0]) <= 4),
+    *LIGHT_ALGEBRAS.values(),
+]
+
+
+def _reduced(table, p):
+    return [[[x % p if p else x for x in v] for v in row] for row in table]
+
+
+def _edit_cells(rng, p, *stacks):
+    """Set one or two cells, drawn uniformly from the stacks, to values in [-2, 2] (mod p)."""
+    for _ in range(rng.choice((1, 2))):
+        stack = rng.choice(stacks)
+        n, d = len(stack), len(stack[0])
+        value = rng.randint(-2, 2)
+        stack[rng.randrange(n)][rng.randrange(d)][rng.randrange(d)] = value % p if p else value
+
+
+def _outcome_and_scan(cls, error, build):
+    """(axiom, witness) of the error build raises, or None, and whether the full scan ran."""
+    calls, scan = [], cls._raise_first_failure
+
+    def spy(self):
+        calls.append(self)
+        scan(self)
+
+    with mock.patch.object(cls, "_raise_first_failure", spy):
+        try:
+            build()
+        except error as exc:
+            return (exc.axiom, exc.witness), bool(calls)
+    return None, bool(calls)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    name=st.sampled_from(sorted(LIGHT_ALGEBRAS)),
+    p=st.sampled_from([0, 7]),
+    rng=st.randoms(use_true_random=False),
+)
+def test_light_check_rejects_exactly_the_algebra_tables_the_oracle_rejects(name, p, rng):
+    names_, unit, table = LIGHT_ALGEBRAS[name]
+    field = GF(p) if p else QQ
+    assert len(Algebra(field, names_, unit, table).generators) < len(names_)
+    mul = _reduced(table, p)
+    _edit_cells(rng, p, mul)
+    want = _naive_algebra_failure(mul, unit, p)
+    build = lambda: Algebra(field, names_, unit, mul)  # noqa: E731
+    assert _outcome_and_scan(Algebra, AlgebraValidationError, build) == (want, want is not None)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    name=st.sampled_from(sorted(LIGHT_ALGEBRAS)),
+    p=st.sampled_from([0, 7]),
+    rng=st.randoms(use_true_random=False),
+)
+def test_light_check_rejects_exactly_the_action_stacks_the_oracle_rejects(name, p, rng):
+    names_, unit, table = LIGHT_ALGEBRAS[name]
+    field = GF(p) if p else QQ
+    a = Algebra(field, names_, unit, table)
+    left, right = ([m.to_lists() for m in fam] for fam in (a.left_ops, a.right_ops))
+    _edit_cells(rng, p, left, right)
+    want = _naive_module_failure(_reduced(table, p), left, right, unit, p)
+
+    def build():
+        fams = ([Matrix(field, m) for m in fam] for fam in (left, right))
+        return BimoduleRep(a, *fams, check_central=False)
+
+    got = _outcome_and_scan(BimoduleRep, BimoduleValidationError, build)
+    assert got == (want, want is not None)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "GF7"])
+@pytest.mark.parametrize("scalars", [(1, 2), (2, 1), (0, 1), (1, 0), (3, 5)])
+def test_light_check_over_the_trivial_algebra_rejects_disagreeing_scalars(field, scalars):
+    K = Algebra(field, ["1"], [1], [[[1]]])
+    assert K.generators == ()
+    left, right = ([[s]] for s in scalars)
+    want = _naive_module_failure([[[1]]], [left], [right], [1], field.modulus)
+    assert want is not None
+
+    def build():
+        return BimoduleRep(K, [Matrix(field, left)], [Matrix(field, right)], check_central=False)
+
+    assert _outcome_and_scan(BimoduleRep, BimoduleValidationError, build) == (want, True)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "GF7"])
+def test_valid_algebras_and_modules_never_reach_the_full_scan(field, monkeypatch):
+    def refuse(self):
+        raise RuntimeError(f"the full scan ran on a valid {self!r}")
+
+    monkeypatch.setattr(Algebra, "_raise_first_failure", refuse)
+    monkeypatch.setattr(BimoduleRep, "_raise_first_failure", refuse)
+    for names_, unit, table in BUILDER_ALGEBRAS:
+        a = Algebra(field, names_, unit, table)
+        assert BimoduleRep.regular(a).dim == a.dim
+        assert BimoduleRep.free(a, 2).dim == 2 * a.dim
+
+
+def test_tampered_m4_names_its_associativity_witness_through_the_sliced_scan(monkeypatch):
+    names_, unit, table = full_matrices(4)
+    n = len(names_)
+    table[names_.index("m01")][names_.index("m10")] = [0] * n  # kill e01 e10 = e00
+    want = _naive_algebra_failure(table, unit, 0)
+    sizes, combine, scan = [], algebra_module._combine, Algebra._raise_first_failure
+
+    def scan_noting_sizes(self):  # the size of each product the scan forms
+        def noting(*args):
+            out = combine(*args)
+            sizes.append(out.size)
+            return out
+
+        monkeypatch.setattr(algebra_module, "_combine", noting)
+        scan(self)
+
+    monkeypatch.setattr(Algebra, "_raise_first_failure", scan_noting_sizes)
+    build = lambda: Algebra(QQ, names_, unit, table)  # noqa: E731
+    assert _outcome_and_scan(Algebra, AlgebraValidationError, build) == (want, True)
+    assert want == ("associativity", (1, 4, 1))  # (e01 e10) e01 = 0, e01 (e10 e01) = e01
+    assert sizes and max(sizes) <= n**3  # one slice at a time, never (n, n, n, n)
 
 
 def test_wrong_length_coordinates_raise_dimension_mismatch():
