@@ -9,9 +9,14 @@ factorization identity.  The two-sided first jet (inside
 A tensor P tensor A) repairs the story for the restricted first-order
 class, and representability_bar1 verifies that on any input.
 
-Both jets are built one way (_assemble_jet): deviation words span a
-seed, whose closure under the outer actions is mu.  A JetModule is its
-tensor ambient, mu and jet map; the actions on the jet are induced from
+Both jets are assembled one way (_assemble_jet) from their relations
+mu: one quotient, the check that the inner left action descends, and the
+check that the jet map's image generates the jet.  The one-sided mu is
+the closure, under the outer actions, of a seed that deviation words
+span; the two-sided mu^1 is its normal form, the span of the rows
+x - pi(x), which is ker pi and already a sub-bimodule, so it is one
+elimination with no seed and no closure (two_sided_jet1).  A JetModule
+is its tensor ambient, mu and jet map; the actions on the jet are induced from
 the ambient's only on request (JetModule.induced), as lazy operators on
 the jet's sparse rows: each lifts a row to the free coordinates of mu's
 echelon, applies the ambient operator and reduces the image modulo mu,
@@ -150,36 +155,37 @@ def _units(t: TensorOneSided | TensorTwoSided) -> list[dict]:
     return out
 
 
-def _assemble_jet(order: int, t: TensorOneSided | TensorTwoSided, words: Sequence) -> JetModule:
-    """The quotient of the ambient t by mu, the submodule the deviation words generate.
+def _outer(t: TensorOneSided | TensorTwoSided) -> tuple:
+    """The generator members of the ambient's outer actions: t.left, and t.right when two-sided.
 
-    The seed is the units 1 tensor p (tensor 1) spanned through each
-    family in words, a reduced level at a time (span_of_images), and mu
-    is its closure under the outer actions (t.left, and t.right when
-    two-sided), which then descend.  Each family is a representation or
-    an antirepresentation of A, so its generator members
-    (Algebra.generators) decide closure and invariance: the inner left
-    family descends when its own leave mu invariant, and the jet map's
-    image must generate the quotient under the induced outer ones.  Each
-    outer one moves at most ambient-dim rows: mu's, then the jet's.
+    A subspace invariant under them is invariant under every a's outer actions.
     """
     at = t.algebra.at_generators
-    # a closure under the generators' outer actions is one under every a's
-    outer = at(t.left) + (at(t.right) if isinstance(t, TensorTwoSided) else ())
-    seed = Subspace.from_rows(t.field, t.dim, _units(t))
-    for family in words:
-        seed = span_of_images(family, seed)
-    mu = closure_under(outer, seed)
+    return at(t.left) + (at(t.right) if isinstance(t, TensorTwoSided) else ())
+
+
+def _assemble_jet(order: int, t: TensorOneSided | TensorTwoSided, mu: Subspace) -> JetModule:
+    """The jet t / mu, for relations mu that the caller built as a submodule of t.
+
+    The outer actions of t (t.left, and t.right when two-sided) leave mu
+    invariant and descend to the quotient.  Each family is a
+    representation or an antirepresentation of A, so its generator
+    members (Algebra.generators) decide invariance and generation: the
+    inner left family descends when its own leave mu invariant, and the
+    jet map's image must generate the quotient under the induced outer
+    ones, which makes f -> f . J injective on the maps out of the jet.
+    Each outer one moves at most the jet's dim rows.
+    """
     jet = JetModule(
         order=order,
         ambient=t,
         mu=mu,
         # b -> bullet_left_b is a representation: generators decide its invariance
-        bullet_well_defined=_invariant(at(t.bullet_left), mu),
+        bullet_well_defined=_invariant(t.algebra.at_generators(t.bullet_left), mu),
         jet_map=mu.quotient().project(_units(t)),
     )
     image = Subspace.from_rows(mu.field, jet.dim, _sparse_rows(jet.jet_map.a.T))
-    if not closure_under(jet.induced(outer), image).is_full():
+    if not closure_under(jet.induced(_outer(t)), image).is_full():
         raise InvariantViolation("jet map image must generate the quotient")
     return jet
 
@@ -189,30 +195,93 @@ def jet_module(P: BimoduleRep, k: int) -> JetModule:
 
     mu^(k+1) is generated under the outer action b (a tensor p) =
     (b a) tensor p by the (k+1)-fold deviation words, over every basis
-    deviation, applied to 1 tensor p, p over a basis of P (_assemble_jet).
-    The inner action b . (a tensor p) = a tensor (b p) descends only
-    when the relations are invariant under it (bullet_well_defined;
-    always, when A is commutative).
+    deviation, applied to 1 tensor p, p over a basis of P: the words
+    span a seed a reduced level at a time (span_of_images), and mu is
+    its closure under the outer generator members.  The inner action
+    b . (a tensor p) = a tensor (b p) descends only when the relations
+    are invariant under it (bullet_well_defined; always, when A is
+    commutative).
     """
     require_central(P)
     _check_order(k)
     t = TensorOneSided(P)
-    return _assemble_jet(k, t, [t.deltas] * (k + 1))
+    seed = Subspace.from_rows(t.field, t.dim, _units(t))
+    for _ in range(k + 1):
+        seed = span_of_images(t.deltas, seed)
+    return _assemble_jet(k, t, closure_under(_outer(t), seed))
+
+
+def _relation_rows(t: TensorTwoSided, lefts: Sequence[int], rights: Sequence[int]):
+    """The sparse rows s(e_i, p_u, e_j) = e_x - pi(e_x), x = e_i tensor p_u tensor e_j.
+
+    One row per i in lefts, u over a basis of P and j in rights, yielded
+    one at a time in the reverse of that order, which the elimination
+    takes faster (0.35 s against 0.61 s for the rows of M7 over GF, and
+    0.3-0.96 of the time on small cases).  pi(a tensor p tensor c) =
+    1 tensor ap tensor c + a tensor pc tensor 1 - 1 tensor apc tensor 1 is
+    read off the unit's nonzeros and the columns of P.left_stack and
+    P.right_stack, at the flat coordinates (i * dimP + u) * dimA + j.
+    Cells are normalized field scalars (Python ints, and Fractions over Q
+    only where not integral), with zero cells dropped.
+    """
+    P, p, norm = t.module, t.field.modulus, t.field.normalize
+    m, n = P.dim, t.algebra.dim
+    (one,) = _sparse_rows(t.algebra.unit.reshape(1, -1))
+    # lc[i][u] = e_i p_u and rc[j][u] = p_u e_j, as sparse columns
+    lc = [_sparse_rows(L.T) for L in P.left_stack]
+    rc = [_sparse_rows(R.T) for R in P.right_stack]
+    # - a tensor pc tensor 1 at (i * m + v) * n + k, less its i * m * n
+    pcs = [
+        [[(v * n + k, -e * y) for v, y in pc.items() for k, e in one.items()] for pc in r]
+        for r in rc
+    ]
+    # + 1 tensor apc tensor 1 at (k * m + w) * n + h, less its w * n
+    units = [(k * m * n + h, e * f) for k, e in one.items() for h, f in one.items()]
+    for i in reversed(lefts):
+        left, shift = lc[i], i * m * n
+        for u in reversed(range(m)):
+            # - 1 tensor ap tensor c at (k * m + v) * n + j, less its j
+            ap = [((k * m + v) * n, -e * y) for v, y in left[u].items() for k, e in one.items()]
+            for j in reversed(rights):
+                apc: dict = {}
+                for v, y in rc[j][u].items():
+                    for w, z in left[v].items():
+                        apc[w] = apc.get(w, 0) + y * z
+                row = {shift + u * n + j: 1}
+                get = row.get
+                for c, y in ap:
+                    row[c + j] = get(c + j, 0) + y
+                for c, y in pcs[j][u]:
+                    row[c + shift] = get(c + shift, 0) + y
+                for w, y in apc.items():
+                    for c, e in units:
+                        row[c + w * n] = get(c + w * n, 0) + e * y
+                if p:
+                    yield {c: r for c, x in row.items() if (r := x % p)}
+                else:
+                    yield {c: x if type(x) is int else norm(x) for c, x in row.items() if x}
 
 
 def two_sided_jet1(P: BimoduleRep) -> JetModule:
     """First-order two-sided jet: (A tensor P tensor A) / mu^1.
 
     mu^1 is the sub-bimodule generated by s(b, p, c) =
-    delta_bar^c delta^b (1 tensor p tensor 1).  As s(ab, p, c) =
-    a s(b, p, c) + s(a, bp, c), s(b, p, cd) = s(b, p, c) d + s(b, pc, d)
-    and s vanishes at b = 1 or c = 1, induction on words in the algebra's
-    generators g, h shows the s(g, p, h), p over a basis, generate it
-    too; _assemble_jet closes that seed.
+    delta_bar^c delta^b (1 tensor p tensor 1) = x - pi(x), x = b tensor p
+    tensor c, where pi(a tensor p tensor c) = 1 tensor ap tensor c +
+    a tensor pc tensor 1 - 1 tensor apc tensor 1 is linear and fixes
+    each of its three terms, so pi^2 = pi: pi kills every s, and the s
+    over basis triples span ker pi.  That span is already a sub-bimodule,
+    as a s(b, p, c) = s(ab, p, c) - s(a, bp, c) and s(b, p, c) d =
+    s(b, p, cd) - s(b, pc, d), so it is mu^1: one elimination of the rows
+    e_x - pi(e_x) (_relation_rows), with no seed level and no closure.
+    The image of pi is A tensor P tensor 1 + 1 tensor P tensor A, whose
+    two summands meet in 1 tensor P tensor 1, so the jet has dim
+    dim P (2 dim A - 1) and mu^1 dim P (dim A - 1)^2.
     """
     require_central(P)
     t = TensorTwoSided(P)
-    return _assemble_jet(1, t, [t.algebra.at_generators(f) for f in (t.deltas, t.delta_bars)])
+    every = range(t.algebra.dim)
+    return _assemble_jet(1, t, Subspace.from_rows(t.field, t.dim, _relation_rows(t, every, every)))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 def naive_rref(rows):
     """Reduced row echelon form of a list-of-lists matrix. Returns (rref, pivots)."""
-    m = [[Fraction(x) for x in row] for row in rows]
+    m = [[x if type(x) is Fraction else Fraction(x) for x in row] for row in rows]
     if not m:
         return [], []
     nrows, ncols = len(m), len(m[0])
@@ -29,11 +29,14 @@ def naive_rref(rows):
             continue
         m[r], m[piv] = m[piv], m[r]
         scale = m[r][c]
-        m[r] = [x / scale for x in m[r]]
+        m[r] = [x / scale if x != 0 else x for x in m[r]]
+        # a row operation changes only the pivot row's nonzero columns
+        support = [(k, b) for k, b in enumerate(m[r]) if b != 0]
         for i in range(nrows):
             if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+                f, row = m[i][c], m[i]
+                for k, b in support:
+                    row[k] -= f * b
         pivots.append(c)
         r += 1
     return m, pivots

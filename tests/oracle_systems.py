@@ -183,19 +183,31 @@ def _span_basis(rows):
     return red[: len(pivots)]
 
 
-def _sparse_rows(op):
-    return [[(c, a) for c, a in enumerate(row) if a != 0] for row in op]
+def _sparse_columns(op):
+    """Column c of a square dense op as the list of its nonzeros (row, value)."""
+    cols = [[] for _ in op]
+    for r, row in enumerate(op):
+        for c, a in enumerate(row):
+            if a != 0:
+                cols[c].append((r, a))
+    return cols
 
 
-def _sparse_apply(sparse_op, v):
-    return [sum((a * v[c] for c, a in row), Fraction(0)) for row in sparse_op]
+def _sparse_apply(cols, v):
+    """op v, one nonzero of v at a time through its column of op."""
+    out = [Fraction(0)] * len(cols)
+    for c, x in enumerate(v):
+        if x != 0:
+            for r, a in cols[c]:
+                out[r] += a * x
+    return out
 
 
 def _span_closure(rows, ops):
     # each pass keeps only a basis, so the row count stays at most
     # (1 + len(ops)) * ambient instead of growing geometrically; the
     # operators are applied through their nonzero entries only
-    sparse = [_sparse_rows(op) for op in ops]
+    sparse = [_sparse_columns(op) for op in ops]
     rows = _span_basis([list(r) for r in rows]) if rows else []
     dim = len(rows)
     while True:
@@ -319,7 +331,7 @@ def jet_dim(mul, k):
             v[i * n + u] = unit_coords[i]
         gens.append(v)
     # every deviation word applied to every generator, through the nonzeros
-    sparse_deltas = [_sparse_rows(d) for d in deltas]
+    sparse_deltas = [_sparse_columns(d) for d in deltas]
     level = gens
     for _ in range(k + 1):
         level = [_sparse_apply(d, v) for d in sparse_deltas for v in level]
@@ -378,8 +390,8 @@ def two_sided_jet_dims(mul, rank=1):
         return [[Fraction(0)] * amb for _ in range(amb)]
 
     def acting(b, on_left):
-        """Outer and inner actions of e_b on one side, as dense matrices."""
-        outer, inner = zero_op(), zero_op()
+        """The outer action of e_b on one side, and outer minus inner, as dense matrices."""
+        outer, dev = zero_op(), zero_op()
         for i in range(n):
             for u in range(m):
                 r, k = divmod(u, n)
@@ -387,20 +399,20 @@ def two_sided_jet_dims(mul, rank=1):
                     col = flat(i, u, j)
                     for x in range(n):
                         if on_left:
-                            outer[flat(x, u, j)][col] += mul[b][i][x]  # (e_b a) p a'
-                            inner[flat(i, r * n + x, j)][col] += mul[b][k][x]  # a (e_b p) a'
+                            out, y = flat(x, u, j), mul[b][i][x]  # (e_b a) p a'
+                            inn, z = flat(i, r * n + x, j), mul[b][k][x]  # a (e_b p) a'
                         else:
-                            outer[flat(i, u, x)][col] += mul[j][b][x]  # a p (a' e_b)
-                            inner[flat(i, r * n + x, j)][col] += mul[k][b][x]  # a (p e_b) a'
-        return outer, inner
-
-    def minus(a, b):
-        return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+                            out, y = flat(i, u, x), mul[j][b][x]  # a p (a' e_b)
+                            inn, z = flat(i, r * n + x, j), mul[k][b][x]  # a (p e_b) a'
+                        outer[out][col] += y
+                        dev[out][col] += y
+                        dev[inn][col] -= z
+        return outer, dev
 
     left = [acting(b, True) for b in range(n)]
     right = [acting(b, False) for b in range(n)]
-    deltas = [_sparse_rows(minus(o, i)) for o, i in left]
-    delta_bars = [_sparse_rows(minus(o, i)) for o, i in right]
+    deltas = [_sparse_columns(d) for _, d in left]
+    delta_bars = [_sparse_columns(d) for _, d in right]
     unit = _unit_coords(mul)
     gens = []
     for u in range(m):
@@ -413,6 +425,53 @@ def two_sided_jet_dims(mul, rank=1):
             gens += [_sparse_apply(db, moved) for db in delta_bars]
     _, mu_dim = _span_closure(gens, [o for o, _ in left] + [o for o, _ in right])
     return mu_dim, amb - mu_dim
+
+
+def two_sided_mu_normal_form(mul, rank=1):
+    """The RREF basis rows of mu^1 inside A tensor P tensor A, P = A^rank, as its normal form.
+
+    Coordinates as in two_sided_jet_dims.  mu^1 is spanned by the rows
+    x - pi(x), x over the basis triples e_i tensor p_u tensor e_j, with
+    pi(a tensor p tensor c) = 1 tensor ap tensor c + a tensor pc tensor 1
+    - 1 tensor apc tensor 1; no closure is taken.
+    """
+    n = _n(mul)
+    m = rank * n
+    amb = n * m * n
+    unit = _unit_coords(mul)
+    ones = [a for a in range(n) if unit[a] != 0]
+
+    def flat(i, u, j):
+        return (i * m + u) * n + j
+
+    def act(u, on_left, b):
+        """e_b p_u (on_left) or p_u e_b, as coordinates in P."""
+        r, k = divmod(u, n)
+        out = [Fraction(0)] * m
+        for x in range(n):
+            out[r * n + x] = Fraction(mul[b][k][x] if on_left else mul[k][b][x])
+        return out
+
+    rows = []
+    for i in range(n):
+        for u in range(m):
+            ap = act(u, True, i)
+            for j in range(n):
+                pc = act(u, False, j)
+                apc = [Fraction(0)] * m
+                for v in range(m):
+                    if pc[v] != 0:
+                        apc = [y + pc[v] * z for y, z in zip(apc, act(v, True, i))]
+                row = [Fraction(0)] * amb
+                row[flat(i, u, j)] += 1
+                for v in range(m):
+                    for a in ones:
+                        row[flat(a, v, j)] -= unit[a] * ap[v]
+                        row[flat(i, v, a)] -= unit[a] * pc[v]
+                        for c in ones:
+                            row[flat(a, v, c)] += unit[a] * apc[v] * unit[c]
+                rows.append(row)
+    return _span_basis(rows)
 
 
 # -- left-linear maps, from Kronecker-product conditions ---------------------

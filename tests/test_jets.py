@@ -1,11 +1,13 @@
 import collections
 import itertools
+import random
 import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ncjets.cli
 import ncjets.jets
@@ -53,14 +55,17 @@ from ncjets.modules import (
 
 from algebra_builders import (
     build,
+    change_basis,
+    exterior,
     full_matrices,
+    group_algebra_s3,
     opposite,
     small_algebras,
     t2_column,
     trunc,
     upper_triangular,
 )
-from oracle_systems import jet_dim, naive_residual, two_sided_jet_dims
+from oracle_systems import jet_dim, naive_residual, two_sided_jet_dims, two_sided_mu_normal_form
 
 F = Fraction
 
@@ -124,12 +129,11 @@ def test_noncommutative_first_jets_collapse(name, expected):
 
 
 def test_skipped_closure_raises_invariant_violation(monkeypatch):
-    # The stub makes every closure a no-op, so mu is the seed itself.  Both
-    # seeds already span the closed relations (mu^2 of the dual numbers,
-    # 1 of 4; the generator seed of M2's two-sided jet, 36 of 64), so the
-    # relations are unchanged and only the generation check loses its
-    # closure: the bare jet-map image (dim 2 of 3, 4 of 28) does not fill
-    # the quotient.
+    # The stub makes every closure a no-op.  The dual numbers' seed already
+    # spans mu^2 (1 of 4), and the two-sided jet builds mu^1 with no closure
+    # (36 of 64 on M2), so the relations are unchanged and only the
+    # generation check loses its closure: the bare jet-map image (dim 2 of 3,
+    # 4 of 28) does not fill the quotient.
     monkeypatch.setattr(ncjets.jets, "closure_under", lambda ops, seed: seed)
     with pytest.raises(InvariantViolation, match="generate"):
         jet_module(self_module("dual_numbers"), 1)
@@ -150,9 +154,11 @@ def _outer(t):
 def test_assembly_closes_a_seed_the_outer_actions_move(name, ambient):
     # the deviations at the generators span a seed (4 of 64 on trunc4's
     # two-sided ambient, 12 of 16 on the quaternions' one-sided one) that
-    # the outer actions move; mu is its closure under every a, not only
-    # under the generators the assembly acts by
-    t = ambient(self_module(name))
+    # the outer actions move, and its closure under every a, not only the
+    # generators, is mu: the one-sided jet's closed seed, and on the
+    # two-sided ambient the normal form, built with no seed and no closure
+    P = self_module(name)
+    t = ambient(P)
     at = t.algebra.at_generators
     words = [at(t.deltas), at(t.delta_bars) if ambient is TensorTwoSided else at(t.deltas)]
     seed = _units_span(t)
@@ -160,7 +166,8 @@ def test_assembly_closes_a_seed_the_outer_actions_move(name, ambient):
         seed = span_of_images(family, seed)
     closed = closure_under(_outer(t), seed)
     assert closed != seed
-    assert ncjets.jets._assemble_jet(1, t, words).mu == closed
+    jet = two_sided_jet1(P) if ambient is TensorTwoSided else jet_module(P, 1)
+    assert jet.mu == closed
 
 
 def _check_two_sided_seed_is_closed(P):
@@ -201,8 +208,10 @@ def test_two_sided_seed_holds_every_relation_on_generated_algebras(algebra):
 
 @pytest.mark.parametrize("name,kind", [(n, k) for n in names() for k in ("self", "free2")])
 def test_each_outer_generator_moves_at_most_the_ambient(monkeypatch, name, kind):
-    # mu's closure moves each of its pivot rows once and the generation
-    # check each of the jet's, so no member moves more rows than the ambient
+    # the one-sided closure moves each of mu's pivot rows once, the
+    # two-sided mu is built without the outer actions, and the generation
+    # check moves each of the jet's rows once, so no member moves more rows
+    # than the ambient
     moved = collections.Counter()
     real = LegAction.apply_rows
 
@@ -492,6 +501,61 @@ def test_two_sided_jet_matches_oracle(name, kind):
     jet = two_sided_jet1(builtin(name).module(kind))
     rank = 1 if kind == "self" else 2
     assert (jet.mu.dim, jet.dim) == two_sided_jet_dims(raw_mul(jet.base.algebra), rank)
+
+
+def _seeded(algebra, rng):
+    """The algebra in a permuted, signed basis drawn from rng."""
+    n = len(algebra[0])
+    return change_basis(algebra, rng.sample(range(n), n), [rng.choice((1, -1)) for _ in range(n)])
+
+
+_SEEDED = {
+    "M3": full_matrices(3),
+    "T3": upper_triangular(3),
+    "trunc5": trunc(5),
+    "QS3": group_algebra_s3(),
+    "ext2": exterior(2),
+}
+
+
+@pytest.mark.parametrize(
+    "label", [f"{name}/{kind}" for name in names() for kind in ("self", "free2")] + list(_SEEDED)
+)
+def test_two_sided_mu_is_the_oracle_normal_form(label):
+    # mu^1 is the span of the rows x - pi(x), the paper's s(b, p, c) over
+    # basis triples: the library's echelon is the oracle's RREF, the closure
+    # oracle finds the same dims, and dim mu = dim P (dim A - 1)^2, on the
+    # catalog and on builder algebras in a seeded basis.  The closure oracle
+    # is skipped on M3, where its naive elimination of 18 x 576 images in an
+    # ambient of 729 takes about 13 s
+    name, _, kind = label.partition("/")
+    if kind:
+        P = builtin(name).module(kind)
+    else:
+        P = BimoduleRep.regular(build(_seeded(_SEEDED[label], random.Random(label))))
+    n, rank = P.algebra.dim, P.dim // P.algebra.dim
+    mul = raw_mul(P.algebra)
+    jet = two_sided_jet1(P)
+    basis = [[F(x) for x in row] for row in jet.mu.basis.to_lists()]
+    assert basis == two_sided_mu_normal_form(mul, rank)
+    if label != "M3":
+        assert (jet.mu.dim, jet.dim) == two_sided_jet_dims(mul, rank)
+    assert jet.mu.dim == P.dim * (n - 1) ** 2
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_algebras(), st.sampled_from([QQ, GF(7)]), st.randoms(use_true_random=False))
+def test_two_sided_jet_has_the_normal_form_dim_in_every_basis(algebra, field, rng):
+    # the jet is A tensor P tensor 1 + 1 tensor P tensor A, of dim
+    # dim P (2 dim A - 1), and a change of basis of A moves neither that
+    # dim nor whether the inner left action descends
+    n, moved = len(algebra[0]), _seeded(algebra, rng)
+    for make in (BimoduleRep.regular, lambda A: BimoduleRep.free(A, 2)):
+        jet, jet_moved = (two_sided_jet1(make(build(a, field))) for a in (algebra, moved))
+        P = jet.base
+        assert jet.dim == P.dim * (2 * n - 1)
+        assert jet.mu.dim == P.dim * (n - 1) ** 2
+        assert (jet_moved.dim, jet_moved.bullet_well_defined) == (jet.dim, jet.bullet_well_defined)
 
 
 @pytest.mark.parametrize("name", ["dual_numbers", "trunc3", "m2", "t2", "quaternions"])
