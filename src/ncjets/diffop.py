@@ -14,8 +14,9 @@ Each public entry point checks its inputs, builds HomSpace(P, Q) once and
 runs one body per definition on it (the table _BODIES), so the action
 families and their factors' columns are built once per call:
 compare_definitions runs every applicable body on one Hom space, and
-diff_bar1 reuses the joint delta_bar kernel of its two-sided zero stage.
-Nothing is kept once the call returns.
+diff_bar1 is one preimage of the joint delta_bar kernel, with no
+two-sided stage built: that it lies in the two-sided first stage is a
+proof in its docstring.  Nothing is kept once the call returns.
 
 Every deviation family obeys one product rule.  left_a and
 bullet_left_b act on different legs and commute, so
@@ -163,14 +164,8 @@ def _right(hs: HomSpace, r: int) -> tuple[Subspace, ...]:
 
 
 def _two_sided(hs: HomSpace, r: int) -> tuple[Subspace, ...]:
-    # joint kernel: the a with delta_bar_a w = 0 form a subalgebra
-    return _two_sided_over(hs, r, generator_preimage(hs, [hs.delta_bars]))
-
-
-def _two_sided_over(hs: HomSpace, r: int, bar_kernel: Subspace) -> tuple[Subspace, ...]:
-    """The two-sided stages, given the joint delta_bar kernel of hs."""
-    right0 = _module_span(hs, hs.right, bar_kernel)
-    stages = [_zero_order(hs, hs.left, hs.deltas) + right0]
+    left0, right0 = _zero_orders(hs)
+    stages = [left0 + right0]
     for _ in range(r):
         left_form = _sum_step(hs, hs.left, hs.deltas, stages[-1])
         right_form = _sum_step(hs, hs.right, hs.delta_bars, stages[-1])
@@ -281,16 +276,20 @@ def diff_bar1(P: BimoduleRep, Q: BimoduleRep) -> Subspace:
     """Two-sided first-order operators killed by every delta_bar_c . delta_b.
 
     Those are the phi whose every delta_b phi lies in the joint delta_bar
-    kernel, a preimage, so no composed operator is formed; that kernel is
-    the one the two-sided zero stage spans from.
+    kernel K, a preimage, so no composed operator is formed.  Each such
+    phi is already in the two-sided first stage.  It is in the left sum
+    form, as K lies in right0 and so in stage zero.  Each delta_b commutes
+    with each delta_bar_c on Hom, so delta_b delta_bar_c phi =
+    delta_bar_c delta_b phi = 0: every delta_bar_c phi lies in the joint
+    delta kernel, inside left0 and so in stage zero, and phi is in the
+    right sum form too.  So the preimage is the class, with no stage built.
     """
     require_central(P, Q)
     hs = HomSpace(P, Q)
     # joint kernel: the a with delta_bar_a w = 0 form a subalgebra
     bar_kernel = generator_preimage(hs, [hs.delta_bars])
-    t1 = _two_sided_over(hs, 1, bar_kernel)[1]
     # each delta_bar commutes with the left pair, so bar_kernel is left-pair invariant
-    return t1 & generator_preimage(hs, [hs.deltas], bar_kernel)
+    return generator_preimage(hs, [hs.deltas], bar_kernel)
 
 
 # ---------------------------------------------------------------------------

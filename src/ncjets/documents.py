@@ -104,6 +104,13 @@ def algebra_to_doc(algebra: Algebra) -> dict:
     }
 
 
+def _require_str(kind: str, key: str, value) -> str:
+    if not isinstance(value, str):
+        got = type(value).__name__
+        raise DocumentError(f"{kind} document {key} must be a string, not {got}")
+    return value
+
+
 def _require_list(key: str, value, length: int | None = None) -> list:
     if not isinstance(value, list):
         raise DocumentError(f"algebra document {key} must be a list, not {type(value).__name__}")
@@ -140,7 +147,8 @@ def algebra_from_doc(doc) -> Algebra:
         ]
     except (ValueError, IndexError, TypeError) as exc:
         raise DocumentError(f"bad scalar in algebra document: {exc}") from exc
-    return Algebra(field, basis, unit, mul, name=doc.get("name", ""))
+    name = _require_str("algebra", "name", doc.get("name", ""))
+    return Algebra(field, basis, unit, mul, name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -164,9 +172,10 @@ def module_from_doc(doc, algebra: Algebra | None = None, base_dir: Path | None =
     missing = {"dim", "left_action", "right_action"} - set(doc)
     if missing:
         raise DocumentError(f"module document lacks keys: {sorted(missing)}")
+    name = _require_str("module", "name", doc.get("name", "module"))
     inline = doc.get("algebra")
     if isinstance(inline, dict) and "file" in inline:
-        path = Path(inline["file"])
+        path = Path(_require_str("module", "algebra.file", inline["file"]))
         if base_dir is not None and not path.is_absolute():
             path = base_dir / path
         inline = load_json(path)
@@ -203,7 +212,7 @@ def module_from_doc(doc, algebra: Algebra | None = None, base_dir: Path | None =
 
     left = mats("left_action")
     right = mats("right_action")
-    return BimoduleRep(algebra, left, right, name=doc.get("name", "module"))
+    return BimoduleRep(algebra, left, right, name=name)
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,13 @@ coordinate list of e_i e_j: truncated polynomial rings, matrix units,
 upper-triangular matrices and direct products of these, all of dim <= 4,
 which small_algebras draws with hypothesis, and the group algebra of S3
 and the exterior algebras.  build makes one an Algebra, and change_basis
-writes it in a permuted, signed basis.
+writes it in a permuted, signed basis.  labelled_module names the
+modules the jet and bar1 tests share: the catalog's, over any field, and
+the SEEDED builder algebras in a basis seeded by their label.
 """
 
 import itertools
+import random
 
 from hypothesis import strategies as st
 
@@ -119,6 +122,43 @@ def small_algebras(draw):
 def build(algebra, field=QQ) -> Algebra:
     names, unit, table = algebra
     return Algebra(field, names, unit, table, name="generated")
+
+
+def signed_basis(algebra, rng):
+    """The algebra in a permuted, signed basis drawn from rng."""
+    n = len(algebra[0])
+    return change_basis(algebra, rng.sample(range(n), n), [rng.choice((1, -1)) for _ in range(n)])
+
+
+SEEDED = {
+    "M3": full_matrices(3),
+    "T3": upper_triangular(3),
+    "trunc5": trunc(5),
+    "QS3": group_algebra_s3(),
+    "ext2": exterior(2),
+}
+
+
+def module_over(field, P: BimoduleRep) -> BimoduleRep:
+    """P with its algebra and actions read over another field."""
+    a = P.algebra
+    A = Algebra(field, a.basis_names, list(a.unit), a.mul.tolist(), name=a.name)
+    moved = [[Matrix(field, m.to_lists()) for m in side] for side in (P.left, P.right)]
+    return BimoduleRep(A, *moved, name=P.name)
+
+
+def labelled_module(label: str, field=QQ) -> BimoduleRep:
+    """The module a test label names, over field.
+
+    "name/kind" is the catalog module; a SEEDED label is the regular
+    bimodule of that algebra in the basis signed_basis draws from
+    random.Random(label).
+    """
+    name, _, kind = label.partition("/")
+    if kind:
+        P = builtin(name).module(kind)
+        return P if field == QQ else module_over(field, P)
+    return BimoduleRep.regular(build(signed_basis(SEEDED[label], random.Random(label)), field))
 
 
 def opposite(A: Algebra) -> Algebra:

@@ -9,10 +9,10 @@ from fractions import Fraction
 
 from naive_gauss import (
     naive_kernel_basis,
-    naive_mat_mul,
     naive_mat_vec,
     naive_nullity,
     naive_rref,
+    naive_rref_mod,
     naive_span_dim,
 )
 
@@ -203,11 +203,10 @@ def _sparse_apply(cols, v):
     return out
 
 
-def _span_closure(rows, ops):
+def _span_closure(rows, sparse):
     # each pass keeps only a basis, so the row count stays at most
-    # (1 + len(ops)) * ambient instead of growing geometrically; the
-    # operators are applied through their nonzero entries only
-    sparse = [_sparse_columns(op) for op in ops]
+    # (1 + len(sparse)) * ambient instead of growing geometrically; the
+    # operators come as their sparse columns, applied through their nonzeros
     rows = _span_basis([list(r) for r in rows]) if rows else []
     dim = len(rows)
     while True:
@@ -223,7 +222,7 @@ def left_center_stage0_dim(mul):
     n = _n(mul)
     deltas = [_delta_matrix(mul, a) for a in range(n)]
     z0 = naive_kernel_basis([row for d in deltas for row in d])
-    _, dim = _span_closure(z0, _left_pair_ops(mul))
+    _, dim = _span_closure(z0, [_sparse_columns(op) for op in _left_pair_ops(mul)])
     return dim
 
 
@@ -266,20 +265,24 @@ def bar1_dim(mul):
     stage is span{b w : dev_a w in stage zero for every a} + stage zero,
     with (dev, b w) = (delta, a phi) on the left and (delta_bar, phi b) on
     the right; bar1 is the intersection of the two first stages with the
-    joint kernel of every delta_bar_c delta_b.
+    joint kernel of every delta_bar_c delta_b.  Every operator is applied
+    and composed through the nonzeros of its columns.
     """
     n = _n(mul)
     amb = n * n
     identity = [[Fraction(int(i == j)) for j in range(amb)] for i in range(amb)]
     sides = [
         ([_hom_delta_rows(mul, a) for a in range(n)],
-         [_on_values(_left_op(mul, b)) for b in range(n)]),
+         [_sparse_columns(_on_values(_left_op(mul, b))) for b in range(n)]),
         ([_hom_delta_bar_rows(mul, a) for a in range(n)],
-         [_on_values(_right_op(mul, b)) for b in range(n)]),
+         [_sparse_columns(_on_values(_right_op(mul, b))) for b in range(n)]),
     ]
 
+    # each deviation as sparse columns, to pull back through and to compose
+    dev_cols = [[_sparse_columns(d) for d in devs] for devs, _ in sides]
+
     def moved(acts, vecs):
-        return [naive_mat_vec(op, v) for op in acts for v in vecs]
+        return [_sparse_apply(op, v) for op in acts for v in vecs]
 
     stage0 = []
     for devs, acts in sides:
@@ -287,19 +290,22 @@ def bar1_dim(mul):
     stage0 = _span_basis(stage0)
     ann0 = _annihilator(stage0, amb)
     conditions = []
-    for devs, acts in sides:
+    for (_, acts), devs in zip(sides, dev_cols):
         # dev w in stage zero  <=>  c . dev w = 0 for every annihilator row c
-        pulled = [
-            [sum(c[k] * d[k][x] for k in range(amb)) for x in range(amb)]
-            for d in devs
-            for c in ann0
-        ]
+        pulled = [[sum(c[k] * a for k, a in col) for col in d] for d in devs for c in ann0]
         lift = naive_kernel_basis(pulled) if pulled else identity
         first = _span_basis(moved(acts, lift) + stage0)
         conditions += _annihilator(first, amb) if first else identity
-    for dbar in sides[1][0]:
-        for d in sides[0][0]:
-            conditions += naive_mat_mul(dbar, d)
+    deltas, delta_bars = dev_cols
+    for dbar in delta_bars:
+        for d in deltas:
+            # column x of delta_bar_c delta_b is delta_bar_c applied to column x of delta_b
+            product = [[Fraction(0)] * amb for _ in range(amb)]
+            for x, col in enumerate(d):
+                for k, a in col:
+                    for r, b in dbar[k]:
+                        product[r][x] += b * a
+            conditions += product
     return naive_nullity(conditions)
 
 
@@ -344,7 +350,7 @@ def jet_dim(mul, k):
                 for r in range(n):
                     mat[r * n + u][i * n + u] += L_b[r][i]
         left_ops.append(mat)
-    _, mu_dim = _span_closure(level, left_ops)
+    _, mu_dim = _span_closure(level, [_sparse_columns(op) for op in left_ops])
     return amb - mu_dim
 
 
@@ -386,17 +392,14 @@ def two_sided_jet_dims(mul, rank=1):
     def flat(i, u, j):
         return (i * m + u) * n + j
 
-    def zero_op():
-        return [[Fraction(0)] * amb for _ in range(amb)]
-
     def acting(b, on_left):
-        """The outer action of e_b on one side, and outer minus inner, as dense matrices."""
-        outer, dev = zero_op(), zero_op()
+        """The outer action of e_b on one side, and outer minus inner, as sparse columns."""
+        outer, dev = [], []
         for i in range(n):
             for u in range(m):
                 r, k = divmod(u, n)
-                for j in range(n):
-                    col = flat(i, u, j)
+                for j in range(n):  # column flat(i, u, j)
+                    out_col, dev_col = {}, {}
                     for x in range(n):
                         if on_left:
                             out, y = flat(x, u, j), mul[b][i][x]  # (e_b a) p a'
@@ -404,15 +407,17 @@ def two_sided_jet_dims(mul, rank=1):
                         else:
                             out, y = flat(i, u, x), mul[j][b][x]  # a p (a' e_b)
                             inn, z = flat(i, r * n + x, j), mul[k][b][x]  # a (p e_b) a'
-                        outer[out][col] += y
-                        dev[out][col] += y
-                        dev[inn][col] -= z
+                        out_col[out] = out_col.get(out, 0) + y
+                        dev_col[out] = dev_col.get(out, 0) + y
+                        dev_col[inn] = dev_col.get(inn, 0) - z
+                    outer.append([(row, Fraction(a)) for row, a in out_col.items() if a])
+                    dev.append([(row, Fraction(a)) for row, a in dev_col.items() if a])
         return outer, dev
 
     left = [acting(b, True) for b in range(n)]
     right = [acting(b, False) for b in range(n)]
-    deltas = [_sparse_columns(d) for _, d in left]
-    delta_bars = [_sparse_columns(d) for _, d in right]
+    deltas = [d for _, d in left]
+    delta_bars = [d for _, d in right]
     unit = _unit_coords(mul)
     gens = []
     for u in range(m):
@@ -427,13 +432,15 @@ def two_sided_jet_dims(mul, rank=1):
     return mu_dim, amb - mu_dim
 
 
-def two_sided_mu_normal_form(mul, rank=1):
+def two_sided_mu_normal_form(mul, rank=1, p=None):
     """The RREF basis rows of mu^1 inside A tensor P tensor A, P = A^rank, as its normal form.
 
     Coordinates as in two_sided_jet_dims.  mu^1 is spanned by the rows
     x - pi(x), x over the basis triples e_i tensor p_u tensor e_j, with
     pi(a tensor p tensor c) = 1 tensor ap tensor c + a tensor pc tensor 1
-    - 1 tensor apc tensor 1; no closure is taken.
+    - 1 tensor apc tensor 1; no closure is taken.  With a prime p the
+    rows are reduced mod p and the RREF is taken over F_p, which is mu^1
+    of the algebra with the same structure constants over F_p.
     """
     n = _n(mul)
     m = rank * n
@@ -471,7 +478,12 @@ def two_sided_mu_normal_form(mul, rank=1):
                         for c in ones:
                             row[flat(a, v, c)] += unit[a] * apc[v] * unit[c]
                 rows.append(row)
-    return _span_basis(rows)
+    if p is None:
+        return _span_basis(rows)
+    red, pivots = naive_rref_mod(
+        [[x.numerator * pow(x.denominator, -1, p) % p for x in row] for row in rows], p
+    )
+    return red[: len(pivots)]
 
 
 # -- left-linear maps, from Kronecker-product conditions ---------------------

@@ -141,6 +141,45 @@ def test_algebra_with_a_string_for_a_list_is_validation_error(tmp_path, capsys, 
 
 
 @pytest.mark.parametrize(
+    "argv, doc, edit, error",
+    [
+        (
+            ["validate", "-a", "trivial", "-m"],
+            "module",
+            lambda d: d.update(algebra={"file": 5}),
+            "module document algebra.file must be a string, not int",
+        ),
+        (
+            ["center", "-a"],
+            "algebra",
+            lambda d: d.update(name=1.5),
+            "algebra document name must be a string, not float",
+        ),
+        (
+            ["validate", "-a", "m2", "-m"],
+            "module",
+            lambda d: d.update(name=1.5),
+            "module document name must be a string, not float",
+        ),
+    ],
+    ids=["algebra.file", "algebra name", "module name"],
+)
+def test_a_name_or_file_that_is_not_a_string_is_validation_error(
+    tmp_path, capsys, argv, doc, edit, error
+):
+    algebra, module = _m2_docs()
+    document = {"algebra": algebra, "module": module}[doc]
+    edit(document)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(document))
+    assert run(argv + [str(path)]) == 1
+    assert out_of(capsys) == ("", f"error: {error}\n")
+    code, report, _ = run_json(capsys, argv + [str(path)])
+    assert code == 1
+    assert report["results"] == {"error": error}
+
+
+@pytest.mark.parametrize(
     "key, edit, got",
     [
         ("mul", lambda d: d["mul"].append([["7"] * 4] * 4), 5),  # a fifth row

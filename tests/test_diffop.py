@@ -21,8 +21,9 @@ from ncjets.diffop import (
 from ncjets.linalg import GF, QQ, DimensionMismatch, Matrix
 from ncjets.modules import BimoduleRep, HomSpace, hom_A, hom_AA
 
-from algebra_builders import build, opposite, small_algebras, t2_column
+from algebra_builders import SEEDED, build, labelled_module, opposite, small_algebras, t2_column
 from oracle_systems import (
+    bar1_dim,
     comm_diff_stage_dims,
     left_center_stage0_dim,
     right_stage0_dim,
@@ -241,6 +242,24 @@ def test_bar1_equals_first_order_over_commutative(name):
 def test_bimodule_maps_are_bar1(name):
     P, Q = self_pair(name)
     assert hom_AA(P, Q) <= diff_bar1(P, Q)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "GF7"])
+@pytest.mark.parametrize(
+    "label", [f"{name}/{kind}" for name in names() for kind in ("self", "free2")] + list(SEEDED)
+)
+def test_bar1_lies_in_the_two_sided_first_stage(label, field):
+    # diff_bar1 is the delta preimage of the joint delta_bar kernel alone:
+    # that it lies in both first sum forms is proved, not intersected
+    P = labelled_module(label, field)
+    assert diff_bar1(P, P) <= diff_two_sided(P, P, 1).stages[1]
+
+
+@pytest.mark.parametrize("label", list(SEEDED))
+def test_bar1_matches_the_oracle_on_builder_algebras(label):
+    # the oracle intersects both first stages with the kernels of every delta_bar_c delta_b
+    P = labelled_module(label)
+    assert diff_bar1(P, P).dim == bar1_dim(raw_mul(P.algebra))
 
 
 def test_bar1_order_is_refused_by_one_check():

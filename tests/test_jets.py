@@ -1,6 +1,5 @@
 import collections
 import itertools
-import random
 import re
 from fractions import Fraction
 
@@ -54,12 +53,13 @@ from ncjets.modules import (
 )
 
 from algebra_builders import (
+    SEEDED,
     build,
-    change_basis,
-    exterior,
     full_matrices,
-    group_algebra_s3,
+    labelled_module,
+    module_over,
     opposite,
+    signed_basis,
     small_algebras,
     t2_column,
     trunc,
@@ -187,7 +187,7 @@ def test_two_sided_seed_holds_every_relation(name, kind):
 
 @pytest.mark.parametrize("name,kind", [(n, k) for n in names() for k in ("self", "free2")])
 def test_two_sided_seed_holds_every_relation_over_gf7(name, kind):
-    P = _module_over(GF(7), builtin(name).module(kind))
+    P = module_over(GF(7), builtin(name).module(kind))
     if P.central:
         _check_two_sided_seed_is_closed(P)
 
@@ -503,44 +503,25 @@ def test_two_sided_jet_matches_oracle(name, kind):
     assert (jet.mu.dim, jet.dim) == two_sided_jet_dims(raw_mul(jet.base.algebra), rank)
 
 
-def _seeded(algebra, rng):
-    """The algebra in a permuted, signed basis drawn from rng."""
-    n = len(algebra[0])
-    return change_basis(algebra, rng.sample(range(n), n), [rng.choice((1, -1)) for _ in range(n)])
-
-
-_SEEDED = {
-    "M3": full_matrices(3),
-    "T3": upper_triangular(3),
-    "trunc5": trunc(5),
-    "QS3": group_algebra_s3(),
-    "ext2": exterior(2),
-}
-
-
 @pytest.mark.parametrize(
-    "label", [f"{name}/{kind}" for name in names() for kind in ("self", "free2")] + list(_SEEDED)
+    "label", [f"{name}/{kind}" for name in names() for kind in ("self", "free2")] + list(SEEDED)
 )
 def test_two_sided_mu_is_the_oracle_normal_form(label):
     # mu^1 is the span of the rows x - pi(x), the paper's s(b, p, c) over
-    # basis triples: the library's echelon is the oracle's RREF, the closure
+    # basis triples: the library's echelon, the kernel of two contractions,
+    # is the oracle's RREF of those rows over Q and over GF(7), the closure
     # oracle finds the same dims, and dim mu = dim P (dim A - 1)^2, on the
-    # catalog and on builder algebras in a seeded basis.  The closure oracle
-    # is skipped on M3, where its naive elimination of 18 x 576 images in an
-    # ambient of 729 takes about 13 s
-    name, _, kind = label.partition("/")
-    if kind:
-        P = builtin(name).module(kind)
-    else:
-        P = BimoduleRep.regular(build(_seeded(_SEEDED[label], random.Random(label))))
+    # catalog and on builder algebras in a seeded basis
+    P = labelled_module(label)
     n, rank = P.algebra.dim, P.dim // P.algebra.dim
     mul = raw_mul(P.algebra)
     jet = two_sided_jet1(P)
     basis = [[F(x) for x in row] for row in jet.mu.basis.to_lists()]
     assert basis == two_sided_mu_normal_form(mul, rank)
-    if label != "M3":
-        assert (jet.mu.dim, jet.dim) == two_sided_jet_dims(mul, rank)
+    assert (jet.mu.dim, jet.dim) == two_sided_jet_dims(mul, rank)
     assert jet.mu.dim == P.dim * (n - 1) ** 2
+    mod7 = two_sided_jet1(labelled_module(label, GF(7))).mu.basis.to_lists()
+    assert mod7 == two_sided_mu_normal_form(mul, rank, p=7)
 
 
 @settings(max_examples=25, deadline=None)
@@ -549,7 +530,7 @@ def test_two_sided_jet_has_the_normal_form_dim_in_every_basis(algebra, field, rn
     # the jet is A tensor P tensor 1 + 1 tensor P tensor A, of dim
     # dim P (2 dim A - 1), and a change of basis of A moves neither that
     # dim nor whether the inner left action descends
-    n, moved = len(algebra[0]), _seeded(algebra, rng)
+    n, moved = len(algebra[0]), signed_basis(algebra, rng)
     for make in (BimoduleRep.regular, lambda A: BimoduleRep.free(A, 2)):
         jet, jet_moved = (two_sided_jet1(make(build(a, field))) for a in (algebra, moved))
         P = jet.base
@@ -768,14 +749,6 @@ def test_opposite_algebra_reverses_the_two_sided_jet(name, kind):
 # the actions on a jet, induced from the ambient on request
 
 
-def _module_over(field, P: BimoduleRep) -> BimoduleRep:
-    """P with its algebra and actions read over another field."""
-    a = P.algebra
-    A = Algebra(field, a.basis_names, list(a.unit), a.mul.tolist(), name=a.name)
-    moved = [[Matrix(field, m.to_lists()) for m in side] for side in (P.left, P.right)]
-    return BimoduleRep(A, *moved, name=P.name)
-
-
 def _induced_cases():
     cases = [(name, kind) for name in names() for kind in ("self", "free2")]
     return cases + [("t2", "column")]
@@ -795,7 +768,7 @@ def test_induced_actions_are_the_module_structure_of_the_jet(field, name, kind):
     # left: L_i L_j = sum_k mul[i, j, k] L_k, and the unit acts as the identity;
     # right: R_j R_i = sum_k mul[i, j, k] R_k, commuting with every L;
     # bullet, where it descends: B_b . J = J . P.left[b]
-    P = _module_over(field, t2_column() if kind == "column" else builtin(name).module(kind))
+    P = module_over(field, t2_column() if kind == "column" else builtin(name).module(kind))
     A = P.algebra
     for jet in [jet_module(P, k) for k in range(3)] + [two_sided_jet1(P)]:
         zero, ident = Matrix.zeros(field, jet.dim, jet.dim), Matrix.identity(field, jet.dim)
