@@ -12,11 +12,16 @@ every function rejects non-central bimodules.
 
 Each public entry point checks its inputs, builds HomSpace(P, Q) once and
 runs one body per definition on it (the table _BODIES), so the action
-families and their factors' columns are built once per call:
-compare_definitions runs every applicable body on one Hom space, and
-diff_bar1 is one preimage of the joint delta_bar kernel, with no
-two-sided stage built: that it lies in the two-sided first stage is a
-proof in its docstring.  Nothing is kept once the call returns.
+families and their factors' columns are built once per call.  A body is a
+stage zero and one step, run by one loop (_stages) that stops at the first
+stage its step maps to itself: each filtration is an ascending chain in a
+finite-dimensional space, and a step reads only the previous stage.  The
+call's step record (_Steps) keeps each joint kernel, zero-order span and
+step by its side and input stage, so compare_definitions runs every
+applicable body on one Hom space with no step taken twice.  diff_bar1 is
+one preimage of the joint delta_bar kernel, with no two-sided stage built:
+that it lies in the two-sided first stage is a proof in its docstring.
+Nothing is kept once the call returns.
 
 Every deviation family obeys one product rule.  left_a and
 bullet_left_b act on different legs and commute, so
@@ -37,7 +42,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from typing import Sequence
+from functools import partial
 
 from .linalg import Matrix, Subspace, closure_under, kernel_of_rows, preimage, span_of_images
 from .modules import BimoduleRep, HomSpace, generator_preimage, require_central
@@ -79,106 +84,127 @@ class Filtration:
         return all(a <= b for a, b in zip(self.stages, self.stages[1:]))
 
 
-def _module_span(hs: HomSpace, acts: Sequence, seed: Subspace) -> Subspace:
-    """span{b w : w in seed}, b over the action family acts.
+def _stages(first, step, r: int, stage=None) -> tuple:
+    """Stages 0..r of the chain first, step(first), ..., stage(state) read off each state.
 
-    The unit acts as the identity and acts_b acts_c is acts_bc or acts_cb,
-    so the span is the closure of seed under acts, which is its closure
-    under the generator members of acts.
+    step reads only the state it is given, whose RREF echelon is unique, so
+    once it maps a state to an equal one every later state is that one.
     """
-    return closure_under(hs.algebra.at_generators(acts), seed)
+    states = [first]
+    while len(states) <= r and (nxt := step(states[-1])) != states[-1]:
+        states.append(nxt)
+    stages = [stage(s) for s in states] if stage else states
+    return tuple(stages + stages[-1:] * (r + 1 - len(stages)))
 
 
-def _zero_order(hs: HomSpace, acts: Sequence, devs: Sequence) -> Subspace:
-    """span{b w : dev w = 0 for every dev}, b over acts."""
-    # joint kernel: the a with dev_a w = 0 form a subalgebra (generator_preimage)
-    return _module_span(hs, acts, generator_preimage(hs, [devs]))
+class _Steps:
+    """The Hom space of one public call, with the steps its bodies have taken on it.
 
-
-def _zero_orders(hs: HomSpace) -> tuple[Subspace, Subspace]:
-    """The left and the right zero-order spans."""
-    return _zero_order(hs, hs.left, hs.deltas), _zero_order(hs, hs.right, hs.delta_bars)
-
-
-def _sum_step(hs: HomSpace, acts: Sequence, devs: Sequence, prev: Subspace) -> Subspace:
-    """span{b w : dev w in prev for every dev} + prev, the sum-form stage after prev.
-
-    prev need not be invariant under the pair devs come from, so the
-    preimage runs over every dev.
+    A step reads only its side and its input stage, so an input equal to an
+    earlier one (Subspace ==) reuses its result: left-center, left-sum and
+    two-sided share one joint delta kernel, and two-sided reuses the sum
+    steps of left-sum and right while its stages equal theirs.
     """
-    return _module_span(hs, acts, preimage(devs, prev)) + prev
 
+    def __init__(self, hs: HomSpace):
+        self.hs = hs
+        self._taken: list = []
 
-def _sum_form(hs: HomSpace, acts: Sequence, devs: Sequence, r: int) -> tuple[Subspace, ...]:
-    stages = [_zero_order(hs, acts, devs)]
-    for _ in range(r):
-        stages.append(_sum_step(hs, acts, devs, stages[-1]))
-    return tuple(stages)
+    def _recall(self, key: tuple, prev, compute) -> Subspace:
+        for k, seen, out in self._taken:
+            if k == key and seen == prev:
+                return out
+        self._taken.append((key, prev, compute()))
+        return self._taken[-1][2]
+
+    def _family(self, side: str) -> tuple:
+        """(action family, deviation family) of the left or the right side."""
+        hs = self.hs
+        return (hs.left, hs.deltas) if side == "left" else (hs.right, hs.delta_bars)
+
+    def _span(self, side: str, seed: Subspace) -> Subspace:
+        """span{b w : w in seed}, b over the side's actions.
+
+        The unit acts as the identity and acts_b acts_c is acts_bc or acts_cb,
+        so this is seed's closure under the actions, and so under their
+        generator members.
+        """
+        return closure_under(self.hs.algebra.at_generators(self._family(side)[0]), seed)
+
+    def pullback(self, side: str, prev: Subspace | None = None) -> Subspace:
+        """{w : dev w in prev for every dev of the side}; None is the zero prev, a joint kernel.
+
+        By generator_preimage, so a nonzero prev must be invariant under the
+        side's pair (the caller proves it; the zero prev always is).
+        """
+        devs = self._family(side)[1]
+        return self._recall(("pull", side), prev, lambda: generator_preimage(self.hs, [devs], prev))
+
+    def zero_order(self, side: str) -> Subspace:
+        """span{b w : dev w = 0 for every dev}."""
+        return self._recall(("zero", side), None, lambda: self._span(side, self.pullback(side)))
+
+    def sum_step(self, side: str, prev: Subspace) -> Subspace:
+        """span{b w : dev w in prev for every dev} + prev, the sum-form stage after prev.
+
+        prev need not be invariant under the side's pair, so the preimage
+        runs over every dev.
+        """
+        devs = self._family(side)[1]
+        return self._recall(
+            ("sum", side), prev, lambda: self._span(side, preimage(devs, prev)) + prev
+        )
 
 
 # ---------------------------------------------------------------------------
-# one body per definition, each on a Hom space its caller built
+# one body per definition, a stage zero and a step, on the Hom space of one call
 
 
-def _comm_inductive(hs: HomSpace, r: int) -> tuple[Subspace, ...]:
+def _comm_inductive(steps: _Steps, r: int) -> tuple[Subspace, ...]:
     # A is commutative, so each delta_a commutes with left_b and bullet_left_b:
     # by induction every stage is left-pair invariant, and generators suffice
-    stages = [generator_preimage(hs, [hs.deltas])]
-    for _ in range(r):
-        stages.append(generator_preimage(hs, [hs.deltas], stages[-1]))
-    return tuple(stages)
+    return _stages(steps.pullback("left"), partial(steps.pullback, "left"), r)
 
 
-def _comm_iterated(hs: HomSpace, r: int) -> tuple[Subspace, ...]:
+def _comm_iterated(steps: _Steps, r: int) -> tuple[Subspace, ...]:
     # the (k+1)-words w . delta_i have row space R_k . delta_i, so
     # R_{k+1} = span{R_k delta_i} and stage[k] = ker R_k; R_0 is the
     # span of the rows of every delta_i, the image of the full space
-    transposed = [d.T for d in hs.deltas]
-    words = span_of_images(transposed, Subspace.full(hs.field, hs.dim))
-    stages = [kernel_of_rows(hs.field, hs.dim, words.rows)]
-    for _ in range(r):
-        words = span_of_images(transposed, words)
-        stages.append(kernel_of_rows(hs.field, hs.dim, words.rows))
-    return tuple(stages)
+    field, n = steps.hs.field, steps.hs.dim
+    words = partial(span_of_images, [d.T for d in steps.hs.deltas])
+    first = words(Subspace.full(field, n))
+    return _stages(first, words, r, lambda w: kernel_of_rows(field, n, w.rows))
 
 
-def _left_center(hs: HomSpace, r: int) -> tuple[Subspace, ...]:
+def _left_center(steps: _Steps, r: int) -> tuple[Subspace, ...]:
     # a left-pair closure is one under the generator members of both families
-    at = hs.algebra.at_generators
-    left_pair = at(hs.left) + at(hs.bullet_left)
-    # joint kernel: the a with delta_a w = 0 form a subalgebra
-    stages = [closure_under(left_pair, generator_preimage(hs, [hs.deltas]))]
-    for _ in range(r):
-        # the stage is a left-pair closure, so its delta preimage needs only generators
-        lift = generator_preimage(hs, [hs.deltas], stages[-1])
-        stages.append(closure_under(left_pair, lift))
-    return tuple(stages)
+    at = steps.hs.algebra.at_generators
+    left_pair = at(steps.hs.left) + at(steps.hs.bullet_left)
+    # each stage is a left-pair closure, so its delta preimage needs only generators
+    return _stages(
+        closure_under(left_pair, steps.pullback("left")),
+        lambda prev: closure_under(left_pair, steps.pullback("left", prev)),
+        r,
+    )
 
 
-def _left_sum(hs: HomSpace, r: int) -> tuple[Subspace, ...]:
-    return _sum_form(hs, hs.left, hs.deltas, r)
+def _sum_form(side: str, steps: _Steps, r: int) -> tuple[Subspace, ...]:
+    return _stages(steps.zero_order(side), partial(steps.sum_step, side), r)
 
 
-def _right(hs: HomSpace, r: int) -> tuple[Subspace, ...]:
-    return _sum_form(hs, hs.right, hs.delta_bars, r)
+def _two_sided(steps: _Steps, r: int) -> tuple[Subspace, ...]:
+    def step(prev: Subspace) -> Subspace:
+        return steps.sum_step("left", prev) & steps.sum_step("right", prev)
 
-
-def _two_sided(hs: HomSpace, r: int) -> tuple[Subspace, ...]:
-    left0, right0 = _zero_orders(hs)
-    stages = [left0 + right0]
-    for _ in range(r):
-        left_form = _sum_step(hs, hs.left, hs.deltas, stages[-1])
-        right_form = _sum_step(hs, hs.right, hs.delta_bars, stages[-1])
-        stages.append(left_form & right_form)
-    return tuple(stages)
+    return _stages(steps.zero_order("left") + steps.zero_order("right"), step, r)
 
 
 _BODIES = {
     "comm-iterated": _comm_iterated,
     "comm-inductive": _comm_inductive,
     "left-center": _left_center,
-    "left-sum": _left_sum,
-    "right": _right,
+    "left-sum": partial(_sum_form, "left"),
+    "right": partial(_sum_form, "right"),
     "two-sided": _two_sided,
 }
 
@@ -194,8 +220,8 @@ def _check(P: BimoduleRep, Q: BimoduleRep, r: int, max_order: int, commutative: 
         )
 
 
-def _filtration(hs: HomSpace, tag: str, r: int) -> Filtration:
-    return Filtration(hs, tag, _BODIES[tag](hs, r))
+def _filtration(steps: _Steps, tag: str, r: int) -> Filtration:
+    return Filtration(steps.hs, tag, _BODIES[tag](steps, r))
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +242,7 @@ def diff_commutative(
     _check(P, Q, r, max_order, commutative=True)
     if mode not in ("inductive", "iterated"):
         raise DefinitionDomainError(f"unknown commutative mode {mode!r}")
-    return _filtration(HomSpace(P, Q), f"comm-{mode}", r)
+    return _filtration(_Steps(HomSpace(P, Q)), f"comm-{mode}", r)
 
 
 def diff_left(
@@ -233,7 +259,7 @@ def diff_left(
     _check(P, Q, r, max_order)
     if mode not in ("center", "sum"):
         raise DefinitionDomainError(f"unknown left mode {mode!r}")
-    return _filtration(HomSpace(P, Q), f"left-{mode}", r)
+    return _filtration(_Steps(HomSpace(P, Q)), f"left-{mode}", r)
 
 
 def diff_right(
@@ -241,7 +267,7 @@ def diff_right(
 ) -> Filtration:
     """Mirror of the left sum filtration: delta_bar kernels moved by phi b."""
     _check(P, Q, r, max_order)
-    return _filtration(HomSpace(P, Q), "right", r)
+    return _filtration(_Steps(HomSpace(P, Q)), "right", r)
 
 
 def diff_two_sided(
@@ -254,15 +280,15 @@ def diff_two_sided(
     elements is reported separately by two_sided_zero_order_membership.
     """
     _check(P, Q, r, max_order)
-    return _filtration(HomSpace(P, Q), "two-sided", r)
+    return _filtration(_Steps(HomSpace(P, Q)), "two-sided", r)
 
 
 def two_sided_zero_order_membership(P: BimoduleRep, Q: BimoduleRep, phi: Matrix) -> dict:
     """Where a single map sits at order zero: left form, right form, or only the span."""
     require_central(P, Q)
-    hs = HomSpace(P, Q)
-    v = hs.vec(phi)
-    left0, right0 = _zero_orders(hs)
+    steps = _Steps(HomSpace(P, Q))
+    v = steps.hs.vec(phi)
+    left0, right0 = steps.zero_order("left"), steps.zero_order("right")
     in_left = left0.contains(v)
     in_right = right0.contains(v)
     return {
@@ -285,11 +311,9 @@ def diff_bar1(P: BimoduleRep, Q: BimoduleRep) -> Subspace:
     right sum form too.  So the preimage is the class, with no stage built.
     """
     require_central(P, Q)
-    hs = HomSpace(P, Q)
-    # joint kernel: the a with delta_bar_a w = 0 form a subalgebra
-    bar_kernel = generator_preimage(hs, [hs.delta_bars])
-    # each delta_bar commutes with the left pair, so bar_kernel is left-pair invariant
-    return generator_preimage(hs, [hs.deltas], bar_kernel)
+    steps = _Steps(HomSpace(P, Q))
+    # each delta_bar commutes with the left pair, so its joint kernel is left-pair invariant
+    return steps.pullback("left", steps.pullback("right"))
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +326,7 @@ def filtration_by_tag(
     if tag not in _BODIES:
         raise DefinitionDomainError(f"unknown definition tag {tag!r}")
     _check(P, Q, r, max_order, commutative=tag.startswith("comm-"))
-    return _filtration(HomSpace(P, Q), tag, r)
+    return _filtration(_Steps(HomSpace(P, Q)), tag, r)
 
 
 def stage_by_tag(
@@ -336,8 +360,8 @@ def compare_definitions(P: BimoduleRep, Q: BimoduleRep, r: int, max_order: int =
     _check(P, Q, r, max_order)
     commutative = P.algebra.is_commutative
     tags = list(_BODIES) if commutative else ["left-center", "left-sum", "right", "two-sided"]
-    hs = HomSpace(P, Q)
-    filts = {tag: _filtration(hs, tag, r) for tag in tags}
+    steps = _Steps(HomSpace(P, Q))
+    filts = {tag: _filtration(steps, tag, r) for tag in tags}
     dims = {tag: filts[tag].dims for tag in tags}
     relations = {}
     witnesses = {}
@@ -346,17 +370,13 @@ def compare_definitions(P: BimoduleRep, Q: BimoduleRep, r: int, max_order: int =
             rels = []
             for k in range(r + 1):
                 u, v = filts[t1].stages[k], filts[t2].stages[k]
-                u_out, v_out = u.outside(v), v.outside(u)
+                u_out, v_out = (None, None) if u == v else (u.outside(v), v.outside(u))
                 rel = _RELATIONS[u_out is None, v_out is None]
                 rels.append(rel)
                 if rel != "equal":
                     witnesses[f"{t1} vs {t2} @ {k}"] = v_out if rel == "subset" else u_out
             relations[f"{t1} vs {t2}"] = rels
-    collapse = None
-    if commutative:
-        collapse = all(
-            rel == "equal" for rels in relations.values() for rel in rels
-        )
+    collapse = all(rel == "equal" for rels in relations.values() for rel in rels)
     return {
         "order": r,
         "commutative": commutative,
@@ -364,5 +384,5 @@ def compare_definitions(P: BimoduleRep, Q: BimoduleRep, r: int, max_order: int =
         "dims": dims,
         "relations": relations,
         "witnesses": witnesses,
-        "commutative_collapse": collapse,
+        "commutative_collapse": collapse if commutative else None,
     }

@@ -274,8 +274,8 @@ class RationalField:
     """The field Q; scalars are Fractions in lowest terms.
 
     Integral values are held as plain ints (Fraction and int mix exactly
-    and print identically); fractions only appear after division.  An
-    echelon form holds a Fraction only where its value is not integral.
+    and print identically); fractions only appear after division.  Sparse
+    echelon tails may hold Fraction(n, 1); _dense, Subspace.basis and format give ints.
     """
 
     kind = "rationals"

@@ -1,7 +1,8 @@
 """Defining linear systems for the derived dimensions, solved naively.
 
 Everything here works on raw structure-constant tables (nested lists)
-with the naive eliminator from naive_gauss; no package code is touched.
+with the naive eliminator from naive_gauss, and span closures with one
+textbook RREF grown a row at a time (_kept); no package code is touched.
 The quoted dimensions in the tests come from these functions.
 """
 
@@ -159,22 +160,7 @@ def comm_diff_stage_dims(mul, rmax):
 
 def _left_pair_ops(mul):
     """Hom(A, A) actions (a phi) and (phi . a) as dense matrices, all basis a."""
-    n = _n(mul)
-    amb = n * n
-    ops = []
-    for a in range(n):
-        L_a = _left_op(mul, a)
-        left = [[Fraction(0)] * amb for _ in range(amb)]
-        bullet = [[Fraction(0)] * amb for _ in range(amb)]
-        for p in range(n):
-            for k in range(n):
-                for r in range(n):
-                    left[p * n + k][p * n + r] += L_a[k][r]
-                for c in range(n):
-                    bullet[p * n + k][c * n + k] += L_a[c][p]
-        ops.append(left)
-        ops.append(bullet)
-    return ops
+    return [op(_left_op(mul, a)) for a in range(_n(mul)) for op in (_on_values, _on_arguments)]
 
 
 def _span_basis(rows):
@@ -203,18 +189,62 @@ def _sparse_apply(cols, v):
     return out
 
 
+def _subtract(row, f, other):
+    """row -= f * other on sparse rows {col: value}, in place, dropping the cells that cancel."""
+    for k, b in other.items():
+        x = row.get(k, 0) - f * b
+        if x != 0:
+            row[k] = x
+        else:
+            row.pop(k, None)
+
+
+def _kept(echelon, v):
+    """Reduce the sparse row v by the kept RREF; a nonzero residual joins it.
+
+    echelon maps each pivot column to its row, which is 1 there and 0 at
+    every other pivot column, so one pass over v's pivot columns reduces
+    it.  A residual is scaled to 1 at its first column, which is cleared
+    from the kept rows; it is returned (as a copy), or None when v was in
+    the span.
+    """
+    for c in [c for c in v if c in echelon]:
+        _subtract(v, v[c], echelon[c])
+    v = {k: x for k, x in v.items() if x != 0}
+    if not v:
+        return None
+    c = min(v)
+    scale = Fraction(v[c])
+    v = {k: x / scale for k, x in v.items()}
+    for row in echelon.values():
+        if c in row:
+            _subtract(row, row[c], v)
+    echelon[c] = v
+    return dict(v)
+
+
 def _span_closure(rows, sparse):
-    # each pass keeps only a basis, so the row count stays at most
-    # (1 + len(sparse)) * ambient instead of growing geometrically; the
-    # operators come as their sparse columns, applied through their nonzeros
-    rows = _span_basis([list(r) for r in rows]) if rows else []
-    dim = len(rows)
-    while True:
-        extra = [_sparse_apply(op, v) for op in sparse for v in rows]
-        bigger = _span_basis(rows + extra) if rows else []
-        if len(bigger) == dim:
-            return rows, dim
-        rows, dim = bigger, len(bigger)
+    """dim of the smallest span that holds rows and is closed under the operators.
+
+    The operators come as their sparse columns.  One RREF is kept, and
+    each image is reduced against it as it arrives; each pass applies the
+    operators only to the rows the previous pass added to it.
+    """
+    echelon = {}
+    frontier = [{k: x for k, x in enumerate(row) if x != 0} for row in rows]
+    while frontier:
+        added = [new for v in frontier if (new := _kept(echelon, v)) is not None]
+        frontier = [_sparse_apply_row(op, v) for op in sparse for v in added]
+    return len(echelon)
+
+
+def _sparse_apply_row(cols, v):
+    """op v for a sparse row v {col: value}, through the nonzeros of op's columns."""
+    out = {}
+    for c, x in v.items():
+        for r, a in cols[c]:
+            out[r] = out.get(r, 0) + a * x
+    return out
 
 
 def left_center_stage0_dim(mul):
@@ -222,8 +252,7 @@ def left_center_stage0_dim(mul):
     n = _n(mul)
     deltas = [_delta_matrix(mul, a) for a in range(n)]
     z0 = naive_kernel_basis([row for d in deltas for row in d])
-    _, dim = _span_closure(z0, [_sparse_columns(op) for op in _left_pair_ops(mul)])
-    return dim
+    return _span_closure(z0, [_sparse_columns(op) for op in _left_pair_ops(mul)])
 
 
 def right_stage0_dim(mul):
@@ -246,7 +275,7 @@ def right_stage0_dim(mul):
 
 
 def _on_values(side_op):
-    """phi -> side_op applied to every value phi(e_p), as a dense matrix on Hom(A, A)."""
+    """phi -> side_op phi, side_op applied to every value phi(e_p), as a dense matrix on Hom(P, P)."""
     n = len(side_op)
     amb = n * n
     mat = [[Fraction(0)] * amb for _ in range(amb)]
@@ -254,6 +283,18 @@ def _on_values(side_op):
         for k in range(n):
             for r in range(n):
                 mat[p * n + k][p * n + r] += side_op[k][r]
+    return mat
+
+
+def _on_arguments(side_op):
+    """phi -> phi side_op, phi(e_x) -> phi(side_op e_x), as a dense matrix on Hom(P, P)."""
+    n = len(side_op)
+    amb = n * n
+    mat = [[Fraction(0)] * amb for _ in range(amb)]
+    for x in range(n):
+        for k in range(n):
+            for y in range(n):
+                mat[x * n + y][k * n + y] += side_op[k][x]
     return mat
 
 
@@ -309,6 +350,98 @@ def bar1_dim(mul):
     return naive_nullity(conditions)
 
 
+# -- the four noncommutative filtrations, every stage from its definition ----
+
+
+def naive_filtrations(mul, rank, r):
+    """RREF stage bases 0..r of the left-center, left-sum, right and two-sided filtrations.
+
+    On Hom_K(P, P), P = A^rank with the diagonal actions, in the library's
+    column-major coordinates (phi(e_x)_y at x * dim P + y).  On the left,
+    (b w)(p) = b w(p), (w . b)(p) = w(b p) and delta_a w = a w - w . a; on
+    the right, (w b)(p) = w(p) b and (delta_bar_a w)(p) = w(p) a - w(p a).
+    Every stage comes from its definition over the whole basis of A:
+      left-sum:    stage 0 = span{b w : delta_a w = 0 for every a}, stage k =
+                   span{b w : delta_a w in stage k-1 for every a} + stage k-1;
+      right:       the same with delta_bar_a and w b;
+      left-center: span{b w . c} over the w with delta_a w = 0 (stage 0) or
+                   with delta_a w in stage k-1, b and c over the basis;
+      two-sided:   left-sum's stage 0 plus right's, then the intersection of
+                   both sum forms over stage k-1.
+    A preimage is the kernel of the conditions c . dev w = 0, c over an
+    annihilator basis of the target, and an intersection the joint kernel
+    of both annihilators.  Every stage is computed from the one before,
+    however many equal it.
+    """
+    amb = (rank * _n(mul)) ** 2
+    identity = [[Fraction(int(i == j)) for j in range(amb)] for i in range(amb)]
+
+    def side(ops):
+        """(b w, w . b, deviation) for every basis b, as sparse columns."""
+        values = [_on_values(s) for s in ops]
+        arguments = [_on_arguments(s) for s in ops]
+        devs = [[[x - y for x, y in zip(*rows)] for rows in zip(*pair)] for pair in zip(values, arguments)]
+        return [[_sparse_columns(op) for op in family] for family in (values, arguments, devs)]
+
+    left, right = side(free_left_ops(mul, rank)), side(free_right_ops(mul, rank))
+
+    def span(vecs):
+        return _span_basis(vecs) if vecs else []
+
+    def moved(acts, vecs):
+        return [_sparse_apply(op, v) for op in acts for v in vecs]
+
+    def pullback(devs, stage):
+        ann = _annihilator(stage, amb)
+        cond = [[sum(c[k] * a for k, a in col) for col in d] for d in devs for c in ann]
+        return naive_kernel_basis(cond) if cond else identity
+
+    def intersect(u, v):
+        if not (u and v):
+            return []
+        cond = _annihilator(u, amb) + _annihilator(v, amb)
+        return span(naive_kernel_basis(cond)) if cond else u
+
+    def zero(values, _, devs):
+        return span(moved(values, pullback(devs, [])))
+
+    def sum_step(values, _, devs, prev):
+        return span(moved(values, pullback(devs, prev)) + prev)
+
+    def generated(values, arguments, lift):
+        return span(moved(arguments, span(moved(values, lift))))
+
+    def chain(first, step):
+        stages = [first]
+        for _ in range(r):
+            stages.append(step(stages[-1]))
+        return stages
+
+    return {
+        "left-center": chain(
+            generated(*left[:2], pullback(left[2], [])),
+            lambda prev: generated(*left[:2], pullback(left[2], prev)),
+        ),
+        "left-sum": chain(zero(*left), lambda prev: sum_step(*left, prev)),
+        "right": chain(zero(*right), lambda prev: sum_step(*right, prev)),
+        "two-sided": chain(
+            span(zero(*left) + zero(*right)),
+            lambda prev: intersect(sum_step(*left, prev), sum_step(*right, prev)),
+        ),
+    }
+
+
+def naive_relation(u, v):
+    """equal, subset, superset or incomparable, for two spans given by basis rows."""
+    both = naive_span_dim(u + v)
+    return {
+        (True, True): "equal",
+        (True, False): "subset",
+        (False, True): "superset",
+        (False, False): "incomparable",
+    }[both == len(v), both == len(u)]
+
+
 # -- jet dimensions over the regular bimodule -------------------------------
 
 
@@ -350,7 +483,7 @@ def jet_dim(mul, k):
                 for r in range(n):
                     mat[r * n + u][i * n + u] += L_b[r][i]
         left_ops.append(mat)
-    _, mu_dim = _span_closure(level, [_sparse_columns(op) for op in left_ops])
+    mu_dim = _span_closure(level, [_sparse_columns(op) for op in left_ops])
     return amb - mu_dim
 
 
@@ -428,7 +561,7 @@ def two_sided_jet_dims(mul, rank=1):
         for d in deltas:
             moved = _sparse_apply(d, v)
             gens += [_sparse_apply(db, moved) for db in delta_bars]
-    _, mu_dim = _span_closure(gens, [o for o, _ in left] + [o for o, _ in right])
+    mu_dim = _span_closure(gens, [o for o, _ in left] + [o for o, _ in right])
     return mu_dim, amb - mu_dim
 
 

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 
@@ -26,6 +28,8 @@ from oracle_systems import (
     bar1_dim,
     comm_diff_stage_dims,
     left_center_stage0_dim,
+    naive_filtrations,
+    naive_relation,
     right_stage0_dim,
 )
 
@@ -320,7 +324,39 @@ def test_compare_relations_are_consistent_with_dims():
 
 
 # ---------------------------------------------------------------------------
-# one Hom space per call
+# every stage against the oracle, which takes each step and shares none
+
+
+def _oracle_cases():
+    cases = [f"{name}/self" for name in names()]
+    cases += [f"{name}/free2" for name in names() if builtin(name).algebra.dim <= 2]
+    return cases + ["T3", "ext2", "m2/free2"]
+
+
+# the dims where a chain stops at stage 0 (T3, and m2/free2 where stage 0 is everything) or later
+_STOPS = {"T3": [15] * 4, "ext2": [6, 11, 15, 16], "m2/free2": [64] * 4}
+
+
+@pytest.mark.parametrize("label", _oracle_cases())
+def test_filtrations_match_the_naive_oracle_to_order_three(label):
+    P = labelled_module(label)
+    want = naive_filtrations(raw_mul(P.algebra), P.dim // P.algebra.dim, 3)
+    for tag, stages in want.items():
+        got = filtration_by_tag(P, P, 3, tag).stages
+        assert [[[Fraction(x) for x in row] for row in s.basis.to_lists()] for s in got] == stages
+        if label in _STOPS:
+            assert [len(s) for s in stages] == _STOPS[label], tag
+    report = compare_definitions(P, P, 3)
+    for tag, stages in want.items():
+        assert report["dims"][tag] == [len(s) for s in stages], tag
+    for pair, rels in report["relations"].items():
+        t1, t2 = pair.split(" vs ")
+        if t1 in want and t2 in want:
+            assert rels == [naive_relation(u, v) for u, v in zip(want[t1], want[t2])], pair
+
+
+# ---------------------------------------------------------------------------
+# one Hom space per call, and no step taken twice
 
 
 def _count_hom_spaces(monkeypatch) -> list:
@@ -365,6 +401,46 @@ def test_bar1_builds_one_hom_space_and_one_delta_bar_kernel(monkeypatch):
     assert diff_bar1(P, Q) == want
     assert len(made) == 1
     assert len(bar_kernels) == 1
+
+
+def test_left_sum_stops_at_its_fixed_point(monkeypatch):
+    # t2/self's left-sum stage zero is its own step: one sum-step preimage, not four
+    P, Q = self_pair("t2")
+    want = diff_left(P, Q, 4, mode="sum")
+    preimages = []
+    real = diffop.preimage
+
+    def counting(ops, target):
+        preimages.append(ops)
+        return real(ops, target)
+
+    monkeypatch.setattr(diffop, "preimage", counting)
+    got = diff_left(P, Q, 4, mode="sum")
+    assert got.stages == want.stages and got.dims == [5] * 5
+    assert len(preimages) == 1
+
+
+def test_compare_builds_each_joint_kernel_once(monkeypatch):
+    # left-center, left-sum and two-sided share the joint delta kernel, and
+    # right and two-sided the joint delta_bar kernel
+    P = labelled_module("T3")
+    want = compare_definitions(P, P, 2)
+    made = _count_hom_spaces(monkeypatch)
+    kernels = {"deltas": 0, "delta_bars": 0}
+    real = modules.joint_kernel
+
+    def counting(ops):
+        for hs in made:
+            for name in kernels:
+                family = hs.__dict__.get(name, ())
+                if ops and all(any(op is d for d in family) for op in ops):
+                    kernels[name] += 1
+        return real(ops)
+
+    monkeypatch.setattr(modules, "joint_kernel", counting)
+    assert compare_definitions(P, P, 2) == want
+    assert len(made) == 1
+    assert kernels == {"deltas": 1, "delta_bars": 1}
 
 
 # ---------------------------------------------------------------------------
