@@ -1,7 +1,9 @@
 """Command-line front end with deterministic JSON reports.
 
 Exit codes: 0 success, 1 validation/parse error, 2 a requested
-expectation failed, 3 I/O error.
+expectation failed, 3 I/O error.  A command that fails with 1 or 3 prints
+the error; with --json it also writes a report whose results are
+{"error": message}.  Usage errors are argparse's.
 """
 
 from __future__ import annotations
@@ -498,17 +500,21 @@ def run(argv=None) -> int:
         if hasattr(exc, "axiom"):
             detail["axiom"] = exc.axiom
             detail["witness"] = _jsonable(getattr(exc, "witness", None))
-        print(f"error: {exc}", file=sys.stderr)
-        if getattr(args, "json", False):
-            sys.stdout.write(canonical_json(make_report(args.subcommand, _echo(args), {}, detail)))
-        return FAIL_VALIDATION
+        return _fail(args, detail, FAIL_VALIDATION)
     except KeyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return FAIL_VALIDATION
+        # str of a KeyError is the repr of its message, quotes and all
+        return _fail(args, {"error": str(exc.args[0]) if exc.args else ""}, FAIL_VALIDATION)
     except (IOError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return FAIL_IO
+        return _fail(args, {"error": str(exc)}, FAIL_IO)
     return _emit(report, args)
+
+
+def _fail(args, detail: dict, code: int) -> int:
+    """Print the error; with --json also write the report whose results are detail."""
+    print(f"error: {detail['error']}", file=sys.stderr)
+    if getattr(args, "json", False):
+        sys.stdout.write(canonical_json(make_report(args.subcommand, _echo(args), {}, detail)))
+    return code
 
 
 def _jsonable(value):

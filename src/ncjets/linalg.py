@@ -30,6 +30,11 @@ not from every earlier one; a span or closure keeps one such index across
 all its operators and passes.  Elimination, membership, spans of images,
 closure, intersection, preimages and induced quotient maps all go through
 them; a field supplies only its scalar inverse and its modulus (0 for Q).
+Every kernel is one elimination: _kernel_tails grows the rows with the
+column order reversed and reads the kernel's RREF straight off that
+echelon.  kernel_of_rows is that kernel; a joint kernel, a preimage and an
+intersection take the left kernel of their residuals, over the
+coefficients of the current basis rows, and combine those rows with it.
 
 Subspaces are stored as the tails of a reduced row-echelon basis with no
 zero rows, which makes set equality of subspaces the same as equality of
@@ -724,32 +729,36 @@ def kernel(m: Matrix) -> "Subspace":
 def kernel_of_rows(field, n: int, rows: Iterable[dict]) -> "Subspace":
     """{v in K^n : row . v = 0 for every sparse row}; consumes the rows.
 
-    The rows are grown into an echelon and its complement rows span the
-    kernel, so no dense matrix is formed.  The rows are trusted as in
-    Subspace.from_rows.
+    One elimination, and no dense matrix: the rows grow one echelon with
+    the column order reversed (c -> n-1-c), and its complement rows are
+    the kernel's RREF.  Proof: in reversed order each echelon row ends at
+    its pivot c, so it is e_c plus entries at free columns below c.  v is
+    in the kernel iff v_c = -tail_c . v for every pivot c, so the
+    complement row of a free column f is e_f minus tail_c[f] e_c over the
+    pivots c above f whose rows hold f.  That row leads at f and is zero
+    at every other free column: the rows of all free columns are already
+    an RREF, and no second elimination is needed.  The rows are trusted as
+    in Subspace.from_rows.
     """
+    return Subspace(field, n, _kernel_tails(field, n, rows))
+
+
+def _kernel_tails(field, n: int, rows: Iterable[dict]) -> dict:
+    """The RREF tails of kernel_of_rows(field, n, rows), by its one reversed-order elimination."""
+    last = n - 1
     tails: dict[int, dict] = {}
-    _grow(tails, rows, field)
-    return Subspace.from_rows(field, n, _complement_rows(field, n, tails))
+    _grow(tails, ({last - c: x for c, x in row.items()} for row in rows), field)
+    p = field.modulus
+    out: dict[int, dict] = {f: {} for f in _free_cols(n, [last - c for c in tails])}
+    for c, tail in tails.items():
+        for f, x in tail.items():
+            out[last - f][last - c] = -x % p if p else -x
+    return out
 
 
 def _free_cols(n: int, pivots: Iterable[int]) -> list[int]:
     taken = set(pivots)
     return [c for c in range(n) if c not in taken]
-
-
-def _complement_rows(field, n: int, tails: dict) -> list[dict]:
-    """Sparse row t is e_f - sum_c tails[c][f] e_c for the t-th free column f.
-
-    For the tails of an RREF echelon in K^n, which are zero at every
-    pivot, these rows are a basis of its right kernel.
-    """
-    p = field.modulus
-    out = {f: {f: 1} for f in _free_cols(n, tails)}
-    for c in sorted(tails):
-        for f, x in tails[c].items():
-            out[f][c] = -x % p if p else -x
-    return list(out.values())
 
 
 # ---------------------------------------------------------------------------
@@ -1002,7 +1011,7 @@ class Subspace:
         self._check(other)
         if self.is_zero() or other.is_zero():
             return Subspace.zero(self.field, self.ambient_dim)
-        return _cancelling(self, other._reduce_rows(self.rows), self.ambient_dim)
+        return _cancelling(self, other._reduce_rows(self.rows))
 
     def quotient(self) -> QuotientMaps:
         """The ambient modulo this subspace, indexed by the RREF basis's free coordinates."""
@@ -1081,10 +1090,12 @@ def _restrict(operators: Sequence, target: Optional[Subspace]) -> Subspace:
     """{v : op v in target for every op}, one operator at a time; None is the zero target.
 
     Operators are anything with field, shape and apply_rows (a Matrix or a
-    modules.LegAction).  Each step applies op to the current basis rows and
-    reduces the images against target: the residual on target's free
-    columns is the image under its quotient projection, so no projection
-    is formed.  The combinations of basis rows whose residuals cancel stay.
+    modules.LegAction).  Each step applies op to the current basis rows b_i
+    and reduces the images against target, leaving residuals r_i.  Proof
+    that the step is right: the residual modulo target is linear and its
+    kernel is target, so sum x_i b_i stays (op maps it into target) iff
+    sum x_i r_i = 0; those combinations are what _cancelling keeps.  No
+    quotient projection is formed.
     """
     if not operators:
         raise ValueError("preimage and joint_kernel need at least one operator")
@@ -1100,26 +1111,35 @@ def _restrict(operators: Sequence, target: Optional[Subspace]) -> Subspace:
         images = op.apply_rows(current.rows)  # row i: op applied to basis row i
         if target is not None:
             target._reduce_rows(images)
-        current = _cancelling(current, images, op.shape[0])
+        current = _cancelling(current, images)
     return current
 
 
-def _cancelling(current: Subspace, resid: list[dict], width: int) -> Subspace:
-    """The span of the combinations of current's basis rows whose sparse rows resid cancel.
+def _cancelling(current: Subspace, resid: list[dict]) -> Subspace:
+    """The span of the combinations sum x_i b_i of current's basis rows with sum x_i resid_i = 0.
 
-    resid holds columns below width and is consumed.  One elimination of
-    the rows [resid_i | b_i], b_i basis row i shifted past width: the
-    pivot rows past width are zero on resid's columns, so they span the
-    combinations sum c_i b_i with sum c_i resid_i = 0, and shifted back
-    they are that span's RREF tails.
+    resid[i] is the sparse row of basis row b_i.  The left kernel X of
+    the resid matrix is the kernel of its columns: sparse rows over the
+    k = dim(current) coefficient coordinates, read in RREF off one
+    elimination (_kernel_tails), so no row past k is eliminated.  Proof that
+    X B is the span's RREF, B being current's basis: row j of X is e_(i_j)
+    plus entries at rows i that are not kept, and each b_i is 1 at
+    pivots[i] and 0 at every other pivot of B.  So row j of X B holds 1 at
+    pivots[i_j] and 0 at every other kept pivot, and it starts there, as
+    every b_i it adds starts at a later pivot: X B is reduced row-echelon.
     """
     if not any(resid):
         return current
-    for row, b in zip(resid, current.rows):
-        for c, x in b.items():
-            row[c + width] = x
-    tails: dict[int, dict] = {}
-    _grow(tails, resid, current.field)
-    kept = {c: tail for c, tail in tails.items() if c >= width}
-    shifted = {c - width: {k - width: x for k, x in tail.items()} for c, tail in kept.items()}
-    return Subspace(current.field, current.ambient_dim, shifted)
+    columns: dict[int, dict] = {}
+    for i, row in enumerate(resid):
+        for c, x in row.items():
+            columns.setdefault(c, {})[i] = x
+    pivots, tails, p = current.pivots, current._tails, current.field.modulus
+    kept: dict[int, dict] = {}
+    for i, coeffs in _kernel_tails(current.field, current.dim, columns.values()).items():
+        row = dict(tails[pivots[i]])
+        for j, x in coeffs.items():  # row += x b_j; row is zero at b_j's pivot until now
+            row[pivots[j]] = x
+            _subtract(row, -x, tails[pivots[j]], p)
+        kept[pivots[i]] = row
+    return Subspace(current.field, current.ambient_dim, kept)

@@ -6,6 +6,7 @@ textbook RREF grown a row at a time (_kept); no package code is touched.
 The quoted dimensions in the tests come from these functions.
 """
 
+from collections import defaultdict
 from fractions import Fraction
 
 from naive_gauss import (
@@ -573,12 +574,14 @@ def two_sided_mu_normal_form(mul, rank=1, p=None):
     pi(a tensor p tensor c) = 1 tensor ap tensor c + a tensor pc tensor 1
     - 1 tensor apc tensor 1; no closure is taken.  With a prime p the
     rows are reduced mod p and the RREF is taken over F_p, which is mu^1
-    of the algebra with the same structure constants over F_p.
+    of the algebra with the same structure constants over F_p.  The rows
+    are built sparse, on ints where the constants are integral.
     """
     n = _n(mul)
     m = rank * n
     amb = n * m * n
-    unit = _unit_coords(mul)
+    table = [[[_exact(x) for x in cell] for cell in row] for row in mul]
+    unit = [_exact(x) for x in _unit_coords(mul)]
     ones = [a for a in range(n) if unit[a] != 0]
 
     def flat(i, u, j):
@@ -587,9 +590,9 @@ def two_sided_mu_normal_form(mul, rank=1, p=None):
     def act(u, on_left, b):
         """e_b p_u (on_left) or p_u e_b, as coordinates in P."""
         r, k = divmod(u, n)
-        out = [Fraction(0)] * m
+        out = [0] * m
         for x in range(n):
-            out[r * n + x] = Fraction(mul[b][k][x] if on_left else mul[k][b][x])
+            out[r * n + x] = table[b][k][x] if on_left else table[k][b][x]
         return out
 
     rows = []
@@ -598,11 +601,11 @@ def two_sided_mu_normal_form(mul, rank=1, p=None):
             ap = act(u, True, i)
             for j in range(n):
                 pc = act(u, False, j)
-                apc = [Fraction(0)] * m
+                apc = [0] * m
                 for v in range(m):
                     if pc[v] != 0:
                         apc = [y + pc[v] * z for y, z in zip(apc, act(v, True, i))]
-                row = [Fraction(0)] * amb
+                row = defaultdict(int)
                 row[flat(i, u, j)] += 1
                 for v in range(m):
                     for a in ones:
@@ -611,12 +614,31 @@ def two_sided_mu_normal_form(mul, rank=1, p=None):
                         for c in ones:
                             row[flat(a, v, c)] += unit[a] * apc[v] * unit[c]
                 rows.append(row)
+    zero = Fraction(0) if p is None else 0  # one shared zero: naive_rref converts no cell
+    dense = []
+    for row in rows:
+        line = [zero] * amb
+        for c, x in row.items():
+            line[c] = Fraction(x) if p is None else _mod(x, p)
+        dense.append(line)
     if p is None:
-        return _span_basis(rows)
-    red, pivots = naive_rref_mod(
-        [[x.numerator * pow(x.denominator, -1, p) % p for x in row] for row in rows], p
-    )
+        return _span_basis(dense)
+    red, pivots = naive_rref_mod(dense, p)
     return red[: len(pivots)]
+
+
+def _exact(x):
+    """x as an int when it is integral; ints and Fractions mix exactly, and ints are fast."""
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def _mod(x, p):
+    """The residue of a rational x mod p."""
+    if type(x) is int:
+        return x % p
+    x = Fraction(x)
+    return x.numerator * pow(x.denominator, -1, p) % p
 
 
 # -- left-linear maps, from Kronecker-product conditions ---------------------

@@ -42,6 +42,26 @@ def test_missing_file_is_io_error(capsys):
     assert run(["validate", "-a", "no_such_file.json"]) == 3
 
 
+def test_missing_file_writes_its_error_report(capsys):
+    error = "cannot read no_such_file.json: [Errno 2] No such file or directory: 'no_such_file.json'"
+    assert run(["center", "-a", "no_such_file.json"]) == 3
+    assert out_of(capsys) == ("", f"error: {error}\n")
+    code, report, _ = run_json(capsys, ["center", "-a", "no_such_file.json"])
+    assert code == 3
+    assert report["command"] == "center"
+    assert report["results"] == {"error": error}
+
+
+def test_unknown_catalog_name_prints_its_plain_message_and_report(capsys):
+    error = f"unknown catalog algebra 'nosuch'; have {catalog_names()}"
+    assert run(["catalog", "export", "nosuch"]) == 1
+    assert out_of(capsys) == ("", f"error: {error}\n")  # no quotes from str(KeyError)
+    code, report, _ = run_json(capsys, ["catalog", "export", "nosuch"])
+    assert code == 1
+    assert report["command"] == "catalog"
+    assert report["results"] == {"error": error}
+
+
 def test_malformed_json_is_validation_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

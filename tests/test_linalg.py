@@ -20,6 +20,7 @@ from ncjets.linalg import (
     closure_under,
     joint_kernel,
     kernel,
+    kernel_of_rows,
     preimage,
     rref,
     unit_vector,
@@ -1075,6 +1076,165 @@ def test_joint_kernel():
     jk = joint_kernel([a, b])
     assert jk.dim == 1
     assert jk.contains(unit_vector(QQ, 3, 2))
+
+
+# ---------------------------------------------------------------------------
+# one elimination per kernel
+
+# each field with the nonzero cells its kernel systems draw: non-unit and
+# fractional over Q, residues and the top ones over the prime fields
+KERNEL_FIELDS = [
+    (QQ, [1, -1, 2, -3, F(1, 2), F(-2, 3), 2**70]),
+    (GF(7), [1, 2, 3, 6]),
+    (GF(P31), [1, 2, P31 - 1, P31 - 2]),
+]
+
+
+def _naive_echelon(field, vectors):
+    """The naive RREF's nonzero rows and its pivots, over Q or F_p."""
+    if not vectors:
+        return [], []
+    red, pivots = naive_rref(vectors) if field == QQ else naive_rref_mod(vectors, field.p)
+    return red[: len(pivots)], pivots
+
+
+def _naive_null(field, rows, n):
+    """A basis of {v in K^n : r . v = 0 for every row r}; every unit vector for no rows."""
+    if not rows:
+        return [[int(i == j) for j in range(n)] for i in range(n)]
+    return naive_kernel_basis(rows) if field == QQ else naive_kernel_basis_mod(rows, field.p)
+
+
+def _assert_naive_echelon(field, sub, vectors):
+    """sub's pivots and tails equal, value for value, those of the naive RREF of vectors."""
+    rows, pivots = _naive_echelon(field, vectors)
+    assert sub.pivots == tuple(pivots)
+    want = {c: {k: x for k, x in enumerate(row) if x and k != c} for c, row in zip(pivots, rows)}
+    assert sub._tails == want
+
+
+def _sparse(rows):
+    return [{c: x for c, x in enumerate(row) if x} for row in rows]
+
+
+@st.composite
+def _kernel_systems(draw):
+    """(field, n, rows, split, target, w): rows with zero, repeated and full-rank blocks.
+
+    rows may be empty; split cuts them between two operators; target and
+    w span subspaces of K^len(rows) and K^n for preimage and intersection.
+    """
+    field, values = draw(st.sampled_from(KERNEL_FIELDS))
+    n = draw(st.integers(1, 7))
+
+    def vectors(width, most):
+        cell = st.one_of(st.just(0), st.sampled_from(values))
+        return draw(st.lists(st.lists(cell, min_size=width, max_size=width), max_size=most))
+
+    rows = vectors(n, 6)
+    if rows and draw(st.booleans()):
+        rows.append(list(draw(st.sampled_from(rows))))
+    if draw(st.booleans()):
+        rows.append([0] * n)
+    if draw(st.booleans()):  # full rank: a zero kernel
+        rows += [[draw(st.sampled_from(values)) if i == j else 0 for j in range(n)] for i in range(n)]
+    rows = draw(st.permutations(rows))
+    split = draw(st.integers(0, len(rows)))
+    target = vectors(len(rows), 3) if rows else []
+    return field, n, rows, split, target, vectors(n, 4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_kernel_systems())
+@example((QQ, 3, [], 0, [], []))  # empty input: the whole space
+@example((GF(7), 2, [[3, 0], [0, 5], [3, 0]], 1, [[1, 1, 1]], [[2, 4]]))  # a zero kernel
+@example((QQ, 3, [[2, 4, 6], [0, 0, 0], [2, 4, 6]], 2, [[0, 1, 0]], [[1, 2, 3], [0, 1, 0]]))
+def test_kernels_preimages_and_intersections_match_the_naive_rref(case):
+    field, n, rows, split, target, w = case
+
+    def normalized(vectors):
+        return [[field.normalize(x) for x in v] for v in vectors]
+
+    rows = normalized(rows)
+    null = _naive_null(field, rows, n)
+    _assert_naive_echelon(field, kernel_of_rows(field, n, _sparse(rows)), null)
+    _assert_naive_echelon(field, kernel(Matrix(field, rows) if rows else Matrix.zeros(field, 1, n)), null)
+
+    # joint kernel: the rows cut between two operators
+    ops = [Matrix(field, part) if part else Matrix.zeros(field, 1, n) for part in (rows[:split], rows[split:])]
+    _assert_naive_echelon(field, joint_kernel(ops), null)
+
+    # preimage under the rows and their rotation: a . (op v) = 0 for each annihilator a of target
+    if rows:
+        mats = [rows, rows[1:] + rows[:1]]
+        ops = [Matrix(field, m) for m in mats]
+        conditions = normalized(
+            [sum(a[i] * m[i][j] for i in range(len(rows))) for j in range(n)]
+            for m in mats
+            for a in _naive_null(field, _naive_echelon(field, target)[0], len(rows))
+        )
+        got = preimage(ops, Subspace.from_spanning(field, len(rows), _sparse(normalized(target))))
+        _assert_naive_echelon(field, got, _naive_null(field, conditions, n))
+
+    # intersection: the kernel of [U^T | -W^T] mapped back through U
+    u, v = _naive_echelon(field, rows)[0], _naive_echelon(field, w)[0]
+    both = []
+    if u and v:
+        system = [[x[r] for x in u] + [-y[r] for y in v] for r in range(n)]
+        coeffs = _naive_null(field, system, len(u) + len(v))
+        both = [[sum(c[i] * x[j] for i, x in enumerate(u)) for j in range(n)] for c in coeffs]
+    got = Subspace.from_rows(field, n, _sparse(rows)) & Subspace.from_rows(field, n, _sparse(normalized(w)))
+    _assert_naive_echelon(field, got, normalized(both))
+
+
+def test_kernel_of_rows_grows_one_echelon(monkeypatch):
+    calls = []
+    grow = linalg._grow
+
+    def counting(tails, rows, field, where=None):
+        calls.append(None)
+        return grow(tails, rows, field, where)
+
+    monkeypatch.setattr(linalg, "_grow", counting)
+    for field in (QQ, GF(7)):
+        rows = [{0: 2, 3: 1}, {1: 1, 2: 3, 4: 5}, {0: 4, 3: 2}]
+        calls.clear()
+        ker = kernel_of_rows(field, 5, rows)
+        assert ker.dim == 3 and len(calls) == 1
+
+
+def test_cancelling_eliminates_only_coefficient_columns(monkeypatch):
+    # every row _cancelling hands to _grow lives in the k = dim(current)
+    # coefficient coordinates, and each call grows one echelon
+    inside, seen = [], []
+    grow, cancelling = linalg._grow, linalg._cancelling
+
+    def recording_cancelling(current, *rest):
+        inside.append(current.dim)
+        seen.append((current.dim, []))
+        try:
+            return cancelling(current, *rest)
+        finally:
+            inside.pop()
+
+    def recording_grow(tails, rows, field, where=None):
+        rows = list(rows)
+        if inside:
+            seen[-1][1].append([dict(row) for row in rows])
+        return grow(tails, rows, field, where)
+
+    monkeypatch.setattr(linalg, "_cancelling", recording_cancelling)
+    monkeypatch.setattr(linalg, "_grow", recording_grow)
+    t = Matrix(QQ, [[0, 2, 0], [0, 0, F(1, 3)], [0, 0, 0]])
+    ops = [LegAction(QQ, (3, 3), ((0, t),)) - LegAction(QQ, (3, 3), ((1, t.T),))]
+    target = Subspace.from_spanning(QQ, 9, [[1, 0, 0, 0, 1, 0, 0, 0, F(1, 2)]])
+    u = Subspace.from_spanning(GF(7), 3, [[1, 3, 0], [0, 1, 3]])
+    w = Subspace.from_spanning(GF(7), 3, [[2, 1, 0], [0, 0, 1]])
+    assert (joint_kernel(ops).dim, preimage(ops, target).dim, (u & w).dim) == (3, 3, 1)
+    assert len(seen) == 3
+    for dim, grown in seen:
+        assert len(grown) == 1  # one elimination per kernel
+        assert all(0 <= c < dim for row in grown[0] for c in row)
 
 
 # ---------------------------------------------------------------------------
