@@ -44,7 +44,8 @@ class Algebra:
     the coordinate vector of e_i e_j.  left_stack and right_stack are
     read-only views of it: left_stack[i] is the matrix of x -> e_i x and
     right_stack[j] that of x -> x e_j.  Instances are immutable once
-    validated.
+    validated: mul and unit are read-only, which BimoduleRep.regular and
+    free rely on.
     """
 
     def __init__(self, field, basis_names: Sequence[str], unit, mul, name: str = ""):
@@ -73,7 +74,7 @@ class Algebra:
             raise AlgebraValidationError("shape", None, "unit vector has wrong length")
         self.unit = vector(field, unit)
         mul_arr = field.asarray(mul_arr)
-        mul_arr.flags.writeable = False
+        self.unit.flags.writeable = mul_arr.flags.writeable = False
         self.mul = mul_arr
         self.left_stack = mul_arr.transpose(0, 2, 1)
         self.right_stack = mul_arr.transpose(1, 2, 0)

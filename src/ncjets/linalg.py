@@ -291,6 +291,8 @@ class RationalField:
 
     def normalize(self, x):
         # Python ints only: a numpy int64 cell would wrap around in products
+        if type(x) is int:  # not a bool, whose type is bool
+            return x
         if type(x) in _INEXACT_TYPES:
             raise _inexact(x)
         f = Fraction(x)
@@ -327,12 +329,16 @@ class RationalField:
                 flat[k] = x.numerator
         return a
 
-    def parse(self, s: str) -> Fraction:
+    def parse(self, s: str):
+        """The scalar s names, normalized: an int when integral, else a Fraction."""
         m = _RATIONAL_RE.fullmatch(s) if isinstance(s, str) else None
         if m is None:
             raise ScalarFormatError(f"not a rational scalar: {s!r}")
         num, den = m.groups()
-        return Fraction(int(num), int(den)) if den else Fraction(int(num))
+        if not den:
+            return int(num)
+        q = Fraction(int(num), int(den))
+        return q.numerator if q.denominator == 1 else q
 
     def format(self, x) -> str:
         # str of an int or a Fraction is already canonical; other types
@@ -392,6 +398,8 @@ class PrimeField:
         self.one = 1 % p
 
     def normalize(self, x) -> int:
+        if type(x) is int:  # not a bool, whose type is bool
+            return x % self.p
         if type(x) in _INEXACT_TYPES:
             raise _inexact(x)
         if isinstance(x, Fraction):

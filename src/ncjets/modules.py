@@ -51,12 +51,16 @@ class BimoduleRep:
 
     left and right hold the matrices; left_stack and right_stack hold
     each family once as a read-only (dim A, dim, dim) kernel array.
-    Validation checks, with witnesses: the unit acts as identity on both
-    sides, left action is a homomorphism, right action an
-    anti-homomorphism, the actions commute, and (unless
-    check_central=False) that central algebra elements act identically on
+    Actions from outside (the constructor: module documents, library
+    callers) are validated eagerly, with witnesses: the unit acts as
+    identity on both sides, left action is a homomorphism, right action
+    an anti-homomorphism, the actions commute, and (unless
+    check_central=False) central algebra elements act identically on
     both sides.  The middle three are checked at the algebra's generators
     (see _validate), and a full scan names the witness of a failure.
+    regular and free are valid by construction: their axioms are the
+    algebra's own, which validating the Algebra proved, so they run no
+    check (see regular).
     """
 
     def __init__(
@@ -67,25 +71,21 @@ class BimoduleRep:
         name: str = "",
         check_central: bool = True,
     ):
-        self.algebra = algebra
-        self.name = name or "module"
         if len(left) != algebra.dim or len(right) != algebra.dim:
             raise BimoduleValidationError(
                 "shape", None, "need one action matrix per algebra basis element"
             )
-        self.dim = left[0].rows
+        dim = left[0].rows
         for fam, mats in (("left", left), ("right", right)):
             for i, m in enumerate(mats):
-                if m.shape != (self.dim, self.dim):
+                if m.shape != (dim, dim):
                     raise BimoduleValidationError(
                         "shape", (fam, i), f"{fam} action matrix {i} has shape {m.shape}"
                     )
                 if m.field != algebra.field:
                     raise BimoduleValidationError("shape", (fam, i), "field mismatch")
-        self.left = tuple(left)
-        self.right = tuple(right)
-        self.left_stack, self.right_stack = (np.stack([m.a for m in f]) for f in (left, right))
-        self.left_stack.flags.writeable = self.right_stack.flags.writeable = False
+        stacks = (np.stack([m.a for m in f]) for f in (left, right))
+        self._assign(algebra, left, right, *stacks, name)
         self._validate()
         witness = self._centrality_witness()
         self.central = witness is None
@@ -93,6 +93,24 @@ class BimoduleRep:
             raise BimoduleValidationError(
                 "centrality", witness, "central algebra elements must act identically on both sides"
             )
+
+    def _assign(self, algebra, left, right, left_stack, right_stack, name: str):
+        """Set the attributes from the families and their stacks, which it freezes."""
+        self.algebra = algebra
+        self.name = name or "module"
+        self.left = tuple(left)
+        self.right = tuple(right)
+        self.dim = self.left[0].rows
+        self.left_stack, self.right_stack = left_stack, right_stack
+        left_stack.flags.writeable = right_stack.flags.writeable = False
+
+    @classmethod
+    def _valid_by_construction(cls, algebra, left, right, left_stack, right_stack, name: str):
+        """A central module whose axioms hold by proof (see regular): no check runs."""
+        module = cls.__new__(cls)
+        module._assign(algebra, left, right, left_stack, right_stack, name)
+        module.central = True
+        return module
 
     def _validate(self):
         """The unit, then the action axioms at the algebra's generators only.
@@ -180,19 +198,38 @@ class BimoduleRep:
 
     @classmethod
     def regular(cls, algebra: Algebra, name: str = "self") -> "BimoduleRep":
-        """The algebra as a bimodule over itself, by multiplication."""
-        return cls(algebra, algebra.left_ops, algebra.right_ops, name=name)
+        """The algebra as a bimodule over itself, by multiplication: valid by construction.
+
+        With L_a x = ax and R_a x = xa, each bimodule axiom is an instance
+        of an axiom that validating the Algebra proved (and a validated
+        Algebra does not change: its mul and unit are read-only):
+          - unit: L_1 = R_1 = I by the unit axiom;
+          - left: L_a L_b = L_(ab) is a(bx) = (ab)x;
+          - right: R_a R_b = R_(ba) is (xb)a = x(ba);
+          - commutation: L_a R_b = R_b L_a is a(xb) = (ax)b;
+          - centrality: for central z, L_z = R_z because zx = xz.
+        So no product, centrality check or center kernel runs.  The
+        stacks are the algebra's own read-only views of mul.
+        """
+        A = algebra
+        stacks = A.left_stack, A.right_stack
+        return cls._valid_by_construction(A, A.left_ops, A.right_ops, *stacks, name)
 
     @classmethod
     def free(cls, algebra: Algebra, rank: int, name: str = "") -> "BimoduleRep":
-        """Free bimodule A^rank, each action block-diagonal with rank copies of A's."""
+        """Free bimodule A^rank, each action block-diagonal with rank copies of A's.
+
+        Valid by construction: every action is block-diagonal with the
+        regular bimodule's action in each block, so each axiom holds block
+        by block (see regular).  No check runs.
+        """
         field, n = algebra.field, algebra.dim
-        pair = np.stack([algebra.left_stack, algebra.right_stack])
         blocks = np.zeros((2, n, rank * n, rank * n), dtype=field.dtype)
         for r in range(0, rank * n, n):
-            blocks[:, :, r : r + n, r : r + n] = pair
+            blocks[0, :, r : r + n, r : r + n] = algebra.left_stack
+            blocks[1, :, r : r + n, r : r + n] = algebra.right_stack
         left, right = ([Matrix._wrap(field, m) for m in family] for family in blocks)
-        return cls(algebra, left, right, name=name or f"free{rank}")
+        return cls._valid_by_construction(algebra, left, right, *blocks, name or f"free{rank}")
 
     def __repr__(self):
         return f"BimoduleRep({self.name!r}, dim={self.dim}, over {self.algebra.name!r})"

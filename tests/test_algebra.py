@@ -78,6 +78,15 @@ def test_unit_and_coordinates_may_be_one_shot_iterables():
         AlgebraElement(a, (c for c in [1, 2, 3]))
 
 
+def test_a_validated_algebra_is_read_only():
+    # BimoduleRep.regular and free take a validated algebra's axioms as proved
+    a = m2()
+    for array in (a.unit, a.mul, a.left_stack, a.right_stack):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 5
+    assert list(a.unit) == [1, 0, 0, 1] and a.mul[0, 0, 0] == 1
+
+
 # ---------------------------------------------------------------------------
 # center
 

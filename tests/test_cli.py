@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -79,6 +80,60 @@ def test_broken_algebra_is_validation_error(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text(_json.dumps(doc))
     assert run(["validate", "-a", str(path)]) == 1
+
+
+def _halved_dual_numbers_doc():
+    """Dual numbers in the basis (1/2, eps/2): Fractions in mul, an int 2 in the unit."""
+    from fractions import Fraction
+
+    from ncjets.algebra import Algebra
+    from ncjets.documents import algebra_to_doc
+    from ncjets.linalg import QQ
+
+    half = Fraction(1, 2)
+    algebra = Algebra(QQ, ["h", "e"], [2, 0], [[[half, 0], [0, half]], [[0, half], [0, 0]]])
+    return algebra_to_doc(algebra)
+
+
+def _noncanonical(text: str, k: int) -> str:
+    """The rational scalar text in one of three other spellings, chosen by k."""
+    num, _, den = text.partition("/")
+    num, den = int(num), int(den or 1)
+    if k % 3 == 0:
+        return f"{2 * num}/{2 * den}"
+    if k % 3 == 1 and den == 1:
+        return f"+{num}" if num >= 0 else f"-{-num}/1"
+    return "-0" if num == 0 else f"{3 * num}/{3 * den}"
+
+
+@pytest.mark.parametrize("name", ["m2", "quaternions", "halved"])
+def test_noncanonical_scalars_read_as_the_canonical_document(tmp_path, capsys, name):
+    from ncjets.documents import algebra_from_doc, algebra_to_doc
+
+    if name == "halved":
+        canonical = _halved_dual_numbers_doc()
+    else:
+        canonical = algebra_to_doc(builtin(name).algebra)
+    cells = itertools.count()
+    respelled = json.loads(json.dumps(canonical))
+    respelled["unit"] = [_noncanonical(x, next(cells)) for x in canonical["unit"]]
+    respelled["mul"] = [
+        [[_noncanonical(x, next(cells)) for x in cell] for cell in row] for row in canonical["mul"]
+    ]
+    assert respelled != canonical
+    want, got = algebra_from_doc(canonical), algebra_from_doc(respelled)
+    for a, b in ((want.mul, got.mul), (want.unit, got.unit)):
+        assert a.tolist() == b.tolist()
+        assert [type(x) for x in a.flat] == [type(x) for x in b.flat]
+    reports = []
+    for doc in (canonical, respelled):
+        path = tmp_path / f"{len(reports)}.json"
+        path.write_text(json.dumps(doc))
+        code, report, _ = run_json(capsys, ["validate", "-a", str(path)])
+        assert code == 0
+        reports.append(report)
+    assert reports[0]["inputs"] == reports[1]["inputs"]
+    assert reports[0]["results"] == reports[1]["results"]
 
 
 def _m2_docs():
@@ -267,7 +322,8 @@ def test_derivations_build_no_module(monkeypatch, capsys, name):
     def refuse(*args, **kwargs):
         raise RuntimeError("derivations built a module")
 
-    monkeypatch.setattr(BimoduleRep, "__init__", refuse)
+    # every module, validated or valid by construction, is set up by _assign
+    monkeypatch.setattr(BimoduleRep, "_assign", refuse)
     code, report, out = run_json(capsys, ["derivations", "-a", name])
     assert code == 0
     report["results"]["basis"] = want_basis
@@ -277,19 +333,19 @@ def test_derivations_build_no_module(monkeypatch, capsys, name):
 def test_same_module_for_p_and_q_is_loaded_and_digested_once(monkeypatch, capsys):
     argv = ["diff", "-a", "m2", "-p", "self", "-q", "self", "--def", "two-sided", "--order", "1"]
     builtin("m2")  # the catalog entry's own modules are built here
-    built, digests = [], []
-    real_init, real_digest = BimoduleRep.__init__, cli.digest
+    loads, digests = [], []
+    real_regular, real_digest = BimoduleRep.regular, cli.digest
 
-    def counting_init(self, *args, **kwargs):
-        built.append(self)
-        real_init(self, *args, **kwargs)
+    def counting_regular(algebra, *args, **kwargs):
+        loads.append(algebra)
+        return real_regular(algebra, *args, **kwargs)
 
     with monkeypatch.context() as counted:
-        counted.setattr(BimoduleRep, "__init__", counting_init)
+        counted.setattr(BimoduleRep, "regular", counting_regular)
         counted.setattr(cli, "digest", lambda doc: digests.append(doc) or real_digest(doc))
         code, _, out = run_json(capsys, argv)
     assert code == 0
-    assert len(built) == 1
+    assert len(loads) == 1
     assert len(digests) == 2  # the algebra and the one module
     # the reference run builds a new module for every spec it is given
     monkeypatch.setattr(

@@ -54,6 +54,21 @@ def test_rational_parse_rejects_junk():
             QQ.parse(s)
 
 
+@pytest.mark.parametrize(
+    "text, value", [("4/2", 2), ("-0", 0), ("+3", 3), ("-6/3", -2), ("0/5", 0), ("7", 7)]
+)
+def test_rational_parse_gives_an_int_for_an_integral_scalar(text, value):
+    x = QQ.parse(text)
+    assert x == value and type(x) is int
+
+
+@pytest.mark.parametrize("text, value", [("6/4", F(3, 2)), ("-2/6", F(-1, 3)), ("+1/2", F(1, 2))])
+def test_rational_parse_gives_a_fraction_in_lowest_terms(text, value):
+    x = QQ.parse(text)
+    assert x == value and type(x) is Fraction
+    assert (x.numerator, x.denominator) == (value.numerator, value.denominator)
+
+
 def test_rational_canonicalization():
     assert QQ.normalize(F(2, 4)) == F(1, 2)
     assert QQ.format(F(-1, -2)) == "1/2"
@@ -114,7 +129,7 @@ def test_gf_fraction_normalization():
     assert f7.normalize(F(1, 2)) == 4  # 2 * 4 = 8 = 1 mod 7
 
 
-@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "GF7"])
+@pytest.mark.parametrize("field", [QQ, GF(7), GF(2**31 - 1)], ids=["Q", "GF7", "GF31"])
 @pytest.mark.parametrize(
     "bad",
     [0.1, 1.0, True, False, np.bool_(True), np.float64(2.0), np.float32(0.5)],
@@ -132,6 +147,14 @@ def test_inexact_scalars_are_rejected(field, bad):
 def test_exact_integer_types_are_accepted():
     assert Matrix(QQ, [[np.int64(3), F(1, 2)]]) == Matrix(QQ, [[3, F(1, 2)]])
     assert GF(7).normalize(np.int32(9)) == 2
+
+
+@pytest.mark.parametrize("x", [0, 5, -3, 2**70, -(2**70)])
+def test_python_ints_normalize_in_one_step(x):
+    assert QQ.normalize(x) is x
+    for p in (7, 2**31 - 1):
+        y = GF(p).normalize(x)
+        assert y == x % p and type(y) is int
 
 
 _NUMPY_INTS = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]

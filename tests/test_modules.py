@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 from unittest import mock
 
@@ -29,10 +30,12 @@ from ncjets.modules import (
 
 from algebra_builders import (
     FACTORS,
+    SEEDED,
     exterior,
     full_matrices,
     group_algebra_s3,
     product,
+    signed_basis,
     trunc,
     upper_triangular,
 )
@@ -69,6 +72,57 @@ def test_regular_and_free_bimodules_validate(name):
     assert e.module("self").dim == e.algebra.dim
     assert e.module("free2").dim == 2 * e.algebra.dim
     assert e.module("self").central and e.module("free2").central
+
+
+def _table(algebra):
+    return list(algebra.basis_names), list(algebra.unit), raw_mul(algebra)
+
+
+# every catalog algebra and every SEEDED builder algebra, as (basis names, unit, table)
+_TABLES = {**{name: _table(builtin(name).algebra) for name in names()}, **SEEDED}
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7), GF(2**31 - 1)], ids=["Q", "GF7", "GF31"])
+@pytest.mark.parametrize("label", list(_TABLES))
+def test_regular_and_free_are_what_validation_builds(field, label):
+    """regular and free skip validation by proof; the validating constructor agrees.
+
+    Each algebra is written in a basis signed and permuted from its label,
+    and each module is rebuilt from its actions by the constructor, which
+    validates them and their centrality: it must accept them and build
+    the same module, cell for cell.
+    """
+    names_, unit, table = signed_basis(_TABLES[label], random.Random(label))
+    A = Algebra(field, names_, unit, table, name=label)
+    built = [BimoduleRep.regular(A)] + [BimoduleRep.free(A, rank) for rank in (1, 2, 3)]
+    for P, dim in zip(built, (1, 1, 2, 3)):
+        assert P.dim == dim * A.dim and P.central and P.algebra is A
+        assert P._centrality_witness() is None
+        V = BimoduleRep(A, P.left, P.right, name=P.name)
+        assert (V.dim, V.name, V.central) == (P.dim, P.name, P.central)
+        assert V.left == P.left and V.right == P.right
+        for mine, checked in ((P.left_stack, V.left_stack), (P.right_stack, V.right_stack)):
+            assert mine.shape == checked.shape and mine.dtype == checked.dtype
+            assert np.array_equal(mine, checked)
+            assert [type(x) for x in mine.flat] == [type(x) for x in checked.flat]
+            assert not mine.flags.writeable
+
+
+def test_regular_and_free_run_no_check(monkeypatch):
+    a = entry("m2").algebra
+    A = Algebra(QQ, a.basis_names, list(a.unit), raw_mul(a))  # a fresh one: no center yet
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(BimoduleRep, "_validate", refuse)
+    monkeypatch.setattr(BimoduleRep, "_centrality_witness", refuse)
+    monkeypatch.setattr(type(QQ), "dot", refuse)  # every product of a check
+    P, free2 = BimoduleRep.regular(A), BimoduleRep.free(A, 2)
+    assert (P.dim, free2.dim, P.central, free2.central) == (4, 8, True, True)
+    assert "center" not in vars(A)
+    with pytest.raises(AssertionError, match="a check ran"):
+        BimoduleRep(A, P.left, P.right)  # actions from outside are still checked
 
 
 def test_m2_with_left_matrices_on_the_right_fails():
