@@ -20,9 +20,11 @@ from .linalg import (
     DimensionMismatch,
     Matrix,
     Subspace,
+    _nonzero_cells,
     _sparse_rows,
     closure_under,
     kernel,
+    kernel_of_rows,
     unit_vector,
     vector,
 )
@@ -210,17 +212,36 @@ class Algebra:
         """K-linear maps d with d(ab) = d(a)b + a d(b).
 
         Subspace of Hom_K(A, A); hom vectors use the column-major
-        flattening (index = column * dim + row).
+        flattening (index = column * dim + row).  The conditions are
+        d(1) = 0 and the Leibniz rule at (g, e_y) for generators g and
+        basis y, which suffice: S = {a : d(ay) = d(a)y + a d(y) for all y}
+        is a subspace closed under products (for a, b in S,
+        d(aby) = d(a)by + a d(b)y + ab d(y) = d(ab)y + ab d(y)), it holds 1
+        once d(1) = 0, and so holding the generators it is A (see
+        generators).  That is at most n + |generators| n^2 sparse rows,
+        built from the nonzeros of mul, and one kernel_of_rows.
         """
-        n, field = self.dim, self.field
-        # cond[i, j, k, c, r] is the coefficient of d's entry (r, c) in
-        # coordinate k of d(e_i e_j) - d(e_i) e_j - e_i d(e_j)
-        cond = np.zeros((n,) * 5, dtype=field.dtype)
-        for t in range(n):
-            cond[:, :, t, :, t] += self.mul
-            cond[t, :, :, t, :] -= self.right_stack
-            cond[:, t, :, t, :] -= self.left_stack
-        return kernel(Matrix._wrap(field, field.reduce_array(cond.reshape(n**3, n**2))))
+        n, field, gens, p = self.dim, self.field, self.generators, self.field.modulus
+        rows = [{c * n + k: u for c, u in enumerate(self.unit.tolist()) if u} for k in range(n)]
+        # row (t, y, k) is coordinate k of d(e_g e_y) - d(e_g) e_y - e_g d(e_y), g = gens[t];
+        # only the rows that meet a nonzero of mul are made
+        sums: dict[int, dict] = {}
+
+        def add(t, y, k, col, x):
+            row = sums.setdefault((t * n + y) * n + k, {})
+            row[col] = row.get(col, 0) + x
+
+        for t, y, c, x in _nonzero_cells(self.mul[list(gens)]):
+            # d(e_g e_y), and e_g d(e_y) with (y, c) as (r, k)
+            for k in range(n):
+                add(t, y, k, c * n + k, x)
+                add(t, k, c, k * n + y, -x)
+        for r, y, k, x in _nonzero_cells(self.mul):  # d(e_g) e_y
+            for t, g in enumerate(gens):
+                add(t, y, k, g * n + r, -x)
+        for row in sums.values():
+            rows.append({c: y for c, x in row.items() if (y := x % p if p else x)})
+        return kernel_of_rows(field, n * n, rows)
 
     def inner_derivation(self, a: "AlgebraElement") -> Matrix:
         """ad_a : x -> a x - x a."""

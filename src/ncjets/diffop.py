@@ -32,10 +32,13 @@ under the left pair (the zero S always is), and a subspace is invariant
 under an action family once it is invariant under its members at the
 generators (Algebra.generators).  The bodies act by the generators
 wherever that gives the same subspace, with the proof beside each call:
-zero-order kernels (modules.generator_preimage), module spans, left-center
-closures, and the preimages whose target is left-pair invariant
-(comm-inductive stages, left-center lifts, diff_bar1's pull-back).  The
-sum-form preimages and the comm-iterated words keep the whole basis.
+module spans, left-center closures, and the preimages whose target is
+left-pair invariant (comm-inductive stages, left-center lifts, diff_bar1's
+pull-back).  The sum-form preimages and the comm-iterated words keep the
+whole basis.  The zero-order kernels, the maps that commute with one side's
+action, are HomSpace.linear_maps: read off the free lift when the source is
+free (BimoduleRep.regular and free), with no elimination over the Hom
+space, and by modules.generator_preimage otherwise.
 """
 
 from __future__ import annotations
@@ -134,9 +137,12 @@ class _Steps:
     def pullback(self, side: str, prev: Subspace | None = None) -> Subspace:
         """{w : dev w in prev for every dev of the side}; None is the zero prev, a joint kernel.
 
-        By generator_preimage, so a nonzero prev must be invariant under the
-        side's pair (the caller proves it; the zero prev always is).
+        The joint kernel is the side's linear maps (HomSpace.linear_maps).  A
+        nonzero prev goes by generator_preimage, so it must be invariant
+        under the side's pair (the caller proves it).
         """
+        if prev is None:
+            return self._recall(("pull", side), None, lambda: self.hs.linear_maps(side))
         devs = self._family(side)[1]
         return self._recall(("pull", side), prev, lambda: generator_preimage(self.hs, [devs], prev))
 

@@ -106,12 +106,18 @@ def _inexact(x) -> ScalarFormatError:
     return ScalarFormatError(f"not an exact scalar: {x!r} ({type(x).__name__})")
 
 
-def _cell_values(a: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> list:
-    """The cells a[rows, cols] of a kernel array as a list of exact Python scalars."""
-    vals = a[rows, cols].tolist()
+def _cell_values(a: np.ndarray, *index: np.ndarray) -> list:
+    """The cells a[index] of a kernel array, one index array per axis, as exact Python scalars."""
+    vals = a[index].tolist()
     if a.dtype == object:  # a numpy int among them would wrap around in products
         vals = [x if type(x) is int or type(x) is Fraction else QQ.normalize(x) for x in vals]
     return vals
+
+
+def _nonzero_cells(a: np.ndarray) -> Iterable[tuple]:
+    """(index on each axis..., value) per nonzero cell of a kernel array, in C order."""
+    nz = a.nonzero()
+    return zip(*(i.tolist() for i in nz), _cell_values(a, *nz))
 
 
 def _sparse_rows(a: np.ndarray) -> list[dict]:

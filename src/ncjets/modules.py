@@ -27,6 +27,7 @@ from .linalg import (
     Subspace,
     _apply_columns,
     _factor_term,
+    _nonzero_cells,
     joint_kernel,
     preimage,
     vector,
@@ -60,8 +61,12 @@ class BimoduleRep:
     (see _validate), and a full scan names the witness of a failure.
     regular and free are valid by construction: their axioms are the
     algebra's own, which validating the Algebra proved, so they run no
-    check (see regular).
+    check (see regular).  They also mark the module free: free_rank is r
+    for A^r (1 for regular), and None for a module from the constructor,
+    which the Hom space then treats as any module (HomSpace.linear_maps).
     """
+
+    free_rank: int | None = None
 
     def __init__(
         self,
@@ -105,11 +110,12 @@ class BimoduleRep:
         left_stack.flags.writeable = right_stack.flags.writeable = False
 
     @classmethod
-    def _valid_by_construction(cls, algebra, left, right, left_stack, right_stack, name: str):
-        """A central module whose axioms hold by proof (see regular): no check runs."""
+    def _valid_by_construction(cls, algebra, left, right, left_stack, right_stack, name, rank):
+        """The central free module A^rank, valid by proof (see regular): no check runs."""
         module = cls.__new__(cls)
         module._assign(algebra, left, right, left_stack, right_stack, name)
         module.central = True
+        module.free_rank = rank
         return module
 
     def _validate(self):
@@ -213,7 +219,7 @@ class BimoduleRep:
         """
         A = algebra
         stacks = A.left_stack, A.right_stack
-        return cls._valid_by_construction(A, A.left_ops, A.right_ops, *stacks, name)
+        return cls._valid_by_construction(A, A.left_ops, A.right_ops, *stacks, name, 1)
 
     @classmethod
     def free(cls, algebra: Algebra, rank: int, name: str = "") -> "BimoduleRep":
@@ -229,7 +235,8 @@ class BimoduleRep:
             blocks[0, :, r : r + n, r : r + n] = algebra.left_stack
             blocks[1, :, r : r + n, r : r + n] = algebra.right_stack
         left, right = ([Matrix._wrap(field, m) for m in family] for family in blocks)
-        return cls._valid_by_construction(algebra, left, right, *blocks, name or f"free{rank}")
+        name = name or f"free{rank}"
+        return cls._valid_by_construction(algebra, left, right, *blocks, name, rank)
 
     def __repr__(self):
         return f"BimoduleRep({self.name!r}, dim={self.dim}, over {self.algebra.name!r})"
@@ -432,6 +439,21 @@ class HomSpace(TensorAmbient):
     deltas = TensorAmbient.deltas
     delta_bars = TensorAmbient.delta_bars
 
+    def linear_maps(self, side: str) -> Subspace:
+        """The maps that commute with the side's action: phi(a p) = a phi(p) or phi(p a) = phi(p) a.
+
+        They are the joint kernel of the side's deviations (deltas for
+        "left", delta_bars for "right").  From a free source (free_rank set
+        by BimoduleRep.regular and free) they are read off the free lift
+        (_free_lift), with no elimination over the Hom space; from any
+        other source, by generator_preimage.
+        """
+        rank, left = self.source.free_rank, side == "left"
+        if rank is None:
+            return generator_preimage(self, [self.deltas if left else self.delta_bars])
+        stack = self.target.left_stack if left else self.target.right_stack
+        return _free_lift(self.field, stack, rank, self.algebra.dim, 1)
+
     def vec(self, phi: Matrix) -> np.ndarray:
         if phi.field != self.field:
             raise DimensionMismatch(f"hom element over {phi.field!r} in Hom over {self.field!r}")
@@ -476,16 +498,43 @@ def generator_preimage(
     return joint_kernel(ops) if target is None else preimage(ops, target)
 
 
+def _free_lift(
+    field, stack: np.ndarray, copies: int, copy_stride: int, basis_stride: int
+) -> Subspace:
+    """The maps out of a free module A^copies that commute with one side's action of A.
+
+    stack is the target's action family on that side, (dim A, d, d), and
+    basis element j of copy c of the source has index
+    c * copy_stride + j * basis_stride.  Proof: the free generator u_c is
+    the unit in copy c, and basis element j of copy c is e_j u_c = u_c e_j.
+    So a map phi commuting with the left action sends it to L_j q_c, one
+    commuting with the right action to R_j q_c, where q_c = phi(u_c) and
+    L_j or R_j is stack[j]; and every choice of the q_c extends, as
+    Hom_A(A^copies, Q) = Q^copies.  The lift of (c, v), the map with q_c
+    the basis vector v and every other q zero, holds stack[j][q', v] at
+    (c * copy_stride + j * basis_stride) * d + q' in column-major Hom
+    coordinates.  These copies * d sparse rows span the maps.  They are
+    read in one pass over the stack's nonzeros, and their RREF is the
+    canonical basis.
+    """
+    n, d = stack.shape[0], stack.shape[1]
+    cells: list = [[] for _ in range(d)]  # cells[v]: (offset in copy 0, value) of lift (0, v)
+    for j, q, v, x in _nonzero_cells(stack):
+        cells[v].append((j * basis_stride * d + q, x))
+    shift = copy_stride * d
+    rows = [{c * shift + off: x for off, x in lift} for c in range(copies) for lift in cells]
+    return Subspace.from_rows(field, copies * n * d, rows)
+
+
 def hom_A(source: BimoduleRep, target: BimoduleRep) -> Subspace:
     """Left-linear maps {phi : phi(a p) = a phi(p)}, the joint delta kernel."""
-    hs = HomSpace(source, target)
-    return generator_preimage(hs, [hs.deltas])
+    return HomSpace(source, target).linear_maps("left")
 
 
 def hom_AA(source: BimoduleRep, target: BimoduleRep) -> Subspace:
-    """Bimodule maps: additionally phi(p a) = phi(p) a."""
+    """Bimodule maps: the left-linear maps that are also right-linear, phi(p a) = phi(p) a."""
     hs = HomSpace(source, target)
-    return generator_preimage(hs, [hs.deltas, hs.delta_bars])
+    return hs.linear_maps("left") & hs.linear_maps("right")
 
 
 # ---------------------------------------------------------------------------
@@ -515,18 +564,15 @@ class TensorOneSided(TensorAmbient):
 
         A tensor P is free on its P-leg, so f is fixed by phi = f . J
         through f(e_i tensor p) = L_i phi(p), and every phi occurs: the
-        lifts of the matrix units of Hom(P, target) span the space.  The
-        result lives in the column-major Hom coordinates of maps
-        A tensor P -> target (entry (q, (i, u)) at index
-        (i * dimP + u) * dimQ + q).
+        lifts of the matrix units of Hom(P, target) span the space
+        (_free_lift, with copy u the generator 1 tensor p_u).  The result
+        lives in the column-major Hom coordinates of maps A tensor P ->
+        target (entry (q, (i, u)) at index (i * dimP + u) * dimQ + q).
         """
         if target.algebra is not self.algebra:
             raise DimensionMismatch("left-linear maps need both modules over one algebra")
-        n, m, d = self.algebra.dim, self.module.dim, target.dim
-        lifts = np.zeros((m, d, n, m, d), dtype=self.field.dtype)
-        for u in range(m):
-            lifts[u, :, :, u, :] = target.left_stack.transpose(2, 0, 1)  # lift of E_(q0, u)
-        return Subspace.from_spanning(self.field, self.dim * d, lifts.reshape(m * d, n * m * d))
+        m = self.module.dim
+        return _free_lift(self.field, target.left_stack, m, 1, m)
 
 
 class TensorTwoSided(TensorAmbient):

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 from naive_gauss import (
     naive_kernel_basis,
+    naive_kernel_basis_mod,
     naive_mat_vec,
     naive_nullity,
     naive_rref,
@@ -45,8 +46,8 @@ def center_dim(mul):
     return naive_nullity(rows)
 
 
-def derivations_dim(mul):
-    """Nullity of the Leibniz system d(e_i e_j) = d(e_i) e_j + e_i d(e_j).
+def _derivation_rows(mul):
+    """The Leibniz system d(e_i e_j) = d(e_i) e_j + e_i d(e_j), one row per (i, j, k).
 
     Unknowns are the n^2 entries of d, flattened at column * n + row.
     """
@@ -70,7 +71,21 @@ def derivations_dim(mul):
                 for r in range(n):
                     row[j * n + r] -= L_i[k][r]
                 rows.append(row)
-    return naive_nullity(rows)
+    return rows
+
+
+def derivations_dim(mul):
+    """Nullity of the Leibniz system at every pair of basis elements."""
+    return naive_nullity(_derivation_rows(mul))
+
+
+def derivations_rref(mul, p=None):
+    """The RREF basis (rows) of the derivations: over Q, or over F_p for a table of ints mod p."""
+    rows = _derivation_rows(mul)
+    if p is None:
+        return naive_rref(naive_kernel_basis(rows))[0]
+    rows = [[int(x) for x in row] for row in rows]
+    return naive_rref_mod(naive_kernel_basis_mod(rows, p), p)[0]
 
 
 # -- Hom-space machinery over the regular bimodule P = Q = A ----------------

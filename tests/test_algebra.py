@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -5,9 +6,10 @@ import pytest
 
 from ncjets.algebra import Algebra, AlgebraElement, AlgebraValidationError
 from ncjets.catalog import builtin, names
-from ncjets.linalg import QQ, Matrix, vector
+from ncjets.linalg import GF, QQ, Matrix, vector
 
-from oracle_systems import center_dim, derivations_dim
+from algebra_builders import SEEDED, signed_basis
+from oracle_systems import center_dim, derivations_dim, derivations_rref
 
 F = Fraction
 
@@ -196,6 +198,27 @@ def test_dual_derivations():
 def test_derivations_match_naive_oracle(name):
     a = builtin(name).algebra
     assert a.derivations.dim == derivations_dim(raw_mul(a))
+
+
+def _derivation_cases():
+    """Every catalog algebra as it is, and the builder algebras in a basis seeded by their label."""
+    cases = {name: builtin(name).algebra for name in names()}
+    for label, table in SEEDED.items():
+        cases[label] = Algebra(QQ, *signed_basis(table, random.Random(label)), name=label)
+    return cases
+
+
+_DERIVATION_CASES = _derivation_cases()
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "GF7"])
+@pytest.mark.parametrize("label", list(_DERIVATION_CASES))
+def test_derivations_are_the_naive_subspace(field, label):
+    # d(1) = 0 and the Leibniz rule at the generators give the RREF basis of the full system
+    a = _DERIVATION_CASES[label]
+    A = Algebra(field, a.basis_names, list(a.unit), a.mul.tolist(), name=label)
+    p = None if field == QQ else field.p
+    assert A.derivations.basis.to_lists() == derivations_rref(raw_mul(A), p)
 
 
 @pytest.mark.parametrize("name", names())

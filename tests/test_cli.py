@@ -7,6 +7,7 @@ import ncjets.cli as cli
 import ncjets.jets
 from ncjets.catalog import builtin, names as catalog_names
 from ncjets.cli import run
+from ncjets.diffop import TAGS
 from ncjets.documents import canonical_json, hom_matrix_to_doc
 from ncjets.modules import BimoduleRep, HomSpace
 
@@ -458,6 +459,31 @@ def test_compare_report(capsys):
     )
     assert code == 0
     assert report["results"]["commutative_collapse"] is True
+
+
+def _self_document(tmp_path, capsys, name) -> str:
+    """The file of `catalog export NAME --module self`'s module document."""
+    report = tmp_path / f"{name}_report.json"
+    assert run(["catalog", "export", name, "--module", "self", "-o", str(report)]) == 0
+    out_of(capsys)
+    path = tmp_path / f"{name}_self.json"
+    path.write_text(json.dumps(json.loads(report.read_text())["results"]["export"]))
+    return str(path)
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_a_self_document_reports_what_self_reports(tmp_path, capsys, name):
+    # -p self is free, so its Hom spaces read the linear maps off the free lift;
+    # the same module from a document is unmarked and takes the joint kernels
+    doc = _self_document(tmp_path, capsys, name)
+    argvs = [["diff", "--def", tag, "--order", "2"] for tag in TAGS if tag != "bar1"]
+    argvs += [["compare", "--order", "2"], ["represent", "--def", "bar1", "--order", "1"]]
+    for argv in argvs:
+        reports = []
+        for module in ("self", doc):
+            code, report, _ = run_json(capsys, [*argv, "-a", name, "-p", module, "-q", module])
+            reports.append((code, report["inputs"], report["results"]))
+        assert reports[0] == reports[1], argv
 
 
 # ---------------------------------------------------------------------------

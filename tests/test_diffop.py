@@ -380,27 +380,45 @@ def test_compare_builds_one_hom_space(monkeypatch):
     assert len(made) == 1
 
 
+def _count_kernels(monkeypatch, made) -> dict:
+    """Calls of HomSpace.linear_maps per side, and joint kernels over each deviation family."""
+    counts = {"left": 0, "right": 0, "deltas": 0, "delta_bars": 0}
+    real_maps, real_kernel = HomSpace.linear_maps, modules.joint_kernel
+
+    def maps(hs, side):
+        counts[side] += 1
+        return real_maps(hs, side)
+
+    def kernel(ops):
+        # a joint kernel over members of one family, as many as it takes
+        for hs in made:
+            for name in ("deltas", "delta_bars"):
+                family = hs.__dict__.get(name, ())
+                if ops and all(any(op is d for d in family) for op in ops):
+                    counts[name] += 1
+        return real_kernel(ops)
+
+    monkeypatch.setattr(HomSpace, "linear_maps", maps)
+    monkeypatch.setattr(modules, "joint_kernel", kernel)
+    return counts
+
+
+def _free_and_unmarked(P: BimoduleRep) -> list:
+    """The free module P, then the same actions through the validating constructor: unmarked."""
+    return [(P, 0), (BimoduleRep(P.algebra, P.left, P.right, name=P.name), 1)]
+
+
 def test_bar1_builds_one_hom_space_and_one_delta_bar_kernel(monkeypatch):
-    P, Q = self_pair("m2")
-    want = diff_bar1(P, Q)
-    made = _count_hom_spaces(monkeypatch)
-    bar_kernels = []
-    real = modules.joint_kernel
-
-    def of_delta_bars(ops, hs):
-        family = hs.__dict__.get("delta_bars", ())
-        return bool(ops) and all(any(op is d for d in family) for op in ops)
-
-    def counting(ops):
-        # a joint kernel over members of the delta_bar family, as many as it takes
-        if any(of_delta_bars(ops, hs) for hs in made):
-            bar_kernels.append(ops)
-        return real(ops)
-
-    monkeypatch.setattr(modules, "joint_kernel", counting)
-    assert diff_bar1(P, Q) == want
-    assert len(made) == 1
-    assert len(bar_kernels) == 1
+    # the right-linear maps once: off the free lift, or one joint delta_bar
+    # kernel when the module comes from the constructor
+    for P, joint in _free_and_unmarked(self_pair("m2")[0]):
+        want = diff_bar1(P, P)
+        with monkeypatch.context() as m:
+            made = _count_hom_spaces(m)
+            counts = _count_kernels(m, made)
+            assert diff_bar1(P, P) == want
+        assert len(made) == 1
+        assert counts == {"left": 0, "right": 1, "deltas": 0, "delta_bars": joint}
 
 
 def test_left_sum_stops_at_its_fixed_point(monkeypatch):
@@ -421,26 +439,17 @@ def test_left_sum_stops_at_its_fixed_point(monkeypatch):
 
 
 def test_compare_builds_each_joint_kernel_once(monkeypatch):
-    # left-center, left-sum and two-sided share the joint delta kernel, and
-    # right and two-sided the joint delta_bar kernel
-    P = labelled_module("T3")
-    want = compare_definitions(P, P, 2)
-    made = _count_hom_spaces(monkeypatch)
-    kernels = {"deltas": 0, "delta_bars": 0}
-    real = modules.joint_kernel
-
-    def counting(ops):
-        for hs in made:
-            for name in kernels:
-                family = hs.__dict__.get(name, ())
-                if ops and all(any(op is d for d in family) for op in ops):
-                    kernels[name] += 1
-        return real(ops)
-
-    monkeypatch.setattr(modules, "joint_kernel", counting)
-    assert compare_definitions(P, P, 2) == want
-    assert len(made) == 1
-    assert kernels == {"deltas": 1, "delta_bars": 1}
+    # left-center, left-sum and two-sided share the left-linear maps, and right
+    # and two-sided the right-linear ones: from a free module each is its lift,
+    # and from the constructor's each is one joint kernel
+    for P, joint in _free_and_unmarked(labelled_module("T3")):
+        want = compare_definitions(P, P, 2)
+        with monkeypatch.context() as m:
+            made = _count_hom_spaces(m)
+            counts = _count_kernels(m, made)
+            assert compare_definitions(P, P, 2) == want
+        assert len(made) == 1
+        assert counts == {"left": 1, "right": 1, "deltas": joint, "delta_bars": joint}
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from ncjets.modules import (
     LegAction,
     TensorOneSided,
     TensorTwoSided,
+    generator_preimage,
     hom_A,
     hom_AA,
     require_central,
@@ -34,8 +35,10 @@ from algebra_builders import (
     exterior,
     full_matrices,
     group_algebra_s3,
+    module_over,
     product,
     signed_basis,
+    t2_column,
     trunc,
     upper_triangular,
 )
@@ -563,6 +566,55 @@ def test_hom_AA_m2_is_scalars():
     assert sub.dim == hom_AA_dim(raw_mul(e.algebra))
     hs = HomSpace(e.module("self"), e.module("self"))
     assert sub.contains(hs.vec(Matrix.identity(QQ, 4)))
+
+
+_FIELDS = [QQ, GF(7), GF(2**31 - 1)]
+_FIELD_IDS = ["Q", "GF7", "GF31"]
+
+
+def _free_sources(A):
+    """A^1, A^2 and A^3: regular and free, each marked free."""
+    return [BimoduleRep.regular(A), BimoduleRep.free(A, 2), BimoduleRep.free(A, 3)]
+
+
+def _assert_lift_is_the_joint_kernels(hs):
+    assert hs.source.free_rank is not None
+    assert hs.linear_maps("left") == generator_preimage(hs, [hs.deltas])
+    assert hs.linear_maps("right") == generator_preimage(hs, [hs.delta_bars])
+
+
+@pytest.mark.parametrize("field", _FIELDS, ids=_FIELD_IDS)
+@pytest.mark.parametrize("label", list(_TABLES))
+def test_linear_maps_of_a_free_source_are_the_joint_kernels(field, label):
+    # the free lift against the general route, from A^1-A^3 to self and free2,
+    # each algebra in a basis signed and permuted from its label
+    names_, unit, table = signed_basis(_TABLES[label], random.Random(label))
+    A = Algebra(field, names_, unit, table, name=label)
+    targets = [BimoduleRep.regular(A), BimoduleRep.free(A, 2)]
+    for P in _free_sources(A):
+        assert P.free_rank == P.dim // A.dim
+        for Q in targets:
+            _assert_lift_is_the_joint_kernels(HomSpace(P, Q))
+
+
+@pytest.mark.parametrize("field", _FIELDS, ids=_FIELD_IDS)
+def test_linear_maps_into_the_t2_column_are_the_joint_kernels(field):
+    # a target that is not free, with different left and right actions
+    Q = t2_column() if field == QQ else module_over(field, t2_column())
+    for P in _free_sources(Q.algebra):
+        _assert_lift_is_the_joint_kernels(HomSpace(P, Q))
+
+
+@pytest.mark.parametrize("label", list(_TABLES))
+def test_hom_A_and_hom_AA_match_the_oracle_from_free_and_unmarked_sources(label):
+    names_, unit, table = signed_basis(_TABLES[label], random.Random(label))
+    A = Algebra(QQ, names_, unit, table, name=label)
+    R = BimoduleRep.regular(A)
+    U = BimoduleRep(A, R.left, R.right)  # the constructor's module: no free mark
+    assert (R.free_rank, U.free_rank) == (1, None)
+    mul = raw_mul(A)
+    assert hom_A(R, R).dim == hom_A_dim(mul) and hom_AA(R, R).dim == hom_AA_dim(mul)
+    assert hom_A(U, U) == hom_A(R, R) and hom_AA(U, U) == hom_AA(R, R)
 
 
 # ---------------------------------------------------------------------------
