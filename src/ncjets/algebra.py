@@ -23,7 +23,7 @@ from .linalg import (
     _nonzero_cells,
     _sparse_rows,
     closure_under,
-    kernel,
+    joint_kernel,
     kernel_of_rows,
     unit_vector,
     vector,
@@ -201,11 +201,21 @@ class Algebra:
 
     @cached_property
     def center(self) -> Subspace:
-        """{z : z e_i = e_i z for all i}, as a subspace of coordinates."""
-        n, field = self.dim, self.field
-        # row (i, k) is coordinate k of e_i z - z e_i
-        rows = field.reduce_array(self.left_stack - self.right_stack).reshape(n * n, n)
-        return kernel(Matrix._wrap(field, rows))
+        """{z : z e_i = e_i z for all i}, as a subspace of coordinates.
+
+        It is the joint kernel of L_g - R_g over the generators g, which
+        suffice: for z in that kernel, S = {a : a z = z a} is a subspace,
+        it holds 1, and it is closed under products ((ab)z = a(zb) = z(ab)
+        for a, b in S), so it is a unital subalgebra, and holding the
+        generators it is A (see generators).  The trivial algebra K has no
+        generators, and its center is all of it.
+        """
+        field, gens = self.field, self.generators
+        if not gens:
+            return Subspace.full(field, self.dim)
+        return joint_kernel(
+            [Matrix._raw(field, self.left_stack[g] - self.right_stack[g]) for g in gens]
+        )
 
     @cached_property
     def derivations(self) -> Subspace:

@@ -8,7 +8,9 @@ filtrations genuinely differ, and compare_definitions measures exactly
 how, with explicit witnesses for strict containments.
 
 All stage subspaces live in the flat coordinates of the Hom space, and
-every function rejects non-central bimodules.
+every function rejects non-central bimodules.  Each filtration refuses an
+order outside 0..max_order; its max_order= argument (MAX_ORDER by default)
+raises the cap for library callers, and the CLI keeps the default.
 
 Each public entry point checks its inputs, builds HomSpace(P, Q) once and
 runs one body per definition on it (the table _BODIES), so the action
@@ -50,6 +52,7 @@ from functools import partial
 from .linalg import Matrix, Subspace, closure_under, kernel_of_rows, preimage, span_of_images
 from .modules import BimoduleRep, HomSpace, generator_preimage, require_central
 
+# the default cap on an order: the witness search walks n^(k+1) tuples
 MAX_ORDER = 4
 
 
@@ -57,15 +60,14 @@ class DefinitionDomainError(ValueError):
     """The requested definition does not apply to this algebra or order."""
 
 
-def _check_order(r: int, max_order: int):
-    if isinstance(r, bool) or not isinstance(r, numbers.Integral):
-        raise DefinitionDomainError(f"order must be an integer, got {r!r}")
-    if r < 0:
-        raise DefinitionDomainError("order must be >= 0")
-    if r > max_order:
-        raise DefinitionDomainError(
-            f"order {r} exceeds the configured cap {max_order}; pass max_order= to raise it"
-        )
+def _check_order(r: int, max_order: int = MAX_ORDER, error: type = DefinitionDomainError):
+    """Refuse an order that is not an integer in 0..max_order, in one message naming the cap.
+
+    The filtrations raise DefinitionDomainError at the cap their max_order=
+    argument sets (the CLI has no such flag), the jets OrderViolationError.
+    """
+    if isinstance(r, bool) or not isinstance(r, numbers.Integral) or not 0 <= r <= max_order:
+        raise error(f"order must be between 0 and {max_order}, got {r!r}")
 
 
 @dataclass(frozen=True)

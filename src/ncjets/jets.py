@@ -44,7 +44,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .diffop import MAX_ORDER, DefinitionDomainError, check_bar1_order, diff_bar1, stage_by_tag
+from .diffop import DefinitionDomainError, _check_order, check_bar1_order, diff_bar1, stage_by_tag
 from .linalg import (
     DimensionMismatch,
     InducedOperator,
@@ -127,12 +127,6 @@ class JetModule:
         return tuple(quot.induced(op) for op in ops)
 
 
-def _check_order(k: int):
-    # MAX_ORDER bounds the witness search's n^(k+1) tuples; the seed levels stay within the ambient
-    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or not 0 <= k <= MAX_ORDER:
-        raise OrderViolationError(f"order must be between 0 and {MAX_ORDER}, got {k!r}")
-
-
 def _invariant(ops: Sequence, sub: Subspace) -> bool:
     """Is sub invariant under every op (Matrix or LegAction)?  Stops at the first that moves it."""
     if sub.is_zero() or sub.is_full():
@@ -205,7 +199,7 @@ def jet_module(P: BimoduleRep, k: int) -> JetModule:
     commutative).
     """
     require_central(P)
-    _check_order(k)
+    _check_order(k, error=OrderViolationError)
     t = TensorOneSided(P)
     seed = Subspace.from_rows(t.field, t.dim, _units(t))
     for _ in range(k + 1):
@@ -370,7 +364,7 @@ def representability_check(
     if def_tag == "bar1":
         check_bar1_order(k)
         return representability_bar1(P, Q)
-    _check_order(k)
+    _check_order(k, error=OrderViolationError)
     # the stage refuses a bad tag, or comm-* over a noncommutative A, before any work
     stage = stage_by_tag(P, Q, k, def_tag)
     return _representability(def_tag, jet_module(P, k), Q, stage)
@@ -418,7 +412,7 @@ def factorize(
         raise DefinitionDomainError("factorization requires a commutative algebra")
     if delta.shape != (Q.dim, P.dim):
         raise DimensionMismatch(f"operator must be {Q.dim}x{P.dim}, got {delta.shape}")
-    _check_order(k)
+    _check_order(k, error=OrderViolationError)
     if jet is None:
         jet = jet_module(P, k)
     elif jet.base is not P or jet.order != k or jet.two_sided:
@@ -551,7 +545,7 @@ def residual_witness_search(
     factorization_residual, once for every map and every basis p.
     """
     require_central(P, Q)
-    _check_order(k)
+    _check_order(k, error=OrderViolationError)
     t = TensorOneSided(P)
     field, d = t.field, Q.dim
     flin, hs = t.left_linear_maps(Q), HomSpace(P, Q)

@@ -269,7 +269,7 @@ class LegAction:
     coordinate whose leg index is i to the one whose leg index is j, so a
     row costs one multiply-add per nonzero cell and factor entry it meets,
     and the kernel holds only the factors' columns, never a table over the
-    ambient.  The dense matrix is built only when `dense` is asked for.
+    ambient.  It has no dense form: no matrix over the ambient is built.
     """
 
     def __init__(self, field, dims: Sequence[int], terms: Sequence[tuple[int, Matrix]]):
@@ -317,16 +317,6 @@ class LegAction:
     def _columns(self) -> tuple[tuple, ...]:
         """Each term (axis, M) as a kernel term of M's columns with the stride of its leg."""
         return tuple(_factor_term(m.a, math.prod(self.dims[axis + 1 :])) for axis, m in self.terms)
-
-    @cached_property
-    def dense(self) -> Matrix:
-        """The same operator as a dense matrix, by kron with identities."""
-        out = Matrix.zeros(self.field, self.dim, self.dim)
-        for axis, m in self.terms:
-            before = Matrix.identity(self.field, math.prod(self.dims[:axis]))
-            after = Matrix.identity(self.field, math.prod(self.dims[axis + 1 :]))
-            out = out + before.kron(m).kron(after)
-        return out
 
 
 # ---------------------------------------------------------------------------

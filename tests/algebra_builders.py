@@ -8,6 +8,8 @@ and the exterior algebras.  build makes one an Algebra, and change_basis
 writes it in a permuted, signed basis.  labelled_module names the
 modules the jet and bar1 tests share: the catalog's, over any field, and
 the SEEDED builder algebras in a basis seeded by their label.
+leg_action_matrix is the dense Matrix of a LegAction, by the oracle's
+Kronecker products.
 """
 
 import itertools
@@ -19,6 +21,7 @@ from ncjets.algebra import Algebra
 from ncjets.catalog import builtin
 from ncjets.linalg import QQ, Matrix
 from ncjets.modules import BimoduleRep
+from oracle_systems import leg_action_kron
 
 
 def trunc(d: int):
@@ -177,3 +180,8 @@ def t2_column() -> BimoduleRep:
     left = [Matrix(QQ, [[1, 0], [0, 0]]), Matrix(QQ, [[0, 1], [0, 0]]), Matrix(QQ, [[0, 0], [0, 1]])]
     right = [Matrix.identity(QQ, 2).scale(c) for c in (1, 0, 0)]
     return BimoduleRep(A, left, right, name="column")
+
+
+def leg_action_matrix(op) -> Matrix:
+    """A LegAction as a dense Matrix over its field: oracle_systems.leg_action_kron, reduced."""
+    return Matrix(op.field, leg_action_kron(op.dims, op.terms))

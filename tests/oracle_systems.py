@@ -6,6 +6,7 @@ textbook RREF grown a row at a time (_kept); no package code is touched.
 The quoted dimensions in the tests come from these functions.
 """
 
+import math
 from collections import defaultdict
 from fractions import Fraction
 
@@ -35,15 +36,33 @@ def _right_op(mul, j):
     return [[Fraction(mul[i][j][k]) for i in range(n)] for k in range(n)]
 
 
-def center_dim(mul):
-    """Nullity of the stacked z e_i = e_i z conditions."""
+def _center_rows(mul):
+    """z e_i = e_i z at every basis element: row (i, k) is coordinate k of z e_i - e_i z."""
     n = _n(mul)
     rows = []
     for i in range(n):
         L, R = _left_op(mul, i), _right_op(mul, i)
         for k in range(n):
             rows.append([R[k][c] - L[k][c] for c in range(n)])
-    return naive_nullity(rows)
+    return rows
+
+
+def center_dim(mul):
+    """Nullity of the stacked z e_i = e_i z conditions."""
+    return naive_nullity(_center_rows(mul))
+
+
+def center_rref(mul, p=None):
+    """The RREF basis (rows) of the center: over Q, or over F_p for a table of ints mod p."""
+    return _kernel_rref(_center_rows(mul), p)
+
+
+def _kernel_rref(rows, p):
+    """The RREF basis of {v : row . v = 0 for every row}, over Q or (p given) over F_p."""
+    if p is None:
+        return naive_rref(naive_kernel_basis(rows))[0]
+    rows = [[int(x) for x in row] for row in rows]
+    return naive_rref_mod(naive_kernel_basis_mod(rows, p), p)[0]
 
 
 def _derivation_rows(mul):
@@ -81,11 +100,7 @@ def derivations_dim(mul):
 
 def derivations_rref(mul, p=None):
     """The RREF basis (rows) of the derivations: over Q, or over F_p for a table of ints mod p."""
-    rows = _derivation_rows(mul)
-    if p is None:
-        return naive_rref(naive_kernel_basis(rows))[0]
-    rows = [[int(x) for x in row] for row in rows]
-    return naive_rref_mod(naive_kernel_basis_mod(rows, p), p)[0]
+    return _kernel_rref(_derivation_rows(mul), p)
 
 
 # -- Hom-space machinery over the regular bimodule P = Q = A ----------------
@@ -660,7 +675,8 @@ def _mod(x, p):
 
 
 def _identity(n):
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    # int entries: a product with an int or a Fraction stays exact, and ints are fast
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def _transpose(a):
@@ -670,6 +686,24 @@ def _transpose(a):
 def _kron(a, b):
     """Kronecker product: entry (i * rows_b + k, j * cols_b + l) is a[i][j] b[k][l]."""
     return [[x * y for x in ra for y in rb] for ra in a for rb in b]
+
+
+def leg_action_kron(dims, terms):
+    """A structured leg action as dense rows: the sum over its terms of I (x) M (x) I.
+
+    dims are the leg dims and terms the (axis, M) pairs of a
+    modules.LegAction, each M read once by its to_lists(); the identities
+    fill the legs before and after M, the row-major layout of the legs.
+    Nothing of the operator is applied.  The entries are exact and not
+    reduced mod p; no terms give the zero matrix.
+    """
+    n = math.prod(dims)
+    out = [[0] * n for _ in range(n)]
+    for axis, m in terms:
+        before, after = _identity(math.prod(dims[:axis])), _identity(math.prod(dims[axis + 1 :]))
+        term = _kron(_kron(before, m.to_lists()), after)
+        out = [[x + y for x, y in zip(row, other)] for row, other in zip(out, term)]
+    return out
 
 
 def free_left_ops(mul, rank=1):

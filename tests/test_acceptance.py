@@ -32,6 +32,7 @@ from ncjets.jets import (
 from ncjets.linalg import QQ, Matrix, kernel, rref, vector
 from ncjets.modules import HomSpace
 
+from algebra_builders import leg_action_matrix
 from oracle_systems import (
     bar1_dim,
     comm_diff_stage_dims,
@@ -182,9 +183,9 @@ def test_criterion_9_structural_invariants(capsys, tmp_path):
     for name in names():
         P, Q = modules_for(name, "self")
         hs = HomSpace(P, Q)
-        for da in hs.deltas:
-            for db in hs.delta_bars:
-                assert da.dense @ db.dense == db.dense @ da.dense
+        for da in map(leg_action_matrix, hs.deltas):
+            for db in map(leg_action_matrix, hs.delta_bars):
+                assert da @ db == db @ da
     # filtration monotonicity
     for name in names():
         P, Q = modules_for(name, "self")

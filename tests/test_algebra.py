@@ -8,8 +8,8 @@ from ncjets.algebra import Algebra, AlgebraElement, AlgebraValidationError
 from ncjets.catalog import builtin, names
 from ncjets.linalg import GF, QQ, Matrix, vector
 
-from algebra_builders import SEEDED, signed_basis
-from oracle_systems import center_dim, derivations_dim, derivations_rref
+from algebra_builders import SEEDED, opposite, signed_basis
+from oracle_systems import center_dim, center_rref, derivations_dim, derivations_rref
 
 F = Fraction
 
@@ -200,7 +200,7 @@ def test_derivations_match_naive_oracle(name):
     assert a.derivations.dim == derivations_dim(raw_mul(a))
 
 
-def _derivation_cases():
+def _oracle_cases():
     """Every catalog algebra as it is, and the builder algebras in a basis seeded by their label."""
     cases = {name: builtin(name).algebra for name in names()}
     for label, table in SEEDED.items():
@@ -208,17 +208,40 @@ def _derivation_cases():
     return cases
 
 
-_DERIVATION_CASES = _derivation_cases()
+_ORACLE_CASES = _oracle_cases()
+
+
+def _oracle_case(field, label):
+    """The case algebra rebuilt over field, and the prime the oracle reduces by (None over Q)."""
+    a = _ORACLE_CASES[label]
+    A = Algebra(field, a.basis_names, list(a.unit), a.mul.tolist(), name=label)
+    return A, None if field == QQ else field.p
 
 
 @pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "GF7"])
-@pytest.mark.parametrize("label", list(_DERIVATION_CASES))
+@pytest.mark.parametrize("label", list(_ORACLE_CASES))
 def test_derivations_are_the_naive_subspace(field, label):
     # d(1) = 0 and the Leibniz rule at the generators give the RREF basis of the full system
-    a = _DERIVATION_CASES[label]
-    A = Algebra(field, a.basis_names, list(a.unit), a.mul.tolist(), name=label)
-    p = None if field == QQ else field.p
+    A, p = _oracle_case(field, label)
     assert A.derivations.basis.to_lists() == derivations_rref(raw_mul(A), p)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "GF7"])
+@pytest.mark.parametrize("label", list(_ORACLE_CASES))
+def test_center_is_the_naive_subspace(field, label):
+    # z g = g z at the generators gives the RREF basis of z e_i = e_i z at every basis element;
+    # the catalog's trivial algebra K has no generators, and its center is the full space
+    A, p = _oracle_case(field, label)
+    assert A.center.basis.to_lists() == center_rref(raw_mul(A), p)
+    assert A.generators or A.center.is_full()
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "GF7"])
+@pytest.mark.parametrize("label", list(_ORACLE_CASES))
+def test_center_of_the_opposite_algebra_is_the_same(field, label):
+    # z is central in A exactly when it is central in A^op, whose generators may differ
+    A, _ = _oracle_case(field, label)
+    assert opposite(A).center == A.center
 
 
 @pytest.mark.parametrize("name", names())

@@ -281,11 +281,17 @@ def test_algebra_with_a_mul_of_the_wrong_length_is_validation_error(
         ["witness-cc3", "-a", "m2", "-p", "self", "--order", "-1"],
         ["witness-cc3", "-a", "m2", "-p", "self", "--order", "5"],
         ["jet", "-a", "m2", "-p", "self", "--order", "5"],
+        ["diff", "-a", "m2", "-p", "self", "-q", "self", "--def", "left-sum", "--order", "5"],
+        ["compare", "-a", "m2", "-p", "self", "-q", "self", "--order", "5"],
+        ["represent", "-a", "m2", "-p", "self", "-q", "self", "--def", "right", "--order", "9"],
     ],
 )
 def test_orders_outside_the_cap_are_validation_errors(argv, capsys):
     assert run(argv) == 1
-    assert "order must be between 0 and 4" in out_of(capsys)[1]
+    err = out_of(capsys)[1]
+    assert f"order must be between 0 and 4, got {argv[-1]}" in err
+    # the CLI has no flag for the library's max_order= argument
+    assert "max_order=" not in err
 
 
 def test_usage_error_maps_to_validation_exit(capsys):

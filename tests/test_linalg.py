@@ -28,6 +28,7 @@ from ncjets.linalg import (
 )
 from ncjets.modules import LegAction
 
+from algebra_builders import leg_action_matrix
 from naive_gauss import naive_kernel_basis, naive_kernel_basis_mod, naive_rref, naive_rref_mod
 
 F = Fraction
@@ -625,7 +626,7 @@ def test_restriction_and_intersection_never_demote(monkeypatch):
     pre = preimage(ops, target)
     both = u & w
     assert calls == []
-    dense = [op.dense for op in ops]
+    dense = [leg_action_matrix(op) for op in ops]
     assert ker == joint_kernel(dense) and ker.dim == 3
     assert pre == preimage(dense, target)
     assert both.basis.to_lists() == [[1, F(1, 2), 0]]
@@ -827,7 +828,7 @@ def test_closure_monotone_idempotent():
 
 def _naive_closure(ops, seed):
     """Re-spin the whole basis every pass until the span stops growing."""
-    dense = [op.dense if isinstance(op, LegAction) else op for op in ops]
+    dense = [leg_action_matrix(op) if isinstance(op, LegAction) else op for op in ops]
     current = seed
     while True:
         images = [op.apply(v) for op in dense for v in current.basis_vectors()]
@@ -920,7 +921,7 @@ def test_intersection_and_induced_maps_match_the_oracle(case):
     quot = closure_under(ops, seed).quotient()
     projection, section = dense_quotient(quot)
     for op in ops:
-        dense = op.dense if isinstance(op, LegAction) else op
+        dense = leg_action_matrix(op) if isinstance(op, LegAction) else op
         got = quot.induced(op).dense
         assert got == projection @ dense @ section
         if field == QQ:
@@ -947,7 +948,7 @@ def test_induced_operator_rows_match_the_dense_oracle(case, data):
     quot = closure_under(ops, seed).quotient()
     projection, section = dense_quotient(quot)
     for op in ops:
-        dense = op.dense if isinstance(op, LegAction) else op
+        dense = leg_action_matrix(op) if isinstance(op, LegAction) else op
         oracle = projection @ dense @ section
         induced = quot.induced(op)
         assert induced.shape == oracle.shape and induced.field == field
@@ -1018,7 +1019,7 @@ def leg_families(draw):
 @given(leg_families())
 def test_leg_action_kernels_and_preimages_match_dense(case):
     ops, target = case
-    dense = [op.dense for op in ops]
+    dense = [leg_action_matrix(op) for op in ops]
     assert joint_kernel(ops) == joint_kernel(dense)
     pre = preimage(ops, target)
     assert pre == preimage(dense, target)
