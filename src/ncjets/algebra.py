@@ -2,10 +2,13 @@
 
 An algebra over an exact field is a dense n x n table of coordinate
 vectors, ``mul[i][j]`` = coordinates of ``e_i * e_j``.  Validation is
-eager and total: the two-sided unit axiom, then associativity with the
-middle factor at the generators only (Light's test), are checked before
-an Algebra exists.  A failure carries the basis indices of the first one
-in loop order, which a full scan, one basis element at a time, names.
+eager and total: the two-sided unit axiom, then associativity, are
+checked before an Algebra exists.  Associativity is the axiom
+L_g L_x = L_(g x) of A's left regular action, checked at the generators
+only; the same three checks (unit, action at the generators, one scan
+slice per basis element) validate a bimodule's two actions.  A failure
+carries the basis indices of the first one in loop order, which a full
+scan, one basis element at a time, names.
 """
 
 from __future__ import annotations
@@ -93,58 +96,44 @@ class Algebra:
         return tuple(Matrix._wrap(self.field, m) for m in self.right_stack.copy())
 
     def _validate(self):
-        """The unit axioms, then associativity at the generators only (Light's test).
+        """The unit axioms, then associativity as A's left regular action at the generators.
 
-        Let S = {g : (x g) y = x (g y) for all x, y}.  S is a subspace, and
-        it holds 1 once the unit axioms do.  It is closed under products:
-        for a, b in S, (x(ab))y = ((xa)b)y = (xa)(by) = x(a(by)) = x((ab)y),
-        using a, b, a, b in S in turn.  The left closure of span{1} under
-        the generators is A (that is how `generators` picks them), and it
-        only multiplies elements of S on the left by generators, so S
-        holding the generators is S = A.  The check is one pair of
-        (n, |generators|, n, n) products, not (n, n, n, n).  Only when it
-        fails does the full scan run, to name the witness.
+        Associativity is the left-action axiom L_g L_x = L_(g x) of A on
+        itself, read on e_y as g(x y) = (g x) y.  Let S = {a : a(x y) =
+        (a x) y for all x, y}.  S is a subspace, and it holds 1 once the
+        unit axioms do.  It is closed under products, with no associativity
+        assumed: for a, b in S, (ab)(xy) = a(b(xy)) = a((bx)y) = (a(bx))y =
+        ((ab)x)y, using a, b, a, a in S in turn.  The left closure of
+        span{1} under the generators is A (that is how `generators` picks
+        them), and it only multiplies elements of S on the left by
+        generators, so S holding the generators is S = A.  The check is
+        _action_holds_at_generators on left_stack, two (|generators| n, n)
+        @ (n, n^2) products.  Only when it fails does the full scan run, to
+        name the witness.
         """
-        if self._unit_failure() is None and self._associative_at_generators():
+        field, left = self.field, self.left_stack
+        unit_holds = _unit_failure(field, self.unit, left, self.right_stack) is None
+        if unit_holds and _action_holds_at_generators(field, left, self.mul, self.generators):
             return
         self._raise_first_failure()
-
-    def _unit_failure(self):
-        """(side, i) for the first column e_i the unit fails to fix, left before right, or None."""
-        ident = Matrix.identity(self.field, self.dim).a
-        for side, stack in (("left", self.left_stack), ("right", self.right_stack)):
-            bad = np.flatnonzero((_combine(self.field, self.unit, stack) != ident).any(axis=0))
-            if len(bad):
-                return side, int(bad[0])
-        return None
-
-    def _associative_at_generators(self) -> bool:
-        """(e_x e_g) e_y == e_x (e_g e_y) for every generator g and basis x, y."""
-        field, mul, gens = self.field, self.mul, list(self.generators)
-        # [x, g, y] holds the coordinates of (e_x e_g) e_y; [g, y, x] those of e_x (e_g e_y)
-        first = _combine(field, mul[:, gens], mul)
-        last = _combine(field, mul[gens], mul.transpose(1, 0, 2))
-        return bool(np.array_equal(first, last.transpose(2, 0, 1, 3)))
 
     def _raise_first_failure(self):
         """Scan every basis triple, one i at a time, then the unit; raise at the first failure.
 
         The witness is the first failing (i, j, k) scanning i, then k, then
         j; for the unit, the first failing column, left before right.  Each
-        slice holds (n, n, n) products.
+        slice holds (n, n, n) products: L_i L_j and L_(e_i e_j) for every j,
+        whose column k is e_i (e_j e_k) and (e_i e_j) e_k.
         """
-        field, mul = self.field, self.mul
+        field, left, mul = self.field, self.left_stack, self.mul
         for i in range(self.dim):
-            # [j, k] holds the coordinates of (e_i e_j) e_k and of e_i (e_j e_k)
-            first = _combine(field, mul[i], mul)
-            last = _combine(field, mul, mul[i])
-            bad = (first != last).any(axis=2).T
+            bad = _action_failures(field, left, mul, i).any(axis=1).T  # [k, j]
             if bad.any():
                 k, j = (int(x) for x in np.argwhere(bad)[0])
                 raise AlgebraValidationError(
                     "associativity", (i, j, k), f"(e{i} e{j}) e{k} != e{i} (e{j} e{k})"
                 )
-        failure = self._unit_failure()
+        failure = _unit_failure(field, self.unit, left, self.right_stack)
         if failure is not None:
             side, i = failure
             raise AlgebraValidationError(
@@ -276,6 +265,40 @@ def _combine(field, coeffs, stack: np.ndarray) -> np.ndarray:
     lead, n, rest = coeffs.shape[:-1], len(stack), stack.shape[1:]
     flat = field.dot(coeffs.reshape(math.prod(lead), n), stack.reshape(n, math.prod(rest)))
     return flat.reshape(lead + rest)
+
+
+def _pair_products(field, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """[i, j] = X[i] @ Y[j] for two stacks of square matrices."""
+    return _combine(field, X, Y.transpose(1, 0, 2)).transpose(0, 2, 1, 3)
+
+
+# The axiom checks shared by Algebra and BimoduleRep.  An action of A is a
+# stack of matrices, one per basis element, and A acts on itself on the left
+# by left_stack; a right action of A is a left action of A^op, whose table is
+# mul.transpose(1, 0, 2).
+
+
+def _unit_failure(field, unit, left_stack: np.ndarray, right_stack: np.ndarray):
+    """(side, c) at the first column c that the unit's action moves, left before right, or None."""
+    ident = Matrix.identity(field, left_stack.shape[1]).a
+    for side, stack in (("left", left_stack), ("right", right_stack)):
+        bad = np.flatnonzero((_combine(field, unit, stack) != ident).any(axis=0))
+        if len(bad):
+            return side, int(bad[0])
+    return None
+
+
+def _action_holds_at_generators(field, stack: np.ndarray, mul: np.ndarray, gens) -> bool:
+    """stack[g] stack[x] == sum_k mul[g, x, k] stack[k] for every generator g and basis x."""
+    gens = list(gens)
+    return bool(
+        np.array_equal(_pair_products(field, stack[gens], stack), _combine(field, mul[gens], stack))
+    )
+
+
+def _action_failures(field, stack: np.ndarray, mul: np.ndarray, i: int) -> np.ndarray:
+    """[j, r, c]: whether entry (r, c) of stack[i] stack[j] and of stack[e_i e_j] differ."""
+    return _pair_products(field, stack[i : i + 1], stack)[0] != _combine(field, mul[i], stack)
 
 
 class AlgebraElement:

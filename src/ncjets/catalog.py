@@ -33,7 +33,7 @@ def _unit_table(n, rule):
     return [[rule(i, j) for j in range(n)] for i in range(n)]
 
 
-def _truncated_polynomial(degree: int, name: str) -> Algebra:
+def _truncated_polynomial(degree: int, name: str, variable: str = "x") -> Algebra:
     n = degree
 
     def rule(i, j):
@@ -42,38 +42,25 @@ def _truncated_polynomial(degree: int, name: str) -> Algebra:
             out[i + j] = 1
         return out
 
-    names = ["1"] + [f"x^{k}" if k > 1 else "x" for k in range(1, n)]
+    names = ["1"] + [f"{variable}^{k}" if k > 1 else variable for k in range(1, n)]
     unit = [1] + _zeros(n - 1)
     return Algebra(QQ, names, unit, _unit_table(n, rule), name=name)
 
 
-def _matrix_units_2x2() -> Algebra:
-    # basis order e11, e12, e21, e22; (r,c)(r',c') = [c == r'] (r, c')
-    idx = {(1, 1): 0, (1, 2): 1, (2, 1): 2, (2, 2): 3}
-    pairs = [(1, 1), (1, 2), (2, 1), (2, 2)]
+def _matrix_units(pairs: list[tuple[int, int]], name: str) -> Algebra:
+    """The span of the matrix units e{r}{c} at pairs, in order: (r,c)(r',c') = [c == r'] (r,c')."""
+    n, idx = len(pairs), {pair: k for k, pair in enumerate(pairs)}
 
     def rule(i, j):
         (r1, c1), (r2, c2) = pairs[i], pairs[j]
-        out = _zeros(4)
+        out = _zeros(n)
         if c1 == r2:
             out[idx[(r1, c2)]] = 1
         return out
 
-    return Algebra(QQ, ["e11", "e12", "e21", "e22"], [1, 0, 0, 1], _unit_table(4, rule), name="m2")
-
-
-def _upper_triangular_2x2() -> Algebra:
-    idx = {(1, 1): 0, (1, 2): 1, (2, 2): 2}
-    pairs = [(1, 1), (1, 2), (2, 2)]
-
-    def rule(i, j):
-        (r1, c1), (r2, c2) = pairs[i], pairs[j]
-        out = _zeros(3)
-        if c1 == r2:
-            out[idx[(r1, c2)]] = 1
-        return out
-
-    return Algebra(QQ, ["e11", "e12", "e22"], [1, 0, 1], _unit_table(3, rule), name="t2")
+    names = [f"e{r}{c}" for r, c in pairs]
+    unit = [int(r == c) for r, c in pairs]
+    return Algebra(QQ, names, unit, _unit_table(n, rule), name=name)
 
 
 def _quaternions() -> Algebra:
@@ -108,24 +95,14 @@ def _trivial() -> Algebra:
     return Algebra(QQ, ["1"], [1], [[[1]]], name="trivial")
 
 
-def _dual_numbers() -> Algebra:
-    def rule(i, j):
-        out = _zeros(2)
-        if i + j < 2:
-            out[i + j] = 1
-        return out
-
-    return Algebra(QQ, ["1", "eps"], [1, 0], _unit_table(2, rule), name="dual_numbers")
-
-
 _BUILDERS = {
     "trivial": (_trivial, "the ground field itself"),
-    "dual_numbers": (_dual_numbers, "Q[eps]/(eps^2)"),
+    "dual_numbers": (lambda: _truncated_polynomial(2, "dual_numbers", "eps"), "Q[eps]/(eps^2)"),
     "trunc3": (lambda: _truncated_polynomial(3, "trunc3"), "Q[x]/(x^3)"),
     "trunc4": (lambda: _truncated_polynomial(4, "trunc4"), "Q[x]/(x^4)"),
     "product_QQ": (_product_qq, "Q x Q, split idempotents"),
-    "m2": (_matrix_units_2x2, "2x2 matrices over Q"),
-    "t2": (_upper_triangular_2x2, "upper-triangular 2x2 over Q"),
+    "m2": (lambda: _matrix_units([(1, 1), (1, 2), (2, 1), (2, 2)], "m2"), "2x2 matrices over Q"),
+    "t2": (lambda: _matrix_units([(1, 1), (1, 2), (2, 2)], "t2"), "upper-triangular 2x2 over Q"),
     "quaternions": (_quaternions, "rational quaternions, a division algebra"),
 }
 

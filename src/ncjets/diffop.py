@@ -146,7 +146,7 @@ class _Steps:
         if prev is None:
             return self._recall(("pull", side), None, lambda: self.hs.linear_maps(side))
         devs = self._family(side)[1]
-        return self._recall(("pull", side), prev, lambda: generator_preimage(self.hs, [devs], prev))
+        return self._recall(("pull", side), prev, lambda: generator_preimage(self.hs, devs, prev))
 
     def zero_order(self, side: str) -> Subspace:
         """span{b w : dev w = 0 for every dev}."""

@@ -44,6 +44,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .algebra import _pair_products
 from .diffop import DefinitionDomainError, _check_order, check_bar1_order, diff_bar1, stage_by_tag
 from .linalg import (
     DimensionMismatch,
@@ -57,14 +58,7 @@ from .linalg import (
     kernel_of_rows,
     span_of_images,
 )
-from .modules import (
-    BimoduleRep,
-    HomSpace,
-    TensorOneSided,
-    TensorTwoSided,
-    _pair_products,
-    require_central,
-)
+from .modules import BimoduleRep, HomSpace, TensorOneSided, TensorTwoSided, require_central
 
 VERDICT_ISO = "isomorphism"
 VERDICT_INJ = "injective-not-surjective"

@@ -20,7 +20,14 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .algebra import Algebra, _combine
+from .algebra import (
+    Algebra,
+    _action_failures,
+    _action_holds_at_generators,
+    _combine,
+    _pair_products,
+    _unit_failure,
+)
 from .linalg import (
     DimensionMismatch,
     Matrix,
@@ -121,10 +128,13 @@ class BimoduleRep:
     def _validate(self):
         """The unit, then the action axioms at the algebra's generators only.
 
-        With L_1 = R_1 = I and A associative, each check reaches all of A,
-        because each set S below is a subspace holding 1 and closed under
-        products, and the left closure of span{1} under the generators
-        (Algebra.generators) is A:
+        The checks are Algebra's own (see Algebra._validate): the left
+        action is a left action of A, L_g L_x = L_(g x) over mul, and the
+        right action a left action of A^op, R_g R_x = R_(x g) over
+        mul.transpose(1, 0, 2).  With L_1 = R_1 = I and A associative, each
+        reaches all of A, because each set S below is a subspace holding 1
+        and closed under products, and the left closure of span{1} under
+        the generators (Algebra.generators) is A:
           - S = {a : L_a L_x = L_(a x) for all x}: for a, b in S,
             L_(ab) L_x = L_a L_b L_x = L_a L_(bx) = L_(a(bx)) = L_((ab)x);
           - S = {a : R_a R_x = R_(x a) for all x}: for a, b in S,
@@ -136,35 +146,19 @@ class BimoduleRep:
         (dim A, dim A, dim, dim).  Only when one fails does the full scan
         run, to name the witness.
         """
-        if self._unit_failure() is None and self._actions_hold_at_generators():
-            return
-        self._raise_first_failure()
-
-    def _unit_failure(self):
-        """The first side, left before right, where the unit does not act as identity, or None."""
-        A = self.algebra
-        ident = Matrix.identity(A.field, self.dim).a
-        for side, stack in (("left", self.left_stack), ("right", self.right_stack)):
-            if not np.array_equal(_combine(A.field, A.unit, stack), ident):
-                return side
-        return None
-
-    def _actions_hold_at_generators(self) -> bool:
-        """L_g L_x = L_(g x), R_g R_x = R_(x g) and L_g R_h = R_h L_g at generators g, h."""
         A, field, gens = self.algebra, self.algebra.field, list(self.algebra.generators)
         L, R = self.left_stack, self.right_stack
-        LG, RG, swap = L[gens], R[gens], (1, 0, 2, 3)
-
-        def agree():  # [g, x] of both sides of one axiom, one axiom at a time
-            yield np.array_equal(_pair_products(field, LG, L), _combine(field, A.mul[gens], L))
-            yield np.array_equal(
-                _pair_products(field, RG, R), _combine(field, A.mul[:, gens], R).transpose(swap)
+        if (
+            _unit_failure(field, A.unit, L, R) is None
+            and _action_holds_at_generators(field, L, A.mul, gens)
+            and _action_holds_at_generators(field, R, A.mul.transpose(1, 0, 2), gens)
+            and np.array_equal(
+                _pair_products(field, L[gens], R[gens]),
+                _pair_products(field, R[gens], L[gens]).transpose(1, 0, 2, 3),
             )
-            yield np.array_equal(
-                _pair_products(field, LG, RG), _pair_products(field, RG, LG).transpose(swap)
-            )
-
-        return all(agree())
+        ):
+            return
+        self._raise_first_failure()
 
     def _raise_first_failure(self):
         """Scan every pair (e_i, e_j), one i at a time, then the unit; raise at the first failure.
@@ -174,15 +168,12 @@ class BimoduleRep:
         commutation.  Each slice holds (dim A, dim, dim) products.
         """
         A, field = self.algebra, self.algebra.field
-        L, R = self.left_stack, self.right_stack
+        L, R, op = self.left_stack, self.right_stack, A.mul.transpose(1, 0, 2)
         for i in range(A.dim):
-            Li, Ri = L[i : i + 1], R[i : i + 1]
-            sides = (  # [j] of each pair: the two sides of one axiom at (i, j)
-                (_pair_products(field, Li, L)[0], _combine(field, A.mul[i], L)),
-                (_pair_products(field, Ri, R)[0], _combine(field, A.mul[:, i], R)),
-                (_pair_products(field, Li, R)[0], _pair_products(field, R, Li)[:, 0]),
-            )
-            bad = np.stack([(lhs != rhs).any(axis=(1, 2)) for lhs, rhs in sides], axis=-1)
+            Li = L[i : i + 1]
+            commute = _pair_products(field, Li, R)[0] != _pair_products(field, R, Li)[:, 0]
+            fails = _action_failures(field, L, A.mul, i), _action_failures(field, R, op, i), commute
+            bad = np.stack([f.any(axis=(1, 2)) for f in fails], axis=-1)  # [j, axiom]
             if bad.any():
                 j, k = (int(x) for x in np.argwhere(bad)[0])
                 axiom, message = (
@@ -191,9 +182,9 @@ class BimoduleRep:
                     ("action-commutation", f"(e{i} p) e{j} != e{i} (p e{j})"),
                 )[k]
                 raise BimoduleValidationError(axiom, (i, j), message)
-        side = self._unit_failure()
-        if side is not None:
-            raise BimoduleValidationError("unit", side, "unit must act as identity")
+        failure = _unit_failure(field, A.unit, L, R)
+        if failure is not None:
+            raise BimoduleValidationError("unit", failure[0], "unit must act as identity")
 
     def _centrality_witness(self):
         """The first center basis vector acting differently on the two sides, or None."""
@@ -240,11 +231,6 @@ class BimoduleRep:
 
     def __repr__(self):
         return f"BimoduleRep({self.name!r}, dim={self.dim}, over {self.algebra.name!r})"
-
-
-def _pair_products(field, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """[i, j] = X[i] @ Y[j] for two stacks of square matrices."""
-    return _combine(field, X, Y.transpose(1, 0, 2)).transpose(0, 2, 1, 3)
 
 
 def require_central(*modules: BimoduleRep):
@@ -433,14 +419,16 @@ class HomSpace(TensorAmbient):
         """The maps that commute with the side's action: phi(a p) = a phi(p) or phi(p a) = phi(p) a.
 
         They are the joint kernel of the side's deviations (deltas for
-        "left", delta_bars for "right").  From a free source (free_rank set
-        by BimoduleRep.regular and free) they are read off the free lift
-        (_free_lift), with no elimination over the Hom space; from any
-        other source, by generator_preimage.
+        "left", delta_bars for "right"); any other side is a ValueError.
+        From a free source (free_rank set by BimoduleRep.regular and free)
+        they are read off the free lift (_free_lift), with no elimination
+        over the Hom space; from any other source, by generator_preimage.
         """
+        if side not in ("left", "right"):
+            raise ValueError(f"side must be 'left' or 'right', got {side!r}")
         rank, left = self.source.free_rank, side == "left"
         if rank is None:
-            return generator_preimage(self, [self.deltas if left else self.delta_bars])
+            return generator_preimage(self, self.deltas if left else self.delta_bars)
         stack = self.target.left_stack if left else self.target.right_stack
         return _free_lift(self.field, stack, rank, self.algebra.dim, 1)
 
@@ -465,13 +453,13 @@ class HomSpace(TensorAmbient):
 
 
 def generator_preimage(
-    ambient: TensorAmbient, families: Sequence, target: Subspace | None = None
+    ambient: TensorAmbient, family: Sequence, target: Subspace | None = None
 ) -> Subspace:
-    """{v : d v in target for every generator member d of each deviation family}.
+    """{v : d v in target for every generator member d of a deviation family}.
 
     target None is the zero subspace, so the result is a joint kernel.
-    Each family obeys a product rule on every ambient here, since the
-    actions on different legs commute:
+    Each deviation family obeys a product rule on every ambient here,
+    since the actions on different legs commute:
        delta_ab     = left_a delta_b + bullet_left_b delta_a,
        delta_bar_ab = right_b delta_bar_a + bullet_right_a delta_bar_b.
     So the a with delta_a v in target form a unital subalgebra
@@ -482,7 +470,7 @@ def generator_preimage(
     Over K there are no generators and every v qualifies.  The caller
     proves the invariance of a nonzero target.
     """
-    ops = [d for family in families for d in ambient.algebra.at_generators(family)]
+    ops = ambient.algebra.at_generators(family)
     if not ops:
         return Subspace.full(ambient.field, ambient.dim)
     return joint_kernel(ops) if target is None else preimage(ops, target)

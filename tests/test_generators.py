@@ -99,8 +99,8 @@ def test_a_permuted_basis_changes_the_greedy_choice():
 def test_kernels_and_closures_by_generators_match_the_basis(algebra):
     A = build(algebra)
     hs = HomSpace(BimoduleRep.regular(A), BimoduleRep.regular(A))
-    assert generator_preimage(hs, [hs.deltas]) == joint_kernel(hs.deltas)
-    assert generator_preimage(hs, [hs.delta_bars]) == joint_kernel(hs.delta_bars)
+    assert generator_preimage(hs, hs.deltas) == joint_kernel(hs.deltas)
+    assert generator_preimage(hs, hs.delta_bars) == joint_kernel(hs.delta_bars)
     seed = joint_kernel(hs.deltas)
     for family in (hs.left, hs.bullet_left, hs.right, hs.bullet_right):
         assert closure_under(A.at_generators(family), seed) == closure_under(family, seed)

@@ -295,7 +295,8 @@ def test_algebra_witness_is_the_first_failure_of_the_per_triple_loops(name, p, e
 
 
 # ---------------------------------------------------------------------------
-# Light's test: the axioms at the generators, the full scan only on a failure
+# validation as a left action: the axioms at the generators, the full scan only
+# on a failure (an algebra's associativity is its left regular action's axiom)
 
 LIGHT_ALGEBRAS = {  # each has fewer generators than basis elements
     "trunc5": trunc(5),
@@ -343,7 +344,7 @@ def _outcome_and_scan(cls, error, build):
 @settings(max_examples=100, deadline=None)
 @given(
     name=st.sampled_from(sorted(LIGHT_ALGEBRAS)),
-    p=st.sampled_from([0, 7]),
+    p=st.sampled_from([0, 7, 2**31 - 1]),
     rng=st.randoms(use_true_random=False),
 )
 def test_light_check_rejects_exactly_the_algebra_tables_the_oracle_rejects(name, p, rng):
@@ -360,7 +361,7 @@ def test_light_check_rejects_exactly_the_algebra_tables_the_oracle_rejects(name,
 @settings(max_examples=100, deadline=None)
 @given(
     name=st.sampled_from(sorted(LIGHT_ALGEBRAS)),
-    p=st.sampled_from([0, 7]),
+    p=st.sampled_from([0, 7, 2**31 - 1]),
     rng=st.randoms(use_true_random=False),
 )
 def test_light_check_rejects_exactly_the_action_stacks_the_oracle_rejects(name, p, rng):
@@ -580,8 +581,8 @@ def _free_sources(A):
 
 def _assert_lift_is_the_joint_kernels(hs):
     assert hs.source.free_rank is not None
-    assert hs.linear_maps("left") == generator_preimage(hs, [hs.deltas])
-    assert hs.linear_maps("right") == generator_preimage(hs, [hs.delta_bars])
+    assert hs.linear_maps("left") == generator_preimage(hs, hs.deltas)
+    assert hs.linear_maps("right") == generator_preimage(hs, hs.delta_bars)
 
 
 @pytest.mark.parametrize("field", _FIELDS, ids=_FIELD_IDS)
@@ -616,6 +617,18 @@ def test_hom_A_and_hom_AA_match_the_oracle_from_free_and_unmarked_sources(label)
     mul = raw_mul(A)
     assert hom_A(R, R).dim == hom_A_dim(mul) and hom_AA(R, R).dim == hom_AA_dim(mul)
     assert hom_A(U, U) == hom_A(R, R) and hom_AA(U, U) == hom_AA(R, R)
+
+
+@pytest.mark.parametrize("side", ["Left", "up"])
+def test_linear_maps_refuse_a_side_that_is_neither_left_nor_right(side):
+    A = entry("t2").algebra
+    R = BimoduleRep.regular(A)
+    U = BimoduleRep(A, A.left_ops, A.right_ops)  # the constructor's module: no free mark
+    for P in (R, U):
+        hs = HomSpace(P, R)
+        with pytest.raises(ValueError, match=f"got {side!r}"):
+            hs.linear_maps(side)
+        assert hs.linear_maps("left") != hs.linear_maps("right")
 
 
 # ---------------------------------------------------------------------------

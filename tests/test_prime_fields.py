@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncjets.algebra import Algebra, _combine
+from ncjets.algebra import Algebra, _combine, _pair_products
 from ncjets.catalog import COMMUTATIVE_NAMES, builtin, names
 from ncjets.diffop import TAGS, diff_bar1, diff_commutative, filtration_by_tag
 from ncjets.jets import (
@@ -36,7 +36,7 @@ from ncjets.linalg import (
     kernel_of_rows,
     rref,
 )
-from ncjets.modules import BimoduleRep, LegAction, _pair_products
+from ncjets.modules import BimoduleRep, LegAction
 
 from algebra_builders import leg_action_matrix
 from naive_gauss import naive_kernel_basis_mod, naive_rref_mod
